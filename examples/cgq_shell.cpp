@@ -276,26 +276,17 @@ int main(int argc, char** argv) {
                         static_cast<long long>(e.id), locs.GetName(l).c_str(),
                         e.ToString(locs).c_str());
           }
-          for (const PolicyCatalog::AbsorbedPolicy& a :
-               engine.policies().Absorbed(l)) {
-            std::printf("  #%-3lld [%s] %s (merged into #%lld)\n",
-                        static_cast<long long>(a.expr.id),
-                        locs.GetName(l).c_str(),
-                        a.expr.ToString(locs).c_str(),
-                        static_cast<long long>(a.absorbed_by));
-          }
         }
         const PolicyCatalog::IndexStats istats = engine.policies().Stats();
-        std::printf("  (policy epoch %llu | index %s: %zu active, "
-                    "%zu merged, %zu buckets, largest %zu)\n",
+        std::printf("  (policy epoch %llu | index %s: %zu policies, "
+                    "%zu buckets, largest %zu)\n",
                     static_cast<unsigned long long>(
                         engine.policies().epoch()),
                     engine.policies().index_mode() ==
                             PolicyIndexMode::kHierarchical
                         ? "hier"
                         : "flat",
-                    istats.active, istats.absorbed, istats.buckets,
-                    istats.max_bucket);
+                    istats.active, istats.buckets, istats.max_bucket);
         continue;
       }
       if (lower.rfind("set ", 0) == 0) {

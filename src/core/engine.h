@@ -71,12 +71,6 @@ class Engine {
   /// hardware thread. Results are identical at every setting.
   void set_threads(int threads) { default_options_.threads = threads; }
 
-  /// Toggles the process-wide implication-result cache for this engine's
-  /// optimizations.
-  void set_implication_cache_enabled(bool enabled) {
-    default_options_.implication_cache = enabled;
-  }
-
   /// Default executor configuration applied by Run(). Mutate to select the
   /// runtime once, e.g. `engine.default_exec_options().mode =
   /// ExecMode::kFragment;`.

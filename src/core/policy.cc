@@ -23,14 +23,6 @@ bool StringsSubset(const std::vector<std::string>& sub,
   return true;
 }
 
-bool AggFnsSubset(const std::vector<AggFn>& sub,
-                  const std::vector<AggFn>& super) {
-  for (AggFn f : sub) {
-    if (std::find(super.begin(), super.end(), f) == super.end()) return false;
-  }
-  return true;
-}
-
 // Bit mask of every column ref in the subtree. `*ok` is cleared when a ref
 // cannot be mapped to a schema bit (unknown column, index >= 64).
 uint64_t SubtreeColumnMask(const Expr& e, const Schema& schema, bool* ok) {
@@ -164,38 +156,14 @@ Result<PolicyIndexMode> ParsePolicyIndexMode(const std::string& name) {
                                  "' (expected flat|hier)");
 }
 
-bool PolicySubsumes(const PolicyExpression& super, const PolicyExpression& sub,
-                    SubsumptionMode mode) {
+bool PolicySubsumes(const PolicyExpression& super,
+                    const PolicyExpression& sub) {
   if (super.table != sub.table) return false;
   if (!sub.to.IsSubsetOf(super.to)) return false;
-
-  if (mode == SubsumptionMode::kSemantic) {
-    if (super.is_aggregate() || sub.is_aggregate()) return false;
-    if (!StringsSubset(sub.attributes, super.attributes)) return false;
-    // sub's rows must all satisfy super's condition: P_sub ⟹ P_super.
-    return PredicateImplies(sub.predicate, super.predicate);
-  }
-
-  // kDecisionSafe. The algorithmic implication test is not transitive, so
-  // the predicates may only differ in ways every premise agrees on: equal
-  // fingerprints (the implication cache key — identical results for any
-  // premise) or an empty superseding predicate (implied by everything).
-  if (!(sub.predicate_fp == super.predicate_fp) && !super.predicate.empty()) {
-    return false;
-  }
-  if (!super.is_aggregate()) {
-    // A basic expression grants its ship attributes at every aggregation
-    // level, so it covers a basic sub (attrs ⊆) and an aggregate sub
-    // (ship and group attrs both ⊆ its ship attrs, any aggregate fn).
-    return StringsSubset(sub.attributes, super.attributes) &&
-           StringsSubset(sub.group_by, super.attributes);
-  }
-  // An aggregate super only grants on aggregate queries — it can never
-  // cover a basic sub.
-  if (!sub.is_aggregate()) return false;
-  return StringsSubset(sub.attributes, super.attributes) &&
-         StringsSubset(sub.group_by, super.group_by) &&
-         AggFnsSubset(sub.agg_fns, super.agg_fns);
+  if (super.is_aggregate() || sub.is_aggregate()) return false;
+  if (!StringsSubset(sub.attributes, super.attributes)) return false;
+  // sub's rows must all satisfy super's condition: P_sub ⟹ P_super.
+  return PredicateImplies(sub.predicate, super.predicate);
 }
 
 Status PolicyCatalog::set_index_mode(PolicyIndexMode mode) {
@@ -269,7 +237,6 @@ void PolicyCatalog::EnsureLocation(LocationId location) {
   if (by_location_.size() <= location) by_location_.resize(location + 1);
   if (table_index_.size() <= location) table_index_.resize(location + 1);
   if (bucket_index_.size() <= location) bucket_index_.resize(location + 1);
-  if (absorbed_.size() <= location) absorbed_.resize(location + 1);
 }
 
 Status PolicyCatalog::AddPolicy(LocationId location, PolicyExpression expr) {
@@ -281,101 +248,13 @@ Status PolicyCatalog::AddPolicy(LocationId location, PolicyExpression expr) {
   ComputeDerived(*catalog_, &expr);
   expr.id = next_id_++;
 
-  if (mode_ == PolicyIndexMode::kHierarchical) {
-    int64_t absorber = FindAbsorber(location, expr);
-    if (absorber >= 0) {
-      absorbed_[location].push_back({std::move(expr), absorber});
-    } else {
-      InstallActive(location, std::move(expr));
-    }
-  } else {
-    table_index_[location][expr.table].push_back(
-        by_location_[location].size());
-    by_location_[location].push_back(std::move(expr));
-  }
+  std::vector<PolicyExpression>& exprs = by_location_[location];
+  exprs.push_back(std::move(expr));
+  const size_t index = exprs.size() - 1;
+  table_index_[location][exprs[index].table].push_back(index);
+  if (mode_ == PolicyIndexMode::kHierarchical) IndexBucket(location, index);
   epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
-}
-
-int64_t PolicyCatalog::FindAbsorber(LocationId location,
-                                    const PolicyExpression& expr) const {
-  auto it = bucket_index_[location].find(expr.table);
-  if (it == bucket_index_[location].end()) return -1;
-  const TableBuckets& tb = it->second;
-  const std::vector<PolicyExpression>& exprs = by_location_[location];
-  const uint64_t needed = expr.ship_mask | expr.group_mask;
-
-  // An absorber's attribute sets are supersets of ours, so its signature
-  // covers `needed` — skip buckets that cannot (unless our own masks are
-  // unreliable, in which case every bucket stays in play).
-  for (const Bucket& b : tb.buckets) {
-    if (expr.masks_valid && (needed & ~b.signature) != 0) continue;
-    for (size_t idx : b.entries) {
-      if (PolicySubsumes(exprs[idx], expr, SubsumptionMode::kDecisionSafe)) {
-        return exprs[idx].id;
-      }
-    }
-  }
-  for (size_t idx : tb.unmaskable) {
-    if (PolicySubsumes(exprs[idx], expr, SubsumptionMode::kDecisionSafe)) {
-      return exprs[idx].id;
-    }
-  }
-  return -1;
-}
-
-void PolicyCatalog::InstallActive(LocationId location, PolicyExpression expr) {
-  std::vector<PolicyExpression>& exprs = by_location_[location];
-
-  // The broader incoming expression may subsume existing actives — move
-  // them to the absorbed store (they keep their ids and resurrect if this
-  // expression is ever removed). Victims' signatures are subsets of ours.
-  std::vector<size_t> victims;
-  if (auto it = bucket_index_[location].find(expr.table);
-      it != bucket_index_[location].end()) {
-    const uint64_t sig = expr.ship_mask | expr.group_mask;
-    for (const Bucket& b : it->second.buckets) {
-      if (expr.masks_valid && (b.signature & ~sig) != 0) continue;
-      for (size_t idx : b.entries) {
-        if (PolicySubsumes(expr, exprs[idx], SubsumptionMode::kDecisionSafe)) {
-          victims.push_back(idx);
-        }
-      }
-    }
-    for (size_t idx : it->second.unmaskable) {
-      if (PolicySubsumes(expr, exprs[idx], SubsumptionMode::kDecisionSafe)) {
-        victims.push_back(idx);
-      }
-    }
-  }
-  if (!victims.empty()) {
-    std::sort(victims.begin(), victims.end());
-    for (size_t idx : victims) {
-      absorbed_[location].push_back({std::move(exprs[idx]), expr.id});
-    }
-    for (size_t i = victims.size(); i > 0; --i) {
-      exprs.erase(exprs.begin() + static_cast<ptrdiff_t>(victims[i - 1]));
-    }
-  }
-
-  exprs.push_back(std::move(expr));
-  if (victims.empty()) {
-    // Fast path: only the tail changed.
-    size_t index = exprs.size() - 1;
-    table_index_[location][exprs[index].table].push_back(index);
-    IndexActive(location, index);
-  } else {
-    RebuildIndexes(location);
-  }
-}
-
-void PolicyCatalog::Reinstall(LocationId location, PolicyExpression expr) {
-  int64_t absorber = FindAbsorber(location, expr);
-  if (absorber >= 0) {
-    absorbed_[location].push_back({std::move(expr), absorber});
-  } else {
-    InstallActive(location, std::move(expr));
-  }
 }
 
 Status PolicyCatalog::RemovePolicy(int64_t id) {
@@ -386,43 +265,6 @@ Status PolicyCatalog::RemovePolicy(int64_t id) {
       exprs.erase(exprs.begin() + static_cast<ptrdiff_t>(i));
       // Stored indices after `i` all shifted down by one.
       RebuildIndexes(loc);
-      // Un-merge: donors the removed expression had absorbed come back —
-      // each either re-absorbs under another active or turns active again.
-      std::vector<PolicyExpression> donors;
-      if (loc < absorbed_.size()) {
-        auto& abs = absorbed_[loc];
-        for (auto it = abs.begin(); it != abs.end();) {
-          if (it->absorbed_by == id) {
-            donors.push_back(std::move(it->expr));
-            it = abs.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      for (PolicyExpression& d : donors) Reinstall(loc, std::move(d));
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-      return Status::OK();
-    }
-  }
-  // Not active — possibly an absorbed expression (hierarchical mode).
-  for (LocationId loc = 0; loc < absorbed_.size(); ++loc) {
-    auto& abs = absorbed_[loc];
-    for (size_t i = 0; i < abs.size(); ++i) {
-      if (abs[i].expr.id != id) continue;
-      abs.erase(abs.begin() + static_cast<ptrdiff_t>(i));
-      // Donors chained under the removed entry (it absorbed them back when
-      // it was active) re-parent to a live absorber or turn active.
-      std::vector<PolicyExpression> donors;
-      for (auto it = abs.begin(); it != abs.end();) {
-        if (it->absorbed_by == id) {
-          donors.push_back(std::move(it->expr));
-          it = abs.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (PolicyExpression& d : donors) Reinstall(loc, std::move(d));
       epoch_.fetch_add(1, std::memory_order_acq_rel);
       return Status::OK();
     }
@@ -430,7 +272,7 @@ Status PolicyCatalog::RemovePolicy(int64_t id) {
   return Status::NotFound("no policy with id " + std::to_string(id));
 }
 
-void PolicyCatalog::IndexActive(LocationId location, size_t index) {
+void PolicyCatalog::IndexBucket(LocationId location, size_t index) {
   const PolicyExpression& e = by_location_[location][index];
   TableBuckets& tb = bucket_index_[location][e.table];
   if (!e.masks_valid) {
@@ -456,7 +298,7 @@ void PolicyCatalog::RebuildIndexes(LocationId location) {
   const std::vector<PolicyExpression>& exprs = by_location_[location];
   for (size_t i = 0; i < exprs.size(); ++i) {
     index[exprs[i].table].push_back(i);
-    if (mode_ == PolicyIndexMode::kHierarchical) IndexActive(location, i);
+    if (mode_ == PolicyIndexMode::kHierarchical) IndexBucket(location, i);
   }
 }
 
@@ -513,13 +355,6 @@ const std::vector<size_t>& PolicyCatalog::ForTable(
   return it != table_index_[location].end() ? it->second : kEmpty;
 }
 
-const std::vector<PolicyCatalog::AbsorbedPolicy>& PolicyCatalog::Absorbed(
-    LocationId location) const {
-  static const std::vector<AbsorbedPolicy> kEmpty;
-  if (location >= absorbed_.size()) return kEmpty;
-  return absorbed_[location];
-}
-
 void PolicyCatalog::AppendCandidates(LocationId location,
                                      const std::string& table,
                                      uint64_t query_mask, bool mask_exact,
@@ -550,48 +385,6 @@ void PolicyCatalog::AppendCandidates(LocationId location,
   out->insert(out->end(), tb.unmaskable.begin(), tb.unmaskable.end());
 }
 
-bool PolicyCatalog::ForEachBucket(
-    LocationId location, const std::string& table, uint64_t query_mask,
-    bool mask_exact, uint64_t premise_cap, bool premise_capped,
-    const std::function<void(size_t, const std::vector<size_t>&)>& fn,
-    std::vector<size_t>* unmaskable, size_t* prefiltered) const {
-  if (mode_ != PolicyIndexMode::kHierarchical) return false;
-  if (location >= bucket_index_.size()) return true;
-  auto it = bucket_index_[location].find(table);
-  if (it == bucket_index_[location].end()) return true;
-  const TableBuckets& tb = it->second;
-  for (size_t bi = 0; bi < tb.buckets.size(); ++bi) {
-    const Bucket& b = tb.buckets[bi];
-    if (mask_exact && (b.signature & query_mask) == 0) continue;
-    if (b.pred_valid && premise_capped && (b.pred_mask & ~premise_cap) != 0) {
-      if (prefiltered != nullptr) *prefiltered += b.entries.size();
-      continue;
-    }
-    fn(bi, b.entries);
-  }
-  unmaskable->insert(unmaskable->end(), tb.unmaskable.begin(),
-                     tb.unmaskable.end());
-  return true;
-}
-
-std::shared_ptr<const std::vector<uint32_t>> PolicyCatalog::FindBucketMemo(
-    uint64_t a, uint64_t b) const {
-  MemoShard& shard = memo_shards_[a % kMemoShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(MemoKey{a, b});
-  if (it == shard.map.end()) return nullptr;
-  return it->second;
-}
-
-void PolicyCatalog::StoreBucketMemo(
-    uint64_t a, uint64_t b,
-    std::shared_ptr<const std::vector<uint32_t>> implied) const {
-  MemoShard& shard = memo_shards_[a % kMemoShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= kMemoShardCap) shard.map.clear();
-  shard.map[MemoKey{a, b}] = std::move(implied);
-}
-
 std::optional<LocationSet> PolicyCatalog::FindEvalMemo(uint64_t a,
                                                        uint64_t b) const {
   const EvalShard& shard = eval_shards_[a % kMemoShards];
@@ -617,22 +410,15 @@ bool PolicyCatalog::HasPoliciesFor(
   return false;
 }
 
-size_t PolicyCatalog::ActiveCount() const {
+size_t PolicyCatalog::TotalCount() const {
   size_t n = 0;
   for (const auto& v : by_location_) n += v.size();
   return n;
 }
 
-size_t PolicyCatalog::TotalCount() const {
-  size_t n = ActiveCount();
-  for (const auto& v : absorbed_) n += v.size();
-  return n;
-}
-
 PolicyCatalog::IndexStats PolicyCatalog::Stats() const {
   IndexStats out;
-  out.active = ActiveCount();
-  for (const auto& v : absorbed_) out.absorbed += v.size();
+  out.active = TotalCount();
   for (const auto& per_loc : table_index_) {
     for (const auto& [table, entries] : per_loc) {
       if (!entries.empty()) ++out.tables;
@@ -670,7 +456,6 @@ void PolicyCatalog::ShuffleBucketsForTest(uint64_t seed) {
       shuffle(tb.unmaskable);
     }
   }
-  // Bucket ordinals moved: orphan every memo entry keyed on them.
   epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -678,7 +463,6 @@ void PolicyCatalog::Clear() {
   by_location_.clear();
   table_index_.clear();
   bucket_index_.clear();
-  absorbed_.clear();
   epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 

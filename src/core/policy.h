@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -74,42 +72,30 @@ enum class PolicyIndexMode {
   /// Evaluate walks all expressions over the query's tables. The byte-
   /// identical reference path.
   kFlat,
-  /// Hierarchical index (ROADMAP item 4): location → table → predicate-
-  /// signature buckets keyed by the expressions' (ship|group, predicate)
-  /// column-bitmask pair. AddPolicy merges/subsumes decision-equivalently
-  /// (absorbed expressions keep their ids and resurrect on removal of
-  /// their absorber); Evaluate walks only buckets whose attribute
-  /// signature intersects the query's disclosed-column mask AND whose
-  /// predicate columns are all constrained by the query premise, so cost
-  /// grows with *relevant* policies, not catalog size.
+  /// Hierarchical index: location → table → predicate-signature buckets
+  /// keyed by the expressions' (ship|group, predicate) column-bitmask
+  /// pair, plus a whole-evaluation memo. Evaluate walks only buckets whose
+  /// attribute signature intersects the query's disclosed-column mask AND
+  /// whose predicate columns are all constrained by the query premise, so
+  /// cost grows with *relevant* policies, not catalog size, and skips the
+  /// implication test of a candidate whose grants unconditional
+  /// candidates already make; a summary evaluated before at the same
+  /// epoch is answered from the memo.
   kHierarchical,
 };
 
 /// Parses "flat" / "hier" / "hierarchical" (the `--policy-index` knob).
 Result<PolicyIndexMode> ParsePolicyIndexMode(const std::string& name);
 
-/// Subsumption test strength for PolicySubsumes.
-enum class SubsumptionMode {
-  /// Lint-strength: uses the full (sound-but-incomplete) implication test
-  /// on the predicates. Right for advisory findings; NOT safe as a merge
-  /// rule, because algorithmic implication is not transitive, so dropping
-  /// a subsumed policy could change decisions the incomplete test cannot
-  /// see.
-  kSemantic,
-  /// Merge-strength: `super` grants a superset of `sub`'s grants for
-  /// EVERY query — requires predicate fingerprints equal or `super`'s
-  /// predicate empty (implied by anything), on top of the attribute /
-  /// aggregate / target containments. Absorbing `sub` under `super` is
-  /// then decision-invariant by construction.
-  kDecisionSafe,
-};
-
-/// True when every grant `sub` could contribute to any query is already
-/// granted by `super` (same table assumed). See SubsumptionMode for the
-/// two strengths. Shared by the catalog's online merge and policy lint's
-/// shadow detection.
-bool PolicySubsumes(const PolicyExpression& super, const PolicyExpression& sub,
-                    SubsumptionMode mode);
+/// True when every shipment the basic expression `sub` permits, the basic
+/// expression `super` permits too: same table, `sub`'s targets and ship
+/// attributes contained in `super`'s, and P_sub ⟹ P_super under the full
+/// (sound-but-incomplete) implication test. Right for advisory findings
+/// (policy lint); NOT a merge rule, because algorithmic implication is not
+/// transitive, so dropping a subsumed policy could change decisions the
+/// incomplete test cannot see. Aggregate expressions never subsume or are
+/// subsumed.
+bool PolicySubsumes(const PolicyExpression& super, const PolicyExpression& sub);
 
 /// Per-location store of dataflow policies (the paper's policy catalog,
 /// Fig. 2). Population happens offline via `AddPolicyText` (parsed +
@@ -151,9 +137,7 @@ class PolicyCatalog {
 
   /// Drops the policy with the given id (see PolicyExpression::id) from
   /// whatever location holds it and bumps the epoch. kNotFound when no
-  /// such policy is registered. In hierarchical mode removing an absorber
-  /// resurrects its donors (they were merged, not dropped), and removing
-  /// an absorbed policy quietly unregisters it.
+  /// such policy is registered.
   Status RemovePolicy(int64_t id);
 
   /// Current policy epoch: 0 for a freshly built catalog, +1 per
@@ -170,8 +154,8 @@ class PolicyCatalog {
   uint64_t TablePolicyFingerprint(LocationId location,
                                   const std::string& table) const;
 
-  /// All active expressions governing data stored at `location` (in
-  /// hierarchical mode, absorbed expressions live in Absorbed() instead).
+  /// All expressions governing data stored at `location`, in install
+  /// order.
   const std::vector<PolicyExpression>& For(LocationId location) const;
 
   /// Ascending indices (into For(location)) of the expressions whose table
@@ -179,16 +163,6 @@ class PolicyCatalog {
   /// query over that table.
   const std::vector<size_t>& ForTable(LocationId location,
                                       const std::string& table) const;
-
-  /// An installed expression merged into an active one (hierarchical mode
-  /// only). Keeps its id: RemovePolicy(expr.id) unregisters it, and
-  /// RemovePolicy(absorbed_by) resurrects it.
-  struct AbsorbedPolicy {
-    PolicyExpression expr;
-    int64_t absorbed_by = -1;  ///< id of the expression that subsumes it
-  };
-  /// Expressions for `location` currently absorbed by an active one.
-  const std::vector<AbsorbedPolicy>& Absorbed(LocationId location) const;
 
   /// Appends the indices (into For(location)) of the expressions over
   /// `table` that can be relevant to a query disclosing the columns in
@@ -210,44 +184,17 @@ class PolicyCatalog {
                         std::vector<size_t>* out,
                         size_t* prefiltered = nullptr) const;
 
-  /// Bucket-resolved variant of AppendCandidates (hierarchical mode only;
-  /// returns false without calling `fn` in flat mode). Invokes
-  /// `fn(bucket_ordinal, entries)` for every bucket over `table` surviving
-  /// the same two prunes, then appends the catch-all unmaskable entries to
-  /// `*unmaskable`. `bucket_ordinal` is the bucket's position in the
-  /// iteration order — stable until the next epoch bump, which makes
-  /// (epoch, ordinal) a sound memo-key component (see FindBucketMemo).
-  bool ForEachBucket(
-      LocationId location, const std::string& table, uint64_t query_mask,
-      bool mask_exact, uint64_t premise_cap, bool premise_capped,
-      const std::function<void(size_t, const std::vector<size_t>&)>& fn,
-      std::vector<size_t>* unmaskable,
-      size_t* prefiltered = nullptr) const;
-
-  /// Bucket-grained implication memo. All entries of a bucket share their
-  /// predicate-column mask, and the evaluator tests one (premise, bucket)
-  /// pair against every entry — so it caches the ascending positions of
-  /// the implied entries under a key the caller derives from the premise
-  /// fingerprint, the bucket's (location, table, ordinal) coordinates AND
-  /// the epoch. Folding in the epoch is what invalidates: any mutation
-  /// bumps it, orphaning old keys (orphans are dropped wholesale when a
-  /// shard outgrows its cap). Thread-safe; concurrent fills of the same
-  /// key are benign (identical values).
-  std::shared_ptr<const std::vector<uint32_t>> FindBucketMemo(
-      uint64_t a, uint64_t b) const;
-  void StoreBucketMemo(
-      uint64_t a, uint64_t b,
-      std::shared_ptr<const std::vector<uint32_t>> implied) const;
-
-  /// Evaluation-result memo, one level above the bucket memo: the legal
-  /// ship set 𝒜(q, D, P_D) of a whole query summary, keyed by the caller's
-  /// 128-bit summary fingerprint salted with (database, epoch). Workloads
+  /// Evaluation-result memo (hierarchical mode): the legal ship set
+  /// 𝒜(q, D, P_D) of a whole query summary, keyed by the caller's 128-bit
+  /// summary fingerprint salted with (database, epoch). Workloads
   /// re-optimize structurally identical blocks, and the AR4 prewarm
   /// re-evaluates the same (group, database) pairs across plan
   /// alternatives — a warm Evaluate() becomes one lookup instead of a
-  /// bucket walk. Epoch-in-key invalidation and shard flushing exactly as
-  /// for the bucket memo; decisions are unaffected because the stored set
-  /// is the verbatim result of the indexed evaluation.
+  /// bucket walk. Folding in the epoch is what invalidates: any mutation
+  /// bumps it, orphaning old keys (orphans are dropped wholesale when a
+  /// shard outgrows its cap). Decisions are unaffected because the stored
+  /// set is the verbatim result of the indexed evaluation. Thread-safe;
+  /// concurrent fills of the same key are benign (identical values).
   std::optional<LocationSet> FindEvalMemo(uint64_t a, uint64_t b) const;
   void StoreEvalMemo(uint64_t a, uint64_t b, LocationSet legal) const;
 
@@ -257,17 +204,13 @@ class PolicyCatalog {
   bool HasPoliciesFor(LocationId location,
                       const std::vector<std::string>& tables) const;
 
-  /// Installed expressions: active + absorbed (mode-invariant, so callers
-  /// counting what they installed see the same number in both modes).
+  /// Installed expressions over all locations.
   size_t TotalCount() const;
-  /// Active expressions only (== TotalCount() in flat mode).
-  size_t ActiveCount() const;
   void Clear();
 
   /// Index shape counters for `policies;` / bench reporting.
   struct IndexStats {
-    size_t active = 0;     ///< expressions Evaluate can walk
-    size_t absorbed = 0;   ///< expressions merged into an active one
+    size_t active = 0;     ///< installed expressions
     size_t tables = 0;     ///< (location, table) pairs with any policy
     size_t buckets = 0;    ///< signature buckets (hierarchical mode)
     size_t max_bucket = 0; ///< largest bucket's entry count
@@ -277,8 +220,7 @@ class PolicyCatalog {
   /// Test hook: deterministically permutes bucket iteration order and the
   /// entry order inside each bucket (hierarchical mode; in flat mode only
   /// the epoch moves). Decisions must be invariant under any such
-  /// permutation. Bumps the epoch — bucket ordinals changed, so memo
-  /// entries keyed on them must die.
+  /// permutation. Bumps the epoch, as every index mutation does.
   void ShuffleBucketsForTest(uint64_t seed);
 
   const Catalog& catalog() const { return *catalog_; }
@@ -305,16 +247,7 @@ class PolicyCatalog {
   void EnsureLocation(LocationId location);
   void RebuildIndexes(LocationId location);
   /// Appends `index` (into by_location_[location]) to the matching bucket.
-  void IndexActive(LocationId location, size_t index);
-  /// Id of an active expression at (location, same table) that
-  /// decision-safely subsumes `expr`, or -1.
-  int64_t FindAbsorber(LocationId location, const PolicyExpression& expr) const;
-  /// Registers `expr` (id already assigned) as active at `location`, then
-  /// absorbs any existing actives it subsumes.
-  void InstallActive(LocationId location, PolicyExpression expr);
-  /// Re-registers a resurrected donor: absorbed again if some active
-  /// subsumes it, active otherwise.
-  void Reinstall(LocationId location, PolicyExpression expr);
+  void IndexBucket(LocationId location, size_t index);
 
   const Catalog* catalog_;
   PolicyIndexMode mode_;
@@ -324,10 +257,8 @@ class PolicyCatalog {
       table_index_;
   /// Hierarchical mode: per location, table -> signature buckets.
   std::vector<std::unordered_map<std::string, TableBuckets>> bucket_index_;
-  /// Hierarchical mode: per location, expressions merged into actives.
-  std::vector<std::vector<AbsorbedPolicy>> absorbed_;
 
-  // --- Bucket-grained implication memo (see FindBucketMemo) ---
+  // --- Evaluation-result memo (see FindEvalMemo) ---
   struct MemoKey {
     uint64_t a = 0;
     uint64_t b = 0;
@@ -338,19 +269,12 @@ class PolicyCatalog {
       return static_cast<size_t>(k.a);
     }
   };
-  struct MemoShard {
-    mutable std::mutex mu;
-    std::unordered_map<MemoKey, std::shared_ptr<const std::vector<uint32_t>>,
-                       MemoKeyHash>
-        map;
-  };
   struct EvalShard {
     mutable std::mutex mu;
     std::unordered_map<MemoKey, LocationSet, MemoKeyHash> map;
   };
   static constexpr size_t kMemoShards = 8;
   static constexpr size_t kMemoShardCap = 1 << 15;
-  mutable MemoShard memo_shards_[kMemoShards];
   mutable EvalShard eval_shards_[kMemoShards];
 
   std::atomic<uint64_t> epoch_{0};

@@ -53,7 +53,7 @@ struct AliasPremise {
   /// Prebuilt premise side of the implication test (hierarchical index
   /// mode only). When `simple()`, candidate predicates are tested directly
   /// against it — bit-identical to PredicateImplies but without per-test
-  /// hashing or cache locking.
+  /// hashing or cache locking. Otherwise `fp` keys the implication cache.
   std::optional<PremiseConstraints> constraints;
   /// Columns the premise mentions (bit i = column i of `table`). Only
   /// meaningful when `maskable`: every ref mapped to a bit, no empty IN
@@ -87,9 +87,9 @@ void AccumulatePremiseMask(const Expr& e, const Schema* schema,
   }
 }
 
-// Finalizer of the bucket-memo key components (splitmix64), so structured
-// inputs (ordinals, epochs) spread over all 64 bits before they are XORed
-// into the premise fingerprint.
+// Finalizer of the evaluation-memo key components (splitmix64), so
+// structured inputs (database, epoch) spread over all 64 bits before they
+// are XORed into the summary fingerprint.
 uint64_t MixKey(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -237,9 +237,6 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
     AliasPremise ap;
     ap.table = &table;
     ap.premise = PremiseForAlias(summary, alias);
-    // The fingerprint keys the implication cache and, in hierarchical
-    // mode, the catalog's bucket memo.
-    if (cache_ != nullptr || hier) ap.fp = FingerprintConjuncts(ap.premise);
     if (hier) {
       auto def = catalog_->GetTable(table);
       const Schema* schema = def.ok() ? &(*def)->schema : nullptr;
@@ -249,6 +246,12 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
       }
       ap.constraints.emplace(ap.premise);
       ap.maskable = ok && !ap.constraints->contradictory();
+    }
+    // The fingerprint keys the implication cache, which direct constraint
+    // tests never consult.
+    if (cache_ != nullptr &&
+        !(ap.constraints.has_value() && ap.constraints->simple())) {
+      ap.fp = FingerprintConjuncts(ap.premise);
     }
     instances.push_back(std::move(ap));
   }
@@ -298,45 +301,34 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
       table_pairs.back().push_back(PairBit{idx, bit});
     }
   }
+  // Case 1/2 relevance of one pair: does `e` list its column as a ship
+  // attribute?
+  auto ships = [&](const PolicyExpression& e, const PairBit& pb) {
+    return (e.masks_valid && pb.bit != 0)
+               ? (e.ship_mask & pb.bit) != 0
+               : e.HasShipAttribute(pairs[pb.idx]->base.column);
+  };
+
   // The catalog selects per-run candidates from the run's disclosed-column
   // mask: the flat index hands back every expression over the table, the
   // hierarchical one only buckets whose signature intersects the mask
-  // (pruning is off for a run with any unmappable column). In hierarchical
-  // mode the implication test itself also runs here, bucket by bucket, so
-  // its outcome can be memoized per (premise, bucket) in the catalog: all
-  // entries of a bucket share their predicate-column mask, and workloads
-  // re-evaluate the same premises — a warm Evaluate() does one memo lookup
-  // per bucket and walks only the implied entries.
+  // (pruning is off for a run with any unmappable column) and whose
+  // predicate columns the run's premises all constrain.
+  //
+  // Hierarchical mode also collects a floor per pair while selecting: the
+  // locations unconditional basic candidates grant it. An empty predicate
+  // is implied by every premise, so those grants are certain without a
+  // test and go straight into `pair_locs`; a candidate whose every grant
+  // already lies inside the floor cannot change the result and is skipped
+  // before its implication test. Provenance callers want every granting
+  // expression, so they get no floor.
+  const bool use_floor = hier && grants == nullptr;
   std::vector<size_t> candidates;
   std::vector<size_t> candidate_table;  ///< candidate -> table_pairs index
-  /// 1 = implication already established for every instance (bucket memo);
-  /// 0 = eval_policy must run the per-instance tests itself.
-  std::vector<uint8_t> candidate_implied;
+  /// Per run: the query's instances of the run's table.
+  std::vector<std::vector<const AliasPremise*>> run_instances(
+      table_pairs.size());
   size_t bucket_prefiltered = 0;
-
-  // Runs the per-instance implication dispatch for one candidate predicate
-  // — the single place deciding direct-constraint vs. cache vs. plain test,
-  // so the memoized and unmemoized paths stay bit-identical.
-  auto test_implies = [&](const AliasPremise& ap, const PolicyExpression& e,
-                          int32_t* tests, int32_t* hits, int32_t* misses) {
-    ++*tests;
-    if (ap.constraints.has_value() && ap.constraints->simple()) {
-      // Fully normalized premise: a direct constraint check beats even a
-      // memo hit (no hashing, no shard lock), same result bit for bit.
-      return ap.constraints->Implies(e.predicate);
-    }
-    if (cache_ != nullptr) {
-      bool hit = false;
-      bool ok = cache_->ImpliesPrehashed(ap.fp, ap.premise, e.predicate_fp,
-                                         e.predicate, &hit);
-      *hits += hit ? 1 : 0;
-      *misses += hit ? 0 : 1;
-      return ok;
-    }
-    return PredicateImplies(ap.premise, e.predicate);
-  };
-
-  const uint64_t memo_epoch = hier ? policies_->epoch() : 0;
   for (size_t run = 0; run < table_pairs.size(); ++run) {
     uint64_t query_mask = 0;
     bool mask_exact = true;
@@ -350,97 +342,33 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
     // such predicates are pruned before the candidate walk.
     uint64_t premise_cap = ~uint64_t{0};
     bool premise_capped = false;
-    std::vector<const AliasPremise*> run_instances;
     for (const AliasPremise& ap : instances) {
       if (*ap.table != *run_tables[run]) continue;
-      run_instances.push_back(&ap);
+      run_instances[run].push_back(&ap);
       if (!ap.maskable) continue;
       premise_cap &= ap.premise_mask;
       premise_capped = true;
     }
-    if (!hier) {
-      policies_->AppendCandidates(db, *run_tables[run], query_mask,
-                                  mask_exact, premise_cap, premise_capped,
-                                  &candidates, &bucket_prefiltered);
-      candidate_table.resize(candidates.size(), run);
-      candidate_implied.resize(candidates.size(), 0);
-      continue;
-    }
-
-    // Ascending implied positions within one bucket, for one instance
-    // premise — memoized in the catalog under (premise fp, location,
-    // table, bucket ordinal, epoch).
-    const uint64_t table_salt =
-        MixKey(std::hash<std::string>{}(*run_tables[run]) +
-               (static_cast<uint64_t>(db) << 48) + memo_epoch * 0x9e3779b9);
-    auto implied_for =
-        [&](const AliasPremise& ap, size_t bucket,
-            const std::vector<size_t>& entries)
-        -> std::shared_ptr<const std::vector<uint32_t>> {
-      const uint64_t ka = ap.fp.hi ^ table_salt;
-      const uint64_t kb = ap.fp.lo ^ MixKey(bucket + 0x9e3779b97f4a7c15ULL);
-      if (auto hit = policies_->FindBucketMemo(ka, kb)) return hit;
-      auto implied = std::make_shared<std::vector<uint32_t>>();
-      int32_t tests = 0, hits = 0, misses = 0;
-      for (uint32_t i = 0; i < entries.size(); ++i) {
-        if (test_implies(ap, exprs[entries[i]], &tests, &hits, &misses)) {
-          implied->push_back(i);
-        }
+    const size_t first = candidates.size();
+    policies_->AppendCandidates(db, *run_tables[run], query_mask, mask_exact,
+                                premise_cap, premise_capped, &candidates,
+                                &bucket_prefiltered);
+    candidate_table.resize(candidates.size(), run);
+    // Floor grants need an instance of the table (see eval_policy).
+    if (!use_floor || run_instances[run].empty()) continue;
+    for (size_t ci = first; ci < candidates.size(); ++ci) {
+      const PolicyExpression& e = exprs[candidates[ci]];
+      if (!e.predicate.empty() || e.is_aggregate()) continue;
+      for (const PairBit& pb : table_pairs[run]) {
+        if (ships(e, pb)) pair_locs[pb.idx] = pair_locs[pb.idx].Union(e.to);
       }
-      local.implication_tests += tests;
-      local.implication_cache_hits += hits;
-      local.implication_cache_misses += misses;
-      std::shared_ptr<const std::vector<uint32_t>> v = std::move(implied);
-      policies_->StoreBucketMemo(ka, kb, v);
-      return v;
-    };
-
-    std::vector<size_t> unmaskable;
-    std::vector<uint32_t> cur;  // intersection across instances
-    policies_->ForEachBucket(
-        db, *run_tables[run], query_mask, mask_exact, premise_cap,
-        premise_capped,
-        [&](size_t bucket, const std::vector<size_t>& entries) {
-          // No instance of the table in the query: Algorithm 1 grants
-          // nothing from its policies (the any_instance condition).
-          if (run_instances.empty()) return;
-          bool first = true;
-          for (const AliasPremise* ap : run_instances) {
-            auto implied = implied_for(*ap, bucket, entries);
-            if (first) {
-              cur.assign(implied->begin(), implied->end());
-              first = false;
-            } else {
-              // Both ascending: keep positions implied for every instance.
-              size_t w = 0, j = 0;
-              for (uint32_t pos : cur) {
-                while (j < implied->size() && (*implied)[j] < pos) ++j;
-                if (j < implied->size() && (*implied)[j] == pos) {
-                  cur[w++] = pos;
-                }
-              }
-              cur.resize(w);
-            }
-            if (cur.empty()) break;
-          }
-          for (uint32_t pos : cur) {
-            candidates.push_back(entries[pos]);
-            candidate_table.push_back(run);
-            candidate_implied.push_back(1);
-          }
-        },
-        &unmaskable, &bucket_prefiltered);
-    for (size_t e : unmaskable) {
-      candidates.push_back(e);
-      candidate_table.push_back(run);
-      candidate_implied.push_back(0);
     }
   }
   local.candidates = static_cast<int64_t>(candidates.size());
   local.prefilter_skips += static_cast<int64_t>(bucket_prefiltered);
 
-  // Per-policy evaluation: reads `legal` keys and the summary, writes only
-  // its own outcome slot — safe to fan out.
+  // Per-policy evaluation: reads `legal` keys, the summary and the floor in
+  // `pair_locs`, writes only its own outcome slot — safe to fan out.
   std::vector<PolicyOutcome> outcomes(candidates.size());
   auto eval_policy = [&](size_t ci) {
     const PolicyExpression& e = exprs[candidates[ci]];
@@ -452,49 +380,56 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
     const bool group_counts =
         summary.is_aggregate && e.is_aggregate();
     const std::vector<PairBit>& epairs = table_pairs[candidate_table[ci]];
-    auto ships = [&](const PairBit& pb) {
-      return (e.masks_valid && pb.bit != 0)
-                 ? (e.ship_mask & pb.bit) != 0
-                 : e.HasShipAttribute(pairs[pb.idx]->base.column);
-    };
     auto groups = [&](const PairBit& pb) {
       return (e.masks_valid && pb.bit != 0)
                  ? (e.group_mask & pb.bit) != 0
                  : e.HasGroupAttribute(pairs[pb.idx]->base.column);
     };
     for (const PairBit& pb : epairs) {
-      if (ships(pb) || (group_counts && groups(pb))) {
+      if (ships(e, pb) || (group_counts && groups(pb))) {
         o.matched = true;
         break;
       }
     }
     if (!o.matched) return;
-
-    // P_q ⟹ P_e, for every instance of e's table in the query. Bucket-
-    // memoized candidates (hierarchical mode) arrive with the implication
-    // pre-established; only flat-mode and unmaskable candidates test here.
-    if (candidate_implied[ci] == 0) {
-      bool implied = true;
-      bool any_instance = false;
-      for (size_t ii = 0; ii < instances.size(); ++ii) {
-        const AliasPremise& ap = instances[ii];
-        if (*ap.table != e.table) continue;
-        any_instance = true;
-        if (e.pred_mask_valid && ap.maskable &&
-            (e.pred_mask & ~ap.premise_mask) != 0) {
-          // The policy predicate requires a column this (non-contradictory)
-          // premise never mentions — the implication test cannot succeed.
-          ++o.prefilter_skips;
-          implied = false;
-          break;
-        }
-        if (!test_implies(ap, e, &o.implication_tests, &o.cache_hits,
-                          &o.cache_misses)) {
-          implied = false;
+    if (use_floor && !e.is_aggregate()) {
+      bool inside_floor = true;
+      for (const PairBit& pb : epairs) {
+        if (ships(e, pb) && !e.to.IsSubsetOf(pair_locs[pb.idx])) {
+          inside_floor = false;
           break;
         }
       }
-      if (!any_instance || !implied) return;
+      if (inside_floor) return;
+    }
+
+    // P_q ⟹ P_e, for every instance of e's table in the query; with no
+    // instance at all, Algorithm 1 grants nothing.
+    const std::vector<const AliasPremise*>& insts =
+        run_instances[candidate_table[ci]];
+    if (insts.empty()) return;
+    for (const AliasPremise* ap : insts) {
+      if (e.pred_mask_valid && ap->maskable &&
+          (e.pred_mask & ~ap->premise_mask) != 0) {
+        // The policy predicate requires a column this (non-contradictory)
+        // premise never mentions — the implication test cannot succeed.
+        ++o.prefilter_skips;
+        return;
+      }
+      ++o.implication_tests;
+      if (ap->constraints.has_value() && ap->constraints->simple()) {
+        // Fully normalized premise: a direct constraint check beats even a
+        // cache hit (no hashing, no shard lock), same result bit for bit.
+        if (!ap->constraints->Implies(e.predicate)) return;
+      } else if (cache_ != nullptr) {
+        bool hit = false;
+        const bool implied = cache_->ImpliesPrehashed(
+            ap->fp, ap->premise, e.predicate_fp, e.predicate, &hit);
+        ++(hit ? o.cache_hits : o.cache_misses);
+        if (!implied) return;
+      } else if (!PredicateImplies(ap->premise, e.predicate)) {
+        return;
+      }
     }
     o.eta = true;  // Algorithm 1 reaches line 4.
 
@@ -502,7 +437,7 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
       // Cases 1 & 2: a basic expression permits the cells at any
       // aggregation level, for its ship attributes.
       for (const PairBit& pb : epairs) {
-        if (ships(pb)) o.grants.push_back(pb.idx);
+        if (ships(e, pb)) o.grants.push_back(pb.idx);
       }
       return;
     }
@@ -525,7 +460,7 @@ LocationSet PolicyEvaluator::Evaluate(const QuerySummary& summary,
         // Grouping attribute: implicitly shippable when listed in G_e.
         allowed = groups(pb);
       } else {
-        allowed = ships(pb) && e.AllowsAggFn(*pair.fn);
+        allowed = ships(e, pb) && e.AllowsAggFn(*pair.fn);
       }
       if (allowed) o.grants.push_back(pb.idx);
     }

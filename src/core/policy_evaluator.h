@@ -20,26 +20,30 @@ namespace cgq {
 /// test passes (Algorithm 1 reaching line 4).
 struct PolicyEvalStats {
   int64_t evaluations = 0;        ///< calls to Evaluate()
-  /// Expressions walked by the per-policy pass. Flat mode: everything the
-  /// index hands back. Hierarchical mode: only entries whose implication
-  /// already held for every instance (bucket memo) plus the unmaskable
-  /// catch-all — bucket entries that fail implication never reach the walk
-  /// (they show up in implication_tests when their bucket is filled cold),
-  /// and a summary answered by the evaluation memo walks nothing at all.
+  /// Expressions walked by the per-policy pass: everything the index hands
+  /// back. Flat mode: every expression over the disclosed tables.
+  /// Hierarchical mode: the entries of the buckets surviving the signature
+  /// and premise prunes plus the unmaskable catch-all; a summary answered
+  /// by the evaluation memo walks nothing at all.
   int64_t candidates = 0;
   int64_t expressions_matched = 0;  ///< A_q ∩ A_e ≠ ∅
-  /// Implication tests actually dispatched (direct / cache / plain). In
-  /// hierarchical mode a warm Evaluate() re-uses bucket-memoized outcomes
-  /// and may report 0.
+  /// Implication tests actually dispatched (direct / cache / plain), one
+  /// per (matched candidate, instance) pair until the first failure. In
+  /// hierarchical mode candidates whose grants lie inside the floor of
+  /// unconditional grants are never tested, and a warm Evaluate() answered
+  /// by the evaluation memo reports 0.
   int64_t implication_tests = 0;
   int64_t implication_cache_hits = 0;    ///< tests answered from the cache
   int64_t implication_cache_misses = 0;  ///< tests actually run
-  /// Expressions skipped because their (bucket-shared) predicate mask
-  /// requires columns no (non-contradictory) instance premise mentions —
-  /// the hierarchical index's bucket pre-filter, plus the per-instance
-  /// fallback for unmaskable entries; always 0 in flat mode.
+  /// Expressions skipped because their predicate mask requires columns a
+  /// (non-contradictory) instance premise never mentions — the
+  /// hierarchical index's bucket pre-filter against the intersection of
+  /// the premises, plus the per-instance check on each candidate; always
+  /// 0 in flat mode.
   int64_t prefilter_skips = 0;
-  int64_t eta = 0;                ///< implication passed (line 4 reached)
+  /// Implication passed (line 4 reached). Hierarchical mode counts only
+  /// the candidates it tested (see implication_tests).
+  int64_t eta = 0;
   double eval_ms = 0;             ///< total time spent inside Evaluate()
 };
 

@@ -11,13 +11,6 @@ namespace {
 
 using Severity = PolicyLintFinding::Severity;
 
-// e1 subsumes e2 when every shipment e2 permits, e1 permits too. Lint uses
-// the semantic (implication-based) strength: advisory findings may rely on
-// the full test, unlike the catalog's decision-safe online merge.
-bool Subsumes(const PolicyExpression& e1, const PolicyExpression& e2) {
-  return PolicySubsumes(e1, e2, SubsumptionMode::kSemantic);
-}
-
 }  // namespace
 
 std::vector<PolicyLintFinding> LintPolicies(const Catalog& catalog,
@@ -53,7 +46,8 @@ std::vector<PolicyLintFinding> LintPolicies(const Catalog& catalog,
     for (size_t i = 0; i < exprs.size(); ++i) {
       for (size_t j = 0; j < exprs.size(); ++j) {
         if (i == j) continue;
-        if (Subsumes(exprs[i], exprs[j]) && !Subsumes(exprs[j], exprs[i])) {
+        if (PolicySubsumes(exprs[i], exprs[j]) &&
+            !PolicySubsumes(exprs[j], exprs[i])) {
           findings.push_back(
               {Severity::kInfo, loc_name,
                "expression \"" + exprs[j].ToString(locs) +
@@ -61,18 +55,6 @@ std::vector<PolicyLintFinding> LintPolicies(const Catalog& catalog,
                    "\" and can be removed"});
         }
       }
-    }
-
-    // Expressions absorbed by the catalog's online merge (hierarchical
-    // index mode): shadowed by construction — the absorber grants a
-    // superset for every query.
-    for (const auto& ab : policies.Absorbed(l)) {
-      findings.push_back(
-          {Severity::kInfo, loc_name,
-           "expression \"" + ab.expr.ToString(locs) + "\" (id " +
-               std::to_string(ab.expr.id) + ") is merged into policy id " +
-               std::to_string(ab.absorbed_by) +
-               ", which grants a superset of its shipments"});
     }
 
     // Attributes with no egress at all.

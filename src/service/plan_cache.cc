@@ -148,11 +148,6 @@ size_t PlanCache::EstimatePlanBytes(const PlanNode& root) {
 }
 
 std::optional<OptimizedQuery> PlanCache::Lookup(
-    const Key& key, const PolicyCatalog& policies) {
-  return Lookup(key, {}, policies, nullptr);
-}
-
-std::optional<OptimizedQuery> PlanCache::Lookup(
     const Key& key, const std::vector<Value>& params,
     const PolicyCatalog& policies, bool* param_hit) {
   if (param_hit != nullptr) *param_hit = false;
@@ -228,11 +223,6 @@ std::optional<OptimizedQuery> PlanCache::Lookup(
   }
   if (invalidated) PublishGauges();
   return out;
-}
-
-void PlanCache::Insert(const Key& key, const OptimizedQuery& q,
-                       const PolicyCatalog& policies) {
-  Insert(key, q, {}, policies);
 }
 
 void PlanCache::Insert(const Key& key, const OptimizedQuery& q,

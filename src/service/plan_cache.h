@@ -112,17 +112,14 @@ class PlanCache {
   /// unchanged fingerprints refresh the entry (hit); any change erases it
   /// (counted as invalidation + miss).
   ///
-  /// Exact-match only (no parameters): equivalent to Lookup(key, {}, ...).
-  std::optional<OptimizedQuery> Lookup(const Key& key,
-                                       const PolicyCatalog& policies);
-
-  /// Parameterized lookup: `params` is the constant vector the normalizer
-  /// extracted from the query whose skeleton hashed to `key`. An entry
-  /// whose stored parameters match structurally is served as-is (exact
-  /// hit). Otherwise, if the entry was proven rebindable at insert time,
-  /// its clone's literal slots are rebound to `params` (parameterized
-  /// hit; `*param_hit` set when non-null). A non-rebindable entry with
-  /// different parameters is a miss — it stays cached for exact matches.
+  /// `params` is the constant vector the normalizer extracted from the
+  /// query whose skeleton hashed to `key` (empty for exact-match-only
+  /// use). An entry whose stored parameters match structurally is served
+  /// as-is (exact hit). Otherwise, if the entry was proven rebindable at
+  /// insert time, its clone's literal slots are rebound to `params`
+  /// (parameterized hit; `*param_hit` set when non-null). A non-rebindable
+  /// entry with different parameters is a miss — it stays cached for
+  /// exact matches.
   ///
   /// The caller must re-prove Definition-1 compliance of the returned
   /// plan (the engine does, on every hit): rebinding changes predicate
@@ -137,11 +134,7 @@ class PlanCache {
   /// catalog's current epoch. Replaces any existing entry; evicts the LRU
   /// tail past the byte budget.
   ///
-  /// Exact-match only: equivalent to Insert(key, q, {}, policies).
-  void Insert(const Key& key, const OptimizedQuery& q,
-              const PolicyCatalog& policies);
-
-  /// Caches `q` together with the parameter vector its text carried. The
+  /// `params` is the parameter vector the query's text carried. The
   /// entry is marked rebindable only when every ordinal in [0, n) appears
   /// in the plan as a tagged literal slot with exactly params[ordinal]
   /// (see PlanParamsBindable) — otherwise it serves exact matches only.

@@ -318,11 +318,11 @@ TEST_F(RecoveryComplianceTest, ParameterizedHitDoesNotCrossTenantVisibility) {
   engine_->set_plan_cache(nullptr);
 }
 
-// The hierarchical index merges a policy subsumed by a wider one. Removing
-// the absorber must resurrect the donor with its exact original force: it
-// still blocks everything it blocked alone (no under-blocking — the wider
-// grant must not survive its removal) and still grants what it granted
-// alone (no over-blocking through the merge path).
+// A narrow policy installed beside a wider one that subsumes it, in the
+// hierarchical index. Removing the wider policy must leave the narrow one
+// with its exact original force: it still blocks everything it blocked
+// alone (no under-blocking — the wider grant must not survive its removal)
+// and still grants what it granted alone (no over-blocking).
 TEST_F(LaunderingTest, MergedPolicyStillBlocksAfterDonorRemoval) {
   Catalog catalog;
   for (const char* l : {"n", "e", "a"}) {
@@ -339,26 +339,22 @@ TEST_F(LaunderingTest, MergedPolicyStillBlocksAfterDonorRemoval) {
   ASSERT_TRUE(
       engine.set_policy_index_mode(PolicyIndexMode::kHierarchical).ok());
 
-  // Narrow donor first, wide absorber second: the index merges the donor
-  // under the `ship *` policy.
+  // Narrow donor first, wide `ship *` policy second.
   ASSERT_TRUE(engine.AddPolicy("n", "ship id from cust to e").ok());
   int64_t donor_id = engine.policies().For(0)[0].id;
   ASSERT_TRUE(engine.AddPolicy("n", "ship * from cust to e").ok());
-  ASSERT_EQ(engine.policies().For(0).size(), 1u);
-  ASSERT_EQ(engine.policies().Absorbed(0).size(), 1u);
-  ASSERT_EQ(engine.policies().Absorbed(0)[0].expr.id, donor_id);
-  int64_t absorber_id = engine.policies().For(0)[0].id;
+  ASSERT_EQ(engine.policies().For(0).size(), 2u);
+  int64_t absorber_id = engine.policies().For(0)[1].id;
 
-  // While merged, the wide grant rules: name may go to e.
+  // While both are installed, the wide grant rules: name may go to e.
   OptimizerOptions to_e;
   to_e.required_result = LocationSet::Single(1);
   EXPECT_TRUE(engine.Optimize("SELECT name FROM cust", to_e).ok());
 
-  // Remove the absorber. The donor resurrects — and ONLY the donor.
+  // Remove the wide policy. The donor remains — and ONLY the donor.
   ASSERT_TRUE(engine.policies().RemovePolicy(absorber_id).ok());
   ASSERT_EQ(engine.policies().For(0).size(), 1u);
   EXPECT_EQ(engine.policies().For(0)[0].id, donor_id);
-  EXPECT_TRUE(engine.policies().Absorbed(0).empty());
 
   // Exactly the donor's solo behavior: id->e legal, name->e and id->a are
   // laundering.

@@ -83,9 +83,9 @@ TEST_F(PlanCacheTest, HitAfterInsertMissOtherwise) {
   const std::string sql = "SELECT name FROM cust";
   PlanCache::Key key = PlanCache::ComputeKey(sql, opts);
 
-  EXPECT_FALSE(cache.Lookup(key, policies()).has_value());
-  cache.Insert(key, MustOptimize(sql), policies());
-  auto hit = cache.Lookup(key, policies());
+  EXPECT_FALSE(cache.Lookup(key, {}, policies()).has_value());
+  cache.Insert(key, MustOptimize(sql), {}, policies());
+  auto hit = cache.Lookup(key, {}, policies());
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->compliant);
   ASSERT_NE(hit->plan, nullptr);
@@ -102,16 +102,16 @@ TEST_F(PlanCacheTest, ServedPlansAreDeepCopies) {
   OptimizerOptions opts = engine_->default_options();
   const std::string sql = "SELECT name FROM cust";
   PlanCache::Key key = PlanCache::ComputeKey(sql, opts);
-  cache.Insert(key, MustOptimize(sql), policies());
+  cache.Insert(key, MustOptimize(sql), {}, policies());
 
-  auto first = cache.Lookup(key, policies());
-  auto second = cache.Lookup(key, policies());
+  auto first = cache.Lookup(key, {}, policies());
+  auto second = cache.Lookup(key, {}, policies());
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_NE(first->plan.get(), second->plan.get());
   // Mutating one served copy must not leak into the next hit.
   first->plan->table = "tampered";
-  auto third = cache.Lookup(key, policies());
+  auto third = cache.Lookup(key, {}, policies());
   ASSERT_TRUE(third.has_value());
   EXPECT_NE(third->plan->table, "tampered");
 }
@@ -121,14 +121,14 @@ TEST_F(PlanCacheTest, UnrelatedPolicyChangeRevalidatesInsteadOfInvalidating) {
   OptimizerOptions opts = engine_->default_options();
   const std::string sql = "SELECT name FROM cust";
   PlanCache::Key key = PlanCache::ComputeKey(sql, opts);
-  cache.Insert(key, MustOptimize(sql), policies());
+  cache.Insert(key, MustOptimize(sql), {}, policies());
 
   const uint64_t epoch_before = policies().epoch();
   // ord's policies change; cust's dependency fingerprint does not.
   ASSERT_TRUE(engine_->AddPolicy("e", "ship oid from ord to a").ok());
   ASSERT_GT(policies().epoch(), epoch_before);
 
-  auto hit = cache.Lookup(key, policies());
+  auto hit = cache.Lookup(key, {}, policies());
   EXPECT_TRUE(hit.has_value());
   PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);
@@ -136,7 +136,7 @@ TEST_F(PlanCacheTest, UnrelatedPolicyChangeRevalidatesInsteadOfInvalidating) {
 
   // The refreshed entry is fresh again: a second lookup takes the cheap
   // epoch-equality path (same observable result).
-  EXPECT_TRUE(cache.Lookup(key, policies()).has_value());
+  EXPECT_TRUE(cache.Lookup(key, {}, policies()).has_value());
 }
 
 TEST_F(PlanCacheTest, RelevantPolicyChangeInvalidates) {
@@ -144,13 +144,13 @@ TEST_F(PlanCacheTest, RelevantPolicyChangeInvalidates) {
   OptimizerOptions opts = engine_->default_options();
   const std::string sql = "SELECT name FROM cust";
   PlanCache::Key key = PlanCache::ComputeKey(sql, opts);
-  cache.Insert(key, MustOptimize(sql), policies());
+  cache.Insert(key, MustOptimize(sql), {}, policies());
 
   // Dropping cust's policy changes the (n, cust) fingerprint.
   int64_t cust_policy = policies().For(0)[0].id;
   ASSERT_TRUE(policies().RemovePolicy(cust_policy).ok());
 
-  EXPECT_FALSE(cache.Lookup(key, policies()).has_value());
+  EXPECT_FALSE(cache.Lookup(key, {}, policies()).has_value());
   PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 0);
   EXPECT_EQ(stats.invalidations, 1);
@@ -166,13 +166,13 @@ TEST_F(PlanCacheTest, ClearBumpsEpochAndInvalidates) {
   OptimizerOptions opts = engine_->default_options();
   const std::string sql = "SELECT name FROM cust";
   PlanCache::Key key = PlanCache::ComputeKey(sql, opts);
-  cache.Insert(key, MustOptimize(sql), policies());
+  cache.Insert(key, MustOptimize(sql), {}, policies());
 
   const uint64_t before = policies().epoch();
   policies().Clear();
   EXPECT_GT(policies().epoch(), before);
   // Every dependency fingerprint changed (no policies govern cust now).
-  EXPECT_FALSE(cache.Lookup(key, policies()).has_value());
+  EXPECT_FALSE(cache.Lookup(key, {}, policies()).has_value());
 }
 
 TEST_F(PlanCacheTest, LruEvictsAtByteBudget) {
@@ -193,7 +193,7 @@ TEST_F(PlanCacheTest, LruEvictsAtByteBudget) {
     std::string sql = "SELECT name FROM cust WHERE id > " + std::to_string(i);
     PlanCache::Key key = PlanCache::ComputeKey(sql, opts);
     keys.push_back(key);
-    cache.Insert(key, MustOptimize(sql), policies());
+    cache.Insert(key, MustOptimize(sql), {}, policies());
   }
 
   PlanCacheStats stats = cache.stats();
@@ -201,17 +201,17 @@ TEST_F(PlanCacheTest, LruEvictsAtByteBudget) {
   EXPECT_LT(stats.entries, 10u);
   EXPECT_LE(stats.bytes, copts.max_bytes);
   // The most recent insert survives; the oldest was evicted.
-  EXPECT_TRUE(cache.Lookup(keys.back(), policies()).has_value());
-  EXPECT_FALSE(cache.Lookup(keys.front(), policies()).has_value());
+  EXPECT_TRUE(cache.Lookup(keys.back(), {}, policies()).has_value());
+  EXPECT_FALSE(cache.Lookup(keys.front(), {}, policies()).has_value());
 }
 
 TEST_F(PlanCacheTest, ExplicitInvalidateErases) {
   PlanCache cache;
   OptimizerOptions opts = engine_->default_options();
   PlanCache::Key key = PlanCache::ComputeKey("SELECT name FROM cust", opts);
-  cache.Insert(key, MustOptimize("SELECT name FROM cust"), policies());
+  cache.Insert(key, MustOptimize("SELECT name FROM cust"), {}, policies());
   cache.Invalidate(key);
-  EXPECT_FALSE(cache.Lookup(key, policies()).has_value());
+  EXPECT_FALSE(cache.Lookup(key, {}, policies()).has_value());
   EXPECT_EQ(cache.stats().invalidations, 1);
 }
 
@@ -247,13 +247,13 @@ TEST_F(PlanCacheTest, ThreadedStress) {
         size_t k = static_cast<size_t>((t + i) % 8);
         std::shared_lock<std::shared_mutex> lock(policy_mu);
         if (i % 7 == 3) {
-          cache.Insert(keys[k], plans[k], policies());
+          cache.Insert(keys[k], plans[k], {}, policies());
         } else if (i % 31 == 5) {
           cache.Invalidate(keys[k]);
         } else if (i % 97 == 11) {
           cache.Clear();
         } else {
-          if (cache.Lookup(keys[k], policies()).has_value()) {
+          if (cache.Lookup(keys[k], {}, policies()).has_value()) {
             hits.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -276,8 +276,8 @@ TEST_F(PlanCacheTest, ThreadedStress) {
   EXPECT_GT(hits.load(), 0);
   EXPECT_EQ(stats.hits, hits.load());
   // Cached entries still serve valid deep copies afterwards.
-  cache.Insert(keys[0], plans[0], policies());
-  auto hit = cache.Lookup(keys[0], policies());
+  cache.Insert(keys[0], plans[0], {}, policies());
+  auto hit = cache.Lookup(keys[0], {}, policies());
   ASSERT_TRUE(hit.has_value());
   EXPECT_NE(hit->plan, nullptr);
 }

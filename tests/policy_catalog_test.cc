@@ -132,9 +132,9 @@ TEST_F(PolicyCatalogTest, AccessorHelpers) {
   EXPECT_FALSE(e.AllowsAggFn(AggFn::kAvg));
 }
 
-// Metamorphic battery for the hierarchical index (ISSUE 9): operations
-// that reshape the index without changing the governed policy set — adding
-// a subsumed policy, removing and re-adding an absorber, permuting bucket
+// Metamorphic battery for the hierarchical index: operations that reshape
+// the index without changing what the policy set grants — adding a
+// subsumed policy, removing and re-adding a wide policy, permuting bucket
 // order — must leave every compliance decision (and, for the re-add, the
 // evaluator's non-time counters) untouched.
 class PolicyMetamorphicTest : public PolicyCatalogTest {
@@ -210,7 +210,6 @@ class PolicyMetamorphicTest : public PolicyCatalogTest {
 
 TEST_F(PolicyMetamorphicTest, SubsumedAddNeverChangesDecisions) {
   const std::vector<uint64_t> before = Decisions();
-  const size_t absorbed_before = policies_->Stats().absorbed;
   // Both subsumed by the unconditional `ship * from cust to e`: narrower
   // attributes, subset target, (strictly stronger) predicate.
   ASSERT_TRUE(policies_->AddPolicyText("n", "ship id from cust to e").ok());
@@ -218,15 +217,13 @@ TEST_F(PolicyMetamorphicTest, SubsumedAddNeverChangesDecisions) {
                   ->AddPolicyText(
                       "n", "ship id, name from cust to e where bal > 500")
                   .ok());
-  EXPECT_EQ(policies_->Stats().absorbed, absorbed_before + 2);
   EXPECT_EQ(Decisions(), before);
 }
 
 TEST_F(PolicyMetamorphicTest, RemoveThenReAddRestoresEvaluatorStats) {
-  // A donor the wide policy absorbs, so the remove also exercises
-  // resurrection and the re-add re-absorption.
+  // A narrow policy the wide one subsumes, so the remove leaves it as the
+  // only grant of `id` to e and the re-add shadows it again.
   ASSERT_TRUE(policies_->AddPolicyText("n", "ship id from cust to e").ok());
-  ASSERT_EQ(policies_->Stats().absorbed, 1u);
   const std::vector<uint64_t> decisions = Decisions();
   const PolicyEvalStats before = WorkloadStats();
 
@@ -239,9 +236,7 @@ TEST_F(PolicyMetamorphicTest, RemoveThenReAddRestoresEvaluatorStats) {
   }
   ASSERT_NE(wide_id, -1);
   ASSERT_TRUE(policies_->RemovePolicy(wide_id).ok());
-  EXPECT_EQ(policies_->Stats().absorbed, 0u);  // donor resurrected
   ASSERT_TRUE(policies_->AddPolicyText("n", "ship * from cust to e").ok());
-  EXPECT_EQ(policies_->Stats().absorbed, 1u);  // donor re-absorbed
 
   EXPECT_EQ(Decisions(), decisions);
   const PolicyEvalStats after = WorkloadStats();

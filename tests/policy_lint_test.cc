@@ -80,6 +80,18 @@ TEST_F(PolicyLintTest, ReportsSubsumedExpression) {
   EXPECT_TRUE(HasFinding(findings, "subsumed"));
 }
 
+TEST_F(PolicyLintTest, ReportsSubsumedExpressionInHierarchicalIndex) {
+  // The hierarchical index keeps every installed expression, so a narrow
+  // policy shadowed by a later, wider one is still a pairwise finding.
+  policies_ = std::make_unique<PolicyCatalog>(
+      &catalog_, PolicyIndexMode::kHierarchical);
+  ASSERT_TRUE(policies_->AddPolicyText("n", "ship id from cust to e").ok());
+  ASSERT_TRUE(policies_->AddPolicyText("n", "ship * from cust to e").ok());
+  auto findings = LintPolicies(catalog_, *policies_);
+  EXPECT_TRUE(
+      HasFinding(findings, "\"ship id from cust to e\" is subsumed by"));
+}
+
 TEST_F(PolicyLintTest, NoFalseSubsumptionAcrossConditions) {
   // Conditions point in different directions: neither subsumes.
   ASSERT_TRUE(policies_
