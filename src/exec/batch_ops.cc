@@ -18,6 +18,19 @@ Status CheckCancelled(const std::atomic<bool>* cancel) {
   return Status::OK();
 }
 
+Status DrainBatchOp(BatchOp* op, const std::atomic<bool>* cancel,
+                    int64_t* rows_out,
+                    const std::function<Status(RowBatch)>& sink) {
+  while (true) {
+    CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
+    CGQ_ASSIGN_OR_RETURN(OptBatch batch, op->Next());
+    if (!batch) return Status::OK();
+    if (batch->Empty()) continue;
+    *rows_out += static_cast<int64_t>(batch->NumRows());
+    CGQ_RETURN_NOT_OK(sink(std::move(*batch)));
+  }
+}
+
 namespace {
 
 class ScanOp : public BatchOp {

@@ -62,6 +62,16 @@ struct BatchOpEnv {
   std::function<Result<BatchOpPtr>(const PlanNode&)> ship_source;
 };
 
+/// Pulls `op` to end-of-stream, checking `cancel` before every pull and
+/// handing each non-empty batch to `sink` after adding its rows to
+/// `*rows_out`. The fragmented runtime and the location server (src/net)
+/// both drain through here, so the batches that reach a SHIP edge — and
+/// with them the per-edge ship accounting — are the same in every
+/// backend.
+Status DrainBatchOp(BatchOp* op, const std::atomic<bool>* cancel,
+                    int64_t* rows_out,
+                    const std::function<Status(RowBatch)>& sink);
+
 /// Builds the batch-operator tree of one fragment rooted at `node`.
 /// `env` must outlive the construction call; the returned operators keep
 /// only the store/cancel/rows_scanned pointers, not `env` itself.

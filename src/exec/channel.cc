@@ -194,24 +194,6 @@ Status ShipChannel::Send(RowBatch batch) {
   }
 }
 
-bool ShipChannel::Push(RowBatch batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  can_push_.wait(lock, [this] {
-    return aborted_ || closed_ || capacity_ == 0 ||
-           queue_.size() < capacity_;
-  });
-  if (aborted_ || closed_) return false;
-
-  ChargeAttemptLocked(static_cast<int64_t>(batch.NumRows()),
-                      batch.ByteSize(), /*recharge_alpha=*/false,
-                      /*fault=*/nullptr);
-  queue_.push_back(std::move(batch));
-  stats_.peak_in_flight =
-      std::max(stats_.peak_in_flight, static_cast<int64_t>(queue_.size()));
-  can_pop_.notify_one();
-  return true;
-}
-
 void ShipChannel::CloseProducer() {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return;

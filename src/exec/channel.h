@@ -97,11 +97,6 @@ class ShipChannel {
   /// was aborted or closed underneath the sender.
   Status Send(RowBatch batch);
 
-  /// Single-attempt transfer without fault simulation (legacy surface;
-  /// Send with a healthy link behaves identically). Returns false when
-  /// the channel was aborted (the batch is dropped).
-  bool Push(RowBatch batch);
-
   /// Producer is done; Recv drains the queue and then reports
   /// end-of-stream. An edge that never carried a batch still pays the
   /// start-up latency (the row interpreter ships one — possibly empty —
@@ -115,8 +110,9 @@ class ShipChannel {
   /// simulated timeout), or the abort status.
   Result<bool> Recv(RowBatch* out);
 
-  /// Legacy receive: blocks forever, returns false at end-of-stream or
-  /// abort.
+  /// Receive without timeouts or the "channel.recv" failpoint, for the
+  /// row and vector interpreters' one-message ships: blocks until a
+  /// batch arrives, returns false at end-of-stream or abort.
   bool Pop(RowBatch* out);
 
   /// Wakes and fails both sides with `status` (first abort wins; the

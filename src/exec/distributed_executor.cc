@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <iterator>
-#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
-#include "common/trace.h"
 #include "exec/batch_ops.h"
-#include "exec/channel.h"
-#include "exec/fragmenter.h"
+#include "exec/fragment_executor.h"
 #include "net/cluster_client.h"
 #include "net/socket.h"
 #include "net/wire_protocol.h"
@@ -23,34 +18,9 @@
 namespace cgq {
 
 using exec_internal::CheckCancelled;
+using exec_internal::RunState;
 
 namespace {
-
-/// Shared state of one distributed execution (the coordinator-side twin
-/// of the fragmented runtime's RunState).
-struct RunState {
-  const ExecutorOptions* options = nullptr;
-  const FragmentedPlan* fp = nullptr;
-  std::vector<std::unique_ptr<ShipChannel>> channels;
-  std::atomic<bool> failed{false};
-
-  std::mutex error_mu;
-  Status first_error;
-
-  void Fail(const Status& status) {
-    {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (first_error.ok()) first_error = status;
-    }
-    failed.store(true, std::memory_order_release);
-    for (auto& ch : channels) ch->Abort(status);
-  }
-
-  Status FirstError() {
-    std::lock_guard<std::mutex> lock(error_mu);
-    return first_error;
-  }
-};
 
 /// Client-side frame send with the socket fault injection sites. These
 /// mirror the in-process "channel.send"-style failpoints at the wire
@@ -82,18 +52,9 @@ Result<net::Frame> RecvFrameFp(const net::Socket& socket,
 /// One fragment attempt against its location server: dial, dispatch,
 /// relay the input channels, stream the output back through the
 /// in-process channel (or into the final result).
-Status RunRemoteFragment(const PlanFragment& fragment, RunState* st,
-                         FragmentMetrics* fm,
-                         std::vector<Row>* result_rows) {
-  // Same site as the in-process runtime fires before starting a
-  // fragment, so armed "fragment.start" policies hit both backends
-  // identically.
-  if (CGQ_FAILPOINT("fragment.start")) {
-    return Status::Unavailable("injected failure: fragment #" +
-                               std::to_string(fragment.id) +
-                               " died at start");
-  }
+Status RunRemoteFragment(const PlanFragment& fragment, RunState* st) {
   const ExecutorOptions& options = *st->options;
+  FragmentMetrics& fm = st->fragments[fragment.id];
   const int send_timeout =
       net::EffectiveTimeoutMs(options.retry.send_timeout_ms);
   const int recv_timeout =
@@ -191,9 +152,6 @@ Status RunRemoteFragment(const PlanFragment& fragment, RunState* st,
 
   // Stream the fragment's output back.
   const std::atomic<bool>* cancel = options.cancel.get();
-  ShipChannel* out = fragment.output_channel >= 0
-                         ? st->channels[fragment.output_channel].get()
-                         : nullptr;
   Status s = [&]() -> Status {
     while (true) {
       CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
@@ -210,21 +168,14 @@ Status RunRemoteFragment(const PlanFragment& fragment, RunState* st,
         case wire::FrameType::kOutputBatch: {
           CGQ_ASSIGN_OR_RETURN(wire::OutputBatch msg,
                                wire::OutputBatch::Decode(frame.payload));
-          fm->rows_out += static_cast<int64_t>(msg.batch.NumRows());
-          if (out != nullptr) {
-            CGQ_RETURN_NOT_OK(out->Send(std::move(msg.batch)));
-          } else {
-            result_rows->insert(
-                result_rows->end(),
-                std::make_move_iterator(msg.batch.rows.begin()),
-                std::make_move_iterator(msg.batch.rows.end()));
-          }
+          fm.rows_out += static_cast<int64_t>(msg.batch.NumRows());
+          CGQ_RETURN_NOT_OK(st->Emit(fragment, std::move(msg.batch)));
           break;
         }
         case wire::FrameType::kOutputEnd: {
           CGQ_ASSIGN_OR_RETURN(wire::OutputEnd msg,
                                wire::OutputEnd::Decode(frame.payload));
-          fm->rows_scanned += msg.rows_scanned;
+          fm.rows_scanned += msg.rows_scanned;
           return Status::OK();
         }
         case wire::FrameType::kError: {
@@ -251,7 +202,6 @@ Status RunRemoteFragment(const PlanFragment& fragment, RunState* st,
     std::lock_guard<std::mutex> lock(relay_mu);
     if (!relay_error.ok()) s = relay_error;
   }
-  if (s.ok() && out != nullptr) out->CloseProducer();
   return s;
 }
 
@@ -267,124 +217,16 @@ Result<QueryResult> ExecuteDistributedPlan(const PlanNode& plan,
         "distributed execution requires a connected cluster "
         "(ExecutorOptions::cluster)");
   }
-  FragmentedPlan fp = FragmentPlan(plan);
-  const size_t n = fp.fragments.size();
-  for (const PlanFragment& fragment : fp.fragments) {
+  for (const PlanFragment& fragment : FragmentPlan(plan).fragments) {
     if (!options.cluster->HasServer(fragment.site)) {
       return Status::InvalidArgument(
           "no server mapped for location l" +
           std::to_string(fragment.site));
     }
   }
-
-  // Scheduling mirrors the fragmented runtime: sequential bottom-up with
-  // buffering channels, or one coordinator thread per fragment with
-  // bounded channels. (The operator trees themselves always run
-  // concurrently on the servers; "sequential" refers to the coordinator's
-  // dispatch/relay schedule.)
-  const bool sequential =
-      options.threads == 1 || n == 1 || ThreadPool::InWorkerThread();
-
-  RunState st;
-  st.options = &options;
-  st.fp = &fp;
-  TraceSession* trace = TraceSession::Current();
-  int64_t trace_parent = TraceSession::CurrentSpanId();
-  CGQ_GAUGE_SET("exec.fragments", static_cast<int64_t>(n));
-  const size_t capacity =
-      sequential ? 0
-                 : static_cast<size_t>(std::max(0, options.channel_capacity));
-  st.channels.reserve(fp.num_channels());
-  for (const PlanNode* ship : fp.ship_of_channel) {
-    st.channels.push_back(std::make_unique<ShipChannel>(
-        ship->ship_from, ship->ship_to, capacity, net, options.retry));
-  }
-
-  std::vector<FragmentMetrics> fmetrics(n);
-  std::vector<Row> result_rows;
-
-  auto run = [&](size_t i) {
-    auto start = std::chrono::steady_clock::now();
-    const PlanFragment& fragment = fp.fragments[i];
-    FragmentMetrics& fm = fmetrics[i];
-    fm.id = fragment.id;
-    fm.site = fragment.site;
-    ScopedTraceContext trace_ctx(trace, trace_parent,
-                                 /*track=*/static_cast<int>(i) + 1);
-    TraceSpan fragment_span("fragment", /*ordinal=*/static_cast<int>(i));
-    fragment_span.AddArg("id", fragment.id);
-    fragment_span.AddArg("site", static_cast<int64_t>(fragment.site));
-    // Same recovery contract as the in-process runtime: only source
-    // fragments restart, every attempt re-checks placement on the
-    // coordinator AND on the receiving server, and the output channel
-    // replays so the consumer sees each row exactly once.
-    const bool restartable = fragment.input_channels.empty();
-    const size_t result_base = result_rows.size();
-    Status s;
-    for (int attempt = 0;; ++attempt) {
-      s = CheckFragmentPlacement(fragment);
-      if (s.ok()) s = RunRemoteFragment(fragment, &st, &fm, &result_rows);
-      if (s.ok() || !s.IsUnavailable() || !restartable ||
-          attempt >= options.retry.max_retries ||
-          st.failed.load(std::memory_order_acquire)) {
-        break;
-      }
-      fm.restarts += 1;
-      if (fragment.output_channel >= 0) {
-        st.channels[fragment.output_channel]->BeginReplay();
-      } else {
-        result_rows.resize(result_base);
-      }
-    }
-    fm.wall_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-    fragment_span.AddArg("rows_out", fm.rows_out);
-    fragment_span.AddArg("rows_scanned", fm.rows_scanned);
-    fragment_span.AddArg("restarts", fm.restarts);
-    if (!s.ok()) st.Fail(s);
-  };
-
-  if (sequential) {
-    for (size_t i = 0; i < n; ++i) {
-      run(i);
-      if (st.failed.load()) break;
-    }
-  } else {
-    ThreadPool pool(n - 1);
-    pool.ParallelFor(n, n, run);
-  }
-
-  if (st.failed.load(std::memory_order_acquire)) {
-    return st.FirstError();
-  }
-
-  QueryResult result;
-  for (const OutputCol& c : plan.outputs) {
-    result.column_names.push_back(c.name);
-  }
-  result.rows = std::move(result_rows);
-
-  ExecMetrics& m = result.metrics;
-  for (const auto& channel : st.channels) {
-    ChannelStats stats = channel->stats();
-    m.ships += 1;
-    m.rows_shipped += stats.rows;
-    m.bytes_shipped += stats.bytes;
-    m.network_ms += stats.network_ms;
-    m.send_retries += stats.send_retries;
-    m.dropped_batches += stats.dropped_batches;
-    m.send_timeouts += stats.send_timeouts;
-    m.recv_timeouts += stats.recv_timeouts;
-    m.backoff_ms += stats.backoff_ms;
-    m.edges.push_back(stats);
-  }
-  for (const FragmentMetrics& fm : fmetrics) {
-    m.rows_scanned += fm.rows_scanned;
-    m.fragment_restarts += fm.restarts;
-  }
-  m.fragments = std::move(fmetrics);
-  return result;
+  // The coordinator's dispatch/relay schedule is the shared scheduler's;
+  // the operator trees themselves always run concurrently on the servers.
+  return exec_internal::RunFragments(plan, net, options, RunRemoteFragment);
 }
 
 }  // namespace cgq

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/trace.h"
+#include "exec/batch_ops.h"
 #include "exec/distributed_executor.h"
 #include "exec/exec_internal.h"
 #include "exec/fragment_executor.h"
@@ -16,6 +17,7 @@
 
 namespace cgq {
 
+using exec_internal::CheckCancelled;
 using exec_internal::HashAggregator;
 using exec_internal::JoinHashTable;
 using exec_internal::JoinSpec;
@@ -36,6 +38,19 @@ const char* ExecModeToString(ExecMode mode) {
   return "?";
 }
 
+void ExecMetrics::AddShipEdge(const ChannelStats& edge) {
+  ships += 1;
+  rows_shipped += edge.rows;
+  bytes_shipped += edge.bytes;
+  network_ms += edge.network_ms;
+  send_retries += edge.send_retries;
+  dropped_batches += edge.dropped_batches;
+  send_timeouts += edge.send_timeouts;
+  recv_timeouts += edge.recv_timeouts;
+  backoff_ms += edge.backoff_ms;
+  edges.push_back(edge);
+}
+
 namespace {
 
 class PlanInterpreter {
@@ -45,7 +60,7 @@ class PlanInterpreter {
       : store_(store), net_(net), options_(options), metrics_(metrics) {}
 
   Result<RowBatch> Exec(const PlanNode& node) {
-    CGQ_RETURN_NOT_OK(CheckCancelled());
+    CGQ_RETURN_NOT_OK(CheckCancelled(options_->cancel.get()));
     switch (node.kind()) {
       case PlanKind::kScan:
         return ExecScan(node);
@@ -79,7 +94,7 @@ class PlanInterpreter {
       while (true) {
         CGQ_ASSIGN_OR_RETURN(bool more, cursor.Next(&chunk));
         if (!more) break;
-        CGQ_RETURN_NOT_OK(CheckCancelled());
+        CGQ_RETURN_NOT_OK(CheckCancelled(options_->cancel.get()));
         for (Row& r : chunk) out.rows.push_back(std::move(r));
       }
       metrics_->storage_blocks_read += cursor.blocks_read();
@@ -139,7 +154,7 @@ class PlanInterpreter {
     if (spec.RequiresNestedLoop() ||
         node.join_method == JoinMethod::kNestedLoop) {
       for (const Row& l : left.rows) {
-        CGQ_RETURN_NOT_OK(CheckCancelled());
+        CGQ_RETURN_NOT_OK(CheckCancelled(options_->cancel.get()));
         for (const Row& r : right.rows) {
           CGQ_RETURN_NOT_OK(spec.EmitIfMatch(l, r, &out.rows).status());
         }
@@ -166,7 +181,9 @@ class PlanInterpreter {
         table.Build(left.rows, spec);
         size_t probed = 0;
         for (const Row& r : right.rows) {
-          if ((probed++ & 0x3ff) == 0) CGQ_RETURN_NOT_OK(CheckCancelled());
+          if ((probed++ & 0x3ff) == 0) {
+            CGQ_RETURN_NOT_OK(CheckCancelled(options_->cancel.get()));
+          }
           CGQ_RETURN_NOT_OK(table.Probe(r, spec, [&](const Row& l) {
             return spec.EmitIfMatch(l, r, &out.rows).status();
           }));
@@ -247,26 +264,8 @@ class PlanInterpreter {
       out.layout = std::move(layout);
     }
 
-    ChannelStats edge = channel.stats();
-    metrics_->ships += 1;
-    metrics_->rows_shipped += edge.rows;
-    metrics_->bytes_shipped += edge.bytes;
-    metrics_->network_ms += edge.network_ms;
-    metrics_->send_retries += edge.send_retries;
-    metrics_->dropped_batches += edge.dropped_batches;
-    metrics_->send_timeouts += edge.send_timeouts;
-    metrics_->recv_timeouts += edge.recv_timeouts;
-    metrics_->backoff_ms += edge.backoff_ms;
-    metrics_->edges.push_back(edge);
+    metrics_->AddShipEdge(channel.stats());
     return out;
-  }
-
-  Status CheckCancelled() const {
-    if (options_->cancel != nullptr &&
-        options_->cancel->load(std::memory_order_relaxed)) {
-      return Status::Cancelled("query cancelled");
-    }
-    return Status::OK();
   }
 
   const TableStore* store_;

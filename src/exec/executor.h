@@ -52,14 +52,11 @@ struct ExecutorOptions {
   /// Rows per batch in the fragmented runtime; also the selection-vector
   /// chunk granularity of the vectorized backend.
   int batch_size = kDefaultBatchSize;
-  /// Batches in flight per ship channel before the producer blocks
-  /// (backpressure). 0 = unbounded.
-  int channel_capacity = 4;
   /// Fragment scheduling: 1 = run fragments sequentially bottom-up
   /// (channels buffer whole intermediates, like the row backend's
   /// materialization); any other value = pipelined, one worker per
-  /// fragment on a thread pool, bounded channels. Results are identical
-  /// at every setting.
+  /// fragment on a thread pool, channels bounded at 4 batches in flight.
+  /// Results are identical at every setting.
   int threads = 0;
   /// Send/recv timeouts, bounded retries with exponential backoff, and
   /// the deterministic fault seed — the recovery knobs of both backends.
@@ -136,6 +133,10 @@ struct ExecMetrics {
   std::vector<ChannelStats> edges;
   /// One entry per fragment (fragment mode only).
   std::vector<FragmentMetrics> fragments;
+
+  /// Folds the traffic of one SHIP edge into the totals above and appends
+  /// it to `edges` — the one place every backend records a ship.
+  void AddShipEdge(const ChannelStats& edge);
 };
 
 /// Human-readable per-site / per-channel breakdown of `metrics`, appended

@@ -1,61 +1,26 @@
 #include "exec/fragment_executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <iterator>
-#include <memory>
-#include <optional>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "exec/batch_ops.h"
 #include "exec/exec_internal.h"
-#include "exec/fragmenter.h"
 
 namespace cgq {
 
-using exec_internal::BatchOp;
-using exec_internal::BatchOpEnv;
-using exec_internal::BatchOpPtr;
-using exec_internal::BuildBatchOp;
-using exec_internal::CheckCancelled;
-using exec_internal::LayoutOf;
-using exec_internal::OptBatch;
+namespace exec_internal {
 
 namespace {
 
-/// Shared state of one fragmented execution.
-struct RunState {
-  const TableStore* store = nullptr;
-  const ExecutorOptions* options = nullptr;
-  const FragmentedPlan* fp = nullptr;
-  std::vector<std::unique_ptr<ShipChannel>> channels;
-  std::atomic<bool> failed{false};
-
-  std::mutex error_mu;
-  Status first_error;
-
-  /// Records the first (temporally) failure and aborts every channel with
-  /// it, so blocked siblings wake up carrying the original structured
-  /// status rather than a generic secondary error.
-  void Fail(const Status& status) {
-    {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (first_error.ok()) first_error = status;
-    }
-    failed.store(true, std::memory_order_release);
-    for (auto& ch : channels) ch->Abort(status);
-  }
-
-  Status FirstError() {
-    std::lock_guard<std::mutex> lock(error_mu);
-    return first_error;
-  }
-};
+/// Batches in flight per ship channel before the producer blocks
+/// (backpressure) under the pipelined schedule.
+constexpr size_t kChannelCapacity = 4;
 
 class ChannelSourceOp : public BatchOp {
  public:
@@ -87,74 +52,65 @@ class ChannelSourceOp : public BatchOp {
   RowLayout layout_;
 };
 
-/// Per-fragment storage accounting (disk scans + spill joins); folded
-/// into ExecMetrics after all fragments finish. Like rows_scanned, the
-/// counts accumulate across restart attempts.
-struct StorageCounters {
-  int64_t blocks_read = 0;
-  int64_t spill_partitions = 0;
-  int64_t spill_bytes = 0;
-};
-
-/// Drives one fragment to completion: producer fragments push batches into
-/// their output channel, the top fragment collects the query result.
-Status RunFragment(const PlanFragment& fragment, RunState* st,
-                   FragmentMetrics* fm, StorageCounters* sc,
-                   std::vector<Row>* result_rows) {
-  if (CGQ_FAILPOINT("fragment.start")) {
-    return Status::Unavailable("injected failure: fragment #" +
-                               std::to_string(fragment.id) +
-                               " died at start");
-  }
+/// In-process fragment attempt: builds the operator tree against `store`,
+/// with SHIP leaves reading their channels, and drains it.
+Status RunLocalFragment(const PlanFragment& fragment,
+                        const TableStore* store, RunState* st) {
+  const ExecutorOptions& options = *st->options;
+  FragmentMetrics& fm = st->fragments[fragment.id];
+  StorageCounters& sc = st->storage[fragment.id];
   BatchOpEnv env;
-  env.store = st->store;
-  env.batch_size =
-      static_cast<size_t>(std::max(1, st->options->batch_size));
-  env.cancel = st->options->cancel.get();
-  env.rows_scanned = &fm->rows_scanned;
-  env.storage_blocks_read = &sc->blocks_read;
-  env.spill_partitions = &sc->spill_partitions;
-  env.spill_bytes = &sc->spill_bytes;
-  env.memory_budget_bytes = st->options->memory_budget_bytes;
-  env.spill_dir = st->options->spill_dir;
+  env.store = store;
+  env.batch_size = static_cast<size_t>(std::max(1, options.batch_size));
+  env.cancel = options.cancel.get();
+  env.rows_scanned = &fm.rows_scanned;
+  env.storage_blocks_read = &sc.blocks_read;
+  env.spill_partitions = &sc.spill_partitions;
+  env.spill_bytes = &sc.spill_bytes;
+  env.memory_budget_bytes = options.memory_budget_bytes;
+  env.spill_dir = options.spill_dir;
   env.ship_source = [st](const PlanNode& ship) -> Result<BatchOpPtr> {
     int channel = st->fp->channel_of_ship.at(&ship);
     return BatchOpPtr(new ChannelSourceOp(
         &ship, st->channels[channel].get(), &st->failed));
   };
   CGQ_ASSIGN_OR_RETURN(BatchOpPtr op, BuildBatchOp(*fragment.root, env));
-  const std::atomic<bool>* cancel = st->options->cancel.get();
-  if (fragment.output_channel >= 0) {
-    ShipChannel* channel = st->channels[fragment.output_channel].get();
-    while (true) {
-      CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
-      CGQ_ASSIGN_OR_RETURN(OptBatch batch, op->Next());
-      if (!batch) break;
-      if (batch->Empty()) continue;
-      fm->rows_out += static_cast<int64_t>(batch->NumRows());
-      CGQ_RETURN_NOT_OK(channel->Send(std::move(*batch)));
-    }
-    channel->CloseProducer();
-    return Status::OK();
-  }
-  while (true) {
-    CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
-    CGQ_ASSIGN_OR_RETURN(OptBatch batch, op->Next());
-    if (!batch) break;
-    fm->rows_out += static_cast<int64_t>(batch->NumRows());
-    result_rows->insert(result_rows->end(),
-                        std::make_move_iterator(batch->rows.begin()),
-                        std::make_move_iterator(batch->rows.end()));
-  }
-  return Status::OK();
+  return DrainBatchOp(op.get(), env.cancel, &fm.rows_out,
+                      [&](RowBatch batch) {
+                        return st->Emit(fragment, std::move(batch));
+                      });
 }
 
 }  // namespace
 
-Result<QueryResult> ExecuteFragmentedPlan(const PlanNode& plan,
-                                          const TableStore* store,
-                                          const NetworkModel* net,
-                                          const ExecutorOptions& options) {
+Status RunState::Emit(const PlanFragment& fragment, RowBatch batch) {
+  if (fragment.output_channel >= 0) {
+    return channels[fragment.output_channel]->Send(std::move(batch));
+  }
+  result_rows.insert(result_rows.end(),
+                     std::make_move_iterator(batch.rows.begin()),
+                     std::make_move_iterator(batch.rows.end()));
+  return Status::OK();
+}
+
+void RunState::Fail(const Status& status) {
+  {
+    std::lock_guard<std::mutex> lock(error_mu_);
+    if (first_error_.ok()) first_error_ = status;
+  }
+  failed.store(true, std::memory_order_release);
+  for (auto& ch : channels) ch->Abort(status);
+}
+
+Status RunState::FirstError() {
+  std::lock_guard<std::mutex> lock(error_mu_);
+  return first_error_;
+}
+
+Result<QueryResult> RunFragments(const PlanNode& plan,
+                                 const NetworkModel* net,
+                                 const ExecutorOptions& options,
+                                 const FragmentAttemptFn& attempt) {
   FragmentedPlan fp = FragmentPlan(plan);
   const size_t n = fp.fragments.size();
 
@@ -167,9 +123,10 @@ Result<QueryResult> ExecuteFragmentedPlan(const PlanNode& plan,
       options.threads == 1 || n == 1 || ThreadPool::InWorkerThread();
 
   RunState st;
-  st.store = store;
   st.options = &options;
   st.fp = &fp;
+  st.fragments.resize(n);
+  st.storage.resize(n);
   // Channels are created below on this thread, before any worker starts,
   // so their "ship" spans attach to the current span in deterministic
   // (plan post-order) creation order. Workers re-install the context
@@ -177,23 +134,17 @@ Result<QueryResult> ExecuteFragmentedPlan(const PlanNode& plan,
   TraceSession* trace = TraceSession::Current();
   int64_t trace_parent = TraceSession::CurrentSpanId();
   CGQ_GAUGE_SET("exec.fragments", static_cast<int64_t>(n));
-  const size_t capacity =
-      sequential ? 0
-                 : static_cast<size_t>(std::max(0, options.channel_capacity));
+  const size_t capacity = sequential ? 0 : kChannelCapacity;
   st.channels.reserve(fp.num_channels());
   for (const PlanNode* ship : fp.ship_of_channel) {
     st.channels.push_back(std::make_unique<ShipChannel>(
         ship->ship_from, ship->ship_to, capacity, net, options.retry));
   }
 
-  std::vector<FragmentMetrics> fmetrics(n);
-  std::vector<StorageCounters> scounters(n);
-  std::vector<Row> result_rows;
-
   auto run = [&](size_t i) {
     auto start = std::chrono::steady_clock::now();
     const PlanFragment& fragment = fp.fragments[i];
-    FragmentMetrics& fm = fmetrics[i];
+    FragmentMetrics& fm = st.fragments[i];
     fm.id = fragment.id;
     fm.site = fragment.site;
     ScopedTraceContext trace_ctx(trace, trace_parent,
@@ -212,26 +163,33 @@ Result<QueryResult> ExecuteFragmentedPlan(const PlanNode& plan,
     // re-runs at the site the located plan assigned, re-checked against
     // the execution/shipping traits.
     const bool restartable = fragment.input_channels.empty();
-    const size_t result_base = result_rows.size();
+    ShipChannel* output = fragment.output_channel >= 0
+                              ? st.channels[fragment.output_channel].get()
+                              : nullptr;
     Status s;
-    for (int attempt = 0;; ++attempt) {
+    for (int attempt_no = 0;; ++attempt_no) {
       s = CheckFragmentPlacement(fragment);
-      if (s.ok()) {
-        s = RunFragment(fragment, &st, &fm, &scounters[i], &result_rows);
+      if (s.ok() && CGQ_FAILPOINT("fragment.start")) {
+        s = Status::Unavailable("injected failure: fragment #" +
+                                std::to_string(fragment.id) +
+                                " died at start");
       }
+      if (s.ok()) s = attempt(fragment, &st);
       if (s.ok() || !s.IsUnavailable() || !restartable ||
-          attempt >= options.retry.max_retries ||
+          attempt_no >= options.retry.max_retries ||
           st.failed.load(std::memory_order_acquire)) {
         break;
       }
       fm.restarts += 1;
-      if (fragment.output_channel >= 0) {
-        st.channels[fragment.output_channel]->BeginReplay();
+      if (output != nullptr) {
+        output->BeginReplay();
       } else {
-        // Top fragment: discard the partial result of the failed attempt.
-        result_rows.resize(result_base);
+        // Top fragment (the result's only writer): discard the partial
+        // result of the failed attempt.
+        st.result_rows.clear();
       }
     }
+    if (s.ok() && output != nullptr) output->CloseProducer();
     fm.wall_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - start)
                      .count();
@@ -261,33 +219,34 @@ Result<QueryResult> ExecuteFragmentedPlan(const PlanNode& plan,
   for (const OutputCol& c : plan.outputs) {
     result.column_names.push_back(c.name);
   }
-  result.rows = std::move(result_rows);
+  result.rows = std::move(st.result_rows);
 
   ExecMetrics& m = result.metrics;
-  for (const auto& channel : st.channels) {
-    ChannelStats stats = channel->stats();
-    m.ships += 1;
-    m.rows_shipped += stats.rows;
-    m.bytes_shipped += stats.bytes;
-    m.network_ms += stats.network_ms;
-    m.send_retries += stats.send_retries;
-    m.dropped_batches += stats.dropped_batches;
-    m.send_timeouts += stats.send_timeouts;
-    m.recv_timeouts += stats.recv_timeouts;
-    m.backoff_ms += stats.backoff_ms;
-    m.edges.push_back(stats);
-  }
-  for (const FragmentMetrics& fm : fmetrics) {
+  for (const auto& channel : st.channels) m.AddShipEdge(channel->stats());
+  for (const FragmentMetrics& fm : st.fragments) {
     m.rows_scanned += fm.rows_scanned;
     m.fragment_restarts += fm.restarts;
   }
-  for (const StorageCounters& sc : scounters) {
+  for (const StorageCounters& sc : st.storage) {
     m.storage_blocks_read += sc.blocks_read;
     m.spill_partitions += sc.spill_partitions;
     m.spill_bytes += sc.spill_bytes;
   }
-  m.fragments = std::move(fmetrics);
+  m.fragments = std::move(st.fragments);
   return result;
+}
+
+}  // namespace exec_internal
+
+Result<QueryResult> ExecuteFragmentedPlan(const PlanNode& plan,
+                                          const TableStore* store,
+                                          const NetworkModel* net,
+                                          const ExecutorOptions& options) {
+  return exec_internal::RunFragments(
+      plan, net, options,
+      [store](const PlanFragment& fragment, exec_internal::RunState* st) {
+        return exec_internal::RunLocalFragment(fragment, store, st);
+      });
 }
 
 }  // namespace cgq

@@ -51,28 +51,30 @@ FragmentedPlan FragmentPlan(const PlanNode& root) {
 
 Status CheckFragmentPlacement(int fragment_id, LocationId site,
                               const LocationSet& exec_trait,
-                              const PlanNode* ship) {
+                              const LocationSet* ship_trait,
+                              LocationId ship_to) {
   if (!exec_trait.empty() && !exec_trait.Contains(site)) {
     return Status::Internal(
         "compliance violation: fragment #" + std::to_string(fragment_id) +
         " placed at l" + std::to_string(site) +
         " outside its execution trait");
   }
-  if (ship != nullptr) {
-    const LocationSet& ship_trait = ship->ship_trait;
-    if (!ship_trait.empty() && !ship_trait.Contains(ship->ship_to)) {
-      return Status::Internal(
-          "compliance violation: fragment #" + std::to_string(fragment_id) +
-          " ships to l" + std::to_string(ship->ship_to) +
-          " outside its shipping trait");
-    }
+  if (ship_trait != nullptr && !ship_trait->empty() &&
+      !ship_trait->Contains(ship_to)) {
+    return Status::Internal(
+        "compliance violation: fragment #" + std::to_string(fragment_id) +
+        " ships to l" + std::to_string(ship_to) +
+        " outside its shipping trait");
   }
   return Status::OK();
 }
 
 Status CheckFragmentPlacement(const PlanFragment& fragment) {
-  return CheckFragmentPlacement(fragment.id, fragment.site,
-                                fragment.root->exec_trait, fragment.ship);
+  const PlanNode* ship = fragment.ship;
+  return CheckFragmentPlacement(
+      fragment.id, fragment.site, fragment.root->exec_trait,
+      ship != nullptr ? &ship->ship_trait : nullptr,
+      ship != nullptr ? ship->ship_to : 0);
 }
 
 }  // namespace cgq

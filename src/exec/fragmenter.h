@@ -53,14 +53,16 @@ FragmentedPlan FragmentPlan(const PlanNode& root);
 /// The compliance guard of the recovery path: a fragment may only (re)run
 /// at the site the located plan assigned it, and that site must lie in
 /// the root operator's execution trait; the SHIP it feeds must target a
-/// site inside the shipping trait. Plans built outside the optimizer may
-/// carry empty (unannotated) traits, which the guard treats as
-/// unconstrained. Shared by every backend: the fragmented runtime and the
-/// distributed coordinator check before each attempt, and the location
-/// server re-checks on *receipt* of a fragment before executing it.
+/// site (`ship_to`) inside its shipping trait (`ship_trait`, null for the
+/// top fragment, which feeds no SHIP). Plans built outside the optimizer
+/// may carry empty (unannotated) traits, which the guard treats as
+/// unconstrained. The one check of every backend: the fragment scheduler
+/// runs it before each attempt, and the location server re-runs it on
+/// *receipt* of a fragment, from the traits that travel on the wire.
 Status CheckFragmentPlacement(int fragment_id, LocationId site,
                               const LocationSet& exec_trait,
-                              const PlanNode* ship);
+                              const LocationSet* ship_trait,
+                              LocationId ship_to = 0);
 Status CheckFragmentPlacement(const PlanFragment& fragment);
 
 }  // namespace cgq

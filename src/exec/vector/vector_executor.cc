@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/batch_ops.h"
 #include "exec/exec_internal.h"
 #include "exec/spill_join.h"
 #include "exec/vector/column_batch.h"
@@ -16,6 +17,7 @@
 namespace cgq {
 namespace {
 
+using exec_internal::CheckCancelled;
 using exec_internal::JoinSpec;
 using exec_internal::LayoutOf;
 using exec_internal::PositionsOf;
@@ -48,7 +50,7 @@ class VectorInterpreter {
       : store_(store), net_(net), options_(options), metrics_(metrics) {}
 
   Result<ColumnBatch> Exec(const PlanNode& node) {
-    CGQ_RETURN_NOT_OK(CheckCancelled());
+    CGQ_RETURN_NOT_OK(CheckCancelled(options_->cancel.get()));
     switch (node.kind()) {
       case PlanKind::kScan:
         return ExecScan(node);
@@ -84,7 +86,7 @@ class VectorInterpreter {
     keep.reserve(n);
     const size_t chunk = ChunkRows();
     for (size_t base = 0; base < n; base += chunk) {
-      CGQ_RETURN_NOT_OK(CheckCancelled());
+      CGQ_RETURN_NOT_OK(CheckCancelled(options_->cancel.get()));
       const size_t end = std::min(base + chunk, n);
       SelVec sel;
       sel.reserve(end - base);
@@ -246,7 +248,9 @@ class VectorInterpreter {
           table[lk.i64[i]].push_back(static_cast<uint32_t>(i));
         }
         for (size_t r = 0; r < n_right; ++r) {
-          if ((r & 0x3ff) == 0) CGQ_RETURN_NOT_OK(CheckCancelled());
+          if ((r & 0x3ff) == 0) {
+            CGQ_RETURN_NOT_OK(CheckCancelled(options_->cancel.get()));
+          }
           if (rk.nulls.IsNull(r)) continue;
           auto it = table.find(rk.i64[r]);
           if (it == table.end()) continue;
@@ -271,7 +275,9 @@ class VectorInterpreter {
       if (!has_null) table[std::move(key)].push_back(static_cast<uint32_t>(i));
     }
     for (size_t r = 0; r < n_right; ++r) {
-      if ((r & 0x3ff) == 0) CGQ_RETURN_NOT_OK(CheckCancelled());
+      if ((r & 0x3ff) == 0) {
+        CGQ_RETURN_NOT_OK(CheckCancelled(options_->cancel.get()));
+      }
       RowKey key;
       bool has_null = false;
       for (auto [lp, rp] : spec.key_positions) {
@@ -323,7 +329,7 @@ class VectorInterpreter {
     if (spec.RequiresNestedLoop() ||
         node.join_method == JoinMethod::kNestedLoop) {
       for (const Row& l : lb.rows) {
-        CGQ_RETURN_NOT_OK(CheckCancelled());
+        CGQ_RETURN_NOT_OK(CheckCancelled(options_->cancel.get()));
         for (const Row& r : rb.rows) {
           CGQ_RETURN_NOT_OK(spec.EmitIfMatch(l, r, &out_rows).status());
         }
@@ -455,17 +461,7 @@ class VectorInterpreter {
     RowBatch row_out;
     const bool delivered = channel.Pop(&row_out);
 
-    ChannelStats edge = channel.stats();
-    metrics_->ships += 1;
-    metrics_->rows_shipped += edge.rows;
-    metrics_->bytes_shipped += edge.bytes;
-    metrics_->network_ms += edge.network_ms;
-    metrics_->send_retries += edge.send_retries;
-    metrics_->dropped_batches += edge.dropped_batches;
-    metrics_->send_timeouts += edge.send_timeouts;
-    metrics_->recv_timeouts += edge.recv_timeouts;
-    metrics_->backoff_ms += edge.backoff_ms;
-    metrics_->edges.push_back(edge);
+    metrics_->AddShipEdge(channel.stats());
     if (!delivered) {
       ColumnBatch empty;
       empty.layout = in.layout;
@@ -476,14 +472,6 @@ class VectorInterpreter {
       return empty;
     }
     return in;
-  }
-
-  Status CheckCancelled() const {
-    if (options_->cancel != nullptr &&
-        options_->cancel->load(std::memory_order_relaxed)) {
-      return Status::Cancelled("query cancelled");
-    }
-    return Status::OK();
   }
 
   const TableStore* store_;

@@ -29,6 +29,7 @@ using exec_internal::BatchOp;
 using exec_internal::BatchOpEnv;
 using exec_internal::BatchOpPtr;
 using exec_internal::BuildBatchOp;
+using exec_internal::DrainBatchOp;
 using exec_internal::LayoutOf;
 using exec_internal::OptBatch;
 
@@ -434,18 +435,10 @@ void SiteServer::StartFragmentWorker(ConnectionState* conn,
         " dispatched to a server not hosting l" +
         std::to_string(start.site)));
   }
+  const LocationSet ship_trait(start.ship_trait_bits);
   Status placement = CheckFragmentPlacement(
-      start.fragment_id, start.site, start.root->exec_trait, nullptr);
-  if (placement.ok() && start.has_output_ship) {
-    const LocationSet ship_trait(start.ship_trait_bits);
-    if (!ship_trait.empty() && !ship_trait.Contains(start.ship_to)) {
-      placement = Status::Internal(
-          "compliance violation: fragment #" +
-          std::to_string(start.fragment_id) + " ships to l" +
-          std::to_string(start.ship_to) +
-          " outside its shipping trait");
-    }
-  }
+      start.fragment_id, start.site, start.root->exec_trait,
+      start.has_output_ship ? &ship_trait : nullptr, start.ship_to);
   if (!placement.ok()) return fail(placement);
 
   for (int channel : start.input_channels) {
@@ -475,20 +468,15 @@ void SiteServer::StartFragmentWorker(ConnectionState* conn,
     auto run = [&]() -> Status {
       CGQ_ASSIGN_OR_RETURN(BatchOpPtr op,
                            BuildBatchOp(*fs->start.root, env));
-      while (true) {
-        CGQ_ASSIGN_OR_RETURN(OptBatch batch, op->Next());
-        if (!batch) break;
-        // Empty batches are skipped before they reach the wire, exactly
-        // as RunFragment skips them before ShipChannel::Send — keeping
-        // per-edge batch (and so ship accounting) parity.
-        if (batch->Empty()) continue;
-        rows_out += static_cast<int64_t>(batch->NumRows());
-        wire::OutputBatch out;
-        out.batch = std::move(*batch);
-        conn->EnqueueFrame(wire::FrameType::kOutputBatch, out.Encode());
-        server->Wake();
-      }
-      return Status::OK();
+      return DrainBatchOp(op.get(), env.cancel, &rows_out,
+                          [&](RowBatch batch) {
+                            wire::OutputBatch out;
+                            out.batch = std::move(batch);
+                            conn->EnqueueFrame(wire::FrameType::kOutputBatch,
+                                               out.Encode());
+                            server->Wake();
+                            return Status::OK();
+                          });
     };
     Status s = run();
     if (s.ok()) {

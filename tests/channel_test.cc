@@ -28,7 +28,7 @@ TEST(ShipChannelTest, FifoOrderAndStats) {
   for (int i = 0; i < 3; ++i) {
     RowBatch b = MakeBatch(i * 10, 4);
     bytes += b.ByteSize();
-    ASSERT_TRUE(ch.Push(std::move(b)));
+    ASSERT_TRUE(ch.Send(std::move(b)).ok());
   }
   ch.CloseProducer();
 
@@ -60,7 +60,7 @@ TEST(ShipChannelTest, NetworkChargeMatchesSingleMessage) {
   for (int i = 0; i < 5; ++i) {
     RowBatch b = MakeBatch(i, 7);
     bytes += b.ByteSize();
-    ASSERT_TRUE(ch.Push(std::move(b)));
+    ASSERT_TRUE(ch.Send(std::move(b)).ok());
   }
   ch.CloseProducer();
 
@@ -86,7 +86,7 @@ TEST(ShipChannelTest, EmptyEdgePaysStartupLatency) {
 TEST(ShipChannelTest, IntraSiteTransferIsFree) {
   NetworkModel net(2, 10.0, 0.5);
   ShipChannel ch(1, 1, 0, &net);
-  ASSERT_TRUE(ch.Push(MakeBatch(0, 8)));
+  ASSERT_TRUE(ch.Send(MakeBatch(0, 8)).ok());
   ch.CloseProducer();
   EXPECT_EQ(ch.stats().network_ms, 0.0);
 }
@@ -101,7 +101,7 @@ TEST(ShipChannelTest, BoundedCapacityAppliesBackpressure) {
   std::atomic<int> pushed{0};
   std::thread producer([&] {
     for (int i = 0; i < kBatches; ++i) {
-      ASSERT_TRUE(ch.Push(MakeBatch(i, 1)));
+      ASSERT_TRUE(ch.Send(MakeBatch(i, 1)).ok());
       pushed.fetch_add(1);
     }
     ch.CloseProducer();
@@ -133,21 +133,21 @@ TEST(ShipChannelTest, AbortReleasesBlockedProducer) {
   NetworkModel net(2, 1.0, 0.0);
   ShipChannel ch(0, 1, /*capacity=*/1, &net);
 
-  std::atomic<bool> push_failed{false};
+  std::atomic<bool> send_failed{false};
   std::thread producer([&] {
-    ASSERT_TRUE(ch.Push(MakeBatch(0, 1)));
+    ASSERT_TRUE(ch.Send(MakeBatch(0, 1)).ok());
     // Second push blocks on the full channel until Abort.
-    push_failed.store(!ch.Push(MakeBatch(1, 1)));
+    send_failed.store(!ch.Send(MakeBatch(1, 1)).ok());
   });
 
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   ch.Abort();
   producer.join();
 
-  EXPECT_TRUE(push_failed.load());
+  EXPECT_TRUE(send_failed.load());
   RowBatch out;
   EXPECT_FALSE(ch.Pop(&out));
-  EXPECT_FALSE(ch.Push(MakeBatch(2, 1)));
+  EXPECT_FALSE(ch.Send(MakeBatch(2, 1)).ok());
 }
 
 // Concurrent producer/consumer stress: every row arrives exactly once, in
@@ -160,7 +160,7 @@ TEST(ShipChannelTest, ThreadedStressPreservesOrder) {
 
     std::thread producer([&] {
       for (int i = 0; i < kBatches; ++i) {
-        ASSERT_TRUE(ch.Push(MakeBatch(i * 3, 3)));
+        ASSERT_TRUE(ch.Send(MakeBatch(i * 3, 3)).ok());
       }
       ch.CloseProducer();
     });
@@ -275,7 +275,7 @@ TEST(ShipChannelTest, LossyLinkRetriesAreDeterministicAndAccounted) {
 
   NetworkModel clean(2, 10.0, 0.5);
   ShipChannel base(0, 1, 0, &clean);
-  for (int i = 0; i < 20; ++i) ASSERT_TRUE(base.Push(MakeBatch(i, 2)));
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(base.Send(MakeBatch(i, 2)).ok());
   base.CloseProducer();
   EXPECT_GT(a.bytes, base.stats().bytes);
   EXPECT_GT(a.network_ms, base.stats().network_ms);
@@ -408,23 +408,27 @@ TEST(ShipChannelTest, ReplaySuppressesDeliveredPrefix) {
   EXPECT_EQ(stats.rows, 12);
 }
 
-// Send() on a healthy link is Push() plus a status: identical charging.
-TEST(ShipChannelTest, HealthySendMatchesPushAccounting) {
+// Send() on a healthy link makes exactly one attempt per batch: the
+// accounting is the cost model's fault-free charge for the volume, with
+// every recovery counter at zero.
+TEST(ShipChannelTest, HealthySendChargesOneAttemptPerBatch) {
   NetworkModel net = NetworkModel::DefaultGeo(5);
-  ShipChannel pushed(1, 3, 0, &net);
   ShipChannel sent(1, 3, 0, &net);
+  double bytes = 0;
   for (int i = 0; i < 4; ++i) {
     RowBatch b = MakeBatch(i, 5);
-    RowBatch c = b;
-    ASSERT_TRUE(pushed.Push(std::move(b)));
-    ASSERT_TRUE(sent.Send(std::move(c)).ok());
+    bytes += b.ByteSize();
+    ASSERT_TRUE(sent.Send(std::move(b)).ok());
   }
-  pushed.CloseProducer();
   sent.CloseProducer();
-  EXPECT_EQ(sent.stats().bytes, pushed.stats().bytes);
-  EXPECT_EQ(sent.stats().network_ms, pushed.stats().network_ms);
-  EXPECT_EQ(sent.stats().batches, pushed.stats().batches);
-  EXPECT_EQ(sent.stats().send_retries, 0);
+  ChannelStats s = sent.stats();
+  EXPECT_EQ(s.bytes, bytes);
+  EXPECT_NEAR(s.network_ms, net.Cost(1, 3, bytes), 1e-9);
+  EXPECT_EQ(s.batches, 4);
+  EXPECT_EQ(s.rows, 20);
+  EXPECT_EQ(s.send_retries, 0);
+  EXPECT_EQ(s.dropped_batches, 0);
+  EXPECT_EQ(s.backoff_ms, 0.0);
 }
 
 }  // namespace

@@ -254,27 +254,33 @@ TEST_F(DistributedFaultTest, LossyLinkCountersMatchInProcessBackend) {
   fault.drop_probability = 0.3;
   shared.net->SetLinkFault(from, to, fault);
 
-  ExecutorOptions fopt;
-  fopt.mode = ExecMode::kFragment;
-  fopt.threads = 1;
-  fopt.retry = retry;
-  Executor frag(shared.store.get(), shared.net.get(), fopt);
-  auto a = frag.Execute(*query_);
-  ASSERT_TRUE(a.ok()) << a.status();
+  // Both backends run the shared fragment scheduler, so the parity holds
+  // under the sequential and the pipelined schedule alike.
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecutorOptions fopt;
+    fopt.mode = ExecMode::kFragment;
+    fopt.threads = threads;
+    fopt.retry = retry;
+    Executor frag(shared.store.get(), shared.net.get(), fopt);
+    auto a = frag.Execute(*query_);
+    ASSERT_TRUE(a.ok()) << a.status();
 
-  Executor dist(shared.store.get(), shared.net.get(),
-                DistributedOptions(shared, retry));
-  auto b = dist.Execute(*query_);
-  ASSERT_TRUE(b.ok()) << b.status();
+    ExecutorOptions dopt = DistributedOptions(shared, retry);
+    dopt.threads = threads;
+    Executor dist(shared.store.get(), shared.net.get(), dopt);
+    auto b = dist.Execute(*query_);
+    ASSERT_TRUE(b.ok()) << b.status();
+
+    EXPECT_EQ(ExactRows(*a), expected_);
+    EXPECT_EQ(ExactRows(*b), expected_);
+    EXPECT_GT(a->metrics.send_retries, 0);
+    EXPECT_EQ(b->metrics.send_retries, a->metrics.send_retries);
+    EXPECT_EQ(b->metrics.dropped_batches, a->metrics.dropped_batches);
+    EXPECT_EQ(b->metrics.rows_shipped, a->metrics.rows_shipped);
+    EXPECT_EQ(b->metrics.bytes_shipped, a->metrics.bytes_shipped);
+  }
   shared.net->ClearLinkFaults();
-
-  EXPECT_EQ(ExactRows(*a), expected_);
-  EXPECT_EQ(ExactRows(*b), expected_);
-  EXPECT_GT(a->metrics.send_retries, 0);
-  EXPECT_EQ(b->metrics.send_retries, a->metrics.send_retries);
-  EXPECT_EQ(b->metrics.dropped_batches, a->metrics.dropped_batches);
-  EXPECT_EQ(b->metrics.rows_shipped, a->metrics.rows_shipped);
-  EXPECT_EQ(b->metrics.bytes_shipped, a->metrics.bytes_shipped);
 }
 
 }  // namespace
