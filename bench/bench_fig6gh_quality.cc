@@ -76,9 +76,8 @@ int main(int argc, char** argv) {
 
     for (const char* mode : opts.ExecModes()) {
       ExecutorOptions eopts;
-      eopts.mode = std::string(mode) == "row"      ? ExecMode::kRow
-                   : std::string(mode) == "vector" ? ExecMode::kVector
-                                                   : ExecMode::kFragment;
+      eopts.mode = std::string(mode) == "row" ? ExecMode::kRow
+                                              : ExecMode::kFragment;
       eopts.batch_size = opts.batch_size;
       eopts.threads = opts.threads;
       Executor executor(&store, &net, eopts);
@@ -113,8 +112,8 @@ int main(int argc, char** argv) {
           ++mismatches;
           continue;
         }
-        // The fragmented and vectorized runtimes must agree with the
-        // row interpreter on rows and ship metrics for both plans.
+        // The fragment runtime must agree with the row interpreter on
+        // rows and ship metrics for both plans.
         if (eopts.mode != ExecMode::kRow) {
           if (!Agree(mt, Measure(row_executor, *t)) ||
               !Agree(mc, Measure(row_executor, *c))) {

@@ -3,11 +3,11 @@
 // and cross-backend execution of the multi-site TPC-H workload.
 //
 // The execution section runs every query under the selected backends
-// (--exec-mode=row|fragment|vector|both) and reports each backend's
+// (--exec-mode=row|fragment|distributed|both) and reports each backend's
 // speedup over the row interpreter, plus the ship metrics and a result
 // digest so CI can assert that all backends agree byte-for-byte. The
 // per-backend geomean speedups land in one micro_exec_summary row per
-// backend (the vector one feeds the CI perf-regression gate, see
+// backend (the fragment one feeds the CI perf-regression gate, see
 // BENCH_micro.json).
 
 #include <unistd.h>
@@ -52,7 +52,6 @@ namespace {
 
 ExecMode ModeFromName(const std::string& mode) {
   if (mode == "row") return ExecMode::kRow;
-  if (mode == "vector") return ExecMode::kVector;
   if (mode == "distributed") return ExecMode::kDistributed;
   return ExecMode::kFragment;
 }
@@ -226,7 +225,7 @@ int ExecutionBench(const bench::BenchOptions& opts,
   }
 
   bench::PrintHeader(
-      "Execution: row vs fragment vs vector backends (sf " +
+      "Execution: row vs fragment backends (sf " +
       std::to_string(config.scale_factor) + ", " +
       std::to_string(opts.threads) + " threads, batch " +
       std::to_string(opts.batch_size) + ", faults " +
@@ -395,7 +394,7 @@ int ExecutionBench(const bench::BenchOptions& opts,
 }
 
 // Storage bench: every query on the same data twice — pinned RAM
-// fragments vs block-streaming disk scans — on the row and vector
+// fragments vs block-streaming disk scans — on the row and fragment
 // backends. Digests must agree; the per-mode geomean of
 // disk_ms / memory_ms lands in a micro_storage_summary row that the CI
 // bench-smoke job gates (>15% regression against the checked-in
@@ -446,7 +445,7 @@ int StorageBench(const bench::BenchOptions& opts,
       ++failures;
       continue;
     }
-    for (const char* mode : {"row", "vector"}) {
+    for (const char* mode : {"row", "fragment"}) {
       double memory_mean = 0;
       uint64_t memory_digest = 0;
       for (const char* storage : {"memory", "disk"}) {
@@ -578,7 +577,7 @@ int SpillSweepBench(const bench::BenchOptions& opts,
     } budgets[] = {{"inf", 0},
                    {"25pct", static_cast<uint64_t>(build / 4)},
                    {"5pct", static_cast<uint64_t>(build / 20)}};
-    for (const char* mode : {"row", "fragment", "vector"}) {
+    for (const char* mode : {"row", "fragment"}) {
       for (const auto& budget : budgets) {
         ExecutorOptions eopts;
         eopts.mode = ModeFromName(mode);
@@ -649,8 +648,6 @@ int PlanCacheBench(const bench::BenchOptions& opts,
       tpch::GenerateData(engine.catalog(), config, &engine.store()).ok());
   engine.set_exec_mode(opts.exec_mode == bench::ExecModeArg::kRow
                            ? ExecMode::kRow
-                       : opts.exec_mode == bench::ExecModeArg::kVector
-                           ? ExecMode::kVector
                            : ExecMode::kFragment);
   engine.default_exec_options().batch_size = opts.batch_size;
   engine.default_exec_options().threads = opts.threads;

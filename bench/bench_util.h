@@ -55,10 +55,10 @@ inline void PrintHeader(const std::string& title) {
 }
 
 /// Which executor backends an execution bench measures. `kBoth` means
-/// every *in-process* backend (row, fragment and vector); the
+/// every *in-process* backend (row and fragment); the
 /// distributed backend is opt-in (it needs servers — a --connect hosts
 /// file or the bench's own loopback deployment).
-enum class ExecModeArg { kRow, kFragment, kVector, kDistributed, kBoth };
+enum class ExecModeArg { kRow, kFragment, kDistributed, kBoth };
 
 inline const char* ExecModeArgToString(ExecModeArg m) {
   switch (m) {
@@ -66,8 +66,6 @@ inline const char* ExecModeArgToString(ExecModeArg m) {
       return "row";
     case ExecModeArg::kFragment:
       return "fragment";
-    case ExecModeArg::kVector:
-      return "vector";
     case ExecModeArg::kDistributed:
       return "distributed";
     case ExecModeArg::kBoth:
@@ -92,7 +90,7 @@ inline const char* FaultProfileArgToString(FaultProfileArg p) {
 ///   --reps=N           timed repetitions per cell (default 7)
 ///   --tiny             CI smoke mode: smallest scales only, fewer reps
 ///   --json=PATH        append one JSON object per result row to PATH
-///   --exec-mode=M      row | fragment | vector | distributed | both
+///   --exec-mode=M      row | fragment | distributed | both
 ///                      (default both = the in-process backends)
 ///   --connect=PATH     hosts file (host:port loc[,loc] lines) for
 ///                      --exec-mode=distributed; without it the bench
@@ -100,7 +98,7 @@ inline const char* FaultProfileArgToString(FaultProfileArg p) {
 ///   --listen=L[,L...]  run as a location server for the given location
 ///                      ids instead of benchmarking (ephemeral port,
 ///                      printed on stdout; exits on stdin EOF)
-///   --batch-size=N     rows per batch / selection-vector chunk size
+///   --batch-size=N     rows per batch of the fragment runtime
 ///   --storage=S        memory | disk (default memory): where the bench
 ///                      store keeps its fragments. disk routes every
 ///                      scan through the per-location storage engine
@@ -145,8 +143,6 @@ struct BenchOptions {
           o.exec_mode = ExecModeArg::kRow;
         } else if (std::strcmp(m, "fragment") == 0) {
           o.exec_mode = ExecModeArg::kFragment;
-        } else if (std::strcmp(m, "vector") == 0) {
-          o.exec_mode = ExecModeArg::kVector;
         } else if (std::strcmp(m, "distributed") == 0) {
           o.exec_mode = ExecModeArg::kDistributed;
         } else if (std::strcmp(m, "both") == 0) {
@@ -155,7 +151,7 @@ struct BenchOptions {
           std::fprintf(
               stderr,
               "bad --exec-mode '%s' "
-              "(row|fragment|vector|distributed|both)\n",
+              "(row|fragment|distributed|both)\n",
               m);
           std::exit(2);
         }
@@ -195,7 +191,7 @@ struct BenchOptions {
         std::fprintf(stderr,
                      "unknown argument '%s' "
                      "(--threads=N --reps=N --tiny --json=PATH "
-                     "--exec-mode=row|fragment|vector|distributed|both "
+                     "--exec-mode=row|fragment|distributed|both "
                      "--connect=PATH --listen=L[,L] --batch-size=N "
                      "--storage=memory|disk "
                      "--fault-profile=none|lossy --fault-seed=N "
@@ -218,15 +214,13 @@ struct BenchOptions {
         return {"row"};
       case ExecModeArg::kFragment:
         return {"fragment"};
-      case ExecModeArg::kVector:
-        return {"vector"};
       case ExecModeArg::kDistributed:
         return {"distributed"};
       case ExecModeArg::kBoth:
-        // Deliberately excludes "distributed": the in-process trio is
+        // Deliberately excludes "distributed": the in-process pair is
         // what the default bench (and the checked-in BENCH_micro.json
         // baseline) covers; distributed runs land in their own JSON.
-        return {"row", "fragment", "vector"};
+        return {"row", "fragment"};
     }
     return {};
   }

@@ -16,7 +16,8 @@ Gates (the bench invocation that produces each input is in ci.yml):
     backends      cross-backend agreement (micro, fig6gh, lossy, plan cache)
     storage       disk-scan and spill-join digest agreement
     disk-ratio    disk/memory row-scan geomean vs BENCH_micro.json
-    vector        vector/row geomean speedup vs BENCH_micro.json
+    vector        fragment/row geomean speedup vs the vector baseline row
+                  of BENCH_micro.json
     trace         Chrome trace artifact well-formedness
 """
 
@@ -24,7 +25,7 @@ import argparse
 import json
 import sys
 
-ALL_MODES = {'row', 'fragment', 'vector'}
+ALL_MODES = {'row', 'fragment'}
 
 
 def load(path):
@@ -175,14 +176,13 @@ def gate_backends(args):
             print(f'micro: query {key} missing a backend: {set(modes)}')
             failures += 1
             continue
-        for other in ('fragment', 'vector'):
-            for field in ('rows', 'ships', 'rows_shipped',
-                          'bytes_shipped', 'result_digest'):
-                if modes['row'][field] != modes[other][field]:
-                    print(f'micro: query {key} {other} disagrees on '
-                          f"{field}: {modes['row'][field]} vs "
-                          f"{modes[other][field]}")
-                    failures += 1
+        for field in ('rows', 'ships', 'rows_shipped',
+                      'bytes_shipped', 'result_digest'):
+            if modes['row'][field] != modes['fragment'][field]:
+                print(f'micro: query {key} fragment disagrees on '
+                      f"{field}: {modes['row'][field]} vs "
+                      f"{modes['fragment'][field]}")
+                failures += 1
 
     fig = [r for r in load(args.fig6gh) if r.get('bench') == 'fig6gh']
     for key, rows in by_key(fig, ['policy_set', 'query']).items():
@@ -191,11 +191,10 @@ def gate_backends(args):
             print(f'fig6gh: {key} missing a backend: {set(modes)}')
             failures += 1
             continue
-        for other in ('fragment', 'vector'):
-            for field in ('rows', 'ships', 'rows_shipped', 'bytes_shipped'):
-                if modes['row'][field] != modes[other][field]:
-                    print(f'fig6gh: {key} {other} disagrees on {field}')
-                    failures += 1
+        for field in ('rows', 'ships', 'rows_shipped', 'bytes_shipped'):
+            if modes['row'][field] != modes['fragment'][field]:
+                print(f'fig6gh: {key} fragment disagrees on {field}')
+                failures += 1
 
     # Under the lossy profile the backends sample faults at their own batch
     # granularity, so shipped volume legitimately differs — but after
@@ -209,13 +208,12 @@ def gate_backends(args):
             print(f'fault: query {key} missing a backend: {set(modes)}')
             failures += 1
             continue
-        for other in ('fragment', 'vector'):
-            for field in ('rows', 'ships', 'result_digest'):
-                if modes['row'][field] != modes[other][field]:
-                    print(f'fault: query {key} {other} disagrees on '
-                          f"{field}: {modes['row'][field]} vs "
-                          f"{modes[other][field]}")
-                    failures += 1
+        for field in ('rows', 'ships', 'result_digest'):
+            if modes['row'][field] != modes['fragment'][field]:
+                print(f'fault: query {key} fragment disagrees on '
+                      f"{field}: {modes['row'][field]} vs "
+                      f"{modes['fragment'][field]}")
+                failures += 1
         total_retries += sum(r['send_retries'] for r in rows)
     if faulted and total_retries == 0:
         print('fault: lossy profile injected no retries at all')
@@ -319,25 +317,27 @@ def gate_disk_ratio(args):
 
 
 def gate_vector(args):
-    # Same-machine ratio: the vector/row geomean speedup must not drop more
-    # than 15% below the baseline.
-    def vector_geomean(path):
+    # Same-machine ratio: the fragment/row geomean speedup must not drop
+    # more than 15% below the baseline. The baseline is the checked-in
+    # summary row of the former vector backend, whose columnar kernels
+    # the fragment runtime now runs.
+    def geomean(path, mode):
         rows = [r for r in load(path)
                 if r.get('bench') == 'micro_exec_summary'
-                and r.get('exec_mode') == 'vector']
+                and r.get('exec_mode') == mode]
         if len(rows) != 1:
-            sys.exit(f'{path}: expected one vector summary row, '
+            sys.exit(f'{path}: expected one {mode} summary row, '
                      f'got {len(rows)}')
         return rows[0]['geomean_speedup']
 
-    baseline = vector_geomean(args.baseline)
-    current = vector_geomean(args.current)
+    baseline = geomean(args.baseline, 'vector')
+    current = geomean(args.current, 'fragment')
     floor = baseline * 0.85
-    print(f'vector/row geomean: baseline {baseline:.2f}x, '
-          f'current {current:.2f}x, floor {floor:.2f}x')
+    print(f'columnar/row geomean: baseline (vector) {baseline:.2f}x, '
+          f'current (fragment) {current:.2f}x, floor {floor:.2f}x')
     if current < floor:
-        print('perf regression: vector geomean dropped more '
-              'than 15% below the checked-in baseline')
+        print('perf regression: fragment geomean dropped more '
+              'than 15% below the checked-in vector baseline')
         return 1
     return 0
 

@@ -80,7 +80,7 @@ void Help() {
       "  tenants;                     list tenants, quotas, admission stats\n"
       "  quota <name> <weight> <max-inflight> <max-queued>;  update quotas\n"
       "  auth <token|off>;            switch the session's tenant\n"
-      "  exec <row|fragment|vector|distributed>;  switch backend\n"
+      "  exec <row|fragment|distributed>;  switch backend\n"
       "  storage <dir|off>;           disk-backed store under <dir> (durable\n"
       "                               + out-of-core scans; 'off' reads all\n"
       "                               fragments back into RAM)\n"
@@ -411,8 +411,6 @@ int main(int argc, char** argv) {
           engine.set_exec_mode(ExecMode::kRow);
         } else if (mode == "fragment") {
           engine.set_exec_mode(ExecMode::kFragment);
-        } else if (mode == "vector") {
-          engine.set_exec_mode(ExecMode::kVector);
         } else if (mode == "distributed") {
           if (!engine.cluster().connected()) {
             std::printf(
@@ -422,7 +420,7 @@ int main(int argc, char** argv) {
           engine.set_exec_mode(ExecMode::kDistributed);
         } else {
           std::printf(
-              "unknown backend '%s' (row|fragment|vector|distributed)\n",
+              "unknown backend '%s' (row|fragment|distributed)\n",
               mode.c_str());
           continue;
         }

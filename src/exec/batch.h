@@ -16,9 +16,10 @@ namespace cgq {
 inline constexpr int kDefaultBatchSize = 1024;
 
 /// A fixed-size slice of an operator's output: rows positioned per
-/// `layout`. Both executor backends exchange these — the row interpreter
-/// materializes one batch per operator, the fragmented runtime streams
-/// many bounded ones through ship channels.
+/// `layout`. The row interpreter materializes one batch per operator;
+/// the fragment runtime converts its column batches to these only at
+/// SHIP, wire and result boundaries, and streams many bounded ones
+/// through ship channels.
 struct RowBatch {
   RowLayout layout;
   std::vector<Row> rows;

@@ -1,15 +1,25 @@
 #include "exec/batch_ops.h"
 
 #include <algorithm>
-#include <iterator>
+#include <array>
+#include <deque>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "exec/exec_internal.h"
 #include "exec/spill_join.h"
+#include "exec/vector/kernels.h"
 
 namespace cgq {
 namespace exec_internal {
+
+using vec::ColumnBatch;
+using vec::ColumnPtr;
+using vec::ColumnTag;
+using vec::ColumnVector;
+using vec::SelVec;
+using vec::VecVal;
 
 Status CheckCancelled(const std::atomic<bool>* cancel) {
   if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
@@ -25,38 +35,164 @@ Status DrainBatchOp(BatchOp* op, const std::atomic<bool>* cancel,
     CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
     CGQ_ASSIGN_OR_RETURN(OptBatch batch, op->Next());
     if (!batch) return Status::OK();
-    if (batch->Empty()) continue;
+    if (batch->NumRows() == 0) continue;
     *rows_out += static_cast<int64_t>(batch->NumRows());
-    CGQ_RETURN_NOT_OK(sink(std::move(*batch)));
+    CGQ_RETURN_NOT_OK(sink(vec::ToRowBatch(*batch)));
   }
 }
 
 namespace {
 
+Status WidthMismatch(const std::string& table) {
+  return Status::Internal("stored row width mismatch for table '" + table +
+                          "'");
+}
+
+/// Appends rows [begin, end) of `batch` to `cols` (one per column).
+void AppendRows(const ColumnBatch& batch, size_t begin, size_t end,
+                std::vector<ColumnVector>* cols) {
+  for (size_t c = 0; c < cols->size(); ++c) {
+    const ColumnVector& src = *batch.columns[c];
+    ColumnVector& dst = (*cols)[c];
+    for (size_t k = begin; k < end; ++k) dst.AppendFrom(src, batch.sel[k]);
+  }
+}
+
+/// Re-chunks a stream of batches into batches of exactly `batch_size`
+/// rows (the last may be shorter), preserving row order. An output batch
+/// that lies inside one input is a window of it; only batches straddling
+/// two inputs copy rows.
+class Chunker {
+ public:
+  Chunker(const RowLayout* layout, size_t batch_size)
+      : layout_(layout), batch_size_(batch_size) {}
+
+  void Add(ColumnBatch batch) {
+    if (batch.NumRows() == 0) return;
+    pending_ += batch.NumRows();
+    pieces_.push_back(std::move(batch));
+  }
+
+  bool HasFullBatch() const { return pending_ >= batch_size_; }
+  bool Empty() const { return pending_ == 0; }
+
+  ColumnBatch Take() {
+    const size_t n = std::min(batch_size_, pending_);
+    pending_ -= n;
+    ColumnBatch& front = pieces_.front();
+    if (pos_ == 0 && front.NumRows() == n) {
+      ColumnBatch out = std::move(front);
+      pieces_.pop_front();
+      return out;
+    }
+    if (front.NumRows() - pos_ >= n) {
+      ColumnBatch out = front.Slice(pos_, pos_ + n);
+      Advance(n);
+      return out;
+    }
+    std::vector<ColumnVector> cols(layout_->size());
+    for (size_t need = n; need > 0;) {
+      const ColumnBatch& piece = pieces_.front();
+      const size_t take = std::min(need, piece.NumRows() - pos_);
+      AppendRows(piece, pos_, pos_ + take, &cols);
+      Advance(take);
+      need -= take;
+    }
+    return vec::DenseBatch(*layout_, std::move(cols), n);
+  }
+
+ private:
+  void Advance(size_t n) {
+    pos_ += n;
+    if (pos_ == pieces_.front().NumRows()) {
+      pieces_.pop_front();
+      pos_ = 0;
+    }
+  }
+
+  const RowLayout* layout_;
+  const size_t batch_size_;
+  std::deque<ColumnBatch> pieces_;
+  size_t pos_ = 0;  ///< rows of pieces_.front() already taken
+  size_t pending_ = 0;
+};
+
+/// An operator whose output is its own row stream re-chunked to
+/// batch_size: subclasses add output to `out_` from Fill().
+class ChunkedOp : public BatchOp {
+ public:
+  Result<OptBatch> Next() final {
+    while (true) {
+      if (out_.HasFullBatch() || (done_ && !out_.Empty())) {
+        ColumnBatch batch = out_.Take();
+        if (rows_emitted_ != nullptr) {
+          *rows_emitted_ += static_cast<int64_t>(batch.NumRows());
+        }
+        return OptBatch(std::move(batch));
+      }
+      if (done_) return OptBatch();
+      CGQ_ASSIGN_OR_RETURN(done_, Fill());
+    }
+  }
+
+  const RowLayout& layout() const final { return layout_; }
+
+ protected:
+  ChunkedOp(RowLayout layout, size_t batch_size,
+            int64_t* rows_emitted = nullptr)
+      : layout_(std::move(layout)),
+        out_(&layout_, batch_size),
+        rows_emitted_(rows_emitted) {}
+
+  /// Adds the next stretch of output (possibly none) to `out_`; returns
+  /// true once the input is exhausted and all output has been added.
+  virtual Result<bool> Fill() = 0;
+
+  RowLayout layout_;
+  Chunker out_;
+
+ private:
+  int64_t* rows_emitted_;
+  bool done_ = false;
+};
+
+/// Drains `op` into one dense batch (the materialized side of a join).
+Result<ColumnBatch> DrainToColumns(BatchOp* op,
+                                   const std::atomic<bool>* cancel) {
+  std::vector<ColumnVector> cols(op->layout().size());
+  size_t rows = 0;
+  while (true) {
+    CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
+    CGQ_ASSIGN_OR_RETURN(OptBatch b, op->Next());
+    if (!b) break;
+    AppendRows(*b, 0, b->NumRows(), &cols);
+    rows += b->NumRows();
+  }
+  return vec::DenseBatch(op->layout(), std::move(cols), rows);
+}
+
+/// Memory-mode scan: batch_size windows over the store's cached columns
+/// of the fragment. No column is copied; the operators above read the
+/// columns they use through each window's selection.
 class ScanOp : public BatchOp {
  public:
-  ScanOp(const PlanNode* node, const std::vector<Row>* rows,
+  ScanOp(const PlanNode* node,
+         std::shared_ptr<const std::vector<ColumnPtr>> columns,
          size_t batch_size, int64_t* rows_scanned)
-      : node_(node),
-        rows_(rows),
+      : columns_(std::move(columns)),
+        rows_(columns_->empty() ? 0 : columns_->front()->size()),
         batch_size_(batch_size),
         rows_scanned_(rows_scanned),
         layout_(LayoutOf(*node)) {}
 
   Result<OptBatch> Next() override {
-    if (offset_ >= rows_->size()) return OptBatch();
-    size_t end = std::min(offset_ + batch_size_, rows_->size());
-    RowBatch out;
+    if (offset_ >= rows_) return OptBatch();
+    const size_t end = std::min(offset_ + batch_size_, rows_);
+    ColumnBatch out;
     out.layout = layout_;
-    out.rows.reserve(end - offset_);
-    for (size_t i = offset_; i < end; ++i) {
-      if ((*rows_)[i].size() != layout_.size()) {
-        return Status::Internal("stored row width mismatch for table '" +
-                                node_->table + "'");
-      }
-      out.rows.push_back((*rows_)[i]);
-    }
-    *rows_scanned_ += static_cast<int64_t>(out.rows.size());
+    out.columns = *columns_;
+    out.sel = vec::RangeSel(offset_, end);
+    *rows_scanned_ += static_cast<int64_t>(end - offset_);
     offset_ = end;
     return OptBatch(std::move(out));
   }
@@ -64,99 +200,71 @@ class ScanOp : public BatchOp {
   const RowLayout& layout() const override { return layout_; }
 
  private:
-  const PlanNode* node_;
-  const std::vector<Row>* rows_;
+  std::shared_ptr<const std::vector<ColumnPtr>> columns_;
+  const size_t rows_;
   const size_t batch_size_;
   int64_t* rows_scanned_;
   RowLayout layout_;
   size_t offset_ = 0;
 };
 
-/// Serialized volume of the rows, matching RowBatch::ByteSize (the
-/// build-side size a join compares against the memory budget).
-double RowsByteSize(const std::vector<Row>& rows) {
-  double bytes = 0;
-  for (const Row& row : rows) {
-    for (const Value& v : row) bytes += static_cast<double>(v.ByteSize());
-  }
-  return bytes;
-}
-
-/// Disk-mode scan: streams one fragment's checksummed blocks through a
-/// TableStore::Cursor, re-chunked to batch_size (identical batch
-/// boundaries to the in-memory ScanOp).
-class DiskScanOp : public BatchOp {
+/// Disk-mode scan: converts one checksummed block at a time into
+/// columns, re-chunked to batch_size (the same batch boundaries as the
+/// memory scan), so at most one block per scan is resident.
+class DiskScanOp : public ChunkedOp {
  public:
   DiskScanOp(const PlanNode* node, TableStore::Cursor cursor,
              size_t batch_size, int64_t* rows_scanned,
              int64_t* storage_blocks_read)
-      : node_(node),
+      : ChunkedOp(LayoutOf(*node), batch_size, rows_scanned),
+        node_(node),
         cursor_(std::move(cursor)),
-        batch_size_(batch_size),
-        rows_scanned_(rows_scanned),
-        storage_blocks_read_(storage_blocks_read),
-        layout_(LayoutOf(*node)) {}
+        storage_blocks_read_(storage_blocks_read) {}
 
-  Result<OptBatch> Next() override {
-    while (true) {
-      if (buffer_.size() - pos_ >= batch_size_ ||
-          (drained_ && pos_ < buffer_.size())) {
-        return TakeBatch();
-      }
-      if (drained_) return OptBatch();
-      if (pos_ > 0) {
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + static_cast<ptrdiff_t>(pos_));
-        pos_ = 0;
-      }
-      std::vector<Row> chunk;
-      CGQ_ASSIGN_OR_RETURN(bool more, cursor_.Next(&chunk));
-      if (storage_blocks_read_ != nullptr) {
-        *storage_blocks_read_ += cursor_.blocks_read() - blocks_folded_;
-        blocks_folded_ = cursor_.blocks_read();
-      }
-      if (!more) {
-        drained_ = true;
-        continue;
-      }
-      for (Row& r : chunk) {
-        if (r.size() != layout_.size()) {
-          return Status::Internal("stored row width mismatch for table '" +
-                                  node_->table + "'");
-        }
-        buffer_.push_back(std::move(r));
-      }
+ protected:
+  Result<bool> Fill() override {
+    std::vector<Row> block;
+    CGQ_ASSIGN_OR_RETURN(bool more, cursor_.Next(&block));
+    if (storage_blocks_read_ != nullptr) {
+      *storage_blocks_read_ += cursor_.blocks_read() - blocks_folded_;
+      blocks_folded_ = cursor_.blocks_read();
     }
+    if (!more) return true;
+    for (const Row& r : block) {
+      if (r.size() != layout_.size()) return WidthMismatch(node_->table);
+    }
+    CGQ_ASSIGN_OR_RETURN(ColumnBatch columns, vec::FromRows(layout_, block));
+    out_.Add(std::move(columns));
+    return false;
   }
 
-  const RowLayout& layout() const override { return layout_; }
-
  private:
-  Result<OptBatch> TakeBatch() {
-    size_t end = std::min(pos_ + batch_size_, buffer_.size());
-    RowBatch out;
-    out.layout = layout_;
-    out.rows.assign(std::make_move_iterator(buffer_.begin() +
-                                            static_cast<ptrdiff_t>(pos_)),
-                    std::make_move_iterator(buffer_.begin() +
-                                            static_cast<ptrdiff_t>(end)));
-    pos_ = end;
-    *rows_scanned_ += static_cast<int64_t>(out.rows.size());
+  const PlanNode* node_;
+  TableStore::Cursor cursor_;
+  int64_t* storage_blocks_read_;
+  int64_t blocks_folded_ = 0;
+};
+
+/// SHIP leaf: the row/column boundary on the input side of a fragment.
+class ShipSourceOp : public BatchOp {
+ public:
+  explicit ShipSourceOp(RowSourcePtr source) : source_(std::move(source)) {}
+
+  Result<OptBatch> Next() override {
+    CGQ_ASSIGN_OR_RETURN(OptRowBatch in, source_->Next());
+    if (!in) return OptBatch();
+    CGQ_ASSIGN_OR_RETURN(ColumnBatch out, vec::FromRowBatch(*in));
     return OptBatch(std::move(out));
   }
 
-  const PlanNode* node_;
-  TableStore::Cursor cursor_;
-  const size_t batch_size_;
-  int64_t* rows_scanned_;
-  int64_t* storage_blocks_read_;
-  RowLayout layout_;
-  std::vector<Row> buffer_;
-  size_t pos_ = 0;
-  int64_t blocks_folded_ = 0;
-  bool drained_ = false;
+  const RowLayout& layout() const override { return source_->layout(); }
+
+ private:
+  RowSourcePtr source_;
 };
 
+/// Narrows each batch's selection to the rows passing every conjunct;
+/// batches with no survivor are skipped.
 class FilterOp : public BatchOp {
  public:
   FilterOp(const PlanNode* node, BatchOpPtr child)
@@ -166,15 +274,11 @@ class FilterOp : public BatchOp {
     while (true) {
       CGQ_ASSIGN_OR_RETURN(OptBatch in, child_->Next());
       if (!in) return OptBatch();
-      RowBatch out;
-      out.layout = in->layout;
-      for (Row& row : in->rows) {
-        CGQ_ASSIGN_OR_RETURN(
-            bool keep,
-            exec_internal::KeepRow(node_->conjuncts, row, in->layout));
-        if (keep) out.rows.push_back(std::move(row));
-      }
-      if (!out.rows.empty()) return OptBatch(std::move(out));
+      SelVec sel = std::move(in->sel);
+      CGQ_RETURN_NOT_OK(vec::FilterSel(node_->conjuncts, *in, &sel));
+      if (sel.empty()) continue;
+      in->sel = std::move(sel);
+      return OptBatch(std::move(*in));
     }
   }
 
@@ -184,6 +288,17 @@ class FilterOp : public BatchOp {
   const PlanNode* node_;
   BatchOpPtr child_;
 };
+
+/// Rearranges column handles into `layout` (projection, union branches).
+ColumnBatch Remap(ColumnBatch in, const std::vector<size_t>& positions,
+                  const RowLayout& layout) {
+  ColumnBatch out;
+  out.layout = layout;
+  out.columns.reserve(positions.size());
+  for (size_t p : positions) out.columns.push_back(in.columns[p]);
+  out.sel = std::move(in.sel);
+  return out;
+}
 
 class ProjectOp : public BatchOp {
  public:
@@ -198,16 +313,7 @@ class ProjectOp : public BatchOp {
   Result<OptBatch> Next() override {
     CGQ_ASSIGN_OR_RETURN(OptBatch in, child_->Next());
     if (!in) return OptBatch();
-    RowBatch out;
-    out.layout = layout_;
-    out.rows.reserve(in->rows.size());
-    for (const Row& row : in->rows) {
-      Row projected;
-      projected.reserve(positions_.size());
-      for (size_t p : positions_) projected.push_back(row[p]);
-      out.rows.push_back(std::move(projected));
-    }
-    return OptBatch(std::move(out));
+    return OptBatch(Remap(std::move(*in), positions_, layout_));
   }
 
   const RowLayout& layout() const override { return layout_; }
@@ -222,225 +328,6 @@ class ProjectOp : public BatchOp {
   BatchOpPtr child_;
   std::vector<size_t> positions_;
   RowLayout layout_;
-};
-
-/// Emits `rows` in batch_size chunks, preserving order.
-class Chunker {
- public:
-  explicit Chunker(size_t batch_size) : batch_size_(batch_size) {}
-
-  void Add(std::vector<Row> rows) {
-    if (rows_.empty()) {
-      rows_ = std::move(rows);
-    } else {
-      rows_.insert(rows_.end(), std::make_move_iterator(rows.begin()),
-                   std::make_move_iterator(rows.end()));
-    }
-  }
-
-  bool HasFullBatch() const { return rows_.size() - pos_ >= batch_size_; }
-  bool Empty() const { return pos_ >= rows_.size(); }
-
-  RowBatch Take(const RowLayout& layout) {
-    RowBatch out;
-    out.layout = layout;
-    size_t end = std::min(pos_ + batch_size_, rows_.size());
-    out.rows.assign(std::make_move_iterator(rows_.begin() + pos_),
-                    std::make_move_iterator(rows_.begin() + end));
-    pos_ = end;
-    if (pos_ >= rows_.size()) {
-      rows_.clear();
-      pos_ = 0;
-    }
-    return out;
-  }
-
- private:
-  const size_t batch_size_;
-  std::vector<Row> rows_;
-  size_t pos_ = 0;
-};
-
-class JoinOp : public BatchOp {
- public:
-  JoinOp(const PlanNode* node, BatchOpPtr left, BatchOpPtr right,
-         size_t batch_size, const BatchOpEnv& env)
-      : node_(node),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        chunker_(batch_size),
-        layout_(LayoutOf(*node)),
-        cancel_(env.cancel),
-        memory_budget_bytes_(env.memory_budget_bytes),
-        spill_dir_(env.spill_dir),
-        spill_partitions_(env.spill_partitions),
-        spill_bytes_(env.spill_bytes) {}
-
-  Result<OptBatch> Next() override {
-    if (!initialized_) {
-      CGQ_RETURN_NOT_OK(Init());
-      initialized_ = true;
-    }
-    while (true) {
-      if (chunker_.HasFullBatch() || (drained_ && !chunker_.Empty())) {
-        return OptBatch(chunker_.Take(layout_));
-      }
-      if (drained_) return OptBatch();
-      CGQ_ASSIGN_OR_RETURN(OptBatch in, right_->Next());
-      if (!in) {
-        if (spill_ != nullptr) {
-          // Probe side fully routed to partitions: join partition pairs
-          // and merge the runs back into reference order.
-          std::vector<Row> matched;
-          CGQ_RETURN_NOT_OK(spill_->Finish([&](Row row) {
-            matched.push_back(std::move(row));
-            return Status::OK();
-          }));
-          if (spill_partitions_ != nullptr) {
-            *spill_partitions_ += spill_->partitions();
-          }
-          if (spill_bytes_ != nullptr) *spill_bytes_ += spill_->spill_bytes();
-          spill_.reset();
-          chunker_.Add(std::move(matched));
-        }
-        drained_ = true;
-        continue;
-      }
-      if (spill_ != nullptr) {
-        for (const Row& r : in->rows) CGQ_RETURN_NOT_OK(spill_->AddProbe(r));
-        continue;
-      }
-      std::vector<Row> matched;
-      for (const Row& r : in->rows) {
-        CGQ_RETURN_NOT_OK(table_.Probe(r, spec_, [&](const Row& l) {
-          return spec_.EmitIfMatch(l, r, &matched).status();
-        }));
-      }
-      chunker_.Add(std::move(matched));
-    }
-  }
-
-  const RowLayout& layout() const override { return layout_; }
-
- private:
-  Status Init() {
-    // The build (left) side is always fully materialized, mirroring the
-    // row interpreter; the probe side streams for hash joins. Nested-loop
-    // and sort-merge joins materialize both sides (their output order is
-    // left-major, which a right-side stream cannot produce).
-    std::vector<Row> left_rows;
-    CGQ_RETURN_NOT_OK(Drain(left_.get(), &left_rows));
-    CGQ_ASSIGN_OR_RETURN(
-        spec_, JoinSpec::Make(*node_, left_->layout(), right_->layout()));
-
-    if (spec_.RequiresNestedLoop() ||
-        node_->join_method == JoinMethod::kNestedLoop) {
-      std::vector<Row> right_rows;
-      CGQ_RETURN_NOT_OK(Drain(right_.get(), &right_rows));
-      std::vector<Row> matched;
-      for (const Row& l : left_rows) {
-        CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
-        for (const Row& r : right_rows) {
-          CGQ_RETURN_NOT_OK(spec_.EmitIfMatch(l, r, &matched).status());
-        }
-      }
-      chunker_.Add(std::move(matched));
-      drained_ = true;
-    } else if (node_->join_method == JoinMethod::kSortMerge) {
-      std::vector<Row> right_rows;
-      CGQ_RETURN_NOT_OK(Drain(right_.get(), &right_rows));
-      std::vector<Row> matched;
-      CGQ_RETURN_NOT_OK(exec_internal::SortMergeJoin(
-          left_rows, right_rows, spec_.key_positions,
-          [&](const Row& l, const Row& r) {
-            return spec_.EmitIfMatch(l, r, &matched).status();
-          }));
-      chunker_.Add(std::move(matched));
-      drained_ = true;
-    } else if (memory_budget_bytes_ > 0 &&
-               RowsByteSize(left_rows) >
-                   static_cast<double>(memory_budget_bytes_)) {
-      // Build side over budget: grace spill. Probe batches stream into
-      // the partitions from Next(); output is byte-identical to the
-      // in-memory hash path.
-      spill_ = std::make_unique<SpillHashJoin>(
-          &spec_, SpillHashJoin::MakeSpillDir(spill_dir_),
-          SpillHashJoin::PickPartitions(
-              static_cast<uint64_t>(RowsByteSize(left_rows)),
-              memory_budget_bytes_),
-          cancel_);
-      CGQ_RETURN_NOT_OK(spill_->Init());
-      for (const Row& row : left_rows) {
-        CGQ_RETURN_NOT_OK(spill_->AddBuild(row));
-      }
-    } else {
-      build_rows_ = std::move(left_rows);
-      table_.Build(build_rows_, spec_);
-    }
-    return Status::OK();
-  }
-
-  static Status Drain(BatchOp* op, std::vector<Row>* out) {
-    while (true) {
-      CGQ_ASSIGN_OR_RETURN(OptBatch b, op->Next());
-      if (!b) return Status::OK();
-      out->insert(out->end(), std::make_move_iterator(b->rows.begin()),
-                  std::make_move_iterator(b->rows.end()));
-    }
-  }
-
-  const PlanNode* node_;
-  BatchOpPtr left_;
-  BatchOpPtr right_;
-  Chunker chunker_;
-  RowLayout layout_;
-  JoinSpec spec_;
-  std::vector<Row> build_rows_;
-  JoinHashTable table_;
-  const std::atomic<bool>* cancel_ = nullptr;
-  uint64_t memory_budget_bytes_ = 0;
-  std::string spill_dir_;
-  int64_t* spill_partitions_ = nullptr;
-  int64_t* spill_bytes_ = nullptr;
-  std::unique_ptr<SpillHashJoin> spill_;
-  bool initialized_ = false;
-  bool drained_ = false;
-};
-
-class AggregateOp : public BatchOp {
- public:
-  AggregateOp(const PlanNode* node, BatchOpPtr child, size_t batch_size)
-      : node_(node),
-        child_(std::move(child)),
-        chunker_(batch_size),
-        layout_(LayoutOf(*node)) {}
-
-  Result<OptBatch> Next() override {
-    if (!finished_) {
-      HashAggregator agg(node_);
-      CGQ_RETURN_NOT_OK(agg.Init(child_->layout()));
-      while (true) {
-        CGQ_ASSIGN_OR_RETURN(OptBatch in, child_->Next());
-        if (!in) break;
-        for (const Row& row : in->rows) {
-          CGQ_RETURN_NOT_OK(agg.Add(row));
-        }
-      }
-      chunker_.Add(agg.Finish());
-      finished_ = true;
-    }
-    if (chunker_.Empty()) return OptBatch();
-    return OptBatch(chunker_.Take(layout_));
-  }
-
-  const RowLayout& layout() const override { return layout_; }
-
- private:
-  const PlanNode* node_;
-  BatchOpPtr child_;
-  Chunker chunker_;
-  RowLayout layout_;
-  bool finished_ = false;
 };
 
 class UnionOp : public BatchOp {
@@ -467,17 +354,7 @@ class UnionOp : public BatchOp {
         ++current_;
         continue;
       }
-      const std::vector<size_t>& positions = remaps_[current_];
-      RowBatch out;
-      out.layout = layout_;
-      out.rows.reserve(in->rows.size());
-      for (const Row& row : in->rows) {
-        Row mapped;
-        mapped.reserve(positions.size());
-        for (size_t p : positions) mapped.push_back(row[p]);
-        out.rows.push_back(std::move(mapped));
-      }
-      return OptBatch(std::move(out));
+      return OptBatch(Remap(std::move(*in), remaps_[current_], layout_));
     }
     return OptBatch();
   }
@@ -497,6 +374,403 @@ class UnionOp : public BatchOp {
   size_t current_ = 0;
 };
 
+/// Equi-join match finder over columns, with the defined match order of
+/// JoinHashTable: probe rows in input order; per probe row, build rows in
+/// build (insertion) order. Rows with a NULL key do not participate. Keys
+/// of up to four int64 build columns (every TPC-H join) are compared as
+/// plain integers, with each key's build rows chained in insertion order;
+/// other shapes hash RowKeys exactly like the row backend.
+class ColumnJoinTable {
+ public:
+  /// `build` must be dense (its selection the identity).
+  void Build(const ColumnBatch& build, const JoinSpec& spec) {
+    int_keys_ = spec.key_positions.size() <= kMaxIntKeys;
+    for (auto [lp, rp] : spec.key_positions) {
+      int_keys_ &= build.columns[lp]->tag == ColumnTag::kInt64;
+    }
+    const size_t n = build.NumRows();
+    if (int_keys_) {
+      int_table_.reserve(n);
+      next_.assign(n, kEnd);
+      IntKey key;
+      for (uint32_t i = 0; i < n; ++i) {
+        if (!IntKeyOf(build, spec, /*build_side=*/true, i, &key)) continue;
+        auto [it, inserted] = int_table_.try_emplace(key, i, i);
+        if (!inserted) {
+          next_[it->second.second] = i;
+          it->second.second = i;
+        }
+      }
+      return;
+    }
+    table_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      RowKey key;
+      if (KeyOf(build, spec, /*build_side=*/true, i, &key)) {
+        table_[std::move(key)].push_back(static_cast<uint32_t>(i));
+      }
+    }
+  }
+
+  /// Appends every match of `probe`'s rows as (build row, probe column
+  /// row) pairs to `li` / `ri`.
+  Status Probe(const ColumnBatch& probe, const JoinSpec& spec,
+               const std::atomic<bool>* cancel, SelVec* li,
+               SelVec* ri) const {
+    for (size_t k = 0; k < probe.NumRows(); ++k) {
+      if ((k & 0x3ff) == 0) CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
+      const uint32_t r = probe.sel[k];
+      if (int_keys_) {
+        IntKey key;
+        if (!IntKeyOf(probe, spec, /*build_side=*/false, r, &key)) continue;
+        auto it = int_table_.find(key);
+        if (it == int_table_.end()) continue;
+        for (uint32_t l = it->second.first; l != kEnd; l = next_[l]) {
+          li->push_back(l);
+          ri->push_back(r);
+        }
+        continue;
+      }
+      RowKey key;
+      if (!KeyOf(probe, spec, /*build_side=*/false, r, &key)) continue;
+      auto it = table_.find(key);
+      if (it == table_.end()) continue;
+      for (uint32_t l : it->second) {
+        li->push_back(l);
+        ri->push_back(r);
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  static constexpr size_t kMaxIntKeys = 4;
+  static constexpr uint32_t kEnd = static_cast<uint32_t>(-1);
+  /// Int64 key values; slots past the key count stay zero.
+  using IntKey = std::array<int64_t, kMaxIntKeys>;
+  struct IntKeyHash {
+    size_t operator()(const IntKey& key) const {
+      uint64_t h = 0;
+      for (int64_t v : key) {
+        h = (h ^ static_cast<uint64_t>(v)) * 0x9E3779B97F4A7C15ULL;
+        h ^= h >> 29;
+      }
+      return static_cast<size_t>(h);
+    }
+  };
+
+  /// The int64 join key of column row `i`; false when a key value is NULL
+  /// or not an int64 (such a row equals no int64 build key).
+  static bool IntKeyOf(const ColumnBatch& batch, const JoinSpec& spec,
+                       bool build_side, size_t i, IntKey* key) {
+    *key = IntKey{};
+    for (size_t c = 0; c < spec.key_positions.size(); ++c) {
+      auto [lp, rp] = spec.key_positions[c];
+      const ColumnVector& col = *batch.columns[build_side ? lp : rp];
+      if (col.tag == ColumnTag::kInt64) {
+        if (col.nulls.IsNull(i)) return false;
+        (*key)[c] = col.i64[i];
+        continue;
+      }
+      Value v = col.GetValue(i);
+      if (!v.is_int64()) return false;
+      (*key)[c] = v.int64();
+    }
+    return true;
+  }
+
+  /// The join key of column row `i`; false when a key value is NULL.
+  static bool KeyOf(const ColumnBatch& batch, const JoinSpec& spec,
+                    bool build_side, size_t i, RowKey* key) {
+    for (auto [lp, rp] : spec.key_positions) {
+      Value v = batch.columns[build_side ? lp : rp]->GetValue(i);
+      if (v.is_null()) return false;
+      key->values.push_back(std::move(v));
+    }
+    return true;
+  }
+
+  bool int_keys_ = false;
+  /// Int64 keys: key -> (first, last) build row of its chain, and the
+  /// next build row of each row's chain, in insertion order.
+  std::unordered_map<IntKey, std::pair<uint32_t, uint32_t>, IntKeyHash>
+      int_table_;
+  std::vector<uint32_t> next_;
+  std::unordered_map<RowKey, std::vector<uint32_t>, RowKeyHash> table_;
+};
+
+/// Join: the build (left) side is drained into columns; hash joins then
+/// stream the probe side batch by batch. Nested-loop and sort-merge
+/// joins (left-major output) and hash joins whose build side exceeds the
+/// memory budget (grace spill) run the shared row machinery.
+class JoinOp : public ChunkedOp {
+ public:
+  JoinOp(const PlanNode* node, BatchOpPtr left, BatchOpPtr right,
+         size_t batch_size, const BatchOpEnv& env)
+      : ChunkedOp(LayoutOf(*node), batch_size),
+        node_(node),
+        left_(std::move(left)),
+        right_(std::move(right)),
+        cancel_(env.cancel),
+        memory_budget_bytes_(env.memory_budget_bytes),
+        spill_dir_(env.spill_dir),
+        spill_partitions_(env.spill_partitions),
+        spill_bytes_(env.spill_bytes) {}
+
+ protected:
+  Result<bool> Fill() override {
+    if (!initialized_) {
+      initialized_ = true;
+      return Init();
+    }
+    CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
+    CGQ_ASSIGN_OR_RETURN(OptBatch in, right_->Next());
+    if (!in) {
+      if (spill_ != nullptr) CGQ_RETURN_NOT_OK(FinishSpill());
+      return true;
+    }
+    if (spill_ != nullptr) {
+      for (const Row& r : vec::ToRowBatch(*in).rows) {
+        CGQ_RETURN_NOT_OK(spill_->AddProbe(r));
+      }
+      return false;
+    }
+    CGQ_RETURN_NOT_OK(ProbeBatch(*in));
+    return false;
+  }
+
+ private:
+  /// Materializes the build side and picks the join path; true when the
+  /// whole output was produced here.
+  Result<bool> Init() {
+    CGQ_ASSIGN_OR_RETURN(build_, DrainToColumns(left_.get(), cancel_));
+    CGQ_ASSIGN_OR_RETURN(
+        spec_, JoinSpec::Make(*node_, left_->layout(), right_->layout()));
+
+    if (spec_.RequiresNestedLoop() ||
+        node_->join_method != JoinMethod::kHash) {
+      CGQ_ASSIGN_OR_RETURN(ColumnBatch right,
+                           DrainToColumns(right_.get(), cancel_));
+      std::vector<Row> left_rows = vec::ToRowBatch(build_).rows;
+      std::vector<Row> right_rows = vec::ToRowBatch(right).rows;
+      std::vector<Row> matched;
+      if (spec_.RequiresNestedLoop() ||
+          node_->join_method == JoinMethod::kNestedLoop) {
+        for (const Row& l : left_rows) {
+          CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
+          for (const Row& r : right_rows) {
+            CGQ_RETURN_NOT_OK(spec_.EmitIfMatch(l, r, &matched).status());
+          }
+        }
+      } else {
+        CGQ_RETURN_NOT_OK(exec_internal::SortMergeJoin(
+            left_rows, right_rows, spec_.key_positions,
+            [&](const Row& l, const Row& r) {
+              return spec_.EmitIfMatch(l, r, &matched).status();
+            }));
+      }
+      return AddRows(matched);
+    }
+
+    const double build_bytes = build_.ByteSize();
+    if (memory_budget_bytes_ > 0 &&
+        build_bytes > static_cast<double>(memory_budget_bytes_)) {
+      // Build side over budget: grace spill. Probe batches stream into
+      // the partitions from Fill(); output is byte-identical to the
+      // in-memory hash path.
+      spill_ = std::make_unique<SpillHashJoin>(
+          &spec_, SpillHashJoin::MakeSpillDir(spill_dir_),
+          SpillHashJoin::PickPartitions(static_cast<uint64_t>(build_bytes),
+                                        memory_budget_bytes_),
+          cancel_);
+      CGQ_RETURN_NOT_OK(spill_->Init());
+      for (const Row& row : vec::ToRowBatch(build_).rows) {
+        CGQ_RETURN_NOT_OK(spill_->AddBuild(row));
+      }
+      build_ = ColumnBatch();
+      return false;
+    }
+
+    table_.Build(build_, spec_);
+    // Only the columns the output or the residual reference are gathered
+    // out of the conceptual combined (left ++ right) batch.
+    constexpr size_t kUnused = static_cast<size_t>(-1);
+    std::vector<size_t> to_gathered(spec_.combined.size(), kUnused);
+    auto require = [&](size_t pos) {
+      if (to_gathered[pos] == kUnused) {
+        to_gathered[pos] = gathered_.size();
+        gathered_.push_back(pos);
+      }
+    };
+    for (size_t p : spec_.out_positions) require(p);
+    std::vector<AttrId> residual_ids;
+    for (const ExprPtr& c : spec_.residual) c->CollectAttrIds(&residual_ids);
+    for (AttrId id : residual_ids) {
+      size_t pos = spec_.combined.PositionOf(id);
+      if (pos != RowLayout::kNotFound) require(pos);
+    }
+    std::vector<AttrId> gathered_attrs;
+    gathered_attrs.reserve(gathered_.size());
+    for (size_t pos : gathered_) {
+      gathered_attrs.push_back(spec_.combined.attrs()[pos]);
+    }
+    gathered_layout_ = RowLayout(std::move(gathered_attrs));
+    for (size_t p : spec_.out_positions) out_columns_.push_back(to_gathered[p]);
+    return false;
+  }
+
+  Status ProbeBatch(const ColumnBatch& probe) {
+    SelVec li, ri;
+    CGQ_RETURN_NOT_OK(table_.Probe(probe, spec_, cancel_, &li, &ri));
+    if (li.empty()) return Status::OK();
+    const size_t left_cols = build_.NumColumns();
+    ColumnBatch matched;
+    matched.layout = gathered_layout_;
+    matched.columns.reserve(gathered_.size());
+    for (size_t pos : gathered_) {
+      const ColumnVector& src = pos < left_cols
+                                    ? *build_.columns[pos]
+                                    : *probe.columns[pos - left_cols];
+      matched.columns.push_back(
+          vec::MakeColumn(src.Gather(pos < left_cols ? li : ri)));
+    }
+    matched.sel = vec::RangeSel(0, li.size());
+    if (!spec_.residual.empty()) {
+      SelVec keep = std::move(matched.sel);
+      CGQ_RETURN_NOT_OK(vec::FilterSel(spec_.residual, matched, &keep));
+      matched.sel = std::move(keep);
+    }
+    out_.Add(Remap(std::move(matched), out_columns_, layout_));
+    return Status::OK();
+  }
+
+  Status FinishSpill() {
+    std::vector<Row> matched;
+    CGQ_RETURN_NOT_OK(spill_->Finish([&](Row row) {
+      matched.push_back(std::move(row));
+      return Status::OK();
+    }));
+    if (spill_partitions_ != nullptr) {
+      *spill_partitions_ += spill_->partitions();
+    }
+    if (spill_bytes_ != nullptr) *spill_bytes_ += spill_->spill_bytes();
+    spill_.reset();
+    return AddRows(matched).status();
+  }
+
+  /// Adds row-machinery output; always true (the output is complete).
+  Result<bool> AddRows(const std::vector<Row>& rows) {
+    CGQ_ASSIGN_OR_RETURN(ColumnBatch batch, vec::FromRows(layout_, rows));
+    out_.Add(std::move(batch));
+    return true;
+  }
+
+  const PlanNode* node_;
+  BatchOpPtr left_;
+  BatchOpPtr right_;
+  const std::atomic<bool>* cancel_;
+  uint64_t memory_budget_bytes_;
+  std::string spill_dir_;
+  int64_t* spill_partitions_;
+  int64_t* spill_bytes_;
+  JoinSpec spec_;
+  ColumnBatch build_;
+  ColumnJoinTable table_;
+  /// Combined (left ++ right) positions gathered per match, their layout,
+  /// and the gathered position of every output column.
+  std::vector<size_t> gathered_;
+  RowLayout gathered_layout_;
+  std::vector<size_t> out_columns_;
+  std::unique_ptr<SpillHashJoin> spill_;
+  bool initialized_ = false;
+};
+
+/// Hash aggregation: arguments are evaluated per input batch, then rows
+/// fold into their group's accumulators in input order (the accumulation
+/// order of HashAggregator); groups are emitted in first-seen order.
+class AggregateOp : public ChunkedOp {
+ public:
+  AggregateOp(const PlanNode* node, BatchOpPtr child, size_t batch_size,
+              const std::atomic<bool>* cancel)
+      : ChunkedOp(LayoutOf(*node), batch_size),
+        node_(node),
+        child_(std::move(child)),
+        cancel_(cancel) {}
+
+ protected:
+  Result<bool> Fill() override {
+    CGQ_ASSIGN_OR_RETURN(
+        std::vector<size_t> group_positions,
+        PositionsOf(node_->group_ids, child_->layout(), "aggregate input"));
+    struct GroupState {
+      Row key;
+      std::vector<AggAccumulator> accs;
+    };
+    auto new_group = [this](Row key) {
+      GroupState state;
+      state.key = std::move(key);
+      state.accs.reserve(node_->agg_calls.size());
+      for (const AggCall& call : node_->agg_calls) {
+        state.accs.emplace_back(call.fn);
+      }
+      return state;
+    };
+    std::unordered_map<RowKey, size_t, RowKeyHash> group_index;
+    std::vector<GroupState> groups;
+    // A global aggregate has exactly one group, even over no input.
+    if (group_positions.empty()) groups.push_back(new_group(Row()));
+
+    std::vector<VecVal> args;
+    while (true) {
+      CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
+      CGQ_ASSIGN_OR_RETURN(OptBatch in, child_->Next());
+      if (!in) break;
+      args.clear();
+      for (const AggCall& call : node_->agg_calls) {
+        CGQ_ASSIGN_OR_RETURN(VecVal v,
+                             vec::EvalExprVec(*call.arg, *in, in->sel));
+        args.push_back(std::move(v));
+      }
+      for (size_t k = 0; k < in->NumRows(); ++k) {
+        GroupState* state = group_positions.empty() ? &groups[0] : nullptr;
+        if (state == nullptr) {
+          RowKey key;
+          for (size_t p : group_positions) {
+            key.values.push_back(in->columns[p]->GetValue(in->sel[k]));
+          }
+          auto it = group_index.find(key);
+          if (it == group_index.end()) {
+            Row key_row = key.values;
+            it = group_index.emplace(std::move(key), groups.size()).first;
+            groups.push_back(new_group(std::move(key_row)));
+          }
+          state = &groups[it->second];
+        }
+        for (size_t a = 0; a < args.size(); ++a) {
+          state->accs[a].Add(args[a].At(in->sel, k));
+        }
+      }
+    }
+
+    std::vector<ColumnVector> cols(layout_.size());
+    for (ColumnVector& c : cols) c.Reserve(groups.size());
+    for (const GroupState& state : groups) {
+      size_t c = 0;
+      for (const Value& v : state.key) cols[c++].AppendValue(v);
+      for (const AggAccumulator& acc : state.accs) {
+        cols[c++].AppendValue(acc.Finish());
+      }
+    }
+    out_.Add(vec::DenseBatch(layout_, std::move(cols), groups.size()));
+    return true;
+  }
+
+ private:
+  const PlanNode* node_;
+  BatchOpPtr child_;
+  const std::atomic<bool>* cancel_;
+};
+
 }  // namespace
 
 Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
@@ -507,7 +781,8 @@ Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
         return Status::Internal("fragment subtree contains a SHIP but no "
                                 "ship source factory was supplied");
       }
-      return env.ship_source(node);
+      CGQ_ASSIGN_OR_RETURN(RowSourcePtr source, env.ship_source(node));
+      return BatchOpPtr(new ShipSourceOp(std::move(source)));
     }
     case PlanKind::kScan: {
       if (env.store->storage_mode() == StorageMode::kDisk) {
@@ -517,10 +792,14 @@ Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
                                          batch_size, env.rows_scanned,
                                          env.storage_blocks_read));
       }
-      CGQ_ASSIGN_OR_RETURN(const std::vector<Row>* rows,
-                           env.store->Get(node.scan_location, node.table));
-      return BatchOpPtr(
-          new ScanOp(&node, rows, batch_size, env.rows_scanned));
+      CGQ_ASSIGN_OR_RETURN(
+          std::shared_ptr<const std::vector<ColumnPtr>> columns,
+          env.store->GetColumnar(node.scan_location, node.table));
+      if (!columns->empty() && columns->size() != node.outputs.size()) {
+        return WidthMismatch(node.table);
+      }
+      return BatchOpPtr(new ScanOp(&node, std::move(columns), batch_size,
+                                   env.rows_scanned));
     }
     case PlanKind::kFilter: {
       CGQ_ASSIGN_OR_RETURN(BatchOpPtr child, BuildBatchOp(*node.child(0), env));
@@ -538,8 +817,8 @@ Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
     }
     case PlanKind::kAggregate: {
       CGQ_ASSIGN_OR_RETURN(BatchOpPtr child, BuildBatchOp(*node.child(0), env));
-      return BatchOpPtr(
-          new AggregateOp(&node, std::move(child), batch_size));
+      return BatchOpPtr(new AggregateOp(&node, std::move(child), batch_size,
+                                        env.cancel));
     }
     case PlanKind::kUnion: {
       std::vector<BatchOpPtr> children;

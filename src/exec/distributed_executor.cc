@@ -55,6 +55,7 @@ Result<net::Frame> RecvFrameFp(const net::Socket& socket,
 Status RunRemoteFragment(const PlanFragment& fragment, RunState* st) {
   const ExecutorOptions& options = *st->options;
   FragmentMetrics& fm = st->fragments[fragment.id];
+  exec_internal::StorageCounters& sc = st->storage[fragment.id];
   const int send_timeout =
       net::EffectiveTimeoutMs(options.retry.send_timeout_ms);
   const int recv_timeout =
@@ -69,6 +70,7 @@ Status RunRemoteFragment(const PlanFragment& fragment, RunState* st) {
   start.site = fragment.site;
   start.batch_size =
       static_cast<uint32_t>(std::max(1, options.batch_size));
+  start.memory_budget_bytes = options.memory_budget_bytes;
   if (fragment.ship != nullptr) {
     start.has_output_ship = true;
     start.ship_to = fragment.ship->ship_to;
@@ -176,6 +178,9 @@ Status RunRemoteFragment(const PlanFragment& fragment, RunState* st) {
           CGQ_ASSIGN_OR_RETURN(wire::OutputEnd msg,
                                wire::OutputEnd::Decode(frame.payload));
           fm.rows_scanned += msg.rows_scanned;
+          sc.blocks_read += msg.blocks_read;
+          sc.spill_partitions += msg.spill_partitions;
+          sc.spill_bytes += msg.spill_bytes;
           return Status::OK();
         }
         case wire::FrameType::kError: {

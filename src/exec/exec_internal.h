@@ -16,12 +16,12 @@ namespace cgq {
 namespace exec_internal {
 
 /// Shared operator machinery of the executor backends. The row
-/// interpreter and the fragmented runtime both delegate here so that they
-/// produce byte-identical results in identical row order, which the
-/// equivalence tests assert. The columnar vectorized backend
-/// (exec/vector/) re-implements the same operators against typed columns;
-/// it can only be validated byte-for-byte because the orders below are
-/// *defined*, not accidents of standard-library hash containers:
+/// interpreter runs on it; the columnar fragment runtime
+/// (exec/batch_ops.h) re-implements scans, filters, hash joins and
+/// aggregation against typed columns and delegates the rest (join specs,
+/// sort-merge, nested loop, the grace spill). The two can only be
+/// validated byte-for-byte because the orders below are *defined*, not
+/// accidents of standard-library hash containers:
 ///
 ///  - Hash join: probe rows in input order; per probe row, matching build
 ///    rows in build (insertion) order.

@@ -12,7 +12,6 @@
 #include "exec/exec_internal.h"
 #include "exec/fragment_executor.h"
 #include "exec/spill_join.h"
-#include "exec/vector/vector_executor.h"
 #include "expr/eval.h"
 
 namespace cgq {
@@ -30,8 +29,6 @@ const char* ExecModeToString(ExecMode mode) {
       return "row";
     case ExecMode::kFragment:
       return "fragment";
-    case ExecMode::kVector:
-      return "vector";
     case ExecMode::kDistributed:
       return "distributed";
   }
@@ -358,9 +355,6 @@ std::string FormatExecMetrics(const ExecMetrics& metrics,
 Result<QueryResult> Executor::ExecutePlan(const PlanNode& plan) const {
   if (options_.mode == ExecMode::kFragment) {
     return ExecuteFragmentedPlan(plan, store_, net_, options_);
-  }
-  if (options_.mode == ExecMode::kVector) {
-    return ExecuteVectorPlan(plan, store_, net_, options_);
   }
   if (options_.mode == ExecMode::kDistributed) {
     return ExecuteDistributedPlan(plan, store_, net_, options_);

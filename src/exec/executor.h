@@ -25,21 +25,18 @@ enum class ExecMode {
   /// one thread. The reference backend.
   kRow,
   /// Fragmented runtime: the plan is split at its SHIP edges into
-  /// per-site fragments that exchange bounded row batches through ship
-  /// channels and run concurrently. Byte-identical results and identical
-  /// ship metrics to the row backend.
+  /// per-site fragments that run concurrently on the columnar operator
+  /// core (exec/batch_ops.h: typed column vectors with null bitmaps,
+  /// selection-vector kernels) and exchange bounded row batches through
+  /// ship channels. Byte-identical results and identical ship metrics to
+  /// the row backend.
   kFragment,
-  /// Columnar vectorized backend: operators exchange per-column typed
-  /// vectors with null bitmaps and evaluate expressions over selection
-  /// vectors in batch_size chunks (see exec/vector/). Byte-identical
-  /// results and identical ship metrics to the row backend.
-  kVector,
   /// Wire-level deployment: fragments are dispatched over TCP to
-  /// per-location servers (ExecutorOptions::cluster) and their result
-  /// batches streamed back; every SHIP edge still runs through the
-  /// coordinator's in-process channel, so results AND ship metrics stay
-  /// byte-identical to the in-process backends (see
-  /// exec/distributed_executor.h).
+  /// per-location servers (ExecutorOptions::cluster), which run the same
+  /// columnar core, and their result batches streamed back; every SHIP
+  /// edge still runs through the coordinator's in-process channel, so
+  /// results AND ship metrics stay byte-identical to the in-process
+  /// backends (see exec/distributed_executor.h).
   kDistributed,
 };
 
@@ -49,8 +46,9 @@ const char* ExecModeToString(ExecMode mode);
 /// of OptimizerOptions).
 struct ExecutorOptions {
   ExecMode mode = ExecMode::kRow;
-  /// Rows per batch in the fragmented runtime; also the selection-vector
-  /// chunk granularity of the vectorized backend.
+  /// Rows per batch in the fragment runtime (kFragment, kDistributed):
+  /// the size of every operator's output batches and so of the batches
+  /// each SHIP edge charges one message for. Ignored by kRow.
   int batch_size = kDefaultBatchSize;
   /// Fragment scheduling: 1 = run fragments sequentially bottom-up
   /// (channels buffer whole intermediates, like the row backend's
@@ -162,10 +160,11 @@ struct QueryResult {
 std::string FormatPhaseTimings(const OptimizationStats& opt,
                                const ExecMetrics& metrics);
 
-/// Multi-site executor for located physical plans. Three backends (see
-/// ExecMode): the row-at-a-time reference interpreter, the fragmented
-/// batch runtime, and the columnar vectorized backend. SHIP operators
-/// charge the network model with the measured byte volume in every mode.
+/// Multi-site executor for located physical plans. Two operator cores
+/// (see ExecMode): the row-at-a-time reference interpreter and the
+/// columnar fragment runtime, run in-process or over the wire. SHIP
+/// operators charge the network model with the measured byte volume in
+/// every mode.
 class Executor {
  public:
   Executor(const TableStore* store, const NetworkModel* net)

@@ -22,7 +22,8 @@ namespace {
 /// (backpressure) under the pipelined schedule.
 constexpr size_t kChannelCapacity = 4;
 
-class ChannelSourceOp : public BatchOp {
+/// Row source of a SHIP leaf: the in-process channel of its edge.
+class ChannelSourceOp : public RowSource {
  public:
   ChannelSourceOp(const PlanNode* ship, ShipChannel* channel,
                   const std::atomic<bool>* failed)
@@ -30,7 +31,7 @@ class ChannelSourceOp : public BatchOp {
         failed_(failed),
         layout_(LayoutOf(*ship->child(0))) {}
 
-  Result<OptBatch> Next() override {
+  Result<OptRowBatch> Next() override {
     RowBatch batch;
     CGQ_ASSIGN_OR_RETURN(bool got, channel_->Recv(&batch));
     if (!got) {
@@ -39,9 +40,9 @@ class ChannelSourceOp : public BatchOp {
         return abort.ok() ? Status::Internal("fragment execution aborted")
                           : abort;
       }
-      return OptBatch();
+      return OptRowBatch();
     }
-    return OptBatch(std::move(batch));
+    return OptRowBatch(std::move(batch));
   }
 
   const RowLayout& layout() const override { return layout_; }
@@ -69,9 +70,9 @@ Status RunLocalFragment(const PlanFragment& fragment,
   env.spill_bytes = &sc.spill_bytes;
   env.memory_budget_bytes = options.memory_budget_bytes;
   env.spill_dir = options.spill_dir;
-  env.ship_source = [st](const PlanNode& ship) -> Result<BatchOpPtr> {
+  env.ship_source = [st](const PlanNode& ship) -> Result<RowSourcePtr> {
     int channel = st->fp->channel_of_ship.at(&ship);
-    return BatchOpPtr(new ChannelSourceOp(
+    return RowSourcePtr(new ChannelSourceOp(
         &ship, st->channels[channel].get(), &st->failed));
   };
   CGQ_ASSIGN_OR_RETURN(BatchOpPtr op, BuildBatchOp(*fragment.root, env));

@@ -18,8 +18,8 @@
 namespace cgq {
 
 /// Fragmented runtime: splits `plan` at its SHIP edges into per-site
-/// fragments (see exec/fragmenter.h) and runs each fragment's operator
-/// tree in-process against `store`, pulling fixed-size row batches.
+/// fragments (see exec/fragmenter.h) and runs each fragment's columnar
+/// operator tree (exec/batch_ops.h) in-process against `store`.
 /// Scheduling, ship channels, recovery and accounting are the shared
 /// fragment scheduler's (exec_internal::RunFragments below). Results and
 /// ship metrics are identical to the row interpreter in every

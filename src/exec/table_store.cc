@@ -233,55 +233,15 @@ int64_t TableStore::Cursor::blocks_read() const {
   return is_disk_ ? disk_.blocks_read() : 0;
 }
 
-Status TableStore::AppendToColumns(const std::vector<Row>& rows, size_t width,
-                                   const std::string& table,
-                                   std::vector<vec::ColumnVector>* cols) {
-  for (const Row& row : rows) {
-    if (row.size() != width) {
-      return Status::Internal("stored row width mismatch for table '" +
-                              table + "'");
-    }
-    for (size_t c = 0; c < width; ++c) (*cols)[c].AppendValue(row[c]);
-  }
-  return Status::OK();
-}
-
 Result<std::shared_ptr<const std::vector<vec::ColumnPtr>>>
-TableStore::GetColumnar(LocationId location, const std::string& table,
-                        int64_t* blocks_read) const {
-  std::string lowered = ToLower(table);
-  std::string key = Key(location, lowered);
-  std::unique_lock<std::mutex> lock(mu_);
+TableStore::GetColumnar(LocationId location, const std::string& table) const {
+  std::string key = Key(location, ToLower(table));
+  std::lock_guard<std::mutex> lock(mu_);
   if (engine_ != nullptr) {
-    // Out-of-core: stream the blocks into columns for this call only —
-    // no cache, so at most one fragment's columns are resident here.
-    CGQ_ASSIGN_OR_RETURN(storage::StorageEngine::Cursor cursor,
-                         engine_->Scan(location, lowered));
-    CGQ_ASSIGN_OR_RETURN(size_t total,
-                         engine_->FragmentRows(location, lowered));
-    lock.unlock();
-    auto built = std::make_shared<ColumnarFragment>();
-    if (total == 0) return std::shared_ptr<const ColumnarFragment>(built);
-    std::vector<vec::ColumnVector> cols;
-    std::vector<Row> chunk;
-    while (true) {
-      CGQ_ASSIGN_OR_RETURN(bool more, cursor.Next(&chunk));
-      if (!more) break;
-      if (chunk.empty()) continue;
-      if (cols.empty()) {
-        cols.resize(chunk.front().size());
-        for (vec::ColumnVector& c : cols) c.Reserve(total);
-      }
-      CGQ_RETURN_NOT_OK(AppendToColumns(chunk, cols.size(), table, &cols));
-    }
-    if (blocks_read != nullptr) *blocks_read += cursor.blocks_read();
-    built->reserve(cols.size());
-    for (vec::ColumnVector& c : cols) {
-      built->push_back(vec::MakeColumn(std::move(c)));
-    }
-    return std::shared_ptr<const ColumnarFragment>(built);
+    return Status::Unsupported(
+        "TableStore::GetColumnar caches whole fragments and requires "
+        "StorageMode::kMemory; stream disk-backed fragments with Scan()");
   }
-
   {
     std::lock_guard<std::mutex> clock(columnar_mu_);
     auto it = columnar_.find(key);
@@ -298,16 +258,21 @@ TableStore::GetColumnar(LocationId location, const std::string& table,
     const size_t width = rows[0].size();
     std::vector<vec::ColumnVector> cols(width);
     for (vec::ColumnVector& c : cols) c.Reserve(rows.size());
-    CGQ_RETURN_NOT_OK(AppendToColumns(rows, width, table, &cols));
+    for (const Row& row : rows) {
+      if (row.size() != width) {
+        return Status::Internal("stored row width mismatch for table '" +
+                                table + "'");
+      }
+      for (size_t c = 0; c < width; ++c) cols[c].AppendValue(row[c]);
+    }
     built->reserve(width);
     for (vec::ColumnVector& c : cols) {
       built->push_back(vec::MakeColumn(std::move(c)));
     }
   }
   std::lock_guard<std::mutex> clock(columnar_mu_);
-  // Keep the winner of a build race; both are equivalent.
-  auto [it, inserted] = columnar_.emplace(key, std::move(built));
-  return it->second;
+  columnar_[key] = built;
+  return std::shared_ptr<const ColumnarFragment>(std::move(built));
 }
 
 std::vector<TableStore::FragmentRef> TableStore::ListFragments() const {

@@ -113,15 +113,12 @@ class TableStore {
 
   /// The fragment in columnar form (one immutable column per stored-row
   /// position), converted on first use and cached until the fragment is
-  /// replaced or appended to; vector-backend scans share the cached
-  /// columns. In disk mode the columns are streamed from blocks and NOT
-  /// cached (the out-of-core contract: only one fragment's columns are
-  /// resident at a time). Errors when the fragment is missing or its
-  /// rows disagree on width. `blocks_read`, when non-null, is bumped by
-  /// the number of data blocks streamed (0 in memory mode / cache hits).
+  /// replaced or appended to; fragment-runtime scans share the cached
+  /// columns. Memory mode only — disk-backed fragments stream block by
+  /// block through Scan(). Errors when the fragment is missing or its
+  /// rows disagree on width.
   Result<std::shared_ptr<const std::vector<vec::ColumnPtr>>> GetColumnar(
-      LocationId location, const std::string& table,
-      int64_t* blocks_read = nullptr) const;
+      LocationId location, const std::string& table) const;
 
   size_t TotalRows() const;
 
@@ -143,11 +140,6 @@ class TableStore {
   static std::string Key(LocationId location, const std::string& table) {
     return std::to_string(location) + "/" + table;
   }
-  /// Builds columns from rows (shared by the cached and streamed paths).
-  static Status AppendToColumns(const std::vector<Row>& rows, size_t width,
-                                const std::string& table,
-                                std::vector<vec::ColumnVector>* cols);
-
   Status PutLocked(LocationId location, std::string table,
                    std::vector<Row> rows);
 

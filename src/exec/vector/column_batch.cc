@@ -173,46 +173,75 @@ ColumnVector ColumnVector::Gather(const std::vector<uint32_t>& sel) const {
   return out;
 }
 
-size_t ColumnVector::ByteSize() const {
+size_t ColumnVector::ByteSize(const std::vector<uint32_t>& sel) const {
   // Mirrors Value::ByteSize per row: 1 byte for NULL, 8 for numerics,
-  // size+4 for strings. NULL slots of typed columns hold a zero/empty
-  // payload, so the string sum below charges nothing extra for them.
-  const size_t n = size();
-  const size_t null_n = static_cast<size_t>(nulls.null_count());
-  switch (tag) {
-    case ColumnTag::kInt64:
-    case ColumnTag::kDouble:
-      return (n - null_n) * 8 + null_n;
-    case ColumnTag::kString: {
-      size_t bytes = (n - null_n) * 4 + null_n;
-      for (const std::string& s : str) bytes += s.size();
-      return bytes;
+  // size+4 for strings.
+  size_t bytes = 0;
+  for (uint32_t i : sel) {
+    if (nulls.IsNull(i)) {
+      bytes += 1;
+      continue;
     }
-    case ColumnTag::kValue: {
-      size_t bytes = 0;
-      for (const Value& v : vals) bytes += v.ByteSize();
-      return bytes;
+    switch (tag) {
+      case ColumnTag::kInt64:
+      case ColumnTag::kDouble:
+        bytes += 8;
+        break;
+      case ColumnTag::kString:
+        bytes += str[i].size() + 4;
+        break;
+      case ColumnTag::kValue:
+        bytes += vals[i].ByteSize();
+        break;
     }
   }
-  return 0;
+  return bytes;
 }
 
-ColumnBatch ColumnBatch::Gather(const std::vector<uint32_t>& sel) const {
+SelVec RangeSel(size_t begin, size_t end) {
+  SelVec sel(end - begin);
+  for (size_t k = 0; k < sel.size(); ++k) {
+    sel[k] = static_cast<uint32_t>(begin + k);
+  }
+  return sel;
+}
+
+ColumnBatch ColumnBatch::Gather(const SelVec& rows) const {
   ColumnBatch out;
   out.layout = layout;
   out.columns.reserve(columns.size());
   for (const ColumnPtr& c : columns) {
-    out.columns.push_back(MakeColumn(c->Gather(sel)));
+    out.columns.push_back(MakeColumn(c->Gather(rows)));
   }
+  out.sel = RangeSel(0, rows.size());
+  return out;
+}
+
+ColumnBatch ColumnBatch::Slice(size_t begin, size_t end) const {
+  ColumnBatch out;
+  out.layout = layout;
+  out.columns = columns;
+  out.sel.assign(sel.begin() + static_cast<ptrdiff_t>(begin),
+                 sel.begin() + static_cast<ptrdiff_t>(end));
   return out;
 }
 
 double ColumnBatch::ByteSize() const {
   double bytes = 0;
   for (const ColumnPtr& c : columns) {
-    bytes += static_cast<double>(c->ByteSize());
+    bytes += static_cast<double>(c->ByteSize(sel));
   }
   return bytes;
+}
+
+ColumnBatch DenseBatch(RowLayout layout, std::vector<ColumnVector> cols,
+                       size_t num_rows) {
+  ColumnBatch out;
+  out.layout = std::move(layout);
+  out.columns.reserve(cols.size());
+  for (ColumnVector& c : cols) out.columns.push_back(MakeColumn(std::move(c)));
+  out.sel = RangeSel(0, num_rows);
+  return out;
 }
 
 Result<ColumnBatch> FromRows(const RowLayout& layout,
@@ -229,11 +258,7 @@ Result<ColumnBatch> FromRows(const RowLayout& layout,
       cols[c].AppendValue(row[c]);
     }
   }
-  ColumnBatch out;
-  out.layout = layout;
-  out.columns.reserve(cols.size());
-  for (ColumnVector& c : cols) out.columns.push_back(MakeColumn(std::move(c)));
-  return out;
+  return DenseBatch(layout, std::move(cols), rows.size());
 }
 
 Result<ColumnBatch> FromRowBatch(const RowBatch& batch) {
@@ -243,10 +268,10 @@ Result<ColumnBatch> FromRowBatch(const RowBatch& batch) {
 RowBatch ToRowBatch(const ColumnBatch& batch) {
   RowBatch out;
   out.layout = batch.layout;
-  const size_t n = batch.NumRows();
-  out.rows.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    Row& row = out.rows[i];
+  out.rows.resize(batch.NumRows());
+  for (size_t k = 0; k < out.rows.size(); ++k) {
+    const uint32_t i = batch.sel[k];
+    Row& row = out.rows[k];
     row.reserve(batch.columns.size());
     for (const ColumnPtr& c : batch.columns) {
       row.push_back(c->GetValue(i));

@@ -111,10 +111,10 @@ struct ColumnVector {
   /// New column holding rows `sel` of this one, in selection order.
   ColumnVector Gather(const std::vector<uint32_t>& sel) const;
 
-  /// Serialized volume of the column's values, computed in place —
-  /// exactly what RowBatch::ByteSize would report for this column after
-  /// ToRowBatch, without materializing any row.
-  size_t ByteSize() const;
+  /// Serialized volume of rows `sel`, computed in place — exactly what
+  /// RowBatch::ByteSize would report for this column after ToRowBatch,
+  /// without materializing any row.
+  size_t ByteSize(const std::vector<uint32_t>& sel) const;
 
  private:
   /// Converts a typed column (with however many rows it already has) to
@@ -124,47 +124,68 @@ struct ColumnVector {
 
 /// Shared immutable column handle. Operators build a ColumnVector, then
 /// freeze it behind a shared_ptr; downstream operators that keep a column
-/// unchanged (projection, all-pass filters, the scan cache) share the
-/// handle instead of copying the payload.
+/// unchanged (projection, filters, the scan cache) share the handle
+/// instead of copying the payload.
 using ColumnPtr = std::shared_ptr<const ColumnVector>;
 
 inline ColumnPtr MakeColumn(ColumnVector&& col) {
   return std::make_shared<ColumnVector>(std::move(col));
 }
 
-/// Columnar counterpart of RowBatch: per-column contiguous vectors +
-/// null bitmaps, positioned per `layout`. The vectorized backend's
-/// operators exchange these; conversion to/from RowBatch happens only at
-/// ShipChannel and result boundaries (see DESIGN.md §12), so fragment
-/// shipping, fault injection/replay, and tracing semantics are untouched.
+/// Row positions into a batch's columns. A batch's own selection is in
+/// row order; filters narrow one, gathers materialize one.
+using SelVec = std::vector<uint32_t>;
+
+/// The positions [begin, end).
+SelVec RangeSel(size_t begin, size_t end);
+
+/// Columnar counterpart of RowBatch: shared per-column vectors + null
+/// bitmaps positioned per `layout`, and the selection `sel` naming which
+/// column rows the batch holds. The fragment runtime's operators
+/// exchange these; conversion to/from RowBatch happens only at SHIP,
+/// wire and result boundaries (see DESIGN.md §12).
+///
+/// Operators narrow or window `sel` instead of copying columns: a scan
+/// serves windows of the store's cached columns, a filter keeps the
+/// survivors, a projection remaps handles. Joins, aggregation and the
+/// row boundary read through the selection.
 struct ColumnBatch {
   RowLayout layout;
   std::vector<ColumnPtr> columns;  ///< parallel to layout.attrs()
+  SelVec sel;                      ///< the batch's rows, in order
 
-  size_t NumRows() const {
-    return columns.empty() ? 0 : columns[0]->size();
-  }
+  size_t NumRows() const { return sel.size(); }
   size_t NumColumns() const { return columns.size(); }
 
-  /// New batch holding rows `sel`, in selection order.
-  ColumnBatch Gather(const std::vector<uint32_t>& sel) const;
+  /// New dense batch holding column rows `rows` (positions into
+  /// `columns`, not into `sel`), in order.
+  ColumnBatch Gather(const SelVec& rows) const;
 
-  /// Serialized volume of all rows, equal to ToRowBatch(*this).ByteSize()
-  /// but computed from the columns (no row materialization).
+  /// New batch sharing the columns, holding rows [begin, end) of this
+  /// batch.
+  ColumnBatch Slice(size_t begin, size_t end) const;
+
+  /// Serialized volume of the batch's rows, equal to
+  /// ToRowBatch(*this).ByteSize() but computed from the columns.
   double ByteSize() const;
 };
+
+/// A dense batch over freshly built columns of `num_rows` rows each.
+ColumnBatch DenseBatch(RowLayout layout, std::vector<ColumnVector> cols,
+                       size_t num_rows);
 
 /// Row -> column conversion. Column tags are inferred from the first
 /// non-null value of each column; mixed columns fall back to kValue.
 /// Fails only on a row/layout width mismatch.
 Result<ColumnBatch> FromRowBatch(const RowBatch& batch);
 
-/// Same, directly from stored rows (the scan path; skips the RowBatch).
+/// Same, directly from rows (skips the RowBatch).
 Result<ColumnBatch> FromRows(const RowLayout& layout,
                              const std::vector<Row>& rows);
 
-/// Column -> row conversion, value-identical to what FromRowBatch
-/// consumed: round-tripping any RowBatch reproduces it byte-for-byte.
+/// Column -> row conversion of the batch's rows, value-identical to what
+/// FromRowBatch consumed: round-tripping any RowBatch reproduces it
+/// byte-for-byte.
 RowBatch ToRowBatch(const ColumnBatch& batch);
 
 }  // namespace vec

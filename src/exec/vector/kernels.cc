@@ -8,12 +8,6 @@
 namespace cgq {
 namespace vec {
 
-SelVec IdentitySel(size_t n) {
-  SelVec sel(n);
-  for (size_t i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(i);
-  return sel;
-}
-
 namespace {
 
 /// Tri-state predicate outcome per selected row (SQL three-valued logic).

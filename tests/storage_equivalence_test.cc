@@ -1,7 +1,7 @@
 // Disk-backed execution is byte-identical to in-memory execution: the
 // full 24-cell TPC-H compliance workload ({T, CR} x 12 queries) runs on
 // a StorageMode::kDisk store — small blocks, so scans genuinely stream
-// block-by-block — through every backend (row, fragment, vector, and
+// block-by-block — through every backend (row, fragment, and
 // distributed over loopback servers started with a data_dir), and every
 // cell must reproduce the in-memory row reference exactly: same rows,
 // same order, same ship accounting. A disk-backed server restart must
@@ -108,7 +108,7 @@ std::vector<int> AllQueries() {
   return queries;
 }
 
-// The tentpole acceptance gate for the three in-process backends: every
+// The tentpole acceptance gate for the two in-process backends: every
 // cell, disk vs the in-memory row reference.
 TEST(StorageEquivalenceTest, DiskMatchesMemoryOnFullWorkload) {
   SharedStores& shared = Shared();
@@ -116,8 +116,7 @@ TEST(StorageEquivalenceTest, DiskMatchesMemoryOnFullWorkload) {
     ExecMode mode;
     const char* name;
   } backends[] = {{ExecMode::kRow, "row"},
-                  {ExecMode::kFragment, "fragment"},
-                  {ExecMode::kVector, "vector"}};
+                  {ExecMode::kFragment, "fragment"}};
 
   int cells = 0;
   int64_t total_blocks_read = 0;

@@ -23,6 +23,9 @@ Row MakeRow(int64_t i) {
   return {Value::Int64(i), Value::String("v" + std::to_string(i))};
 }
 
+// Mutator iterations between resets of the fragments it appends to.
+constexpr int64_t kResetEvery = 4096;
+
 std::vector<Row> MakeRows(int64_t n, int64_t base) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < n; ++i) rows.push_back(MakeRow(base + i));
@@ -56,7 +59,12 @@ TEST(TableStoreRaceTest, CopyWhileConcurrentPutAppend) {
       (void)store.Put(0, "events", MakeRows(32 + (i % 64), i));
       (void)store.Append(1, "users", MakeRow(i));
       (void)store.AppendRows(0, "extra", MakeRows(8, i));
-      ++i;
+      if (++i % kResetEvery == 0) {
+        // Bound the appended fragments: a mutator that outruns the
+        // copier would otherwise grow them (and each copy) without limit.
+        (void)store.Put(1, "users", MakeRows(64, 1000));
+        (void)store.Put(0, "extra", {});
+      }
     }
   });
 
@@ -78,7 +86,7 @@ TEST(TableStoreRaceTest, CopyAssignWhileConcurrentPutAppend) {
     while (!stop.load(std::memory_order_relaxed)) {
       (void)store.Put(0, "events", MakeRows(32 + (i % 64), i));
       (void)store.Append(0, "tail", MakeRow(i));
-      ++i;
+      if (++i % kResetEvery == 0) (void)store.Put(0, "tail", {});
     }
   });
 

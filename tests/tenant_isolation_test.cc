@@ -298,8 +298,8 @@ TEST_F(TenantIsolationTest, WeightsShapeTheDispatchRatio) {
 }
 
 // Per-tenant concurrent traffic returns exactly the rows a sequential
-// run of the same queries produces, on both the row and the vectorized
-// backend — admission control must never change results.
+// run of the same queries produces, on both the row and the columnar
+// fragment backend — admission control must never change results.
 TEST_F(TenantIsolationTest, ConcurrentMatchesSequentialPerTenant) {
   const std::vector<std::string> sqls = {
       "SELECT count(*) AS n FROM nation WHERE regionkey = 1",
@@ -308,7 +308,7 @@ TEST_F(TenantIsolationTest, ConcurrentMatchesSequentialPerTenant) {
       "WHERE custkey < 100",
       "SELECT name FROM supplier WHERE nationkey IN (1, 7, 13)",
   };
-  for (ExecMode mode : {ExecMode::kRow, ExecMode::kVector}) {
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kFragment}) {
     SCOPED_TRACE(ExecModeToString(mode));
     engine_->set_exec_mode(mode);
     std::vector<std::vector<std::string>> baseline;

@@ -208,10 +208,16 @@ TEST(WireRoundTrip, InputFramesAndOutputFrames) {
   OutputEnd oend;
   oend.rows_out = 42;
   oend.rows_scanned = 1000;
+  oend.blocks_read = 17;
+  oend.spill_partitions = 8;
+  oend.spill_bytes = 1ll << 33;
   auto roend = OutputEnd::Decode(oend.Encode());
   ASSERT_TRUE(roend.ok());
   EXPECT_EQ(roend->rows_out, 42);
   EXPECT_EQ(roend->rows_scanned, 1000);
+  EXPECT_EQ(roend->blocks_read, 17);
+  EXPECT_EQ(roend->spill_partitions, 8);
+  EXPECT_EQ(roend->spill_bytes, 1ll << 33);
 }
 
 TEST(WireRoundTrip, ErrorCarriesTypedStatus) {
@@ -296,6 +302,7 @@ TEST(WireRoundTrip, PlanFragmentWithShipLeaf) {
   start.fragment_id = 1;
   start.site = 0;
   start.batch_size = 512;
+  start.memory_budget_bytes = (1ull << 40) + 3;
   start.root = join;
   auto payload = start.Encode(channel_of_ship);
   ASSERT_TRUE(payload.ok());
@@ -305,6 +312,7 @@ TEST(WireRoundTrip, PlanFragmentWithShipLeaf) {
   EXPECT_EQ(decoded->fragment_id, 1);
   EXPECT_EQ(decoded->site, 0u);
   EXPECT_EQ(decoded->batch_size, 512u);
+  EXPECT_EQ(decoded->memory_budget_bytes, (1ull << 40) + 3);
   ASSERT_EQ(decoded->input_channels.size(), 1u);
   EXPECT_EQ(decoded->input_channels[0], 0);
 
