@@ -15,11 +15,9 @@ namespace cgq {
 /// per-batch channel hand-off.
 inline constexpr int kDefaultBatchSize = 1024;
 
-/// A fixed-size slice of an operator's output: rows positioned per
-/// `layout`. The row interpreter materializes one batch per operator;
-/// the fragment runtime converts its column batches to these only at
-/// SHIP, wire and result boundaries, and streams many bounded ones
-/// through ship channels.
+/// Rows positioned per `layout`: the row interpreter's whole-operator
+/// intermediate, and the form the fragment runtime's query result takes
+/// (its SHIP edges, channels and wire frames carry vec::ColumnBatch).
 struct RowBatch {
   RowLayout layout;
   std::vector<Row> rows;

@@ -30,14 +30,14 @@ Status CheckCancelled(const std::atomic<bool>* cancel) {
 
 Status DrainBatchOp(BatchOp* op, const std::atomic<bool>* cancel,
                     int64_t* rows_out,
-                    const std::function<Status(RowBatch)>& sink) {
+                    const std::function<Status(ColumnBatch)>& sink) {
   while (true) {
     CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
     CGQ_ASSIGN_OR_RETURN(OptBatch batch, op->Next());
     if (!batch) return Status::OK();
     if (batch->NumRows() == 0) continue;
     *rows_out += static_cast<int64_t>(batch->NumRows());
-    CGQ_RETURN_NOT_OK(sink(vec::ToRowBatch(*batch)));
+    CGQ_RETURN_NOT_OK(sink(std::move(*batch)));
   }
 }
 
@@ -243,24 +243,6 @@ class DiskScanOp : public ChunkedOp {
   TableStore::Cursor cursor_;
   int64_t* storage_blocks_read_;
   int64_t blocks_folded_ = 0;
-};
-
-/// SHIP leaf: the row/column boundary on the input side of a fragment.
-class ShipSourceOp : public BatchOp {
- public:
-  explicit ShipSourceOp(RowSourcePtr source) : source_(std::move(source)) {}
-
-  Result<OptBatch> Next() override {
-    CGQ_ASSIGN_OR_RETURN(OptRowBatch in, source_->Next());
-    if (!in) return OptBatch();
-    CGQ_ASSIGN_OR_RETURN(ColumnBatch out, vec::FromRowBatch(*in));
-    return OptBatch(std::move(out));
-  }
-
-  const RowLayout& layout() const override { return source_->layout(); }
-
- private:
-  RowSourcePtr source_;
 };
 
 /// Narrows each batch's selection to the rows passing every conjunct;
@@ -781,8 +763,7 @@ Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
         return Status::Internal("fragment subtree contains a SHIP but no "
                                 "ship source factory was supplied");
       }
-      CGQ_ASSIGN_OR_RETURN(RowSourcePtr source, env.ship_source(node));
-      return BatchOpPtr(new ShipSourceOp(std::move(source)));
+      return env.ship_source(node);
     }
     case PlanKind::kScan: {
       if (env.store->storage_mode() == StorageMode::kDisk) {

@@ -16,7 +16,6 @@ namespace cgq {
 namespace exec_internal {
 
 using OptBatch = std::optional<vec::ColumnBatch>;
-using OptRowBatch = std::optional<RowBatch>;
 
 /// Cooperative cancellation (ExecutorOptions::cancel), checked per batch
 /// and inside materialized-join loops. nullptr = not cancellable.
@@ -34,19 +33,6 @@ class BatchOp {
 };
 
 using BatchOpPtr = std::unique_ptr<BatchOp>;
-
-/// Row-form input of a SHIP leaf: the in-process ship channel or a
-/// location server's wire input queue. BuildBatchOp converts its batches
-/// to columns; this and DrainBatchOp's sink are the only row/column
-/// conversions of the fragment runtime.
-class RowSource {
- public:
-  virtual ~RowSource() = default;
-  virtual Result<OptRowBatch> Next() = 0;
-  virtual const RowLayout& layout() const = 0;
-};
-
-using RowSourcePtr = std::unique_ptr<RowSource>;
 
 /// Environment one fragment's operator tree is built against. The
 /// fragmented runtime supplies SHIP sources backed by in-process
@@ -72,20 +58,20 @@ struct BatchOpEnv {
   uint64_t memory_budget_bytes = 0;
   /// Spill directory base (ExecutorOptions::spill_dir; empty = temp dir).
   std::string spill_dir;
-  /// Creates the row source of a SHIP leaf inside the fragment subtree
-  /// (its producing subtree belongs to another fragment).
-  std::function<Result<RowSourcePtr>(const PlanNode&)> ship_source;
+  /// Creates the source operator of a SHIP leaf inside the fragment
+  /// subtree (its producing subtree belongs to another fragment).
+  std::function<Result<BatchOpPtr>(const PlanNode&)> ship_source;
 };
 
 /// Pulls `op` to end-of-stream, checking `cancel` before every pull and
-/// handing each non-empty batch, in row form, to `sink` after adding its
-/// rows to `*rows_out`. The fragmented runtime and the location server
+/// handing each non-empty batch to `sink` after adding its rows to
+/// `*rows_out`. The fragmented runtime and the location server
 /// (src/net) both drain through here, so the batches that reach a SHIP
 /// edge — and with them the per-edge ship accounting — are the same in
 /// every backend.
 Status DrainBatchOp(BatchOp* op, const std::atomic<bool>* cancel,
                     int64_t* rows_out,
-                    const std::function<Status(RowBatch)>& sink);
+                    const std::function<Status(vec::ColumnBatch)>& sink);
 
 /// Builds the batch-operator tree of one fragment rooted at `node`.
 /// `env` must outlive the construction call; the returned operators keep

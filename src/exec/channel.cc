@@ -98,7 +98,7 @@ void ShipChannel::AccountBackoffLocked(int attempt) {
   stats_.backoff_ms += delay;
 }
 
-Status ShipChannel::Send(RowBatch batch) {
+Status ShipChannel::Send(vec::ColumnBatch batch) {
   const int64_t rows = static_cast<int64_t>(batch.NumRows());
   const double bytes = batch.ByteSize();
 
@@ -180,11 +180,10 @@ Status ShipChannel::Send(RowBatch batch) {
         skip_rows_ -= rows;
         return Status::OK();
       }
-      batch.rows.erase(batch.rows.begin(),
-                       batch.rows.begin() + static_cast<long>(skip_rows_));
+      batch = batch.Slice(static_cast<size_t>(skip_rows_), batch.NumRows());
       skip_rows_ = 0;
     }
-    if (!batch.rows.empty()) {
+    if (batch.NumRows() != 0) {
       queue_.push_back(std::move(batch));
       stats_.peak_in_flight = std::max(
           stats_.peak_in_flight, static_cast<int64_t>(queue_.size()));
@@ -207,7 +206,7 @@ void ShipChannel::CloseProducer() {
   can_push_.notify_all();
 }
 
-Result<bool> ShipChannel::Recv(RowBatch* out) {
+Result<bool> ShipChannel::Recv(vec::ColumnBatch* out) {
   std::unique_lock<std::mutex> lock(mu_);
   int timeouts = 0;
   while (true) {
@@ -250,7 +249,7 @@ Result<bool> ShipChannel::Recv(RowBatch* out) {
   }
 }
 
-bool ShipChannel::Pop(RowBatch* out) {
+bool ShipChannel::Pop(vec::ColumnBatch* out) {
   std::unique_lock<std::mutex> lock(mu_);
   can_pop_.wait(lock,
                 [this] { return aborted_ || closed_ || !queue_.empty(); });

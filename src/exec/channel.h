@@ -10,7 +10,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/trace.h"
-#include "exec/batch.h"
+#include "exec/vector/column_batch.h"
 #include "net/network_model.h"
 
 namespace cgq {
@@ -66,9 +66,9 @@ struct ChannelStats {
   double backoff_ms = 0;        ///< Simulated backoff wait between retries.
 };
 
-/// Bounded single-producer single-consumer queue of row batches modelling
-/// one inter-site transfer. Send blocks when `capacity` batches are in
-/// flight (backpressure); Recv blocks until a batch arrives or the
+/// Bounded single-producer single-consumer queue of column batches
+/// modelling one inter-site transfer. Send blocks when `capacity` batches
+/// are in flight (backpressure); Recv blocks until a batch arrives or the
 /// producer closes. Abort() releases both sides, for error propagation
 /// across fragments.
 ///
@@ -78,7 +78,8 @@ struct ChannelStats {
 /// retries surface as StatusCode::kUnavailable. BeginReplay() supports
 /// idempotent producer restart: undelivered batches are drained and the
 /// already-delivered row prefix of the (deterministic) replay stream is
-/// suppressed, so the consumer sees every row exactly once.
+/// suppressed, so the consumer sees every row exactly once. A batch is
+/// charged ColumnBatch::ByteSize, the volume of its selected rows.
 class ShipChannel {
  public:
   /// `capacity` = 0 means unbounded (used by the sequential fragment
@@ -95,7 +96,7 @@ class ShipChannel {
   /// with kUnavailable when retries are exhausted (link down, repeated
   /// drops or send timeouts) and with the abort status when the channel
   /// was aborted or closed underneath the sender.
-  Status Send(RowBatch batch);
+  Status Send(vec::ColumnBatch batch);
 
   /// Producer is done; Recv drains the queue and then reports
   /// end-of-stream. An edge that never carried a batch still pays the
@@ -108,12 +109,12 @@ class ShipChannel {
   /// end-of-stream, kUnavailable after recv_timeout_ms expired
   /// max_retries+1 times (or the "channel.recv" failpoint fired as a
   /// simulated timeout), or the abort status.
-  Result<bool> Recv(RowBatch* out);
+  Result<bool> Recv(vec::ColumnBatch* out);
 
   /// Receive without timeouts or the "channel.recv" failpoint, for the
-  /// row and vector interpreters' one-message ships: blocks until a
-  /// batch arrives, returns false at end-of-stream or abort.
-  bool Pop(RowBatch* out);
+  /// row interpreter's one-message ships: blocks until a batch arrives,
+  /// returns false at end-of-stream or abort.
+  bool Pop(vec::ColumnBatch* out);
 
   /// Wakes and fails both sides with `status` (first abort wins; the
   /// default tags a generic aborted-execution error). Used when a sibling
@@ -155,7 +156,7 @@ class ShipChannel {
   mutable std::mutex mu_;
   std::condition_variable can_push_;
   std::condition_variable can_pop_;
-  std::deque<RowBatch> queue_;
+  std::deque<vec::ColumnBatch> queue_;
   bool closed_ = false;
   bool aborted_ = false;
   Status abort_status_;

@@ -10,6 +10,7 @@
 
 #include "common/failpoint.h"
 #include "exec/batch_ops.h"
+#include "exec/exec_internal.h"
 #include "exec/fragment_executor.h"
 #include "net/cluster_client.h"
 #include "net/socket.h"
@@ -111,7 +112,7 @@ Status RunRemoteFragment(const PlanFragment& fragment, RunState* st) {
     ShipChannel* channel = st->channels[channel_id].get();
     Status s = [&]() -> Status {
       while (true) {
-        RowBatch batch;
+        vec::ColumnBatch batch;
         CGQ_ASSIGN_OR_RETURN(bool got, channel->Recv(&batch));
         if (!got) break;
         wire::InputBatch msg;
@@ -152,8 +153,10 @@ Status RunRemoteFragment(const PlanFragment& fragment, RunState* st) {
     }
   };
 
-  // Stream the fragment's output back.
+  // Stream the fragment's output back. Its batches must carry the
+  // fragment root's layout: the consumer resolves columns by it.
   const std::atomic<bool>* cancel = options.cancel.get();
+  const RowLayout root_layout = exec_internal::LayoutOf(*fragment.root);
   Status s = [&]() -> Status {
     while (true) {
       CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
@@ -170,6 +173,11 @@ Status RunRemoteFragment(const PlanFragment& fragment, RunState* st) {
         case wire::FrameType::kOutputBatch: {
           CGQ_ASSIGN_OR_RETURN(wire::OutputBatch msg,
                                wire::OutputBatch::Decode(frame.payload));
+          if (msg.batch.layout.attrs() != root_layout.attrs()) {
+            return Status::InvalidArgument(
+                "output batch of fragment #" + std::to_string(fragment.id) +
+                " does not carry the fragment root's layout");
+          }
           fm.rows_out += static_cast<int64_t>(msg.batch.NumRows());
           CGQ_RETURN_NOT_OK(st->Emit(fragment, std::move(msg.batch)));
           break;

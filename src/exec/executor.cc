@@ -247,19 +247,18 @@ class PlanInterpreter {
     CGQ_ASSIGN_OR_RETURN(RowBatch in, Exec(*node.child(0)));
     // Route the one-message transfer through a ShipChannel so both
     // backends share the fault simulation, retry and accounting
-    // semantics (the intermediate moves through, no copy). A failed
-    // transfer — link down, retries exhausted — aborts the query with
-    // the channel's structured status, never a partial result.
-    RowLayout layout = in.layout;
+    // semantics; the intermediate crosses it in column form, like every
+    // fragment runtime SHIP. A failed transfer — link down, retries
+    // exhausted — aborts the query with the channel's structured status,
+    // never a partial result.
+    CGQ_ASSIGN_OR_RETURN(vec::ColumnBatch columns, vec::FromRowBatch(in));
     ShipChannel channel(node.ship_from, node.ship_to, /*capacity=*/0,
                         net_, options_->retry);
-    CGQ_RETURN_NOT_OK(channel.Send(std::move(in)));
+    CGQ_RETURN_NOT_OK(channel.Send(std::move(columns)));
     channel.CloseProducer();
-    RowBatch out;
-    if (!channel.Pop(&out)) {
-      out = RowBatch();
-      out.layout = std::move(layout);
-    }
+    RowBatch out{std::move(in.layout), {}};
+    vec::ColumnBatch delivered;
+    if (channel.Pop(&delivered)) out = vec::ToRowBatch(delivered);
 
     metrics_->AddShipEdge(channel.stats());
     return out;

@@ -27,8 +27,8 @@ enum class ExecMode {
   /// Fragmented runtime: the plan is split at its SHIP edges into
   /// per-site fragments that run concurrently on the columnar operator
   /// core (exec/batch_ops.h: typed column vectors with null bitmaps,
-  /// selection-vector kernels) and exchange bounded row batches through
-  /// ship channels. Byte-identical results and identical ship metrics to
+  /// selection-vector kernels) and exchange bounded column batches
+  /// through ship channels. Byte-identical results and identical ship metrics to
   /// the row backend.
   kFragment,
   /// Wire-level deployment: fragments are dispatched over TCP to

@@ -22,8 +22,8 @@ namespace {
 /// (backpressure) under the pipelined schedule.
 constexpr size_t kChannelCapacity = 4;
 
-/// Row source of a SHIP leaf: the in-process channel of its edge.
-class ChannelSourceOp : public RowSource {
+/// Source of a SHIP leaf: the in-process channel of its edge.
+class ChannelSourceOp : public BatchOp {
  public:
   ChannelSourceOp(const PlanNode* ship, ShipChannel* channel,
                   const std::atomic<bool>* failed)
@@ -31,8 +31,8 @@ class ChannelSourceOp : public RowSource {
         failed_(failed),
         layout_(LayoutOf(*ship->child(0))) {}
 
-  Result<OptRowBatch> Next() override {
-    RowBatch batch;
+  Result<OptBatch> Next() override {
+    vec::ColumnBatch batch;
     CGQ_ASSIGN_OR_RETURN(bool got, channel_->Recv(&batch));
     if (!got) {
       if (failed_->load(std::memory_order_acquire)) {
@@ -40,9 +40,9 @@ class ChannelSourceOp : public RowSource {
         return abort.ok() ? Status::Internal("fragment execution aborted")
                           : abort;
       }
-      return OptRowBatch();
+      return OptBatch();
     }
-    return OptRowBatch(std::move(batch));
+    return OptBatch(std::move(batch));
   }
 
   const RowLayout& layout() const override { return layout_; }
@@ -70,27 +70,29 @@ Status RunLocalFragment(const PlanFragment& fragment,
   env.spill_bytes = &sc.spill_bytes;
   env.memory_budget_bytes = options.memory_budget_bytes;
   env.spill_dir = options.spill_dir;
-  env.ship_source = [st](const PlanNode& ship) -> Result<RowSourcePtr> {
+  env.ship_source = [st](const PlanNode& ship) -> Result<BatchOpPtr> {
     int channel = st->fp->channel_of_ship.at(&ship);
-    return RowSourcePtr(new ChannelSourceOp(
+    return BatchOpPtr(new ChannelSourceOp(
         &ship, st->channels[channel].get(), &st->failed));
   };
   CGQ_ASSIGN_OR_RETURN(BatchOpPtr op, BuildBatchOp(*fragment.root, env));
   return DrainBatchOp(op.get(), env.cancel, &fm.rows_out,
-                      [&](RowBatch batch) {
+                      [&](vec::ColumnBatch batch) {
                         return st->Emit(fragment, std::move(batch));
                       });
 }
 
 }  // namespace
 
-Status RunState::Emit(const PlanFragment& fragment, RowBatch batch) {
+Status RunState::Emit(const PlanFragment& fragment, vec::ColumnBatch batch) {
   if (fragment.output_channel >= 0) {
     return channels[fragment.output_channel]->Send(std::move(batch));
   }
+  // The result boundary: SHIP edges carry columns, the result rows.
+  RowBatch rows = vec::ToRowBatch(batch);
   result_rows.insert(result_rows.end(),
-                     std::make_move_iterator(batch.rows.begin()),
-                     std::make_move_iterator(batch.rows.end()));
+                     std::make_move_iterator(rows.rows.begin()),
+                     std::make_move_iterator(rows.rows.end()));
   return Status::OK();
 }
 

@@ -55,8 +55,9 @@ struct RunState {
   std::atomic<bool> failed{false};
 
   /// Hands one output batch of `fragment` to its consumer: the SHIP
-  /// channel it feeds, or the query result for the top fragment.
-  Status Emit(const PlanFragment& fragment, RowBatch batch);
+  /// channel it feeds, or the query result (in row form) for the top
+  /// fragment.
+  Status Emit(const PlanFragment& fragment, vec::ColumnBatch batch);
 
   /// Records the first (temporally) failure and aborts every channel with
   /// it, so blocked siblings wake up carrying the original structured

@@ -141,9 +141,9 @@ SelVec RangeSel(size_t begin, size_t end);
 
 /// Columnar counterpart of RowBatch: shared per-column vectors + null
 /// bitmaps positioned per `layout`, and the selection `sel` naming which
-/// column rows the batch holds. The fragment runtime's operators
-/// exchange these; conversion to/from RowBatch happens only at SHIP,
-/// wire and result boundaries (see DESIGN.md §12).
+/// column rows the batch holds. The fragment runtime's operators, ship
+/// channels and wire frames all exchange these: a SHIP edge never
+/// converts to RowBatch, the query result does (see DESIGN.md §12).
 ///
 /// Operators narrow or window `sel` instead of copying columns: a scan
 /// serves windows of the store's cached columns, a filter keeps the

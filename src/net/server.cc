@@ -25,14 +25,13 @@ namespace net {
 
 namespace {
 
+using exec_internal::BatchOp;
 using exec_internal::BatchOpEnv;
 using exec_internal::BatchOpPtr;
 using exec_internal::BuildBatchOp;
 using exec_internal::DrainBatchOp;
 using exec_internal::LayoutOf;
-using exec_internal::OptRowBatch;
-using exec_internal::RowSource;
-using exec_internal::RowSourcePtr;
+using exec_internal::OptBatch;
 
 /// Unbounded buffer of one input channel's batches. Unbounded is a
 /// deliberate deadlock-avoidance choice: under the coordinator's
@@ -40,7 +39,7 @@ using exec_internal::RowSourcePtr;
 /// intermediate is relayed here) before the consumer starts pulling.
 class InputQueue {
  public:
-  void Push(RowBatch batch) {
+  void Push(vec::ColumnBatch batch) {
     std::lock_guard<std::mutex> lock(mu_);
     batches_.push_back(std::move(batch));
     cv_.notify_all();
@@ -60,39 +59,52 @@ class InputQueue {
   }
 
   /// Blocks until a batch, end-of-stream (nullopt) or abort (error).
-  Result<OptRowBatch> Pop() {
+  Result<OptBatch> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return !batches_.empty() || closed_; });
     if (!batches_.empty()) {
-      RowBatch batch = std::move(batches_.front());
+      vec::ColumnBatch batch = std::move(batches_.front());
       batches_.pop_front();
-      return OptRowBatch(std::move(batch));
+      return OptBatch(std::move(batch));
     }
     if (!abort_.ok()) return abort_;
-    return OptRowBatch();
+    return OptBatch();
   }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<RowBatch> batches_;
+  std::deque<vec::ColumnBatch> batches_;
   bool closed_ = false;
   Status abort_;
 };
 
-/// Row source over an InputQueue: the server-side stand-in for a SHIP
-/// leaf. Its layout is the producing subtree's output layout, which
-/// travels on the wire as the SHIP leaf's own output columns.
-class QueueSourceOp : public RowSource {
+/// Source operator over an InputQueue: the server-side stand-in for a
+/// SHIP leaf. Its layout is the producing subtree's output layout, which
+/// travels on the wire as the SHIP leaf's own output columns. Operators
+/// above it resolve columns by that static layout, so a batch whose
+/// attrs differ from it (even a same-width permutation) is refused.
+class QueueSourceOp : public BatchOp {
  public:
   QueueSourceOp(const PlanNode* ship, InputQueue* queue)
-      : queue_(queue), layout_(LayoutOf(*ship)) {}
+      : queue_(queue),
+        channel_(ship->fragment_ordinal),
+        layout_(LayoutOf(*ship)) {}
 
-  Result<OptRowBatch> Next() override { return queue_->Pop(); }
+  Result<OptBatch> Next() override {
+    CGQ_ASSIGN_OR_RETURN(OptBatch batch, queue_->Pop());
+    if (batch && batch->layout.attrs() != layout_.attrs()) {
+      return Status::InvalidArgument(
+          "input batch on channel " + std::to_string(channel_) +
+          " does not carry its SHIP leaf's layout");
+    }
+    return batch;
+  }
   const RowLayout& layout() const override { return layout_; }
 
  private:
   InputQueue* queue_;
+  int channel_;
   RowLayout layout_;
 };
 
@@ -461,19 +473,19 @@ void SiteServer::StartFragmentWorker(ConnectionState* conn,
     env.spill_partitions = &end.spill_partitions;
     env.spill_bytes = &end.spill_bytes;
     env.memory_budget_bytes = fs->start.memory_budget_bytes;
-    env.ship_source = [fs](const PlanNode& ship) -> Result<RowSourcePtr> {
+    env.ship_source = [fs](const PlanNode& ship) -> Result<BatchOpPtr> {
       auto it = fs->inputs.find(ship.fragment_ordinal);
       if (it == fs->inputs.end()) {
         return Status::Internal("no input queue for channel " +
                                 std::to_string(ship.fragment_ordinal));
       }
-      return RowSourcePtr(new QueueSourceOp(&ship, it->second.get()));
+      return BatchOpPtr(new QueueSourceOp(&ship, it->second.get()));
     };
     auto run = [&]() -> Status {
       CGQ_ASSIGN_OR_RETURN(BatchOpPtr op,
                            BuildBatchOp(*fs->start.root, env));
       return DrainBatchOp(op.get(), env.cancel, &end.rows_out,
-                          [&](RowBatch batch) {
+                          [&](vec::ColumnBatch batch) {
                             wire::OutputBatch out;
                             out.batch = std::move(batch);
                             conn->EnqueueFrame(wire::FrameType::kOutputBatch,

@@ -139,11 +139,13 @@ void Writer::PutRow(const Row& row) {
   for (const Value& v : row) PutValue(v);
 }
 
-void Writer::PutBatch(const RowBatch& batch) {
+void Writer::PutBatch(const vec::ColumnBatch& batch) {
   PutU32(static_cast<uint32_t>(batch.layout.attrs().size()));
   for (AttrId id : batch.layout.attrs()) PutU32(id);
-  PutU32(static_cast<uint32_t>(batch.rows.size()));
-  for (const Row& row : batch.rows) PutRow(row);
+  PutU32(static_cast<uint32_t>(batch.NumRows()));
+  for (const vec::ColumnPtr& col : batch.columns) {
+    for (uint32_t i : batch.sel) PutValue(col->GetValue(i));
+  }
 }
 
 void Writer::PutExpr(const Expr& e) {
@@ -360,9 +362,9 @@ Result<Row> Reader::ReadRow() {
   return row;
 }
 
-Result<RowBatch> Reader::ReadBatch() {
+Result<vec::ColumnBatch> Reader::ReadBatch() {
   CGQ_ASSIGN_OR_RETURN(uint32_t num_attrs, U32());
-  if (remaining() < num_attrs) {
+  if (remaining() / 4 < num_attrs) {
     return Status::InvalidArgument("truncated payload");
   }
   std::vector<AttrId> attrs;
@@ -371,18 +373,24 @@ Result<RowBatch> Reader::ReadBatch() {
     CGQ_ASSIGN_OR_RETURN(uint32_t id, U32());
     attrs.push_back(id);
   }
-  RowBatch batch;
-  batch.layout = RowLayout(std::move(attrs));
   CGQ_ASSIGN_OR_RETURN(uint32_t num_rows, U32());
-  if (remaining() < num_rows) {
+  // Every value is at least its tag byte: a row count the payload cannot
+  // hold fails here, before anything is allocated for it. A zero-width
+  // batch has no values to bound it by; it keeps the row-major bound of
+  // one u32 per row within kMaxPayloadBytes.
+  if (num_attrs == 0 ? uint64_t{num_rows} * 4 > kMaxPayloadBytes
+                     : remaining() < uint64_t{num_rows} * num_attrs) {
     return Status::InvalidArgument("truncated payload");
   }
-  batch.rows.reserve(num_rows);
-  for (uint32_t i = 0; i < num_rows; ++i) {
-    CGQ_ASSIGN_OR_RETURN(Row row, ReadRow());
-    batch.rows.push_back(std::move(row));
+  std::vector<vec::ColumnVector> cols(num_attrs);
+  for (vec::ColumnVector& col : cols) {
+    for (uint32_t i = 0; i < num_rows; ++i) {
+      CGQ_ASSIGN_OR_RETURN(Value v, ReadValue());
+      col.AppendValue(v);
+    }
   }
-  return batch;
+  return vec::DenseBatch(RowLayout(std::move(attrs)), std::move(cols),
+                         num_rows);
 }
 
 Result<ExprPtr> Reader::ReadExpr() {

@@ -8,7 +8,7 @@
 
 #include "catalog/location.h"
 #include "common/result.h"
-#include "exec/batch.h"
+#include "exec/vector/column_batch.h"
 #include "plan/plan_node.h"
 
 namespace cgq {
@@ -29,7 +29,7 @@ namespace wire {
 /// pattern (lossless); strings as u32 length + bytes. The encoding is
 /// byte-stable across platforms — the golden tests pin exact frames.
 inline constexpr uint32_t kMagic = 0x57514743u;
-inline constexpr uint16_t kVersion = 1;
+inline constexpr uint16_t kVersion = 2;
 inline constexpr size_t kHeaderSize = 20;
 /// Upper bound on one payload; larger frames are rejected as corrupt
 /// before any allocation happens (a resource guard against garbage
@@ -90,8 +90,10 @@ class Writer {
   void PutString(const std::string& s);
   void PutValue(const Value& v);
   void PutRow(const Row& row);
-  /// Layout attrs + rows (the serialized form of a RowBatch).
-  void PutBatch(const RowBatch& batch);
+  /// The serialized form of a ColumnBatch, column-major like a columnar
+  /// storage block: u32 attr count, the attrs, u32 row count, then each
+  /// column's selected rows as tagged values (PutValue).
+  void PutBatch(const vec::ColumnBatch& batch);
   void PutExpr(const Expr& e);
   /// A fragment subtree. SHIP leaves are encoded childless, carrying
   /// their channel id (from `channel_of_ship`) and their child's output
@@ -127,7 +129,9 @@ class Reader {
   Result<std::string> String();
   Result<Value> ReadValue();
   Result<Row> ReadRow();
-  Result<RowBatch> ReadBatch();
+  /// Inverse of PutBatch: a dense batch whose column tags are inferred
+  /// from the decoded values, as vec::FromRows infers them.
+  Result<vec::ColumnBatch> ReadBatch();
   Result<ExprPtr> ReadExpr();
   /// Inverse of Writer::PutPlan. Decoded SHIP leaves have no children;
   /// their channel id is appended to `*input_channels` in encounter
@@ -208,7 +212,7 @@ struct StartFragment {
 
 struct InputBatch {
   int32_t channel = 0;
-  RowBatch batch;
+  vec::ColumnBatch batch;
 
   std::string Encode() const;
   static Result<InputBatch> Decode(const std::string& payload);
@@ -222,7 +226,7 @@ struct InputEnd {
 };
 
 struct OutputBatch {
-  RowBatch batch;
+  vec::ColumnBatch batch;
 
   std::string Encode() const;
   static Result<OutputBatch> Decode(const std::string& payload);

@@ -3,21 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/vector/column_batch.h"
 #include "net/network_model.h"
 
 namespace cgq {
 namespace {
 
-RowBatch MakeBatch(int64_t first, int n) {
-  RowBatch b;
-  b.layout = RowLayout({AttrId{1}});
-  for (int i = 0; i < n; ++i) {
-    b.rows.push_back({Value::Int64(first + i)});
-  }
-  return b;
+using vec::ColumnBatch;
+
+ColumnBatch MakeBatch(int64_t first, int n) {
+  std::vector<Row> rows;
+  for (int i = 0; i < n; ++i) rows.push_back({Value::Int64(first + i)});
+  return vec::FromRows(RowLayout({AttrId{1}}), rows).ValueOrDie();
+}
+
+/// Value of column 0 at the batch's k-th row.
+int64_t At(const ColumnBatch& b, size_t k) {
+  return b.columns[0]->GetValue(b.sel[k]).int64();
 }
 
 TEST(ShipChannelTest, FifoOrderAndStats) {
@@ -26,17 +32,17 @@ TEST(ShipChannelTest, FifoOrderAndStats) {
 
   double bytes = 0;
   for (int i = 0; i < 3; ++i) {
-    RowBatch b = MakeBatch(i * 10, 4);
+    ColumnBatch b = MakeBatch(i * 10, 4);
     bytes += b.ByteSize();
     ASSERT_TRUE(ch.Send(std::move(b)).ok());
   }
   ch.CloseProducer();
 
-  RowBatch out;
+  ColumnBatch out;
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(ch.Pop(&out));
     ASSERT_EQ(out.NumRows(), 4u);
-    EXPECT_EQ(out.rows[0][0].int64(), i * 10);
+    EXPECT_EQ(At(out, 0), i * 10);
   }
   EXPECT_FALSE(ch.Pop(&out));  // end-of-stream
   EXPECT_FALSE(ch.Pop(&out));  // stays closed
@@ -58,7 +64,7 @@ TEST(ShipChannelTest, NetworkChargeMatchesSingleMessage) {
 
   double bytes = 0;
   for (int i = 0; i < 5; ++i) {
-    RowBatch b = MakeBatch(i, 7);
+    ColumnBatch b = MakeBatch(i, 7);
     bytes += b.ByteSize();
     ASSERT_TRUE(ch.Send(std::move(b)).ok());
   }
@@ -74,7 +80,7 @@ TEST(ShipChannelTest, EmptyEdgePaysStartupLatency) {
   ShipChannel ch(2, 0, 4, &net);
   ch.CloseProducer();
 
-  RowBatch out;
+  ColumnBatch out;
   EXPECT_FALSE(ch.Pop(&out));
   ChannelStats s = ch.stats();
   EXPECT_EQ(s.batches, 0);
@@ -112,10 +118,10 @@ TEST(ShipChannelTest, BoundedCapacityAppliesBackpressure) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_LE(pushed.load(), 2 + 1);  // capacity batches queued + one blocked
 
-  RowBatch out;
+  ColumnBatch out;
   int popped = 0;
   while (ch.Pop(&out)) {
-    EXPECT_EQ(out.rows[0][0].int64(), popped);
+    EXPECT_EQ(At(out, 0), popped);
     ++popped;
   }
   producer.join();
@@ -145,7 +151,7 @@ TEST(ShipChannelTest, AbortReleasesBlockedProducer) {
   producer.join();
 
   EXPECT_TRUE(send_failed.load());
-  RowBatch out;
+  ColumnBatch out;
   EXPECT_FALSE(ch.Pop(&out));
   EXPECT_FALSE(ch.Send(MakeBatch(2, 1)).ok());
 }
@@ -166,9 +172,9 @@ TEST(ShipChannelTest, ThreadedStressPreservesOrder) {
     });
 
     std::vector<int64_t> seen;
-    RowBatch out;
+    ColumnBatch out;
     while (ch.Pop(&out)) {
-      for (const Row& r : out.rows) seen.push_back(r[0].int64());
+      for (size_t k = 0; k < out.NumRows(); ++k) seen.push_back(At(out, k));
     }
     producer.join();
 
@@ -207,7 +213,7 @@ TEST(ShipChannelTest, CloseDuringBlockedSendWakesSenderWithError) {
   EXPECT_FALSE(blocked_status.ok());
   EXPECT_FALSE(ch.abort_status().ok());
   // The failed handoff aborts the channel; nothing is delivered.
-  RowBatch out;
+  ColumnBatch out;
   EXPECT_FALSE(ch.Pop(&out));
 }
 
@@ -224,7 +230,7 @@ TEST(ShipChannelTest, AbortStatusPropagatesToBothSides) {
   EXPECT_TRUE(send.IsUnavailable());
   EXPECT_NE(send.message().find("site 1 went down"), std::string::npos);
 
-  RowBatch out;
+  ColumnBatch out;
   auto recv = ch.Recv(&out);
   ASSERT_FALSE(recv.ok());
   EXPECT_TRUE(recv.status().IsUnavailable());
@@ -247,7 +253,7 @@ TEST(ShipChannelTest, LossyLinkRetriesAreDeterministicAndAccounted) {
       EXPECT_TRUE(ch.Send(MakeBatch(i, 2)).ok());
     }
     ch.CloseProducer();
-    RowBatch out;
+    ColumnBatch out;
     int rows = 0;
     while (ch.Pop(&out)) rows += static_cast<int>(out.NumRows());
     EXPECT_EQ(rows, 40);
@@ -328,7 +334,7 @@ TEST(ShipChannelTest, ExtraLatencyIsCharged) {
   fault.extra_latency_ms = 100.0;
   net.SetLinkFault(0, 1, fault);
   ShipChannel ch(0, 1, 0, &net);
-  RowBatch b = MakeBatch(0, 4);
+  ColumnBatch b = MakeBatch(0, 4);
   double bytes = b.ByteSize();
   ASSERT_TRUE(ch.Send(std::move(b)).ok());
   ch.CloseProducer();
@@ -364,7 +370,7 @@ TEST(ShipChannelTest, RecvTimeoutIsBoundedAndTyped) {
   retry.recv_timeout_ms = 5;
   ShipChannel ch(0, 1, 0, &net, retry);
 
-  RowBatch out;
+  ColumnBatch out;
   auto r = ch.Recv(&out);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnavailable());
@@ -383,7 +389,7 @@ TEST(ShipChannelTest, ReplaySuppressesDeliveredPrefix) {
   // First incarnation: 3 batches x 2 rows; consumer takes one batch, then
   // the producer "dies" with two batches still queued.
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(ch.Send(MakeBatch(i * 2, 2)).ok());
-  RowBatch out;
+  ColumnBatch out;
   ASSERT_TRUE(ch.Pop(&out));
   ASSERT_EQ(out.NumRows(), 2u);
 
@@ -397,7 +403,7 @@ TEST(ShipChannelTest, ReplaySuppressesDeliveredPrefix) {
 
   std::vector<int64_t> seen;
   while (ch.Pop(&out)) {
-    for (const Row& r : out.rows) seen.push_back(r[0].int64());
+    for (size_t k = 0; k < out.NumRows(); ++k) seen.push_back(At(out, k));
   }
   EXPECT_EQ(seen, (std::vector<int64_t>{2, 3, 4, 5}));
 
@@ -408,6 +414,65 @@ TEST(ShipChannelTest, ReplaySuppressesDeliveredPrefix) {
   EXPECT_EQ(stats.rows, 12);
 }
 
+// Replay over filtered column batches: the suppressed prefix ends inside
+// a batch whose selection is non-contiguous (as a filter leaves it), so
+// the cut must follow the selection, not the column positions. Stats
+// count every attempted batch at its row-form volume.
+TEST(ShipChannelTest, ReplayCutsInsideFilteredBatch) {
+  // Columns over values [first, first + n): an id and a string with
+  // NULLs, narrowed to `sel` like a filter's output.
+  auto filtered = [](int64_t first, int n, vec::SelVec sel) {
+    std::vector<Row> rows;
+    for (int i = 0; i < n; ++i) {
+      const int64_t id = first + i;
+      rows.push_back({Value::Int64(id),
+                      id % 3 == 0 ? Value::Null()
+                                  : Value::String(std::string(id % 4 + 1,
+                                                              'x'))});
+    }
+    ColumnBatch b =
+        vec::FromRows(RowLayout({AttrId{1}, AttrId{2}}), rows).ValueOrDie();
+    b.sel = std::move(sel);
+    return b;
+  };
+
+  NetworkModel net(2, 10.0, 0.5);
+  ShipChannel ch(0, 1, 0, &net);
+  double bytes = 0;
+  auto send = [&](ColumnBatch b) {
+    bytes += vec::ToRowBatch(b).ByteSize();
+    ASSERT_TRUE(ch.Send(std::move(b)).ok());
+  };
+
+  // First incarnation streams rows 0,2,3,5 | 6,7,8,9; the consumer takes
+  // the first batch, then the producer dies with the second queued.
+  send(filtered(0, 6, {0, 2, 3, 5}));
+  send(filtered(6, 4, {0, 1, 2, 3}));
+  std::vector<int64_t> seen;
+  ColumnBatch out;
+  ASSERT_TRUE(ch.Pop(&out));
+  for (size_t k = 0; k < out.NumRows(); ++k) seen.push_back(At(out, k));
+
+  ch.BeginReplay();
+
+  // The replay re-batches the same stream: the 4 delivered rows end
+  // inside the first batch (selection {0,2,3,5,6} -> keep row 6).
+  send(filtered(0, 8, {0, 2, 3, 5, 6}));
+  send(filtered(6, 5, {1, 2, 3}));
+  ch.CloseProducer();
+
+  while (ch.Pop(&out)) {
+    for (size_t k = 0; k < out.NumRows(); ++k) seen.push_back(At(out, k));
+  }
+  EXPECT_EQ(seen, (std::vector<int64_t>{0, 2, 3, 5, 6, 7, 8, 9}));
+
+  ChannelStats stats = ch.stats();
+  EXPECT_EQ(stats.replays, 1);
+  EXPECT_EQ(stats.batches, 4);
+  EXPECT_EQ(stats.rows, 4 + 4 + 5 + 3);
+  EXPECT_EQ(stats.bytes, bytes);
+}
+
 // Send() on a healthy link makes exactly one attempt per batch: the
 // accounting is the cost model's fault-free charge for the volume, with
 // every recovery counter at zero.
@@ -416,7 +481,7 @@ TEST(ShipChannelTest, HealthySendChargesOneAttemptPerBatch) {
   ShipChannel sent(1, 3, 0, &net);
   double bytes = 0;
   for (int i = 0; i < 4; ++i) {
-    RowBatch b = MakeBatch(i, 5);
+    ColumnBatch b = MakeBatch(i, 5);
     bytes += b.ByteSize();
     ASSERT_TRUE(sent.Send(std::move(b)).ok());
   }

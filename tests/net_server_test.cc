@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "exec/table_store.h"
+#include "exec/vector/column_batch.h"
 #include "net/cluster_client.h"
 #include "net/server.h"
 #include "net/socket.h"
@@ -341,7 +342,8 @@ TEST(SiteServerTest, ScanFragmentStreamsBatchesAndAccounting) {
       ASSERT_TRUE(out.ok());
       ++batches;
       for (size_t r = 0; r < out->batch.NumRows(); ++r) {
-        values.push_back(out->batch.rows[r][0].int64());
+        values.push_back(
+            out->batch.columns[0]->GetValue(out->batch.sel[r]).int64());
       }
       continue;
     }
@@ -375,6 +377,72 @@ TEST(SiteServerTest, InputBatchWithoutFragmentIsTypedError) {
   auto err = wire::ErrorMsg::Decode(frame->payload);
   ASSERT_TRUE(err.ok());
   EXPECT_TRUE(err->ToStatus().IsInternal());
+  server.Stop();
+}
+
+// A received batch must carry the layout of its SHIP leaf. The consumer
+// fragment projects attr 1 out of a SHIP leaf with layout (1, 2); an
+// InputBatch whose attrs are the permutation (2, 1) has the right width
+// but would hand the projection attr 2's values. The server refuses it
+// with a typed kInvalidArgument instead of returning wrong rows.
+TEST(SiteServerTest, PermutedInputBatchAttrsRefusedTyped) {
+  SiteServer server(Hosting({0}));
+  ASSERT_TRUE(server.Start().ok());
+  auto sock = DialHandshaken(server.port());
+  ASSERT_TRUE(sock.ok()) << sock.status();
+
+  const std::vector<OutputCol> cols = {{1, "x", DataType::kInt64},
+                                       {2, "y", DataType::kInt64}};
+  auto producer = ScanPlan("t", 1);
+  producer->outputs = cols;
+  auto ship = std::make_shared<PlanNode>(PlanKind::kShip);
+  ship->ship_from = 1;
+  ship->ship_to = 0;
+  ship->location = 0;
+  ship->outputs = cols;
+  ship->children().push_back(producer);
+  auto project = std::make_shared<PlanNode>(PlanKind::kProject);
+  project->project_ids = {1};
+  project->outputs = {cols[0]};
+  project->location = 0;
+  project->children().push_back(ship);
+
+  wire::StartFragment start;
+  start.fragment_id = 1;
+  start.site = 0;
+  start.batch_size = 16;
+  start.root = project;
+  auto payload = start.Encode({{ship.get(), 0}});
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  ASSERT_TRUE(SendFrame(*sock, wire::FrameType::kStartFragment, *payload,
+                        kIoMs)
+                  .ok());
+  auto ack = RecvFrame(*sock, kIoMs);
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  ASSERT_EQ(ack->type, wire::FrameType::kStartAck);
+
+  wire::InputBatch input;
+  input.channel = 0;
+  input.batch = vec::FromRows(RowLayout({2, 1}),
+                              {{Value::Int64(20), Value::Int64(10)}})
+                    .ValueOrDie();
+  ASSERT_TRUE(SendFrame(*sock, wire::FrameType::kInputBatch,
+                        input.Encode(), kIoMs)
+                  .ok());
+  wire::InputEnd end;
+  end.channel = 0;
+  ASSERT_TRUE(
+      SendFrame(*sock, wire::FrameType::kInputEnd, end.Encode(), kIoMs)
+          .ok());
+
+  auto frame = RecvFrame(*sock, kIoMs);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  ASSERT_EQ(frame->type, wire::FrameType::kError)
+      << wire::FrameTypeToString(frame->type);
+  auto err = wire::ErrorMsg::Decode(frame->payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_TRUE(err->ToStatus().IsInvalidArgument()) << err->ToStatus();
+  EXPECT_EQ(server.fragments_completed(), 0);
   server.Stop();
 }
 

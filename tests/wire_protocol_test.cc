@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "exec/fragmenter.h"
+#include "exec/vector/column_batch.h"
 #include "gtest/gtest.h"
 #include "plan/plan_node.h"
 
@@ -33,10 +34,10 @@ Result<FrameHeader> Header(const std::string& frame) {
 TEST(WireFrame, GoldenHelloFrame) {
   std::string frame = EncodeFrame(FrameType::kHello, Hello().Encode());
   ASSERT_EQ(frame.size(), kHeaderSize + 2);
-  // Header: magic "CGQW", version 1, type 1, len 2, FNV-1a of {01 00}.
+  // Header: magic "CGQW", version 2, type 1, len 2, FNV-1a of {02 00}.
   const std::vector<uint8_t> expected_prefix = {
       'C',  'G',  'Q',  'W',        // magic, little-endian 0x57514743
-      0x01, 0x00,                   // version 1
+      0x02, 0x00,                   // version 2
       0x01, 0x00,                   // type kHello
       0x02, 0x00, 0x00, 0x00,       // payload length 2
   };
@@ -44,15 +45,104 @@ TEST(WireFrame, GoldenHelloFrame) {
   for (size_t i = 0; i < expected_prefix.size(); ++i) {
     EXPECT_EQ(actual[i], expected_prefix[i]) << "byte " << i;
   }
-  // Checksum bytes 12..19: FNV-1a over payload {0x01, 0x00}.
-  const uint8_t payload[] = {0x01, 0x00};
+  // Checksum bytes 12..19: FNV-1a over payload {0x02, 0x00}.
+  const uint8_t payload[] = {0x02, 0x00};
   uint64_t sum = Fnv1a(payload, 2);
   for (size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(actual[12 + i], static_cast<uint8_t>((sum >> (8 * i)) & 0xff));
   }
   // Payload itself.
-  EXPECT_EQ(actual[20], 0x01);
+  EXPECT_EQ(actual[20], 0x02);
   EXPECT_EQ(actual[21], 0x00);
+}
+
+/// A 2-column batch over 4 rows narrowed to rows {0, 2, 3}: an int64
+/// column with a NULL and a string column with a NULL.
+vec::ColumnBatch FilteredBatch() {
+  std::vector<Row> rows = {
+      {Value::Int64(5), Value::String("a")},
+      {Value::Int64(6), Value::String("zz")},
+      {Value::Null(), Value::String("bc")},
+      {Value::Int64(-1), Value::Null()},
+  };
+  vec::ColumnBatch b = vec::FromRows(RowLayout({7, 9}), rows).ValueOrDie();
+  b.sel = {0, 2, 3};
+  return b;
+}
+
+TEST(WireFrame, GoldenBatchEncoding) {
+  Writer w;
+  w.PutBatch(FilteredBatch());
+  // Column-major over the selected rows only (row 1 is not encoded).
+  const std::vector<uint8_t> expected = {
+      0x02, 0x00, 0x00, 0x00,                          // 2 attrs
+      0x07, 0x00, 0x00, 0x00,                          // attr 7
+      0x09, 0x00, 0x00, 0x00,                          // attr 9
+      0x03, 0x00, 0x00, 0x00,                          // 3 rows
+      0x01, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // col 0: 5
+      0x00,
+      0x00,                                            //        NULL
+      0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  //        -1
+      0xff,
+      0x03, 0x01, 0x00, 0x00, 0x00, 'a',               // col 1: "a"
+      0x03, 0x02, 0x00, 0x00, 0x00, 'b', 'c',          //        "bc"
+      0x00,                                            //        NULL
+  };
+  EXPECT_EQ(Bytes(w.buffer()), expected);
+
+  // Decoding yields the dense batch of the selected rows, with the
+  // column tags FromRows infers.
+  Reader r(w.buffer());
+  auto decoded = r.ReadBatch();
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(decoded->layout.attrs(), (std::vector<AttrId>{7, 9}));
+  EXPECT_EQ(decoded->sel, vec::RangeSel(0, 3));
+  EXPECT_EQ(decoded->columns[0]->tag, vec::ColumnTag::kInt64);
+  EXPECT_EQ(decoded->columns[1]->tag, vec::ColumnTag::kString);
+  RowBatch want = vec::ToRowBatch(FilteredBatch());
+  RowBatch got = vec::ToRowBatch(*decoded);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (size_t i = 0; i < want.rows.size(); ++i) {
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_TRUE(got.rows[i][c].StructurallyEquals(want.rows[i][c]))
+          << "row " << i << " col " << c;
+    }
+  }
+}
+
+// A row count the payload cannot hold (every value is at least its tag
+// byte) is refused before anything is allocated for it.
+TEST(WireFrame, OversizedRowCountRejected) {
+  Writer w;
+  w.PutU32(1);            // 1 attr
+  w.PutU32(7);            // attr 7
+  w.PutU32(0xffffffffu);  // 4G rows
+  w.PutValue(Value::Int64(1));
+  Reader r(w.buffer());
+  auto decoded = r.ReadBatch();
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsInvalidArgument());
+
+  // A zero-width batch carries no values; its row count is capped at
+  // what fits the payload limit, and a small one round-trips.
+  Writer zero;
+  zero.PutU32(0);            // no attrs
+  zero.PutU32(0xffffffffu);  // 4G rows
+  Reader rz(zero.buffer());
+  auto huge = rz.ReadBatch();
+  ASSERT_FALSE(huge.ok());
+  EXPECT_TRUE(huge.status().IsInvalidArgument());
+
+  vec::ColumnBatch empty_width;
+  empty_width.sel = vec::RangeSel(0, 5);
+  Writer small;
+  small.PutBatch(empty_width);
+  Reader rs(small.buffer());
+  auto five = rs.ReadBatch();
+  ASSERT_TRUE(five.ok()) << five.status();
+  EXPECT_EQ(five->NumRows(), 5u);
+  EXPECT_EQ(five->NumColumns(), 0u);
 }
 
 TEST(WireFrame, GoldenValueEncodings) {
@@ -131,8 +221,7 @@ TEST(WireFrame, ChecksumMismatchRejected) {
 TEST(WireFrame, TruncatedPayloadRejectedByReader) {
   InputBatch in;
   in.channel = 3;
-  in.batch.layout = RowLayout({7, 9});
-  in.batch.rows.push_back({Value::Int64(1), Value::String("x")});
+  in.batch = FilteredBatch();
   std::string payload = in.Encode();
   for (size_t cut = 0; cut < payload.size(); ++cut) {
     auto r = InputBatch::Decode(payload.substr(0, cut));
@@ -184,14 +273,16 @@ TEST(WireRoundTrip, LoadTableAndAck) {
 TEST(WireRoundTrip, InputFramesAndOutputFrames) {
   InputBatch in;
   in.channel = 1;
-  in.batch.layout = RowLayout({65536, 65537});
-  in.batch.rows.push_back({Value::Int64(10), Value::String("hi")});
+  in.batch = vec::FromRows(RowLayout({65536, 65537}),
+                           {{Value::Int64(10), Value::String("hi")}})
+                 .ValueOrDie();
   auto rin = InputBatch::Decode(in.Encode());
   ASSERT_TRUE(rin.ok());
   EXPECT_EQ(rin->channel, 1);
   EXPECT_EQ(rin->batch.layout.attrs(), in.batch.layout.attrs());
-  ASSERT_EQ(rin->batch.rows.size(), 1u);
-  EXPECT_TRUE(rin->batch.rows[0][1].StructurallyEquals(Value::String("hi")));
+  ASSERT_EQ(rin->batch.NumRows(), 1u);
+  EXPECT_TRUE(rin->batch.columns[1]->GetValue(rin->batch.sel[0])
+                  .StructurallyEquals(Value::String("hi")));
 
   InputEnd end;
   end.channel = 4;
@@ -203,7 +294,7 @@ TEST(WireRoundTrip, InputFramesAndOutputFrames) {
   out.batch = in.batch;
   auto rout = OutputBatch::Decode(out.Encode());
   ASSERT_TRUE(rout.ok());
-  EXPECT_EQ(rout->batch.rows.size(), 1u);
+  EXPECT_EQ(rout->batch.NumRows(), 1u);
 
   OutputEnd oend;
   oend.rows_out = 42;
