@@ -208,7 +208,7 @@ class ScanOp : public BatchOp {
   size_t offset_ = 0;
 };
 
-/// Disk-mode scan: converts one checksummed block at a time into
+/// Disk-mode scan: each checksummed block decodes straight into
 /// columns, re-chunked to batch_size (the same batch boundaries as the
 /// memory scan), so at most one block per scan is resident.
 class DiskScanOp : public ChunkedOp {
@@ -223,18 +223,18 @@ class DiskScanOp : public ChunkedOp {
 
  protected:
   Result<bool> Fill() override {
-    std::vector<Row> block;
+    ColumnBatch block;
     CGQ_ASSIGN_OR_RETURN(bool more, cursor_.Next(&block));
     if (storage_blocks_read_ != nullptr) {
       *storage_blocks_read_ += cursor_.blocks_read() - blocks_folded_;
       blocks_folded_ = cursor_.blocks_read();
     }
     if (!more) return true;
-    for (const Row& r : block) {
-      if (r.size() != layout_.size()) return WidthMismatch(node_->table);
+    if (block.NumColumns() != layout_.size()) {
+      return WidthMismatch(node_->table);
     }
-    CGQ_ASSIGN_OR_RETURN(ColumnBatch columns, vec::FromRows(layout_, block));
-    out_.Add(std::move(columns));
+    block.layout = layout_;
+    out_.Add(std::move(block));
     return false;
   }
 
@@ -512,9 +512,7 @@ class JoinOp : public ChunkedOp {
       return true;
     }
     if (spill_ != nullptr) {
-      for (const Row& r : vec::ToRowBatch(*in).rows) {
-        CGQ_RETURN_NOT_OK(spill_->AddProbe(r));
-      }
+      CGQ_RETURN_NOT_OK(spill_->AddProbe(*in));
       return false;
     }
     CGQ_RETURN_NOT_OK(ProbeBatch(*in));
@@ -566,9 +564,7 @@ class JoinOp : public ChunkedOp {
                                         memory_budget_bytes_),
           cancel_);
       CGQ_RETURN_NOT_OK(spill_->Init());
-      for (const Row& row : vec::ToRowBatch(build_).rows) {
-        CGQ_RETURN_NOT_OK(spill_->AddBuild(row));
-      }
+      CGQ_RETURN_NOT_OK(spill_->AddBuild(build_));
       build_ = ColumnBatch();
       return false;
     }

@@ -170,7 +170,7 @@ class PlanInterpreter {
           build_bytes > static_cast<double>(options_->memory_budget_bytes)) {
         // Build side over budget: grace/partitioned spill join. Output
         // is byte-identical to the in-memory hash path below.
-        CGQ_RETURN_NOT_OK(SpillJoin(spec, left.rows, right.rows,
+        CGQ_RETURN_NOT_OK(SpillJoin(spec, left, right,
                                     static_cast<uint64_t>(build_bytes),
                                     &out.rows));
       } else {
@@ -190,8 +190,8 @@ class PlanInterpreter {
     return out;
   }
 
-  Status SpillJoin(const JoinSpec& spec, const std::vector<Row>& build,
-                   const std::vector<Row>& probe, uint64_t build_bytes,
+  Status SpillJoin(const JoinSpec& spec, const RowBatch& build,
+                   const RowBatch& probe, uint64_t build_bytes,
                    std::vector<Row>* out) {
     exec_internal::SpillHashJoin join(
         &spec,
@@ -200,8 +200,12 @@ class PlanInterpreter {
             build_bytes, options_->memory_budget_bytes),
         options_->cancel.get());
     CGQ_RETURN_NOT_OK(join.Init());
-    for (const Row& row : build) CGQ_RETURN_NOT_OK(join.AddBuild(row));
-    for (const Row& row : probe) CGQ_RETURN_NOT_OK(join.AddProbe(row));
+    CGQ_ASSIGN_OR_RETURN(vec::ColumnBatch build_cols,
+                         vec::FromRowBatch(build));
+    CGQ_RETURN_NOT_OK(join.AddBuild(build_cols));
+    CGQ_ASSIGN_OR_RETURN(vec::ColumnBatch probe_cols,
+                         vec::FromRowBatch(probe));
+    CGQ_RETURN_NOT_OK(join.AddProbe(probe_cols));
     CGQ_RETURN_NOT_OK(join.Finish([&](Row row) {
       out->push_back(std::move(row));
       return Status::OK();

@@ -72,9 +72,11 @@ struct ExecutorOptions {
   /// Per-query memory budget for blocking operators. 0 = unlimited.
   /// When the build side of a hash join exceeds the budget, the join
   /// switches to the grace/partitioned spill path (exec/spill_join.h):
-  /// both sides are partitioned to checksummed spill files and joined
-  /// partition-pairwise, with byte-identical output. Scans are already
-  /// out-of-core in StorageMode::kDisk regardless of this knob.
+  /// both sides are partitioned to spill files of checksummed frames
+  /// (one per input batch and partition; a damaged file fails the query
+  /// kDataLoss) and joined partition-pairwise, with byte-identical
+  /// output. Scans are already out-of-core in StorageMode::kDisk
+  /// regardless of this knob.
   uint64_t memory_budget_bytes = 0;
   /// Directory for spill partition files; empty = a per-query directory
   /// under the system temp dir, removed when the query finishes.

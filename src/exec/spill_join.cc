@@ -4,10 +4,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <queue>
+#include <numeric>
 
 #include "common/trace.h"
 #include "net/wire_protocol.h"
+#include "storage/format.h"
 
 namespace cgq {
 namespace exec_internal {
@@ -16,45 +17,45 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Reads length-prefixed records back from a spill file.
-struct SpillFileReader {
-  FILE* file = nullptr;
-  std::string path;
-
-  Status Open(const std::string& p) {
-    path = p;
-    file = std::fopen(p.c_str(), "rb");
-    if (file == nullptr && !fs::exists(p)) return Status::OK();  // empty
-    if (file == nullptr) {
-      return Status::Unavailable(p + ": open for read failed");
-    }
-    return Status::OK();
-  }
-  /// False at end of file.
-  Result<bool> Next(std::string* payload) {
-    if (file == nullptr) return false;
-    uint8_t len_bytes[4];
-    size_t got = std::fread(len_bytes, 1, sizeof(len_bytes), file);
-    if (got == 0) return false;
-    if (got != sizeof(len_bytes)) {
-      return Status::Internal(path + ": torn spill record length");
-    }
-    const uint32_t len = static_cast<uint32_t>(len_bytes[0]) |
-                         (static_cast<uint32_t>(len_bytes[1]) << 8) |
-                         (static_cast<uint32_t>(len_bytes[2]) << 16) |
-                         (static_cast<uint32_t>(len_bytes[3]) << 24);
-    payload->resize(len);
-    if (std::fread(payload->data(), 1, len, file) != len) {
-      return Status::Internal(path + ": torn spill record payload");
-    }
-    return true;
-  }
-  ~SpillFileReader() {
-    if (file != nullptr) std::fclose(file);
-  }
-};
+/// The `type` of every spill frame (a flipped type bit is corruption).
+constexpr uint16_t kSpillFrameType = 1;
 
 }  // namespace
+
+Result<std::string> EncodeSpillFrame(const vec::ColumnBatch& batch) {
+  wire::Writer w;
+  w.PutColumns(batch);
+  return storage::EncodeFileFrame(storage::kSpillMagic, kSpillFrameType,
+                                  w.Take());
+}
+
+Status ForEachSpillFrame(const std::string& path,
+                         const std::function<Status(vec::ColumnBatch)>& fn) {
+  CGQ_ASSIGN_OR_RETURN(const std::string bytes, storage::ReadFile(path));
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
+  for (size_t pos = 0; pos < bytes.size();) {
+    CGQ_ASSIGN_OR_RETURN(storage::FileFrameHeader header,
+                         storage::DecodeFileFrame(storage::kSpillMagic,
+                                                  data + pos,
+                                                  bytes.size() - pos, path));
+    if (header.type != kSpillFrameType) {
+      return Status::DataLoss(path + ": unknown spill frame type " +
+                              std::to_string(header.type));
+    }
+    wire::Reader r(data + pos + storage::kFrameHeaderSize,
+                   header.payload_len);
+    auto batch = r.ReadColumns();
+    if (!batch.ok()) {
+      return Status::DataLoss(path + ": " + batch.status().message());
+    }
+    if (!r.AtEnd()) {
+      return Status::DataLoss(path + ": trailing bytes in spill frame");
+    }
+    CGQ_RETURN_NOT_OK(fn(std::move(*batch)));
+    pos += storage::kFrameHeaderSize + header.payload_len;
+  }
+  return Status::OK();
+}
 
 SpillHashJoin::SpillHashJoin(const JoinSpec* spec, std::string dir,
                              int num_partitions,
@@ -65,12 +66,6 @@ SpillHashJoin::SpillHashJoin(const JoinSpec* spec, std::string dir,
       cancel_(cancel) {}
 
 SpillHashJoin::~SpillHashJoin() {
-  for (auto* files : {&build_files_, &probe_files_}) {
-    for (SpillFile& f : *files) {
-      if (f.file != nullptr) std::fclose(f.file);
-      f.file = nullptr;
-    }
-  }
   std::error_code ec;
   fs::remove_all(dir_, ec);
 }
@@ -106,7 +101,7 @@ Status SpillHashJoin::Init() {
                               std::pair{&probe_files_, "probe"}}) {
       SpillFile& f = (*files)[static_cast<size_t>(p)];
       f.path = dir_ + "/" + tag + "-" + std::to_string(p) + ".spl";
-      f.file = std::fopen(f.path.c_str(), "wb");
+      f.file.reset(std::fopen(f.path.c_str(), "wb"));
       if (f.file == nullptr) {
         return Status::Unavailable(f.path + ": open spill file failed");
       }
@@ -117,32 +112,46 @@ Status SpillHashJoin::Init() {
   return Status::OK();
 }
 
-size_t SpillHashJoin::PartitionOf(const Row& row, bool is_build) const {
+Status SpillHashJoin::Partition(const vec::ColumnBatch& batch, bool is_build,
+                                std::vector<SpillFile>* files) {
+  if (!initialized_) return Status::Internal("spill join not initialized");
+  CGQ_RETURN_NOT_OK(CheckCancel());
+  vec::ColumnBatch part;
+  part.columns = batch.columns;
+  if (!is_build) {
+    // Probe frames carry each row's global ordinal as a last column.
+    vec::ColumnVector ordinals;
+    ordinals.i64.resize(batch.columns.front()->size());
+    ordinals.nulls.Resize(ordinals.i64.size());
+    for (uint32_t i : batch.sel) {
+      ordinals.i64[i] = static_cast<int64_t>(next_ordinal_++);
+    }
+    part.columns.push_back(vec::MakeColumn(std::move(ordinals)));
+  }
+  std::vector<vec::SelVec> sels(files->size());
   Row key;
-  key.reserve(spec_->key_positions.size());
-  for (auto [lp, rp] : spec_->key_positions) {
-    key.push_back(row[is_build ? lp : rp]);
+  for (uint32_t i : batch.sel) {
+    key.clear();
+    bool null_key = false;
+    for (auto [lp, rp] : spec_->key_positions) {
+      key.push_back(batch.columns[is_build ? lp : rp]->GetValue(i));
+      null_key |= key.back().is_null();
+    }
+    // A NULL key matches nothing, as in JoinHashTable::Build and Probe.
+    if (!null_key) sels[HashRow(key) % sels.size()].push_back(i);
   }
-  return HashRow(key) % static_cast<size_t>(num_partitions_);
-}
-
-Status SpillHashJoin::WriteRecord(SpillFile* file,
-                                  const std::string& payload) {
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  uint8_t len_bytes[4] = {static_cast<uint8_t>(len),
-                          static_cast<uint8_t>(len >> 8),
-                          static_cast<uint8_t>(len >> 16),
-                          static_cast<uint8_t>(len >> 24)};
-  if (std::fwrite(len_bytes, 1, sizeof(len_bytes), file->file) !=
-          sizeof(len_bytes) ||
-      std::fwrite(payload.data(), 1, payload.size(), file->file) !=
-          payload.size()) {
-    return Status::Unavailable(file->path + ": spill write failed");
+  for (size_t p = 0; p < sels.size(); ++p) {
+    if (sels[p].empty()) continue;
+    part.sel = std::move(sels[p]);
+    CGQ_ASSIGN_OR_RETURN(const std::string frame, EncodeSpillFrame(part));
+    SpillFile& file = (*files)[p];
+    if (std::fwrite(frame.data(), 1, frame.size(), file.file.get()) !=
+        frame.size()) {
+      return Status::Unavailable(file.path + ": spill write failed");
+    }
+    spill_bytes_ += static_cast<int64_t>(frame.size());
+    CGQ_COUNTER_ADD("storage.spill_bytes", static_cast<int64_t>(frame.size()));
   }
-  const int64_t written =
-      static_cast<int64_t>(sizeof(len_bytes) + payload.size());
-  spill_bytes_ += written;
-  CGQ_COUNTER_ADD("storage.spill_bytes", written);
   return Status::OK();
 }
 
@@ -153,157 +162,69 @@ Status SpillHashJoin::CheckCancel() const {
   return Status::OK();
 }
 
-Status SpillHashJoin::AddBuild(const Row& row) {
-  if (!initialized_) return Status::Internal("spill join not initialized");
-  for (auto [lp, rp] : spec_->key_positions) {
-    if (row[lp].is_null()) return Status::OK();  // unmatched, as in Build()
-  }
-  if ((++ops_since_cancel_check_ & 0x3ff) == 0) {
-    CGQ_RETURN_NOT_OK(CheckCancel());
-  }
-  wire::Writer w;
-  w.PutRow(row);
-  return WriteRecord(&build_files_[PartitionOf(row, /*is_build=*/true)],
-                     w.Take());
+Status SpillHashJoin::AddBuild(const vec::ColumnBatch& batch) {
+  return Partition(batch, /*is_build=*/true, &build_files_);
 }
 
-Status SpillHashJoin::AddProbe(const Row& row) {
-  if (!initialized_) return Status::Internal("spill join not initialized");
-  const uint64_t ordinal = next_ordinal_++;
-  for (auto [lp, rp] : spec_->key_positions) {
-    if (row[rp].is_null()) return Status::OK();  // no matches, as in Probe()
-  }
-  if ((++ops_since_cancel_check_ & 0x3ff) == 0) {
-    CGQ_RETURN_NOT_OK(CheckCancel());
-  }
-  wire::Writer w;
-  w.PutU64(ordinal);
-  w.PutRow(row);
-  return WriteRecord(&probe_files_[PartitionOf(row, /*is_build=*/false)],
-                     w.Take());
+Status SpillHashJoin::AddProbe(const vec::ColumnBatch& batch) {
+  return Partition(batch, /*is_build=*/false, &probe_files_);
 }
 
 Status SpillHashJoin::Finish(const std::function<Status(Row)>& emit) {
   if (!initialized_) return Status::Internal("spill join not initialized");
-  // Switch every partition file from append to read mode.
+  // Close every partition file; each is read back whole below.
   for (auto* files : {&build_files_, &probe_files_}) {
     for (SpillFile& f : *files) {
-      if (std::fflush(f.file) != 0) {
+      if (std::fflush(f.file.get()) != 0) {
         return Status::Unavailable(f.path + ": spill flush failed");
       }
-      std::fclose(f.file);
-      f.file = nullptr;
+      f.file.reset();
     }
   }
-
-  // Phase 1: join each partition pair; outputs form per-partition runs
-  // naturally sorted by probe ordinal.
-  std::vector<SpillFile> run_files(static_cast<size_t>(num_partitions_));
-  for (int64_t p = 0; p < num_partitions_; ++p) {
+  // Join each partition pair. Every output row keeps its probe row's
+  // ordinal; a probe row's matches all come from one partition, in build
+  // insertion order, so a stable sort by ordinal restores the reference
+  // order. Nothing is emitted before every partition has been read.
+  std::vector<Row> out;
+  std::vector<uint64_t> out_ordinals;
+  for (size_t p = 0; p < build_files_.size(); ++p) {
     CGQ_RETURN_NOT_OK(CheckCancel());
-    const size_t idx = static_cast<size_t>(p);
-
     std::vector<Row> build_rows;
-    {
-      SpillFileReader reader;
-      CGQ_RETURN_NOT_OK(reader.Open(build_files_[idx].path));
-      std::string payload;
-      while (true) {
-        CGQ_ASSIGN_OR_RETURN(bool more, reader.Next(&payload));
-        if (!more) break;
-        wire::Reader r(payload);
-        CGQ_ASSIGN_OR_RETURN(Row row, r.ReadRow());
+    auto add_build = [&](vec::ColumnBatch batch) {
+      for (Row& row : vec::ToRowBatch(batch).rows) {
         build_rows.push_back(std::move(row));
       }
-    }
+      return Status::OK();
+    };
+    CGQ_RETURN_NOT_OK(ForEachSpillFrame(build_files_[p].path, add_build));
     JoinHashTable table;
     table.Build(build_rows, *spec_);
-
-    SpillFile& run = run_files[idx];
-    run.path = dir_ + "/run-" + std::to_string(p) + ".spl";
-    run.file = std::fopen(run.path.c_str(), "wb");
-    if (run.file == nullptr) {
-      return Status::Unavailable(run.path + ": open run file failed");
-    }
-
-    SpillFileReader reader;
-    CGQ_RETURN_NOT_OK(reader.Open(probe_files_[idx].path));
-    std::string payload;
-    std::vector<Row> matches;
-    int64_t probed = 0;
-    while (true) {
-      CGQ_ASSIGN_OR_RETURN(bool more, reader.Next(&payload));
-      if (!more) break;
-      if ((probed++ & 0x3ff) == 0) CGQ_RETURN_NOT_OK(CheckCancel());
-      wire::Reader r(payload);
-      CGQ_ASSIGN_OR_RETURN(uint64_t ordinal, r.U64());
-      CGQ_ASSIGN_OR_RETURN(Row probe_row, r.ReadRow());
-      matches.clear();
-      CGQ_RETURN_NOT_OK(table.Probe(
-          probe_row, *spec_, [&](const Row& build_row) -> Status {
-            CGQ_ASSIGN_OR_RETURN(
-                bool emitted,
-                spec_->EmitIfMatch(build_row, probe_row, &matches));
-            (void)emitted;
-            return Status::OK();
-          }));
-      if (matches.empty()) continue;
-      wire::Writer w;
-      w.PutU64(ordinal);
-      w.PutU32(static_cast<uint32_t>(matches.size()));
-      for (const Row& row : matches) w.PutRow(row);
-      CGQ_RETURN_NOT_OK(WriteRecord(&run, w.Take()));
-    }
-    if (std::fflush(run.file) != 0) {
-      return Status::Unavailable(run.path + ": run flush failed");
-    }
-    std::fclose(run.file);
-    run.file = nullptr;
+    auto probe = [&](vec::ColumnBatch batch) -> Status {
+      CGQ_RETURN_NOT_OK(CheckCancel());
+      for (Row& row : vec::ToRowBatch(batch).rows) {
+        // The last value is the row's probe ordinal (see Partition).
+        if (row.empty() || !row.back().is_int64()) {
+          return Status::DataLoss(probe_files_[p].path +
+                                  ": probe row without its ordinal");
+        }
+        const uint64_t ordinal = static_cast<uint64_t>(row.back().int64());
+        row.pop_back();
+        auto match = [&](const Row& build_row) {
+          return spec_->EmitIfMatch(build_row, row, &out).status();
+        };
+        CGQ_RETURN_NOT_OK(table.Probe(row, *spec_, match));
+        out_ordinals.resize(out.size(), ordinal);
+      }
+      return Status::OK();
+    };
+    CGQ_RETURN_NOT_OK(ForEachSpillFrame(probe_files_[p].path, probe));
   }
-
-  // Phase 2: k-way merge of the runs back into global probe order. Each
-  // probe row's matches live in exactly one partition, so ordinals are
-  // unique across runs and the merge reproduces the reference order.
-  struct RunHead {
-    uint64_t ordinal = 0;
-    std::vector<Row> rows;
-    size_t run = 0;
-  };
-  auto later = [](const RunHead& a, const RunHead& b) {
-    return a.ordinal > b.ordinal;
-  };
-  std::priority_queue<RunHead, std::vector<RunHead>, decltype(later)> heap(
-      later);
-  std::vector<SpillFileReader> readers(run_files.size());
-  auto advance = [&](size_t run) -> Status {
-    std::string payload;
-    CGQ_ASSIGN_OR_RETURN(bool more, readers[run].Next(&payload));
-    if (!more) return Status::OK();
-    wire::Reader r(payload);
-    RunHead head;
-    head.run = run;
-    CGQ_ASSIGN_OR_RETURN(head.ordinal, r.U64());
-    CGQ_ASSIGN_OR_RETURN(uint32_t n, r.U32());
-    head.rows.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      CGQ_ASSIGN_OR_RETURN(Row row, r.ReadRow());
-      head.rows.push_back(std::move(row));
-    }
-    heap.push(std::move(head));
-    return Status::OK();
-  };
-  for (size_t run = 0; run < run_files.size(); ++run) {
-    CGQ_RETURN_NOT_OK(readers[run].Open(run_files[run].path));
-    CGQ_RETURN_NOT_OK(advance(run));
-  }
-  int64_t merged = 0;
-  while (!heap.empty()) {
-    RunHead head = heap.top();
-    heap.pop();
-    if ((merged++ & 0x3ff) == 0) CGQ_RETURN_NOT_OK(CheckCancel());
-    for (Row& row : head.rows) CGQ_RETURN_NOT_OK(emit(std::move(row)));
-    CGQ_RETURN_NOT_OK(advance(head.run));
-  }
+  std::vector<size_t> order(out.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return out_ordinals[a] < out_ordinals[b];
+  });
+  for (size_t i : order) CGQ_RETURN_NOT_OK(emit(std::move(out[i])));
   return Status::OK();
 }
 

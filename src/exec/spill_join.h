@@ -5,11 +5,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "exec/exec_internal.h"
+#include "exec/vector/column_batch.h"
 #include "types/value.h"
 
 namespace cgq {
@@ -22,18 +24,20 @@ namespace exec_internal {
 /// Both sides are hash-partitioned on the equi-key into P spill files
 /// (the same key always lands in the same partition), then each
 /// partition pair is joined independently with the regular in-memory
-/// JoinHashTable — so resident memory is ~build_bytes / P, not
-/// build_bytes. The reference output order (probe rows in input order,
-/// matches per probe row in build-insertion order; DESIGN.md §12) is
-/// reproduced exactly:
+/// JoinHashTable — so the resident input is ~1/P of both sides, beside
+/// the join's output, which every caller materializes. Each (input
+/// batch, partition) pair is one checksummed spill frame (see
+/// EncodeSpillFrame), so a torn or corrupted spill file fails kDataLoss
+/// instead of yielding rows. The reference output order (probe rows in
+/// input order, matches per probe row in build-insertion order;
+/// DESIGN.md §12) is reproduced exactly:
 ///
 ///  - build rows are written to their partition in arrival order, so
 ///    per-key build order inside a partition equals the global one
 ///    (equal keys share a partition);
 ///  - every probe row is tagged with its global arrival ordinal, and a
 ///    probe row's matches live in exactly one partition;
-///  - per-partition outputs are runs sorted by ordinal by construction,
-///    and Finish() k-way-merges the P runs back into ordinal order.
+///  - Finish() stable-sorts the output by ordinal.
 ///
 /// Byte-identical to the non-spilled join, pinned by spill_join_test.
 class SpillHashJoin {
@@ -53,18 +57,20 @@ class SpillHashJoin {
   static int PickPartitions(uint64_t build_bytes, uint64_t budget);
 
   Status Init();
-  /// Routes one build-side row to its partition file (NULL-key rows are
-  /// dropped, as JoinHashTable::Build drops them).
-  Status AddBuild(const Row& row);
-  /// Routes one probe-side row, tagging it with the next global ordinal
-  /// (NULL-key rows are dropped, as JoinHashTable::Probe skips them).
-  Status AddProbe(const Row& row);
-  /// Joins every partition pair and streams the merged output rows (in
-  /// the exact reference order) through `emit`.
+  /// Routes the batch's build-side rows to their partition files
+  /// (NULL-key rows are dropped, as JoinHashTable::Build drops them).
+  Status AddBuild(const vec::ColumnBatch& batch);
+  /// Routes the batch's probe-side rows, tagging each with the next
+  /// global ordinal (NULL-key rows are dropped, as JoinHashTable::Probe
+  /// skips them).
+  Status AddProbe(const vec::ColumnBatch& batch);
+  /// Joins every partition pair, then passes the output rows (in the
+  /// exact reference order) to `emit`. A torn or corrupt spill frame is
+  /// kDataLoss, before any row is emitted.
   Status Finish(const std::function<Status(Row)>& emit);
 
   int64_t partitions() const { return num_partitions_; }
-  /// Bytes written across all spill files (both sides + output runs).
+  /// Bytes written across all spill files (both sides).
   int64_t spill_bytes() const { return spill_bytes_; }
 
   /// A process-unique spill directory under `base` (or the system temp
@@ -72,14 +78,17 @@ class SpillHashJoin {
   static std::string MakeSpillDir(const std::string& base);
 
  private:
-  /// One append-then-rescan spill file of length-prefixed records.
+  using FilePtr = std::unique_ptr<FILE, int (*)(FILE*)>;
+  /// One append-then-rescan spill file of spill frames.
   struct SpillFile {
     std::string path;
-    FILE* file = nullptr;  // write handle until Finish, then read handle
+    FilePtr file{nullptr, &std::fclose};  // write handle until Finish
   };
 
-  size_t PartitionOf(const Row& row, bool is_build) const;
-  Status WriteRecord(SpillFile* file, const std::string& payload);
+  /// Splits the batch's non-NULL-key rows by partition and writes one
+  /// frame per partition that got rows; probe rows take ordinals.
+  Status Partition(const vec::ColumnBatch& batch, bool is_build,
+                   std::vector<SpillFile>* files);
   Status CheckCancel() const;
 
   const JoinSpec* spec_;
@@ -90,9 +99,20 @@ class SpillHashJoin {
   std::vector<SpillFile> probe_files_;
   uint64_t next_ordinal_ = 0;
   int64_t spill_bytes_ = 0;
-  int64_t ops_since_cancel_check_ = 0;
   bool initialized_ = false;
 };
+
+/// One spill frame: a storage file frame (storage/format.h) with
+/// kSpillMagic whose payload is one batch in the batch codec
+/// (wire::Writer::PutColumns). A probe frame's last column holds each
+/// row's global probe ordinal.
+Result<std::string> EncodeSpillFrame(const vec::ColumnBatch& batch);
+
+/// Decodes the spill file at `path` frame by frame, passing each as a
+/// positional batch to `fn`. A torn, corrupt or malformed frame is
+/// kDataLoss.
+Status ForEachSpillFrame(const std::string& path,
+                         const std::function<Status(vec::ColumnBatch)>& fn);
 
 }  // namespace exec_internal
 }  // namespace cgq

@@ -216,16 +216,23 @@ Result<TableStore::Cursor> TableStore::Scan(LocationId location,
 }
 
 Result<bool> TableStore::Cursor::Next(std::vector<Row>* out) {
+  out->clear();
   if (is_disk_) {
-    CGQ_ASSIGN_OR_RETURN(bool more, disk_.Next(out));
+    vec::ColumnBatch batch;
+    CGQ_ASSIGN_OR_RETURN(bool more, disk_.Next(&batch));
+    if (more) *out = vec::ToRowBatch(batch).rows;
     return more;
   }
-  out->clear();
-  if (memory_done_) return false;
-  memory_done_ = true;
-  if (memory_rows_.empty()) return false;
+  if (memory_pos_ >= memory_rows_.size()) return false;
   *out = std::move(memory_rows_);
   memory_rows_.clear();
+  return true;
+}
+
+Result<bool> TableStore::Cursor::Next(vec::ColumnBatch* out) {
+  if (is_disk_) return disk_.Next(out);
+  if (memory_pos_ >= memory_rows_.size()) return false;
+  *out = vec::NextWidthRun(memory_rows_, &memory_pos_);
   return true;
 }
 
@@ -253,23 +260,15 @@ TableStore::GetColumnar(LocationId location, const std::string& table) const {
                             "' at location " + std::to_string(location));
   }
   const std::vector<Row>& rows = rows_it->second;
-  auto built = std::make_shared<ColumnarFragment>();
-  if (!rows.empty()) {
-    const size_t width = rows[0].size();
-    std::vector<vec::ColumnVector> cols(width);
-    for (vec::ColumnVector& c : cols) c.Reserve(rows.size());
-    for (const Row& row : rows) {
-      if (row.size() != width) {
-        return Status::Internal("stored row width mismatch for table '" +
-                                table + "'");
-      }
-      for (size_t c = 0; c < width; ++c) cols[c].AppendValue(row[c]);
-    }
-    built->reserve(width);
-    for (vec::ColumnVector& c : cols) {
-      built->push_back(vec::MakeColumn(std::move(c)));
+  const size_t width = rows.empty() ? 0 : rows[0].size();
+  for (const Row& row : rows) {
+    if (row.size() != width) {
+      return Status::Internal("stored row width mismatch for table '" +
+                              table + "'");
     }
   }
+  auto built = std::make_shared<ColumnarFragment>(
+      vec::FromRows(rows.data(), rows.size(), width).columns);
   std::lock_guard<std::mutex> clock(columnar_mu_);
   columnar_[key] = built;
   return std::shared_ptr<const ColumnarFragment>(std::move(built));

@@ -89,13 +89,17 @@ class TableStore {
                               const std::string& table) const;
 
   /// Streaming reader over one fragment, usable in both modes. Memory
-  /// mode yields the whole fragment in one chunk (a snapshot copy); disk
-  /// mode yields one checksummed block per Next() and counts them.
+  /// mode yields the whole fragment (a snapshot copy); disk mode yields
+  /// one checksummed block per Next() and counts them.
   class Cursor {
    public:
     /// Fills *out (cleared first) with the next chunk; false when the
     /// fragment is exhausted. Disk corruption is typed kDataLoss.
     Result<bool> Next(std::vector<Row>* out);
+    /// The columnar form: the next chunk as a positional batch (empty
+    /// layout) of one row width. Disk blocks decode straight into it;
+    /// a ragged fragment yields one batch per same-width run.
+    Result<bool> Next(vec::ColumnBatch* out);
     /// Data blocks read so far (0 in memory mode).
     int64_t blocks_read() const;
     /// Total rows this cursor will yield.
@@ -104,7 +108,7 @@ class TableStore {
    private:
     friend class TableStore;
     std::vector<Row> memory_rows_;
-    bool memory_done_ = false;
+    size_t memory_pos_ = 0;
     bool is_disk_ = false;
     storage::StorageEngine::Cursor disk_;
     size_t total_rows_ = 0;

@@ -45,31 +45,33 @@ void ColumnVector::DemoteToValues() {
   tag = ColumnTag::kValue;
 }
 
+void ColumnVector::AppendNull() {
+  // A leading run of NULLs stays typed (kInt64 by default); the first
+  // non-null value may still retag an all-null column in AppendValue.
+  switch (tag) {
+    case ColumnTag::kInt64:
+      i64.push_back(0);
+      break;
+    case ColumnTag::kDouble:
+      f64.push_back(0);
+      break;
+    case ColumnTag::kString:
+      str.emplace_back();
+      break;
+    case ColumnTag::kValue:
+      vals.emplace_back();
+      break;
+  }
+  nulls.AppendBit(true);
+}
+
 void ColumnVector::AppendValue(const Value& v) {
   if (tag == ColumnTag::kValue) {
     vals.push_back(v);
     nulls.AppendBit(v.is_null());
     return;
   }
-  if (v.is_null()) {
-    // A leading run of NULLs stays typed (kInt64 by default); the first
-    // non-null value may still retag an all-null column below.
-    switch (tag) {
-      case ColumnTag::kInt64:
-        i64.push_back(0);
-        break;
-      case ColumnTag::kDouble:
-        f64.push_back(0);
-        break;
-      case ColumnTag::kString:
-        str.emplace_back();
-        break;
-      case ColumnTag::kValue:
-        break;
-    }
-    nulls.AppendBit(true);
-    return;
-  }
+  if (v.is_null()) return AppendNull();
   // A column that has only seen NULLs (or nothing) has no committed type
   // yet: adopt the tag of the first non-null value.
   const bool uncommitted =
@@ -244,21 +246,36 @@ ColumnBatch DenseBatch(RowLayout layout, std::vector<ColumnVector> cols,
   return out;
 }
 
+ColumnBatch FromRows(const Row* rows, size_t n, size_t width) {
+  std::vector<ColumnVector> cols(width);
+  for (ColumnVector& c : cols) c.Reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < width; ++c) cols[c].AppendValue(rows[r][c]);
+  }
+  return DenseBatch(RowLayout(), std::move(cols), n);
+}
+
 Result<ColumnBatch> FromRows(const RowLayout& layout,
                              const std::vector<Row>& rows) {
-  std::vector<ColumnVector> cols(layout.size());
-  for (ColumnVector& c : cols) c.Reserve(rows.size());
   for (const Row& row : rows) {
     if (row.size() != layout.size()) {
       return Status::Internal("row width " + std::to_string(row.size()) +
                               " does not match layout width " +
                               std::to_string(layout.size()));
     }
-    for (size_t c = 0; c < row.size(); ++c) {
-      cols[c].AppendValue(row[c]);
-    }
   }
-  return DenseBatch(layout, std::move(cols), rows.size());
+  ColumnBatch out = FromRows(rows.data(), rows.size(), layout.size());
+  out.layout = layout;
+  return out;
+}
+
+ColumnBatch NextWidthRun(const std::vector<Row>& rows, size_t* pos) {
+  const size_t begin = *pos;
+  const size_t width = rows[begin].size();
+  size_t end = begin + 1;
+  while (end < rows.size() && rows[end].size() == width) ++end;
+  *pos = end;
+  return FromRows(rows.data() + begin, end - begin, width);
 }
 
 Result<ColumnBatch> FromRowBatch(const RowBatch& batch) {

@@ -105,6 +105,25 @@ struct ColumnVector {
   /// decides the tag of a fresh column).
   void AppendValue(const Value& v);
 
+  /// Typed appends, equal to AppendValue of the same value; they build
+  /// a Value only to retag an all-null column or demote a mixed one.
+  void AppendNull();
+  void AppendInt64(int64_t v) {
+    if (tag != ColumnTag::kInt64) return AppendValue(Value::Int64(v));
+    i64.push_back(v);
+    nulls.AppendBit(false);
+  }
+  void AppendDouble(double v) {
+    if (tag != ColumnTag::kDouble) return AppendValue(Value::Double(v));
+    f64.push_back(v);
+    nulls.AppendBit(false);
+  }
+  void AppendString(std::string v) {
+    if (tag != ColumnTag::kString) return AppendValue(Value::String(v));
+    str.push_back(std::move(v));
+    nulls.AppendBit(false);
+  }
+
   /// Appends row `i` of `other` (same-tag fast path, generic otherwise).
   void AppendFrom(const ColumnVector& other, size_t i);
 
@@ -182,6 +201,14 @@ Result<ColumnBatch> FromRowBatch(const RowBatch& batch);
 /// Same, directly from rows (skips the RowBatch).
 Result<ColumnBatch> FromRows(const RowLayout& layout,
                              const std::vector<Row>& rows);
+
+/// Same, for stored rows, which carry no attr ids: `n` rows of `width`
+/// values each, as a dense batch with an empty layout.
+ColumnBatch FromRows(const Row* rows, size_t n, size_t width);
+
+/// FromRows of `rows` from *pos up to the next change of row width;
+/// advances *pos past them (a stored or shipped batch has one width).
+ColumnBatch NextWidthRun(const std::vector<Row>& rows, size_t* pos);
 
 /// Column -> row conversion of the batch's rows, value-identical to what
 /// FromRowBatch consumed: round-tripping any RowBatch reproduces it

@@ -116,12 +116,12 @@ Status ClusterClient::Deploy(const TableStore& store) {
     // (replacing) chunk so the server learns the table exists at the
     // location.
     bool first = true;
-    auto send_chunk = [&](std::vector<Row> chunk_rows) -> Status {
+    auto send_chunk = [&](vec::ColumnBatch batch) -> Status {
       wire::LoadTable chunk;
       chunk.location = fragment.location;
       chunk.table = fragment.table;
       chunk.replace = first;
-      chunk.rows = std::move(chunk_rows);
+      chunk.batch = std::move(batch);
       first = false;
       CGQ_RETURN_NOT_OK(SendFrame(socket, wire::FrameType::kLoadTable,
                                   chunk.Encode(), io_timeout_ms));
@@ -141,22 +141,17 @@ Status ClusterClient::Deploy(const TableStore& store) {
     };
     CGQ_ASSIGN_OR_RETURN(TableStore::Cursor cursor,
                          store.Scan(fragment.location, fragment.table));
-    std::vector<Row> buffer;
-    std::vector<Row> block;
+    vec::ColumnBatch block;
     while (true) {
       CGQ_ASSIGN_OR_RETURN(bool more, cursor.Next(&block));
       if (!more) break;
-      for (Row& row : block) {
-        buffer.push_back(std::move(row));
-        if (buffer.size() == kLoadChunkRows) {
-          CGQ_RETURN_NOT_OK(send_chunk(std::move(buffer)));
-          buffer.clear();
-        }
+      for (size_t begin = 0; begin < block.NumRows();
+           begin += kLoadChunkRows) {
+        CGQ_RETURN_NOT_OK(send_chunk(block.Slice(
+            begin, std::min(begin + kLoadChunkRows, block.NumRows()))));
       }
     }
-    if (!buffer.empty() || first) {
-      CGQ_RETURN_NOT_OK(send_chunk(std::move(buffer)));
-    }
+    if (first) CGQ_RETURN_NOT_OK(send_chunk(vec::ColumnBatch()));
   }
   return Status::OK();
 }

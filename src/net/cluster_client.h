@@ -56,7 +56,8 @@ class ClusterClient {
   /// fragment attempt.
   Result<Socket> Dial(LocationId site, int timeout_ms) const;
 
-  /// Rows per LoadTable chunk during Deploy.
+  /// Most rows per LoadTable chunk during Deploy (a chunk never spans
+  /// two cursor batches: a disk block or a same-width run of rows).
   static constexpr size_t kLoadChunkRows = 4096;
 
   int io_timeout_ms = kDefaultIoTimeoutMs;

@@ -363,11 +363,11 @@ void SiteServer::HandleFrame(ConnectionState* conn, uint16_t type,
       // Persist before acknowledging: with --data-dir the chunk is in
       // the commit log (flushed) when kLoadAck leaves, so a SIGKILL
       // after the ack never loses acknowledged rows.
+      std::vector<Row> chunk = vec::ToRowBatch(msg.batch).rows;
       Status stored =
           msg.replace
-              ? store_.Put(msg.location, msg.table, std::move(msg.rows))
-              : store_.AppendRows(msg.location, msg.table,
-                                  std::move(msg.rows));
+              ? store_.Put(msg.location, msg.table, std::move(chunk))
+              : store_.AppendRows(msg.location, msg.table, std::move(chunk));
       if (!stored.ok()) return fail(stored);
       wire::LoadAck ack;
       Result<size_t> rows = store_.FragmentRows(msg.location, msg.table);

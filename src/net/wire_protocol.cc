@@ -120,32 +120,40 @@ void Writer::PutString(const std::string& s) {
 }
 
 void Writer::PutValue(const Value& v) {
-  if (v.is_null()) {
-    PutU8(0);
-  } else if (v.is_int64()) {
-    PutU8(1);
-    PutI64(v.int64());
-  } else if (v.is_double()) {
-    PutU8(2);
-    PutDouble(v.dbl());
-  } else {
-    PutU8(3);
-    PutString(v.str());
+  // A single value always takes a typed tag (never kValue).
+  vec::ColumnVector col;
+  col.AppendValue(v);
+  PutCell(col, 0);
+}
+
+void Writer::PutCell(const vec::ColumnVector& col, size_t i) {
+  if (col.tag == vec::ColumnTag::kValue) return PutValue(col.vals[i]);
+  if (col.nulls.IsNull(i)) return PutU8(0);
+  switch (col.tag) {
+    case vec::ColumnTag::kInt64:
+      PutU8(1);
+      return PutI64(col.i64[i]);
+    case vec::ColumnTag::kDouble:
+      PutU8(2);
+      return PutDouble(col.f64[i]);
+    default:
+      PutU8(3);
+      return PutString(col.str[i]);
   }
 }
 
-void Writer::PutRow(const Row& row) {
-  PutU32(static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) PutValue(v);
+void Writer::PutColumns(const vec::ColumnBatch& batch) {
+  PutU32(static_cast<uint32_t>(batch.NumRows()));
+  PutU32(static_cast<uint32_t>(batch.NumColumns()));
+  for (const vec::ColumnPtr& col : batch.columns) {
+    for (uint32_t i : batch.sel) PutCell(*col, i);
+  }
 }
 
 void Writer::PutBatch(const vec::ColumnBatch& batch) {
   PutU32(static_cast<uint32_t>(batch.layout.attrs().size()));
   for (AttrId id : batch.layout.attrs()) PutU32(id);
-  PutU32(static_cast<uint32_t>(batch.NumRows()));
-  for (const vec::ColumnPtr& col : batch.columns) {
-    for (uint32_t i : batch.sel) PutValue(col->GetValue(i));
-  }
+  PutColumns(batch);
 }
 
 void Writer::PutExpr(const Expr& e) {
@@ -327,39 +335,56 @@ Result<std::string> Reader::String() {
 }
 
 Result<Value> Reader::ReadValue() {
+  vec::ColumnVector col;
+  CGQ_RETURN_NOT_OK(ReadCell(&col));
+  return col.GetValue(0);
+}
+
+Status Reader::ReadCell(vec::ColumnVector* col) {
   CGQ_ASSIGN_OR_RETURN(uint8_t tag, U8());
   switch (tag) {
     case 0:
-      return Value::Null();
+      col->AppendNull();
+      return Status::OK();
     case 1: {
       CGQ_ASSIGN_OR_RETURN(int64_t v, I64());
-      return Value::Int64(v);
+      col->AppendInt64(v);
+      return Status::OK();
     }
     case 2: {
       CGQ_ASSIGN_OR_RETURN(double v, Double());
-      return Value::Double(v);
+      col->AppendDouble(v);
+      return Status::OK();
     }
     case 3: {
       CGQ_ASSIGN_OR_RETURN(std::string v, String());
-      return Value::String(std::move(v));
+      col->AppendString(std::move(v));
+      return Status::OK();
     }
     default:
       return Status::InvalidArgument("bad value tag " + std::to_string(tag));
   }
 }
 
-Result<Row> Reader::ReadRow() {
-  CGQ_ASSIGN_OR_RETURN(uint32_t n, U32());
-  if (remaining() < n) {
+Result<vec::ColumnBatch> Reader::ReadColumns() {
+  CGQ_ASSIGN_OR_RETURN(uint32_t num_rows, U32());
+  CGQ_ASSIGN_OR_RETURN(uint32_t num_cols, U32());
+  // Every value is at least its tag byte: counts the payload cannot hold
+  // fail here, before anything is allocated for them. A batch without
+  // values has nothing to bound its counts by; what it allocates (a
+  // selection entry per row, a column per column) stays within
+  // kMaxPayloadBytes.
+  const uint64_t values = uint64_t{num_rows} * num_cols;
+  const uint64_t empty_bytes = uint64_t{num_rows} * sizeof(uint32_t) +
+                               uint64_t{num_cols} * sizeof(vec::ColumnVector);
+  if (values == 0 ? empty_bytes > kMaxPayloadBytes : remaining() < values) {
     return Status::InvalidArgument("truncated payload");
   }
-  Row row;
-  row.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    CGQ_ASSIGN_OR_RETURN(Value v, ReadValue());
-    row.push_back(std::move(v));
+  std::vector<vec::ColumnVector> cols(num_cols);
+  for (vec::ColumnVector& col : cols) {
+    for (uint32_t i = 0; i < num_rows; ++i) CGQ_RETURN_NOT_OK(ReadCell(&col));
   }
-  return row;
+  return vec::DenseBatch(RowLayout(), std::move(cols), num_rows);
 }
 
 Result<vec::ColumnBatch> Reader::ReadBatch() {
@@ -373,24 +398,14 @@ Result<vec::ColumnBatch> Reader::ReadBatch() {
     CGQ_ASSIGN_OR_RETURN(uint32_t id, U32());
     attrs.push_back(id);
   }
-  CGQ_ASSIGN_OR_RETURN(uint32_t num_rows, U32());
-  // Every value is at least its tag byte: a row count the payload cannot
-  // hold fails here, before anything is allocated for it. A zero-width
-  // batch has no values to bound it by; it keeps the row-major bound of
-  // one u32 per row within kMaxPayloadBytes.
-  if (num_attrs == 0 ? uint64_t{num_rows} * 4 > kMaxPayloadBytes
-                     : remaining() < uint64_t{num_rows} * num_attrs) {
-    return Status::InvalidArgument("truncated payload");
+  CGQ_ASSIGN_OR_RETURN(vec::ColumnBatch batch, ReadColumns());
+  if (batch.NumColumns() != num_attrs) {
+    return Status::InvalidArgument(
+        "batch of " + std::to_string(batch.NumColumns()) +
+        " columns for " + std::to_string(num_attrs) + " attrs");
   }
-  std::vector<vec::ColumnVector> cols(num_attrs);
-  for (vec::ColumnVector& col : cols) {
-    for (uint32_t i = 0; i < num_rows; ++i) {
-      CGQ_ASSIGN_OR_RETURN(Value v, ReadValue());
-      col.AppendValue(v);
-    }
-  }
-  return vec::DenseBatch(RowLayout(std::move(attrs)), std::move(cols),
-                         num_rows);
+  batch.layout = RowLayout(std::move(attrs));
+  return batch;
 }
 
 Result<ExprPtr> Reader::ReadExpr() {
@@ -654,8 +669,7 @@ std::string LoadTable::Encode() const {
   w.PutU32(location);
   w.PutString(table);
   w.PutU8(replace ? 1 : 0);
-  w.PutU32(static_cast<uint32_t>(rows.size()));
-  for (const Row& row : rows) w.PutRow(row);
+  w.PutColumns(batch);
   return w.Take();
 }
 
@@ -666,15 +680,7 @@ Result<LoadTable> LoadTable::Decode(const std::string& payload) {
   CGQ_ASSIGN_OR_RETURN(load.table, r.String());
   CGQ_ASSIGN_OR_RETURN(uint8_t replace, r.U8());
   load.replace = replace != 0;
-  CGQ_ASSIGN_OR_RETURN(uint32_t n, r.U32());
-  if (r.remaining() < n) {
-    return Status::InvalidArgument("truncated payload");
-  }
-  load.rows.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    CGQ_ASSIGN_OR_RETURN(Row row, r.ReadRow());
-    load.rows.push_back(std::move(row));
-  }
+  CGQ_ASSIGN_OR_RETURN(load.batch, r.ReadColumns());
   return load;
 }
 

@@ -29,7 +29,7 @@ namespace wire {
 /// pattern (lossless); strings as u32 length + bytes. The encoding is
 /// byte-stable across platforms — the golden tests pin exact frames.
 inline constexpr uint32_t kMagic = 0x57514743u;
-inline constexpr uint16_t kVersion = 2;
+inline constexpr uint16_t kVersion = 3;
 inline constexpr size_t kHeaderSize = 20;
 /// Upper bound on one payload; larger frames are rejected as corrupt
 /// before any allocation happens (a resource guard against garbage
@@ -89,10 +89,12 @@ class Writer {
   void PutDouble(double v);
   void PutString(const std::string& s);
   void PutValue(const Value& v);
-  void PutRow(const Row& row);
-  /// The serialized form of a ColumnBatch, column-major like a columnar
-  /// storage block: u32 attr count, the attrs, u32 row count, then each
-  /// column's selected rows as tagged values (PutValue).
+  /// The batch codec of every stored or shipped batch (blocks, commit-
+  /// log records, spill frames, LoadTable and SHIP frames): u32 row
+  /// count, u32 column count, then each column's selected rows as
+  /// tagged values (PutValue), written from the typed columns.
+  void PutColumns(const vec::ColumnBatch& batch);
+  /// A SHIP batch: u32 attr count, the attrs, then PutColumns.
   void PutBatch(const vec::ColumnBatch& batch);
   void PutExpr(const Expr& e);
   /// A fragment subtree. SHIP leaves are encoded childless, carrying
@@ -107,6 +109,9 @@ class Writer {
   std::string Take() { return std::move(buf_); }
 
  private:
+  /// Row `i` of `col` as one tagged value, read from the typed column.
+  void PutCell(const vec::ColumnVector& col, size_t i);
+
   std::string buf_;
 };
 
@@ -128,9 +133,11 @@ class Reader {
   Result<double> Double();
   Result<std::string> String();
   Result<Value> ReadValue();
-  Result<Row> ReadRow();
-  /// Inverse of PutBatch: a dense batch whose column tags are inferred
-  /// from the decoded values, as vec::FromRows infers them.
+  /// Inverse of PutColumns: a dense batch with an empty layout, its
+  /// column tags inferred as vec::FromRows infers them.
+  Result<vec::ColumnBatch> ReadColumns();
+  /// Inverse of PutBatch; refuses a column count that differs from the
+  /// attr count.
   Result<vec::ColumnBatch> ReadBatch();
   Result<ExprPtr> ReadExpr();
   /// Inverse of Writer::PutPlan. Decoded SHIP leaves have no children;
@@ -143,6 +150,8 @@ class Reader {
 
  private:
   Status Need(size_t n);
+  /// Appends one tagged value to `col` (ColumnVector's typed appends).
+  Status ReadCell(vec::ColumnVector* col);
 
   const uint8_t* data_;
   size_t len_;
@@ -167,12 +176,13 @@ struct HelloAck {
 };
 
 /// One chunk of a table fragment pushed to the hosting server. The first
-/// chunk of a fragment sets `replace`; later chunks append.
+/// chunk of a fragment sets `replace`; later chunks append. Stored rows
+/// carry no attr ids, so the batch travels as PutColumns (positional).
 struct LoadTable {
   LocationId location = 0;
   std::string table;
   bool replace = true;
-  std::vector<Row> rows;
+  vec::ColumnBatch batch;
 
   std::string Encode() const;
   static Result<LoadTable> Decode(const std::string& payload);

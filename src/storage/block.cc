@@ -5,76 +5,40 @@
 namespace cgq {
 namespace storage {
 
-Result<std::string> EncodeBlockFile(const std::vector<Row>& rows) {
-  bool uniform = true;
-  const size_t width = rows.empty() ? 0 : rows.front().size();
-  for (const Row& row : rows) {
-    if (row.size() != width) {
-      uniform = false;
-      break;
-    }
-  }
+Result<std::string> EncodeBlockFile(const vec::ColumnBatch& batch) {
   wire::Writer w;
-  if (uniform) {
-    w.PutU32(static_cast<uint32_t>(rows.size()));
-    w.PutU32(static_cast<uint32_t>(width));
-    for (size_t c = 0; c < width; ++c) {
-      for (const Row& row : rows) w.PutValue(row[c]);
-    }
-  } else {
-    w.PutU32(static_cast<uint32_t>(rows.size()));
-    for (const Row& row : rows) w.PutRow(row);
-  }
-  return EncodeFileFrame(kBlockMagic, uniform ? kBlockColumnar : 0, w.Take());
+  w.PutColumns(batch);
+  return EncodeFileFrame(kBlockMagic, kBlockColumnar, w.Take());
 }
 
-Result<std::vector<Row>> DecodeBlockFile(const std::string& bytes,
+Result<vec::ColumnBatch> DecodeBlockFile(const std::string& bytes,
                                          const std::string& what) {
-  if (bytes.size() < kFrameHeaderSize) {
-    return Status::DataLoss(what + ": block truncated to " +
-                            std::to_string(bytes.size()) + " bytes");
-  }
   const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  CGQ_ASSIGN_OR_RETURN(
-      FileFrameHeader header,
-      DecodeFileFrameHeader(kBlockMagic, data, kFrameHeaderSize, what));
+  CGQ_ASSIGN_OR_RETURN(FileFrameHeader header,
+                       DecodeFileFrame(kBlockMagic, data, bytes.size(), what));
   if (bytes.size() != kFrameHeaderSize + header.payload_len) {
-    return Status::DataLoss(
-        what + ": block file is " + std::to_string(bytes.size()) +
-        " bytes, header names " +
-        std::to_string(kFrameHeaderSize + header.payload_len));
+    return Status::DataLoss(what + ": trailing bytes after the block");
   }
-  CGQ_RETURN_NOT_OK(VerifyFilePayload(header, data + kFrameHeaderSize, what));
+  if (header.type == 0) {
+    return Status::Unsupported(what +
+                               ": row-major block of ragged rows is no "
+                               "longer readable");
+  }
+  if (header.type != kBlockColumnar) {
+    return Status::DataLoss(what + ": unknown block flags " +
+                            std::to_string(header.type));
+  }
 
   wire::Reader r(data + kFrameHeaderSize, header.payload_len);
-  std::vector<Row> rows;
-  if (header.type & kBlockColumnar) {
-    CGQ_ASSIGN_OR_RETURN(uint32_t n, r.U32());
-    CGQ_ASSIGN_OR_RETURN(uint32_t width, r.U32());
-    rows.assign(n, Row(width));
-    for (uint32_t c = 0; c < width; ++c) {
-      for (uint32_t i = 0; i < n; ++i) {
-        auto v = r.ReadValue();
-        if (!v.ok()) return Status::DataLoss(what + ": " +
-                                             v.status().message());
-        rows[i][c] = std::move(*v);
-      }
-    }
-  } else {
-    CGQ_ASSIGN_OR_RETURN(uint32_t n, r.U32());
-    rows.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      auto row = r.ReadRow();
-      if (!row.ok()) return Status::DataLoss(what + ": " +
-                                             row.status().message());
-      rows.push_back(std::move(*row));
-    }
+  auto batch = r.ReadColumns();
+  if (!batch.ok()) {
+    return Status::DataLoss(what + ": " + batch.status().message());
   }
   if (!r.AtEnd()) {
     return Status::DataLoss(what + ": " + std::to_string(r.remaining()) +
                             " trailing bytes after block rows");
   }
-  return rows;
+  return batch;
 }
 
 }  // namespace storage

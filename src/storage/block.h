@@ -2,36 +2,39 @@
 #define CGQ_STORAGE_BLOCK_H_
 
 #include <string>
-#include <vector>
 
 #include "common/result.h"
+#include "exec/vector/column_batch.h"
 #include "storage/format.h"
-#include "types/value.h"
 
 namespace cgq {
 namespace storage {
 
 /// Immutable checksummed data block (`b<id>.blk`): one file frame with
-/// kBlockMagic. The payload is columnar when every row has the same
-/// width (the normal case for table fragments):
+/// kBlockMagic whose payload is one batch in the batch codec
+/// (wire::Writer::PutColumns):
 ///
-///   u32 rows, u32 cols, then column-major values (col 0 row 0..n,
-///   col 1 row 0..n, ...)
+///   u32 rows, u32 cols, then column-major tagged values (col 0 row
+///   0..n, col 1 row 0..n, ...)
 ///
-/// and row-major otherwise (u32 rows, then each row as PutRow, which
-/// carries its own width). The header `type` field is a flag word:
+/// The header `type` field is a flag word. Every block the engine
+/// writes has one row width and sets exactly kBlockColumnar. A block
+/// with no flag is the row-major form older stores used for ragged
+/// rows, refused as kUnsupported rather than decoded; any other flag
+/// word is kDataLoss.
 inline constexpr uint16_t kBlockColumnar = 1;  ///< bit 0: columnar payload
 
-/// Encodes rows as a complete block file (header + payload).
+/// Encodes a batch as a complete block file (header + payload).
 /// kInvalidArgument when the payload would exceed kMaxFrameBytes (the
 /// engine cuts blocks far smaller; only a single enormous row can hit
 /// this, and it must fail here, not at read time).
-Result<std::string> EncodeBlockFile(const std::vector<Row>& rows);
+Result<std::string> EncodeBlockFile(const vec::ColumnBatch& batch);
 
-/// Decodes and checksum-verifies a whole block file. Corruption —
-/// wrong magic, bad checksum, truncation, trailing garbage — is typed
-/// kDataLoss; a block is never partially decoded into wrong rows.
-Result<std::vector<Row>> DecodeBlockFile(const std::string& bytes,
+/// Decodes and checksum-verifies a whole block file into a positional
+/// batch (empty layout). Corruption — wrong magic, bad checksum,
+/// truncation, trailing garbage — is typed kDataLoss; a block is never
+/// partially decoded into wrong rows.
+Result<vec::ColumnBatch> DecodeBlockFile(const std::string& bytes,
                                          const std::string& what);
 
 }  // namespace storage

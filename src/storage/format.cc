@@ -20,6 +20,8 @@ std::string MagicName(uint32_t magic) {
       return "commit log";
     case kManifestMagic:
       return "manifest";
+    case kSpillMagic:
+      return "spill";
   }
   return "frame";
 }
@@ -65,6 +67,10 @@ Result<FileFrameHeader> DecodeFileFrameHeader(uint32_t magic,
   CGQ_ASSIGN_OR_RETURN(header.type, r.U16());
   CGQ_ASSIGN_OR_RETURN(header.payload_len, r.U32());
   CGQ_ASSIGN_OR_RETURN(header.checksum, r.U64());
+  if (header.version == 0) {
+    return Status::DataLoss(what + ": " + MagicName(magic) +
+                            " claims format version 0");
+  }
   if (header.version > kFormatVersion) {
     return Status::Unsupported(what + ": " + MagicName(magic) +
                                " format version " +
@@ -90,6 +96,21 @@ Status VerifyFilePayload(const FileFrameHeader& header, const uint8_t* payload,
                             std::to_string(got) + ")");
   }
   return Status::OK();
+}
+
+Result<FileFrameHeader> DecodeFileFrame(uint32_t magic, const uint8_t* data,
+                                        size_t len, const std::string& what) {
+  auto torn = [&] {
+    return Status::DataLoss(what + ": " + MagicName(magic) + " torn after " +
+                            std::to_string(len) + " bytes");
+  };
+  if (len < kFrameHeaderSize) return torn();
+  CGQ_ASSIGN_OR_RETURN(
+      FileFrameHeader header,
+      DecodeFileFrameHeader(magic, data, kFrameHeaderSize, what));
+  if (len - kFrameHeaderSize < header.payload_len) return torn();
+  CGQ_RETURN_NOT_OK(VerifyFilePayload(header, data + kFrameHeaderSize, what));
+  return header;
 }
 
 Result<std::string> ReadFile(const std::string& path) {

@@ -9,16 +9,18 @@
 namespace cgq {
 namespace storage {
 
-/// On-disk framing of the per-location storage engine (DESIGN.md §16).
-/// Every persistent artifact — data block, commit-log record, manifest —
-/// is one *file frame* with the same 20-byte header shape as the wire
-/// protocol (DESIGN.md §13), distinguished by magic:
+/// On-disk framing of the per-location storage engine and the spill
+/// join (DESIGN.md §16). Every persistent artifact — data block,
+/// commit-log record, manifest, spill frame — is one *file frame* with
+/// the same 20-byte header shape as the wire protocol (DESIGN.md §13),
+/// distinguished by magic:
 ///
 ///   offset  size  field
-///        0     4  magic     kBlockMagic / kWalMagic / kManifestMagic
+///        0     4  magic     kBlockMagic / kWalMagic / kManifestMagic /
+///                           kSpillMagic
 ///        4     2  version   format version (kFormatVersion)
 ///        6     2  type      artifact-specific (block flags, WAL record
-///                           type, 0 for manifests)
+///                           type, 1 for spill frames, 0 for manifests)
 ///        8     4  len       payload length in bytes
 ///       12     8  checksum  FNV-1a over the payload bytes
 ///       20   len  payload
@@ -27,12 +29,17 @@ namespace storage {
 /// byte-stable across platforms. A checksum mismatch on a complete frame
 /// is typed kDataLoss; a frame cut short at end-of-file is *torn* and the
 /// caller decides (clean replay stop for the commit-log tail, kDataLoss
-/// for blocks and manifests, which are only referenced once fully
-/// written).
+/// for blocks, manifests and spill files, which are only read once
+/// fully written).
+///
+/// Version 2 holds batches in the batch codec (wire::Writer::PutColumns).
+/// Version-1 blocks and manifests have the same payload bytes and keep
+/// decoding; a version-1 commit-log record held rows and is refused.
 inline constexpr uint32_t kBlockMagic = 0x42514743u;     // "CGQB"
 inline constexpr uint32_t kWalMagic = 0x4C514743u;       // "CGQL"
 inline constexpr uint32_t kManifestMagic = 0x4D514743u;  // "CGQM"
-inline constexpr uint16_t kFormatVersion = 1;
+inline constexpr uint32_t kSpillMagic = 0x53514743u;     // "CGQS"
+inline constexpr uint16_t kFormatVersion = 2;
 inline constexpr size_t kFrameHeaderSize = 20;
 /// Resource guard against garbage length prefixes (far above any frame
 /// the engine writes: blocks target ~256 KiB, WAL records are chunked).
@@ -53,9 +60,9 @@ struct FileFrameHeader {
 Result<std::string> EncodeFileFrame(uint32_t magic, uint16_t type,
                                     const std::string& payload);
 
-/// Parses a header from exactly kFrameHeaderSize bytes. Wrong magic or
-/// an over-limit length is kDataLoss (`what` names the artifact in the
-/// message); a version from the future is kUnsupported.
+/// Parses a header from exactly kFrameHeaderSize bytes. Wrong magic,
+/// version 0 or an over-limit length is kDataLoss (`what` names the
+/// artifact in the message); a version from the future is kUnsupported.
 Result<FileFrameHeader> DecodeFileFrameHeader(uint32_t magic,
                                               const uint8_t* data, size_t len,
                                               const std::string& what);
@@ -63,6 +70,12 @@ Result<FileFrameHeader> DecodeFileFrameHeader(uint32_t magic,
 /// Verifies the payload checksum; kDataLoss on mismatch.
 Status VerifyFilePayload(const FileFrameHeader& header, const uint8_t* payload,
                          const std::string& what);
+
+/// Decodes the frame of `magic` at the front of `data` (`len` bytes, maybe
+/// followed by more frames): header, whole payload present, checksum;
+/// kDataLoss otherwise. The payload follows at kFrameHeaderSize.
+Result<FileFrameHeader> DecodeFileFrame(uint32_t magic, const uint8_t* data,
+                                        size_t len, const std::string& what);
 
 /// Reads a whole file; kNotFound when absent, kUnavailable on I/O error.
 Result<std::string> ReadFile(const std::string& path);

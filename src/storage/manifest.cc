@@ -26,22 +26,13 @@ Result<std::string> Manifest::Encode() const {
 
 Result<Manifest> Manifest::Decode(const std::string& bytes,
                                   const std::string& what) {
-  if (bytes.size() < kFrameHeaderSize) {
-    return Status::DataLoss(what + ": manifest truncated to " +
-                            std::to_string(bytes.size()) + " bytes");
-  }
   const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
   CGQ_ASSIGN_OR_RETURN(
       FileFrameHeader header,
-      DecodeFileFrameHeader(kManifestMagic, data, kFrameHeaderSize, what));
+      DecodeFileFrame(kManifestMagic, data, bytes.size(), what));
   if (bytes.size() != kFrameHeaderSize + header.payload_len) {
-    return Status::DataLoss(
-        what + ": manifest file is " + std::to_string(bytes.size()) +
-        " bytes, header names " +
-        std::to_string(kFrameHeaderSize + header.payload_len));
+    return Status::DataLoss(what + ": trailing bytes after the manifest");
   }
-  CGQ_RETURN_NOT_OK(VerifyFilePayload(header, data + kFrameHeaderSize, what));
-
   wire::Reader r(data + kFrameHeaderSize, header.payload_len);
   Manifest m;
   CGQ_ASSIGN_OR_RETURN(m.version, r.U64());

@@ -21,7 +21,8 @@ namespace fs = std::filesystem;
 /// instead of one giant allocation at replay. The byte bound keeps every
 /// multi-row record far under kMaxFrameBytes, so an acknowledged record
 /// can always be re-read (only a single over-limit row can fail, and it
-/// fails loudly at encode time, before the ack).
+/// fails loudly at encode time, before the ack). A record also ends
+/// where the row width changes: it holds one batch.
 constexpr size_t kWalChunkRows = 8192;
 constexpr size_t kWalChunkBytes = 64 * 1024 * 1024;
 
@@ -145,8 +146,11 @@ Status StorageEngine::Open(const std::string& dir, StorageOptions options) {
   // typed kDataLoss before a single wrong row can be served.
   CGQ_ASSIGN_OR_RETURN(
       size_t replayed,
-      ReplayWal(PathOf(WalFileName(wal_version_)),
-                [this](WalRecord rec) { return ApplyRecord(std::move(rec)); }));
+      ReplayWal(PathOf(WalFileName(wal_version_)), [this](WalRecord rec) {
+        ApplyRows(rec.type, {rec.location, rec.table},
+                  vec::ToRowBatch(rec.batch).rows);
+        return Status::OK();
+      }));
   recovery_replays_ = static_cast<int64_t>(replayed);
 
   CollectOrphans(manifest);
@@ -181,9 +185,10 @@ void StorageEngine::CollectOrphans(const Manifest& manifest) {
   }
 }
 
-Status StorageEngine::ApplyRecord(WalRecord rec) {
-  FragmentState& frag = fragments_[{rec.location, rec.table}];
-  if (rec.type == WalRecordType::kPut) {
+void StorageEngine::ApplyRows(WalRecordType type, const FragmentKey& key,
+                              std::vector<Row> rows) {
+  FragmentState& frag = fragments_[key];
+  if (type == WalRecordType::kPut) {
     for (const ManifestBlock& block : frag.blocks) {
       gc_blocks_.push_back(block.id);
     }
@@ -191,11 +196,10 @@ Status StorageEngine::ApplyRecord(WalRecord rec) {
     frag.tail.clear();
     frag.tail_bytes = 0;
   }
-  for (Row& row : rec.rows) {
+  for (Row& row : rows) {
     frag.tail_bytes += RowBytes(row);
     frag.tail.push_back(std::move(row));
   }
-  return Status::OK();
 }
 
 Status StorageEngine::LogAndApply(WalRecordType type, LocationId location,
@@ -208,10 +212,11 @@ Status StorageEngine::LogAndApply(WalRecordType type, LocationId location,
   size_t offset = 0;
   bool first = true;
   do {
+    const size_t width = offset < rows.size() ? rows[offset].size() : 0;
     size_t n = 0;
     size_t chunk_bytes = 0;
     while (offset + n < rows.size() && n < kWalChunkRows &&
-           chunk_bytes < kWalChunkBytes) {
+           chunk_bytes < kWalChunkBytes && rows[offset + n].size() == width) {
       chunk_bytes += RowBytes(rows[offset + n]);
       ++n;
     }
@@ -219,10 +224,9 @@ Status StorageEngine::LogAndApply(WalRecordType type, LocationId location,
     rec.type = first ? type : WalRecordType::kAppend;
     rec.location = location;
     rec.table = table;
-    rec.rows.assign(rows.begin() + static_cast<ptrdiff_t>(offset),
-                    rows.begin() + static_cast<ptrdiff_t>(offset + n));
+    rec.batch = vec::FromRows(rows.data() + offset, n, width);
     CGQ_RETURN_NOT_OK(wal_->Append(rec));
-    CGQ_RETURN_NOT_OK(ApplyRecord(std::move(rec)));
+    ApplyRows(rec.type, {location, table}, vec::ToRowBatch(rec.batch).rows);
     offset += n;
     first = false;
   } while (offset < rows.size());
@@ -256,23 +260,21 @@ Status StorageEngine::Append(LocationId location, const std::string& table,
 }
 
 Status StorageEngine::FlushTail(FragmentState* frag) {
-  // Cut the tail into blocks of ~block_target_bytes, front first. Rows
-  // leave the tail only once their block is fully on disk, so a failed
-  // write (ENOSPC, injected fault) leaves the fragment exactly as if
-  // the flush had stopped between blocks: the remaining tail is intact
-  // and still covered by the commit log, and scans never see moved-from
-  // rows. A crash mid-flush leaves only orphan files, never lost rows.
+  // Cut the tail into blocks of ~block_target_bytes and one row width,
+  // front first. Rows leave the tail only once their block is fully on
+  // disk, so a failed write (ENOSPC, injected fault) leaves the fragment
+  // exactly as if the flush had stopped between blocks: the remaining
+  // tail is intact and still covered by the commit log. A crash
+  // mid-flush leaves only orphan files, never lost rows.
   while (!frag->tail.empty()) {
+    const size_t width = frag->tail.front().size();
     size_t bytes = 0;
     size_t end = 0;
-    while (end < frag->tail.size() && bytes < options_.block_target_bytes) {
+    while (end < frag->tail.size() && bytes < options_.block_target_bytes &&
+           frag->tail[end].size() == width) {
       bytes += RowBytes(frag->tail[end]);
       ++end;
     }
-    std::vector<Row> chunk(
-        std::make_move_iterator(frag->tail.begin()),
-        std::make_move_iterator(frag->tail.begin() +
-                                static_cast<ptrdiff_t>(end)));
     const std::string path = PathOf(BlockFileName(next_block_id_));
     Status written = [&]() -> Status {
       if (CGQ_FAILPOINT("storage.flush")) {
@@ -280,8 +282,9 @@ Status StorageEngine::FlushTail(FragmentState* frag) {
                                    ": injected block-write failure (site "
                                    "storage.flush)");
       }
-      CGQ_ASSIGN_OR_RETURN(const std::string bytes_out,
-                           EncodeBlockFile(chunk));
+      CGQ_ASSIGN_OR_RETURN(
+          const std::string bytes_out,
+          EncodeBlockFile(vec::FromRows(frag->tail.data(), end, width)));
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       if (!out) return Status::Unavailable(path + ": open failed");
       out.write(bytes_out.data(),
@@ -291,15 +294,12 @@ Status StorageEngine::FlushTail(FragmentState* frag) {
       return Status::OK();
     }();
     if (!written.ok()) {
-      // Undo the move: the attempted rows return to their tail slots,
-      // restoring the fragment byte-identical to before this block.
-      std::move(chunk.begin(), chunk.end(), frag->tail.begin());
       std::error_code ec;
       fs::remove(path, ec);
       return written;
     }
-    frag->blocks.push_back(ManifestBlock{
-        next_block_id_++, static_cast<uint32_t>(chunk.size())});
+    frag->blocks.push_back(
+        ManifestBlock{next_block_id_++, static_cast<uint32_t>(end)});
     ++blocks_written_;
     frag->tail.erase(frag->tail.begin(),
                      frag->tail.begin() + static_cast<ptrdiff_t>(end));
@@ -412,8 +412,7 @@ Result<StorageEngine::Cursor> StorageEngine::Scan(
   return cursor;
 }
 
-Result<bool> StorageEngine::Cursor::Next(std::vector<Row>* out) {
-  out->clear();
+Result<bool> StorageEngine::Cursor::Next(vec::ColumnBatch* out) {
   if (next_block_ < blocks_.size()) {
     const ManifestBlock& block = blocks_[next_block_++];
     const std::string path = dir_ + "/" + BlockFileName(block.id);
@@ -423,9 +422,9 @@ Result<bool> StorageEngine::Cursor::Next(std::vector<Row>* out) {
     }
     CGQ_ASSIGN_OR_RETURN(std::string raw, std::move(bytes));
     CGQ_ASSIGN_OR_RETURN(*out, DecodeBlockFile(raw, path));
-    if (out->size() != block.rows) {
+    if (out->NumRows() != block.rows) {
       return Status::DataLoss(path + ": block holds " +
-                              std::to_string(out->size()) +
+                              std::to_string(out->NumRows()) +
                               " rows, manifest names " +
                               std::to_string(block.rows));
     }
@@ -433,13 +432,9 @@ Result<bool> StorageEngine::Cursor::Next(std::vector<Row>* out) {
     CGQ_COUNTER_ADD("storage.blocks_read", 1);
     return true;
   }
-  if (!tail_done_) {
-    tail_done_ = true;
-    if (!tail_.empty()) {
-      *out = std::move(tail_);
-      tail_.clear();
-      return true;
-    }
+  if (tail_pos_ < tail_.size()) {
+    *out = vec::NextWidthRun(tail_, &tail_pos_);
+    return true;
   }
   return false;
 }
@@ -448,11 +443,13 @@ Status StorageEngine::ReadAll(LocationId location, const std::string& table,
                               std::vector<Row>* out) const {
   out->clear();
   CGQ_ASSIGN_OR_RETURN(Cursor cursor, Scan(location, table));
-  std::vector<Row> chunk;
+  vec::ColumnBatch batch;
   while (true) {
-    CGQ_ASSIGN_OR_RETURN(bool more, cursor.Next(&chunk));
+    CGQ_ASSIGN_OR_RETURN(bool more, cursor.Next(&batch));
     if (!more) break;
-    for (Row& row : chunk) out->push_back(std::move(row));
+    for (Row& row : vec::ToRowBatch(batch).rows) {
+      out->push_back(std::move(row));
+    }
   }
   return Status::OK();
 }

@@ -80,13 +80,14 @@ class StorageEngine {
   size_t TotalRows() const;
 
   /// Streaming reader over one fragment: one Next() call yields one
-  /// block's rows (or the unflushed tail). Snapshot semantics: mutations
-  /// after Scan() are not observed.
+  /// block, decoded straight into columns, or one same-width run of the
+  /// unflushed tail, as a positional batch (empty layout). Snapshot
+  /// semantics: mutations after Scan() are not observed.
   class Cursor {
    public:
-    /// Appends the next chunk to *out (cleared first). False when the
+    /// Sets *out to the next batch (never empty). False when the
     /// fragment is exhausted. Block corruption is typed kDataLoss.
-    Result<bool> Next(std::vector<Row>* out);
+    Result<bool> Next(vec::ColumnBatch* out);
     int64_t blocks_read() const { return blocks_read_; }
 
    private:
@@ -95,7 +96,7 @@ class StorageEngine {
     std::vector<ManifestBlock> blocks_;
     std::vector<Row> tail_;
     size_t next_block_ = 0;
-    bool tail_done_ = false;
+    size_t tail_pos_ = 0;
     int64_t blocks_read_ = 0;
   };
   Result<Cursor> Scan(LocationId location, const std::string& table) const;
@@ -120,7 +121,9 @@ class StorageEngine {
   using FragmentKey = std::pair<LocationId, std::string>;
 
   std::string PathOf(const std::string& name) const;
-  Status ApplyRecord(WalRecord rec);
+  /// Applies one logged record's rows to the in-memory state.
+  void ApplyRows(WalRecordType type, const FragmentKey& key,
+                 std::vector<Row> rows);
   /// Logs one mutation (chunked) and applies it to the in-memory state
   /// chunk-by-chunk, exactly mirroring what replay would reconstruct.
   Status LogAndApply(WalRecordType type, LocationId location,

@@ -13,8 +13,7 @@ Result<std::string> EncodeWalRecord(const WalRecord& rec) {
   wire::Writer w;
   w.PutU32(rec.location);
   w.PutString(rec.table);
-  w.PutU32(static_cast<uint32_t>(rec.rows.size()));
-  for (const Row& row : rec.rows) w.PutRow(row);
+  w.PutColumns(rec.batch);
   return EncodeFileFrame(kWalMagic, static_cast<uint16_t>(rec.type),
                          w.Take());
 }
@@ -92,36 +91,36 @@ Result<size_t> ReplayWal(const std::string& path,
     if (bytes.size() - pos - kFrameHeaderSize < header.payload_len) {
       break;  // torn payload at tail: the mutation was never acknowledged
     }
+    const std::string what = path + " @" + std::to_string(pos);
+    if (header.version < kFormatVersion) {
+      return Status::Unsupported(
+          what + ": commit-log record of format version " +
+          std::to_string(header.version) + " holds rows; this build reads " +
+          "version " + std::to_string(kFormatVersion) +
+          " batches (checkpoint the store with the release that wrote it)");
+    }
     const uint8_t* payload = data + pos + kFrameHeaderSize;
-    CGQ_RETURN_NOT_OK(VerifyFilePayload(header, payload,
-                                        path + " @" + std::to_string(pos)));
+    CGQ_RETURN_NOT_OK(VerifyFilePayload(header, payload, what));
     if (header.type != static_cast<uint16_t>(WalRecordType::kPut) &&
         header.type != static_cast<uint16_t>(WalRecordType::kAppend)) {
-      return Status::DataLoss(path + " @" + std::to_string(pos) +
-                              ": unknown commit-log record type " +
+      return Status::DataLoss(what + ": unknown commit-log record type " +
                               std::to_string(header.type));
     }
 
     WalRecord rec;
     rec.type = static_cast<WalRecordType>(header.type);
     wire::Reader r(payload, header.payload_len);
-    CGQ_ASSIGN_OR_RETURN(rec.location, r.U32());
-    CGQ_ASSIGN_OR_RETURN(rec.table, r.String());
-    CGQ_ASSIGN_OR_RETURN(uint32_t n, r.U32());
-    rec.rows.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      auto row = r.ReadRow();
-      if (!row.ok()) {
-        return Status::DataLoss(path + " @" + std::to_string(pos) + ": " +
-                                row.status().message());
+    Status decoded = [&]() -> Status {
+      CGQ_ASSIGN_OR_RETURN(rec.location, r.U32());
+      CGQ_ASSIGN_OR_RETURN(rec.table, r.String());
+      CGQ_ASSIGN_OR_RETURN(rec.batch, r.ReadColumns());
+      if (!r.AtEnd()) {
+        return Status::InvalidArgument(std::to_string(r.remaining()) +
+                                       " trailing bytes in commit-log record");
       }
-      rec.rows.push_back(std::move(*row));
-    }
-    if (!r.AtEnd()) {
-      return Status::DataLoss(path + " @" + std::to_string(pos) + ": " +
-                              std::to_string(r.remaining()) +
-                              " trailing bytes in commit-log record");
-    }
+      return Status::OK();
+    }();
+    if (!decoded.ok()) return Status::DataLoss(what + ": " + decoded.message());
 
     CGQ_RETURN_NOT_OK(fn(std::move(rec)));
     pos += kFrameHeaderSize + header.payload_len;

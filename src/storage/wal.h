@@ -9,7 +9,7 @@
 
 #include "catalog/location.h"
 #include "common/result.h"
-#include "types/value.h"
+#include "exec/vector/column_batch.h"
 
 namespace cgq {
 namespace storage {
@@ -19,7 +19,12 @@ namespace storage {
 /// mutation is acknowledged. The frame `type` field is the record type;
 /// the payload is
 ///
-///   u32 location, string table, u32 num_rows, rows (PutRow each)
+///   u32 location, string table, one batch (wire::Writer::PutColumns)
+///
+/// so a record's rows share one width: the engine starts a new record
+/// wherever the row width changes. Records of format version 1 held
+/// rows instead and are refused at replay (kUnsupported, naming the
+/// file); they are never misparsed.
 ///
 /// Recovery replays records after the manifest: kPut replaces the
 /// fragment's unflushed tail (and drops its manifest blocks), kAppend
@@ -36,7 +41,7 @@ struct WalRecord {
   WalRecordType type = WalRecordType::kPut;
   LocationId location = 0;
   std::string table;
-  std::vector<Row> rows;
+  vec::ColumnBatch batch;  ///< positional (empty layout)
 };
 
 /// Encodes one record as a complete file frame. kInvalidArgument when

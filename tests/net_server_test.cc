@@ -189,7 +189,7 @@ TEST(SiteServerTest, LoadTableToUnhostedLocationRefused) {
   wire::LoadTable load;
   load.location = 7;
   load.table = "t";
-  load.rows.push_back({Value::Int64(1)});
+  load.batch = vec::FromRows(RowLayout({0}), {{Value::Int64(1)}}).ValueOrDie();
   ASSERT_TRUE(SendFrame(*sock, wire::FrameType::kLoadTable,
                         load.Encode(), kIoMs)
                   .ok());

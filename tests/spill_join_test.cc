@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,6 +21,7 @@
 #include "exec/executor.h"
 #include "exec/spill_join.h"
 #include "exec/table_store.h"
+#include "exec/vector/column_batch.h"
 #include "net/cluster_client.h"
 #include "net/network_model.h"
 #include "net/server.h"
@@ -230,14 +234,18 @@ TEST_F(SpillJoinTest, DuplicateAndNullKeysMatchReference) {
     }
   }
 
+  const vec::ColumnBatch build_batch =
+      vec::FromRows(RowLayout({0, 1}), build).ValueOrDie();
+  const vec::ColumnBatch probe_batch =
+      vec::FromRows(RowLayout({2, 3}), probe).ValueOrDie();
   for (int partitions : {2, 7, 64}) {
     SCOPED_TRACE("partitions=" + std::to_string(partitions));
     exec_internal::SpillHashJoin join(
         &spec, exec_internal::SpillHashJoin::MakeSpillDir(""), partitions,
         nullptr);
     ASSERT_TRUE(join.Init().ok());
-    for (const Row& b : build) ASSERT_TRUE(join.AddBuild(b).ok());
-    for (const Row& p : probe) ASSERT_TRUE(join.AddProbe(p).ok());
+    ASSERT_TRUE(join.AddBuild(build_batch).ok());
+    ASSERT_TRUE(join.AddProbe(probe_batch).ok());
     std::vector<Row> got;
     ASSERT_TRUE(join.Finish([&](Row row) {
                       got.push_back(std::move(row));
@@ -258,7 +266,9 @@ TEST_F(SpillJoinTest, EmptySidesProduceEmptyOutput) {
   exec_internal::SpillHashJoin join(
       &spec, exec_internal::SpillHashJoin::MakeSpillDir(""), 4, nullptr);
   ASSERT_TRUE(join.Init().ok());
-  ASSERT_TRUE(join.AddProbe({Value::Int64(1)}).ok());
+  const vec::ColumnBatch probe =
+      vec::FromRows(RowLayout({0}), {{Value::Int64(1)}}).ValueOrDie();
+  ASSERT_TRUE(join.AddProbe(probe).ok());
   std::vector<Row> got;
   ASSERT_TRUE(join.Finish([&](Row row) {
                     got.push_back(std::move(row));
@@ -266,6 +276,68 @@ TEST_F(SpillJoinTest, EmptySidesProduceEmptyOutput) {
                   })
                   .ok());
   EXPECT_TRUE(got.empty());
+}
+
+// Spill files are checksummed frames: a byte flipped inside a build
+// partition's spilled values, or a partition file cut mid-frame, fails
+// Finish with kDataLoss before a single row is emitted — never rows that
+// differ from the unbounded join.
+TEST_F(SpillJoinTest, CorruptSpillFrameIsDataLoss) {
+  JoinSpec spec;
+  spec.key_positions = {{0, 0}};
+  spec.out_positions = {0, 1, 2};  // build key, build value, probe key
+
+  // Enough build rows that stdio has written most of each partition's
+  // frame to the file before Finish flushes it.
+  std::vector<Row> build, probe;
+  for (int64_t i = 0; i < 4000; ++i) {
+    build.push_back({Value::Int64(i % 10),
+                     Value::String("build-value-" + std::to_string(i))});
+  }
+  for (int64_t k = 0; k < 10; ++k) probe.push_back({Value::Int64(k)});
+  const vec::ColumnBatch build_batch =
+      vec::FromRows(RowLayout({0, 1}), build).ValueOrDie();
+  const vec::ColumnBatch probe_batch =
+      vec::FromRows(RowLayout({2}), probe).ValueOrDie();
+
+  enum class Damage { kFlipValueByte, kTruncateMidFrame };
+  for (Damage damage : {Damage::kFlipValueByte, Damage::kTruncateMidFrame}) {
+    SCOPED_TRACE(damage == Damage::kFlipValueByte ? "flip" : "truncate");
+    const std::string dir = exec_internal::SpillHashJoin::MakeSpillDir("");
+    exec_internal::SpillHashJoin join(&spec, dir, 2, nullptr);
+    ASSERT_TRUE(join.Init().ok());
+    ASSERT_TRUE(join.AddBuild(build_batch).ok());
+
+    const std::string path = dir + "/build-0.spl";
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    if (damage == Damage::kFlipValueByte) {
+      const size_t at = bytes.find("build-value-");
+      ASSERT_NE(at, std::string::npos) << "no spilled value on disk yet";
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(static_cast<std::streamoff>(at));
+      f.put('B');  // "build-value-" -> "Build-value-"
+    } else {
+      // Cut mid-frame. Bytes stdio still holds land at their old offset
+      // when Finish flushes, past a gap; either way the frame is broken.
+      ASSERT_GT(bytes.size(), 40u);
+      std::filesystem::resize_file(path, bytes.size() / 2);
+    }
+
+    ASSERT_TRUE(join.AddProbe(probe_batch).ok());
+    size_t emitted = 0;
+    Status s = join.Finish([&](Row) {
+      ++emitted;
+      return Status::OK();
+    });
+    ASSERT_FALSE(s.ok());
+    EXPECT_TRUE(s.IsDataLoss()) << s;
+    EXPECT_EQ(emitted, 0u);
+  }
 }
 
 }  // namespace

@@ -5,10 +5,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "exec/spill_join.h"
+#include "net/wire_protocol.h"
 #include "storage/block.h"
 #include "storage/format.h"
 #include "storage/manifest.h"
@@ -57,35 +62,388 @@ class StorageEngineTest : public ::testing::Test {
 
 TEST_F(StorageEngineTest, BlockRoundTripColumnar) {
   std::vector<Row> rows = MakeRows(100);
-  std::string bytes = EncodeBlockFile(rows).ValueOrDie();
+  std::string bytes =
+      EncodeBlockFile(vec::FromRows(rows.data(), rows.size(), 3))
+          .ValueOrDie();
   auto back = DecodeBlockFile(bytes, "test block");
   ASSERT_TRUE(back.ok()) << back.status();
-  ASSERT_EQ(back->size(), rows.size());
+  std::vector<Row> got = vec::ToRowBatch(*back).rows;
+  ASSERT_EQ(got.size(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(RowsStructurallyEqual((*back)[i], rows[i])) << i;
+    EXPECT_TRUE(RowsStructurallyEqual(got[i], rows[i])) << i;
   }
 }
 
-TEST_F(StorageEngineTest, BlockRoundTripRagged) {
-  // Non-uniform widths fall back to the row-major encoding.
-  std::vector<Row> rows = {{Value::Int64(1)},
-                           {Value::Int64(2), Value::String("x")},
-                           {}};
-  std::string bytes = EncodeBlockFile(rows).ValueOrDie();
-  auto back = DecodeBlockFile(bytes, "ragged block");
-  ASSERT_TRUE(back.ok()) << back.status();
-  ASSERT_EQ(back->size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(RowsStructurallyEqual((*back)[i], rows[i])) << i;
+// Pins the block bytes: a 3-row block written by the encoder that
+// predates the batch codec (format version 1). The codec reproduces its
+// payload byte for byte (only the header's version field now says 2),
+// and the old block still decodes, with the tags FromRows infers — so
+// stores written before the codec still open.
+TEST_F(StorageEngineTest, GoldenBlockEncoding) {
+  const std::string v1_hex =
+      "43475142"            // magic "CGQB"
+      "0100"                // format version 1
+      "0100"                // kBlockColumnar
+      "4a000000"            // payload length 74
+      "2e453c406850318d"    // FNV-1a of the payload
+      "03000000"            // 3 rows
+      "03000000"            // 3 columns
+      "010700000000000000"  // col 0: 7
+      "00"                  //        NULL
+      "01ffffffffffffffff"  //        -1
+      "02000000000000e03f"  // col 1: 0.5
+      "0200000000000002c0"  //        -2.25
+      "02000000205fa00242"  //        1e10
+      "03020000006162"      // col 2: "ab"
+      "0300000000"          //        ""
+      "030300000078797a";   //        "xyz"
+  std::string v1;
+  for (size_t i = 0; i < v1_hex.size(); i += 2) {
+    v1.push_back(
+        static_cast<char>(std::stoi(v1_hex.substr(i, 2), nullptr, 16)));
   }
+  ASSERT_EQ(v1.size(), kFrameHeaderSize + 74);
+
+  const std::vector<Row> rows = {
+      {Value::Int64(7), Value::Double(0.5), Value::String("ab")},
+      {Value::Null(), Value::Double(-2.25), Value::String("")},
+      {Value::Int64(-1), Value::Double(1e10), Value::String("xyz")},
+  };
+  std::string now =
+      EncodeBlockFile(vec::FromRows(rows.data(), rows.size(), 3))
+          .ValueOrDie();
+  std::string expected = v1;
+  expected[4] = 0x02;  // format version 2
+  EXPECT_EQ(now, expected);
+
+  auto back = DecodeBlockFile(v1, "v1 block");
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->NumColumns(), 3u);
+  EXPECT_EQ(back->columns[0]->tag, vec::ColumnTag::kInt64);
+  EXPECT_EQ(back->columns[1]->tag, vec::ColumnTag::kDouble);
+  EXPECT_EQ(back->columns[2]->tag, vec::ColumnTag::kString);
+  std::vector<Row> got = vec::ToRowBatch(*back).rows;
+  ASSERT_EQ(got.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(RowsStructurallyEqual(got[i], rows[i])) << i;
+  }
+}
+
+// Ragged rows are stored as blocks of one width each: a Put of mixed
+// widths round-trips through Checkpoint + ReadAll, and every block the
+// engine wrote is a single-width columnar block.
+TEST_F(StorageEngineTest, RaggedRowsRoundTripAsSingleWidthBlocks) {
+  const std::vector<Row> rows = {{Value::Int64(1)},
+                                 {Value::Int64(2), Value::String("x")},
+                                 {Value::Int64(3), Value::String("y")},
+                                 {},
+                                 {},
+                                 {Value::Double(4.5)}};
+  {
+    StorageEngine engine;
+    ASSERT_TRUE(engine.Open(dir_).ok());
+    ASSERT_TRUE(engine.Put(0, "t", rows).ok());
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    EXPECT_EQ(engine.blocks_written(), 4);
+    // The same rows in a fragment that lives only in the commit log.
+    ASSERT_TRUE(engine.Put(1, "r", rows).ok());
+  }
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    if (entry.path().extension() != ".blk") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    ASSERT_GE(bytes.size(), kFrameHeaderSize);
+    EXPECT_EQ(bytes[6], static_cast<char>(kBlockColumnar)) << entry.path();
+  }
+
+  StorageEngine engine;
+  ASSERT_TRUE(engine.Open(dir_).ok());
+  for (auto [location, table] : {std::pair<LocationId, const char*>{0, "t"},
+                                 {1, "r"}}) {
+    std::vector<Row> all;
+    ASSERT_TRUE(engine.ReadAll(location, table, &all).ok());
+    ASSERT_EQ(all.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(RowsStructurallyEqual(all[i], rows[i])) << table << i;
+    }
+  }
+}
+
+// A commit log written before the batch codec (format version 1) held
+// rows: Open refuses it with a typed error naming the file, instead of
+// misparsing its records.
+TEST_F(StorageEngineTest, V1CommitLogIsRefused) {
+  {
+    StorageEngine engine;
+    ASSERT_TRUE(engine.Open(dir_).ok());
+    ASSERT_TRUE(engine.Put(0, "t", MakeRows(3)).ok());
+  }
+  const std::string wal = (fs::path(dir_) / "wal-1.log").string();
+  {
+    std::fstream f(wal, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(4);  // the first record's format version
+    f.put(0x01);
+  }
+  StorageEngine engine;
+  Status s = engine.Open(dir_);
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(s.IsUnsupported()) << s;
+  EXPECT_NE(s.message().find("wal-1.log"), std::string::npos) << s;
+}
+
+// A block in the row-major form older stores wrote for ragged rows is
+// refused with a typed error, never decoded into rows.
+TEST_F(StorageEngineTest, RowMajorBlockIsRefused) {
+  std::string bytes =
+      EncodeFileFrame(kBlockMagic, /*type=*/0, std::string(4, '\0'))
+          .ValueOrDie();
+  auto back = DecodeBlockFile(bytes, "row-major block");
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsUnsupported()) << back.status();
 }
 
 TEST_F(StorageEngineTest, BlockChecksumMismatchIsDataLoss) {
-  std::string bytes = EncodeBlockFile(MakeRows(10)).ValueOrDie();
+  std::vector<Row> rows = MakeRows(10);
+  std::string bytes =
+      EncodeBlockFile(vec::FromRows(rows.data(), rows.size(), 3))
+          .ValueOrDie();
   bytes[bytes.size() - 1] ^= 0x40;  // flip one payload bit
   auto back = DecodeBlockFile(bytes, "corrupt block");
   ASSERT_FALSE(back.ok());
   EXPECT_TRUE(back.status().IsDataLoss()) << back.status();
+}
+
+// What a decoder yielded: the rows of each frame it decoded.
+using Records = std::vector<std::vector<Row>>;
+
+/// One artifact of outside bytes and the decoder that reads it.
+struct DecoderCase {
+  std::string name;
+  std::string bytes;    ///< the complete artifact
+  std::string payload;  ///< its first frame's payload
+  /// Frames a payload as `bytes` is framed, with a valid checksum.
+  std::function<std::string(const std::string&)> reframe;
+  std::function<Result<Records>(const std::string&)> decode;
+  Records expected;
+  /// A stream of frames: a cut between frames reads as fewer frames.
+  bool stream = false;
+};
+
+std::vector<Row> RowsOf(const vec::ColumnBatch& batch) {
+  return vec::ToRowBatch(batch).rows;
+}
+
+/// Re-frames `payload` under the magic and type of file frame `frame`.
+std::string ReframeFile(const std::string& frame, const std::string& payload) {
+  wire::Reader r(frame);
+  const uint32_t magic = r.U32().ValueOrDie();
+  r.U16().ValueOrDie();  // version
+  const uint16_t type = r.U16().ValueOrDie();
+  return EncodeFileFrame(magic, type, payload).ValueOrDie();
+}
+
+/// A complete wire frame decoded as its receiver decodes it: the
+/// expected type, the whole length present, the checksum, the payload.
+Result<Records> DecodeWireFrame(wire::FrameType type,
+                                const std::string& bytes) {
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
+  CGQ_ASSIGN_OR_RETURN(wire::FrameHeader header,
+                       wire::DecodeFrameHeader(data, bytes.size()));
+  if (header.type != static_cast<uint16_t>(type)) {
+    return Status::InvalidArgument("unexpected frame type");
+  }
+  if (bytes.size() != wire::kHeaderSize + header.payload_len) {
+    return Status::InvalidArgument("truncated frame");
+  }
+  CGQ_RETURN_NOT_OK(wire::VerifyPayload(header, data + wire::kHeaderSize));
+  const std::string payload = bytes.substr(wire::kHeaderSize);
+  if (type == wire::FrameType::kInputBatch) {
+    CGQ_ASSIGN_OR_RETURN(wire::InputBatch in,
+                         wire::InputBatch::Decode(payload));
+    return Records{RowsOf(in.batch)};
+  }
+  if (type == wire::FrameType::kOutputBatch) {
+    CGQ_ASSIGN_OR_RETURN(wire::OutputBatch out,
+                         wire::OutputBatch::Decode(payload));
+    return Records{RowsOf(out.batch)};
+  }
+  CGQ_ASSIGN_OR_RETURN(wire::LoadTable load, wire::LoadTable::Decode(payload));
+  return Records{RowsOf(load.batch)};
+}
+
+bool SameRecords(const Records& got, const Records& want, size_t frames) {
+  for (size_t f = 0; f < frames; ++f) {
+    if (got[f].size() != want[f].size()) return false;
+    for (size_t i = 0; i < got[f].size(); ++i) {
+      if (!RowsStructurallyEqual(got[f][i], want[f][i])) return false;
+    }
+  }
+  return true;
+}
+
+bool IsTypedError(const Status& s) {
+  return s.IsDataLoss() || s.IsInvalidArgument() || s.IsUnsupported();
+}
+
+// Every decoder of bytes from outside the process — a block file, a
+// commit-log file, a spill frame, complete InputBatch / OutputBatch /
+// LoadTable wire frames, and each of their payloads — fails with a typed
+// error on every strict prefix and on every bit flip inside a
+// checksummed frame; none crashes or yields a batch. The exception is a
+// stream of frames: a commit log cut anywhere replays its complete
+// records and stops (its torn tail, DESIGN.md §16), a flipped length
+// field reads like such a cut, and an empty spill file holds no frames.
+// Such a read yields fewer frames than were written, each unchanged.
+TEST_F(StorageEngineTest, ByteDecodersRefuseTruncationAndBitFlips) {
+  const std::vector<Row> rows = {
+      {Value::Int64(7), Value::Double(0.5), Value::String("ab")},
+      {Value::Null(), Value::Double(-2.25), Value::String("")},
+  };
+  const vec::ColumnBatch batch =
+      vec::FromRows(RowLayout({1, 2, 3}), rows).ValueOrDie();
+  fs::create_directories(dir_);
+  const std::string scratch = dir_ + "/bytes";
+  auto write_scratch = [&](const std::string& bytes) {
+    std::ofstream(scratch, std::ios::binary | std::ios::trunc) << bytes;
+  };
+  std::vector<DecoderCase> cases;
+
+  DecoderCase block;
+  block.name = "block file";
+  block.bytes = EncodeBlockFile(batch).ValueOrDie();
+  block.decode = [](const std::string& bytes) -> Result<Records> {
+    CGQ_ASSIGN_OR_RETURN(vec::ColumnBatch b, DecodeBlockFile(bytes, "block"));
+    return Records{RowsOf(b)};
+  };
+  block.expected = {rows};
+  cases.push_back(block);
+
+  WalRecord put;
+  put.location = 1;
+  put.table = "t";
+  put.batch = batch;
+  WalRecord append = put;
+  append.type = WalRecordType::kAppend;
+  DecoderCase wal;
+  wal.name = "commit-log file";
+  const std::string first_record = EncodeWalRecord(put).ValueOrDie();
+  wal.bytes = first_record + EncodeWalRecord(append).ValueOrDie();
+  wal.payload = first_record.substr(kFrameHeaderSize);
+  wal.reframe = [first_record](const std::string& payload) {
+    return ReframeFile(first_record, payload);
+  };
+  wal.decode = [&](const std::string& bytes) -> Result<Records> {
+    write_scratch(bytes);
+    Records out;
+    auto replay = [&](WalRecord rec) {
+      out.push_back(RowsOf(rec.batch));
+      return Status::OK();
+    };
+    CGQ_RETURN_NOT_OK(ReplayWal(scratch, replay).status());
+    return out;
+  };
+  wal.expected = {rows, rows};
+  wal.stream = true;
+  cases.push_back(wal);
+
+  // A probe frame: the batch plus each row's probe ordinal.
+  std::vector<Row> probe = rows;
+  probe[0].push_back(Value::Int64(5));
+  probe[1].push_back(Value::Int64(9));
+  DecoderCase spill;
+  spill.name = "spill frame";
+  spill.bytes =
+      exec_internal::EncodeSpillFrame(vec::FromRows(probe.data(), 2, 4))
+          .ValueOrDie();
+  spill.decode = [&](const std::string& bytes) -> Result<Records> {
+    write_scratch(bytes);
+    Records out;
+    auto collect = [&](vec::ColumnBatch b) {
+      out.push_back(RowsOf(b));
+      return Status::OK();
+    };
+    CGQ_RETURN_NOT_OK(exec_internal::ForEachSpillFrame(scratch, collect));
+    return out;
+  };
+  spill.expected = {probe};
+  spill.stream = true;
+  cases.push_back(spill);
+
+  wire::InputBatch in;
+  in.channel = 3;
+  in.batch = batch;
+  wire::OutputBatch out;
+  out.batch = batch;
+  wire::LoadTable load;
+  load.location = 1;
+  load.table = "t";
+  load.batch = batch;
+  const std::pair<wire::FrameType, std::string> frames[] = {
+      {wire::FrameType::kInputBatch, in.Encode()},
+      {wire::FrameType::kOutputBatch, out.Encode()},
+      {wire::FrameType::kLoadTable, load.Encode()},
+  };
+  for (const auto& [type, payload] : frames) {
+    DecoderCase c;
+    c.name = std::string(wire::FrameTypeToString(type)) + " frame";
+    c.bytes = wire::EncodeFrame(type, payload);
+    c.payload = payload;
+    c.reframe = [type = type](const std::string& p) {
+      return wire::EncodeFrame(type, p);
+    };
+    c.decode = [type = type](const std::string& bytes) {
+      return DecodeWireFrame(type, bytes);
+    };
+    c.expected = {rows};
+    cases.push_back(c);
+  }
+
+  for (DecoderCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    if (c.payload.empty()) c.payload = c.bytes.substr(kFrameHeaderSize);
+    if (!c.reframe) {
+      const std::string frame = c.bytes;
+      c.reframe = [frame](const std::string& payload) {
+        return ReframeFile(frame, payload);
+      };
+    }
+    Result<Records> full = c.decode(c.bytes);
+    ASSERT_TRUE(full.ok()) << full.status();
+    ASSERT_EQ(full->size(), c.expected.size());
+    ASSERT_TRUE(SameRecords(*full, c.expected, c.expected.size()));
+
+    auto refused = [&](const std::string& bytes, const std::string& what) {
+      Result<Records> got = c.decode(bytes);
+      if (!got.ok()) {
+        EXPECT_TRUE(IsTypedError(got.status())) << what << ": "
+                                                << got.status();
+        return;
+      }
+      ASSERT_TRUE(c.stream) << what << " decoded";
+      ASSERT_LT(got->size(), c.expected.size()) << what;
+      EXPECT_TRUE(SameRecords(*got, c.expected, got->size())) << what;
+    };
+    for (size_t cut = 0; cut < c.bytes.size(); ++cut) {
+      refused(c.bytes.substr(0, cut), "prefix of " + std::to_string(cut));
+    }
+    for (size_t i = 0; i < c.bytes.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = c.bytes;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        const std::string what = "bit " + std::to_string(bit);
+        refused(flipped, what + " of byte " + std::to_string(i));
+      }
+    }
+    // The payload decoder alone, on every strict prefix of the payload
+    // in a frame whose checksum is valid.
+    for (size_t cut = 0; cut < c.payload.size(); ++cut) {
+      Result<Records> got = c.decode(c.reframe(c.payload.substr(0, cut)));
+      ASSERT_FALSE(got.ok()) << "payload prefix of " << cut << " decoded";
+      EXPECT_TRUE(IsTypedError(got.status())) << got.status();
+    }
+  }
 }
 
 TEST_F(StorageEngineTest, ManifestRoundTrip) {
@@ -181,12 +539,13 @@ TEST_F(StorageEngineTest, SmallBlocksStreamThroughCursor) {
 
   auto cursor = engine.Scan(0, "t");
   ASSERT_TRUE(cursor.ok()) << cursor.status();
-  std::vector<Row> all, chunk;
+  std::vector<Row> all;
+  vec::ColumnBatch chunk;
   while (true) {
     auto more = cursor->Next(&chunk);
     ASSERT_TRUE(more.ok()) << more.status();
     if (!*more) break;
-    for (Row& r : chunk) all.push_back(std::move(r));
+    for (Row& r : vec::ToRowBatch(chunk).rows) all.push_back(std::move(r));
   }
   EXPECT_GT(cursor->blocks_read(), 1);
   ASSERT_EQ(all.size(), 200u);

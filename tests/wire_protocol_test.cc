@@ -34,10 +34,10 @@ Result<FrameHeader> Header(const std::string& frame) {
 TEST(WireFrame, GoldenHelloFrame) {
   std::string frame = EncodeFrame(FrameType::kHello, Hello().Encode());
   ASSERT_EQ(frame.size(), kHeaderSize + 2);
-  // Header: magic "CGQW", version 2, type 1, len 2, FNV-1a of {02 00}.
+  // Header: magic "CGQW", version 3, type 1, len 2, FNV-1a of {03 00}.
   const std::vector<uint8_t> expected_prefix = {
       'C',  'G',  'Q',  'W',        // magic, little-endian 0x57514743
-      0x02, 0x00,                   // version 2
+      0x03, 0x00,                   // version 3
       0x01, 0x00,                   // type kHello
       0x02, 0x00, 0x00, 0x00,       // payload length 2
   };
@@ -45,14 +45,14 @@ TEST(WireFrame, GoldenHelloFrame) {
   for (size_t i = 0; i < expected_prefix.size(); ++i) {
     EXPECT_EQ(actual[i], expected_prefix[i]) << "byte " << i;
   }
-  // Checksum bytes 12..19: FNV-1a over payload {0x02, 0x00}.
-  const uint8_t payload[] = {0x02, 0x00};
+  // Checksum bytes 12..19: FNV-1a over payload {0x03, 0x00}.
+  const uint8_t payload[] = {0x03, 0x00};
   uint64_t sum = Fnv1a(payload, 2);
   for (size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(actual[12 + i], static_cast<uint8_t>((sum >> (8 * i)) & 0xff));
   }
   // Payload itself.
-  EXPECT_EQ(actual[20], 0x02);
+  EXPECT_EQ(actual[20], 0x03);
   EXPECT_EQ(actual[21], 0x00);
 }
 
@@ -73,12 +73,14 @@ vec::ColumnBatch FilteredBatch() {
 TEST(WireFrame, GoldenBatchEncoding) {
   Writer w;
   w.PutBatch(FilteredBatch());
-  // Column-major over the selected rows only (row 1 is not encoded).
+  // The attrs, then the batch codec: column-major over the selected
+  // rows only (row 1 is not encoded).
   const std::vector<uint8_t> expected = {
       0x02, 0x00, 0x00, 0x00,                          // 2 attrs
       0x07, 0x00, 0x00, 0x00,                          // attr 7
       0x09, 0x00, 0x00, 0x00,                          // attr 9
       0x03, 0x00, 0x00, 0x00,                          // 3 rows
+      0x02, 0x00, 0x00, 0x00,                          // 2 columns
       0x01, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // col 0: 5
       0x00,
       0x00,                                            //        NULL
@@ -118,6 +120,7 @@ TEST(WireFrame, OversizedRowCountRejected) {
   w.PutU32(1);            // 1 attr
   w.PutU32(7);            // attr 7
   w.PutU32(0xffffffffu);  // 4G rows
+  w.PutU32(1);            // 1 column
   w.PutValue(Value::Int64(1));
   Reader r(w.buffer());
   auto decoded = r.ReadBatch();
@@ -129,6 +132,7 @@ TEST(WireFrame, OversizedRowCountRejected) {
   Writer zero;
   zero.PutU32(0);            // no attrs
   zero.PutU32(0xffffffffu);  // 4G rows
+  zero.PutU32(0);            // no columns
   Reader rz(zero.buffer());
   auto huge = rz.ReadBatch();
   ASSERT_FALSE(huge.ok());
@@ -143,6 +147,58 @@ TEST(WireFrame, OversizedRowCountRejected) {
   ASSERT_TRUE(five.ok()) << five.status();
   EXPECT_EQ(five->NumRows(), 5u);
   EXPECT_EQ(five->NumColumns(), 0u);
+
+  // A zero-row batch has no values either: a column count whose
+  // columns would outgrow the payload limit is refused the same way.
+  Writer wide;
+  wide.PutU32(0);            // no rows
+  wide.PutU32(0xffffffffu);  // 4G columns
+  Reader rw(wide.buffer());
+  auto too_wide = rw.ReadColumns();
+  ASSERT_FALSE(too_wide.ok());
+  EXPECT_TRUE(too_wide.status().IsInvalidArgument());
+}
+
+// A SHIP batch whose codec carries a column count other than its attr
+// count is refused, not decoded into a batch its layout does not fit.
+TEST(WireFrame, ColumnCountMustMatchAttrs) {
+  Writer w;
+  w.PutU32(1);                    // 1 attr
+  w.PutU32(7);                    // attr 7
+  w.PutColumns(FilteredBatch());  // 2 columns
+  Reader r(w.buffer());
+  auto decoded = r.ReadBatch();
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsInvalidArgument()) << decoded.status();
+}
+
+// The codec types each column from its values as FromRows does: an
+// all-NULL prefix takes the first non-null value's tag, a mixed column
+// falls back to kValue, and both round-trip value for value.
+TEST(WireFrame, CodecInfersTagsLikeFromRows) {
+  std::vector<Row> rows = {
+      {Value::Null(), Value::Int64(1), Value::Null()},
+      {Value::Double(2.5), Value::String("x"), Value::Null()},
+      {Value::Null(), Value::Double(3.5), Value::Null()},
+  };
+  vec::ColumnBatch batch =
+      vec::FromRows(RowLayout({1, 2, 3}), rows).ValueOrDie();
+  Writer w;
+  w.PutColumns(batch);
+  Reader r(w.buffer());
+  auto decoded = r.ReadColumns();
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(r.AtEnd());
+  ASSERT_EQ(decoded->NumColumns(), 3u);
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(decoded->columns[c]->tag, batch.columns[c]->tag) << c;
+  }
+  EXPECT_EQ(decoded->columns[0]->tag, vec::ColumnTag::kDouble);
+  EXPECT_EQ(decoded->columns[1]->tag, vec::ColumnTag::kValue);
+  RowBatch got = vec::ToRowBatch(*decoded);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(RowsStructurallyEqual(got.rows[i], rows[i])) << i;
+  }
 }
 
 TEST(WireFrame, GoldenValueEncodings) {
@@ -218,16 +274,30 @@ TEST(WireFrame, ChecksumMismatchRejected) {
   EXPECT_NE(s.message().find("checksum"), std::string::npos);
 }
 
+/// Every strict prefix of `payload` fails Msg::Decode as truncated.
+template <typename Msg>
+void ExpectPrefixesRejected(const std::string& payload) {
+  ASSERT_TRUE(Msg::Decode(payload).ok());
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    auto r = Msg::Decode(payload.substr(0, cut));
+    ASSERT_FALSE(r.ok()) << "prefix of " << cut << " bytes decoded";
+    EXPECT_TRUE(r.status().IsInvalidArgument());
+  }
+}
+
 TEST(WireFrame, TruncatedPayloadRejectedByReader) {
   InputBatch in;
   in.channel = 3;
   in.batch = FilteredBatch();
-  std::string payload = in.Encode();
-  for (size_t cut = 0; cut < payload.size(); ++cut) {
-    auto r = InputBatch::Decode(payload.substr(0, cut));
-    ASSERT_FALSE(r.ok()) << "prefix of " << cut << " bytes decoded";
-    EXPECT_TRUE(r.status().IsInvalidArgument());
-  }
+  ExpectPrefixesRejected<InputBatch>(in.Encode());
+  OutputBatch out;
+  out.batch = FilteredBatch();
+  ExpectPrefixesRejected<OutputBatch>(out.Encode());
+  LoadTable load;
+  load.location = 1;
+  load.table = "t";
+  load.batch = FilteredBatch();
+  ExpectPrefixesRejected<LoadTable>(load.Encode());
 }
 
 TEST(WireRoundTrip, Hello) {
@@ -250,18 +320,23 @@ TEST(WireRoundTrip, LoadTableAndAck) {
   load.location = 2;
   load.table = "customer";
   load.replace = false;
-  load.rows.push_back({Value::Int64(7), Value::Null(), Value::Double(0.25)});
-  load.rows.push_back({Value::String("s"), Value::Int64(-1), Value::Null()});
+  const std::vector<Row> rows = {
+      {Value::Int64(7), Value::Null(), Value::Double(0.25)},
+      {Value::String("s"), Value::Int64(-1), Value::Null()},
+  };
+  load.batch = vec::FromRows(RowLayout({0, 1, 2}), rows).ValueOrDie();
   auto r = LoadTable::Decode(load.Encode());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->location, 2u);
   EXPECT_EQ(r->table, "customer");
   EXPECT_FALSE(r->replace);
-  ASSERT_EQ(r->rows.size(), 2u);
-  EXPECT_TRUE(r->rows[0][0].StructurallyEquals(Value::Int64(7)));
-  EXPECT_TRUE(r->rows[0][1].StructurallyEquals(Value::Null()));
-  EXPECT_TRUE(r->rows[0][2].StructurallyEquals(Value::Double(0.25)));
-  EXPECT_TRUE(r->rows[1][0].StructurallyEquals(Value::String("s")));
+  // Stored rows travel positionally: the decoded batch has no layout.
+  EXPECT_EQ(r->batch.layout.size(), 0u);
+  std::vector<Row> got = vec::ToRowBatch(r->batch).rows;
+  ASSERT_EQ(got.size(), 2u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(RowsStructurallyEqual(got[i], rows[i])) << i;
+  }
 
   LoadAck ack;
   ack.fragment_rows = 12345;
