@@ -67,7 +67,11 @@ Result<OptimizedQuery> Engine::OptimizeMaybeCached(
   // Only compliance-optimized plans are cacheable: the baseline
   // optimizer's output carries no Theorem-1 guarantee.
   if (options.compliant && q.compliant) {
-    plan_cache_->Insert(key, q, param_sql.params, *policies_);
+    TraceSpan span("plan_cache_insert");
+    const PlanCache::InsertResult inserted =
+        plan_cache_->Insert(key, q, param_sql.params, *policies_);
+    span.AddArg("dependencies", static_cast<int64_t>(inserted.dependencies));
+    span.AddArg("evicted", inserted.evicted);
   }
   q.stats.cache_consulted = true;
   q.stats.cache_hit = false;

@@ -66,9 +66,58 @@ uint64_t ConjunctRequiredMask(const Expr& c, const Schema& schema, bool* ok) {
   return required;
 }
 
-// Fills predicate_fp and all column bitmasks of `expr`.
+// FNV-1a accumulator over fixed-width words and terminated strings.
+struct Fnv64 {
+  uint64_t h = 14695981039346656037ULL;
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  }
+  void MixStr(const std::string& s) {
+    for (unsigned char c : s) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+    h ^= 0xff;  // terminator, so {"ab","c"} != {"a","bc"}
+    h *= 1099511628211ULL;
+  }
+};
+
+// Seed of a (location, table) fingerprint, so distinct empty dependency
+// sets still hash apart.
+uint64_t PairSeed(LocationId location, const std::string& table) {
+  Fnv64 f;
+  f.Mix(location);
+  f.MixStr(table);
+  return f.h;
+}
+
+// PolicyExpression::content_fp. The splitmix64 finish decorrelates the
+// bits of related expressions, so their sum in a pair fingerprint does
+// not cancel structurally.
+uint64_t ContentFingerprint(const PolicyExpression& e) {
+  Fnv64 f;
+  f.Mix(e.predicate_fp.hi);
+  f.Mix(e.predicate_fp.lo);
+  f.Mix(e.to.bits());
+  f.Mix(static_cast<uint64_t>(e.attributes.size()));
+  for (const std::string& a : e.attributes) f.MixStr(a);
+  f.Mix(static_cast<uint64_t>(e.agg_fns.size()));
+  for (AggFn fn : e.agg_fns) f.Mix(static_cast<uint64_t>(fn));
+  f.Mix(static_cast<uint64_t>(e.group_by.size()));
+  for (const std::string& g : e.group_by) f.MixStr(g);
+  uint64_t z = f.h + 0x9E3779B97F4A7C15ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+// Fills predicate_fp, content_fp and all column bitmasks of `expr`.
 void ComputeDerived(const Catalog& catalog, PolicyExpression* expr) {
   expr->predicate_fp = FingerprintConjuncts(expr->predicate);
+  expr->content_fp = ContentFingerprint(*expr);
   expr->ship_mask = 0;
   expr->group_mask = 0;
   expr->masks_valid = false;
@@ -251,7 +300,11 @@ Status PolicyCatalog::AddPolicy(LocationId location, PolicyExpression expr) {
   std::vector<PolicyExpression>& exprs = by_location_[location];
   exprs.push_back(std::move(expr));
   const size_t index = exprs.size() - 1;
-  table_index_[location][exprs[index].table].push_back(index);
+  const PolicyExpression& added = exprs[index];
+  auto [pair, created] = table_index_[location].try_emplace(added.table);
+  if (created) pair->second.fingerprint = PairSeed(location, added.table);
+  pair->second.indices.push_back(index);
+  pair->second.fingerprint += added.content_fp;
   if (mode_ == PolicyIndexMode::kHierarchical) IndexBucket(location, index);
   epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
@@ -262,6 +315,7 @@ Status PolicyCatalog::RemovePolicy(int64_t id) {
     std::vector<PolicyExpression>& exprs = by_location_[loc];
     for (size_t i = 0; i < exprs.size(); ++i) {
       if (exprs[i].id != id) continue;
+      table_index_[loc][exprs[i].table].fingerprint -= exprs[i].content_fp;
       exprs.erase(exprs.begin() + static_cast<ptrdiff_t>(i));
       // Stored indices after `i` all shifted down by one.
       RebuildIndexes(loc);
@@ -293,51 +347,28 @@ void PolicyCatalog::IndexBucket(LocationId location, size_t index) {
 
 void PolicyCatalog::RebuildIndexes(LocationId location) {
   auto& index = table_index_[location];
-  index.clear();
+  for (auto& [table, pair] : index) pair.indices.clear();
   bucket_index_[location].clear();
   const std::vector<PolicyExpression>& exprs = by_location_[location];
   for (size_t i = 0; i < exprs.size(); ++i) {
-    index[exprs[i].table].push_back(i);
+    index[exprs[i].table].indices.push_back(i);
     if (mode_ == PolicyIndexMode::kHierarchical) IndexBucket(location, i);
   }
 }
 
 uint64_t PolicyCatalog::TablePolicyFingerprint(
     LocationId location, const std::string& table) const {
-  // FNV-1a over the content of every expression governing (location,
-  // table), in index order. Seeded with the pair itself so distinct
-  // empty dependency sets still hash apart.
-  uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  auto mix_str = [&h](const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ULL;
-    }
-    h ^= 0xff;  // terminator, so {"ab","c"} != {"a","bc"}
-    h *= 1099511628211ULL;
-  };
-  mix(location);
-  mix_str(table);
-  for (size_t idx : ForTable(location, table)) {
-    const PolicyExpression& e = by_location_[location][idx];
-    mix(e.predicate_fp.hi);
-    mix(e.predicate_fp.lo);
-    mix(e.to.bits());
-    mix(static_cast<uint64_t>(e.attributes.size()));
-    for (const std::string& a : e.attributes) mix_str(a);
-    mix(static_cast<uint64_t>(e.agg_fns.size()));
-    for (AggFn fn : e.agg_fns) mix(static_cast<uint64_t>(fn));
-    mix(static_cast<uint64_t>(e.group_by.size()));
-    for (const std::string& g : e.group_by) mix_str(g);
-  }
-  if (h == 0) h = 1;  // reserve 0 for "not computed"
-  return h;
+  const TablePolicies* pair = FindPair(location, table);
+  const uint64_t h =
+      pair != nullptr ? pair->fingerprint : PairSeed(location, table);
+  return h == 0 ? 1 : h;  // reserve 0 for "not computed"
+}
+
+const PolicyCatalog::TablePolicies* PolicyCatalog::FindPair(
+    LocationId location, const std::string& table) const {
+  if (location >= table_index_.size()) return nullptr;
+  auto it = table_index_[location].find(table);
+  return it != table_index_[location].end() ? &it->second : nullptr;
 }
 
 const std::vector<PolicyExpression>& PolicyCatalog::For(
@@ -350,9 +381,8 @@ const std::vector<PolicyExpression>& PolicyCatalog::For(
 const std::vector<size_t>& PolicyCatalog::ForTable(
     LocationId location, const std::string& table) const {
   static const std::vector<size_t> kEmpty;
-  if (location >= table_index_.size()) return kEmpty;
-  auto it = table_index_[location].find(table);
-  return it != table_index_[location].end() ? it->second : kEmpty;
+  const TablePolicies* pair = FindPair(location, table);
+  return pair != nullptr ? pair->indices : kEmpty;
 }
 
 void PolicyCatalog::AppendCandidates(LocationId location,
@@ -420,8 +450,8 @@ PolicyCatalog::IndexStats PolicyCatalog::Stats() const {
   IndexStats out;
   out.active = TotalCount();
   for (const auto& per_loc : table_index_) {
-    for (const auto& [table, entries] : per_loc) {
-      if (!entries.empty()) ++out.tables;
+    for (const auto& [table, pair] : per_loc) {
+      if (!pair.indices.empty()) ++out.tables;
     }
   }
   for (const auto& per_loc : bucket_index_) {

@@ -39,6 +39,11 @@ struct PolicyExpression {
   /// cache. Filled by PolicyCatalog::AddPolicy; policies are immutable
   /// afterwards, so the evaluator never re-hashes a conclusion.
   ExprFingerprint predicate_fp;
+  /// 64-bit hash of everything the expression grants (predicate_fp, `to`,
+  /// attributes, aggregate functions, group-by), finished with splitmix64.
+  /// Filled by AddPolicy; the per-(location, table) fingerprint is the sum
+  /// of these over the pair's expressions.
+  uint64_t content_fp = 0;
   /// Schema-column bitmasks of `attributes` / `group_by` (bit i = column i
   /// of the table). Filled by AddPolicy; valid only when `masks_valid` —
   /// the evaluator falls back to the string comparisons otherwise (columns
@@ -147,10 +152,13 @@ class PolicyCatalog {
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Content fingerprint of the expressions governing (location, table),
-  /// in index order. Two equal fingerprints mean the policies relevant to
-  /// that dependency are unchanged — even if the epoch moved because an
-  /// unrelated policy was added or dropped (fine-grained invalidation).
-  /// Never 0, so callers may use 0 as "not computed".
+  /// order-insensitive: a seed hashed from the pair plus the sum (mod
+  /// 2^64) of the expressions' `content_fp`, maintained by AddPolicy /
+  /// RemovePolicy / Clear, so reading it is one lookup however many
+  /// policies govern the pair. Two equal fingerprints mean the policies
+  /// relevant to that dependency are unchanged — even if the epoch moved
+  /// because an unrelated policy was added or dropped (fine-grained
+  /// invalidation). Never 0, so callers may use 0 as "not computed".
   uint64_t TablePolicyFingerprint(LocationId location,
                                   const std::string& table) const;
 
@@ -244,7 +252,22 @@ class PolicyCatalog {
     std::vector<size_t> unmaskable;
   };
 
+  /// The expressions over one (location, table) pair.
+  struct TablePolicies {
+    std::vector<size_t> indices;  ///< ascending, into by_location_[loc]
+    /// Pair seed + Σ content_fp of `indices`' expressions, mod 2^64 (see
+    /// TablePolicyFingerprint).
+    uint64_t fingerprint = 0;
+  };
+
   void EnsureLocation(LocationId location);
+  /// The pair's entry, or nullptr when no policy was added for it since
+  /// the catalog was built or last cleared.
+  const TablePolicies* FindPair(LocationId location,
+                                const std::string& table) const;
+  /// Re-derives the stored indices of `location` after an erase shifted
+  /// them. Pair fingerprints are left as they are: RemovePolicy has
+  /// already subtracted the erased expression.
   void RebuildIndexes(LocationId location);
   /// Appends `index` (into by_location_[location]) to the matching bucket.
   void IndexBucket(LocationId location, size_t index);
@@ -252,9 +275,8 @@ class PolicyCatalog {
   const Catalog* catalog_;
   PolicyIndexMode mode_;
   std::vector<std::vector<PolicyExpression>> by_location_;
-  /// Per location: table -> ascending expression indices.
-  std::vector<std::unordered_map<std::string, std::vector<size_t>>>
-      table_index_;
+  /// Per location: table -> its expressions.
+  std::vector<std::unordered_map<std::string, TablePolicies>> table_index_;
   /// Hierarchical mode: per location, table -> signature buckets.
   std::vector<std::unordered_map<std::string, TableBuckets>> bucket_index_;
 

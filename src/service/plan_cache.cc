@@ -225,10 +225,11 @@ std::optional<OptimizedQuery> PlanCache::Lookup(
   return out;
 }
 
-void PlanCache::Insert(const Key& key, const OptimizedQuery& q,
-                       const std::vector<Value>& params,
-                       const PolicyCatalog& policies) {
-  if (q.plan == nullptr) return;
+PlanCache::InsertResult PlanCache::Insert(const Key& key,
+                                          const OptimizedQuery& q,
+                                          const std::vector<Value>& params,
+                                          const PolicyCatalog& policies) {
+  if (q.plan == nullptr) return {};
   Entry entry;
   entry.key = key;
   entry.query = q;
@@ -248,6 +249,7 @@ void PlanCache::Insert(const Key& key, const OptimizedQuery& q,
   for (const Dependency& d : entry.deps) {
     entry.bytes += sizeof(Dependency) + d.table.capacity();
   }
+  const size_t dependencies = entry.deps.size();
 
   int64_t evicted = 0;
   {
@@ -270,6 +272,7 @@ void PlanCache::Insert(const Key& key, const OptimizedQuery& q,
   CGQ_COUNTER_ADD("plan_cache.inserts", 1);
   if (evicted > 0) CGQ_COUNTER_ADD("plan_cache.evictions", evicted);
   PublishGauges();
+  return InsertResult{dependencies, evicted};
 }
 
 void PlanCache::Invalidate(const Key& key) {

@@ -58,12 +58,14 @@ struct PlanCacheStats {
 /// governing the (location, table) pairs it scans — those decide every
 /// ℰ/𝒮 trait bottom-up. Each entry therefore stores that dependency set
 /// with a content fingerprint per pair (PolicyCatalog::
-/// TablePolicyFingerprint). A hit is served iff the entry's epoch equals
-/// the catalog's, or — after any policy mutation — every dependency
-/// fingerprint is unchanged (unrelated policy changes revalidate instead
-/// of invalidate; they may cost optimality, never compliance). On top of
-/// that the engine re-runs the independent Definition-1 checker on every
-/// hit (counter `plan_cache.revalidations`), so even a fingerprint
+/// TablePolicyFingerprint, which the catalog maintains per mutation, so
+/// recording or re-checking a dependency is one lookup). A hit is served
+/// iff the entry's epoch equals the catalog's, or — after any policy
+/// mutation — every dependency fingerprint is unchanged (unrelated policy
+/// changes, and a drop followed by a re-add of the same policy, revalidate
+/// instead of invalidate; they may cost optimality, never compliance). On
+/// top of that the engine re-runs the independent Definition-1 checker on
+/// every hit (counter `plan_cache.revalidations`), so even a fingerprint
 /// collision cannot execute a stale plan.
 ///
 /// Thread safety: fully thread-safe (sharded mutexes); Lookup returns a
@@ -130,6 +132,12 @@ class PlanCache {
                                        const PolicyCatalog& policies,
                                        bool* param_hit = nullptr);
 
+  /// What one Insert did, for the engine's `plan_cache_insert` span.
+  struct InsertResult {
+    size_t dependencies = 0;  ///< (location, table) pairs recorded
+    int64_t evicted = 0;      ///< LRU entries dropped for the byte budget
+  };
+
   /// Caches a successfully optimized compliant query under `key` at the
   /// catalog's current epoch. Replaces any existing entry; evicts the LRU
   /// tail past the byte budget.
@@ -138,8 +146,9 @@ class PlanCache {
   /// entry is marked rebindable only when every ordinal in [0, n) appears
   /// in the plan as a tagged literal slot with exactly params[ordinal]
   /// (see PlanParamsBindable) — otherwise it serves exact matches only.
-  void Insert(const Key& key, const OptimizedQuery& q,
-              const std::vector<Value>& params, const PolicyCatalog& policies);
+  InsertResult Insert(const Key& key, const OptimizedQuery& q,
+                      const std::vector<Value>& params,
+                      const PolicyCatalog& policies);
 
   /// Erases `key` (the engine calls this when the belt-and-braces
   /// compliance re-check fails on a hit). Counted as an invalidation.

@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/policy.h"
 #include "core/policy_evaluator.h"
 #include "plan/binder.h"
 #include "plan/builder.h"
 #include "plan/summary.h"
 #include "sql/parser.h"
+#include "tpch/tpch.h"
 
 namespace cgq {
 namespace {
@@ -265,6 +271,254 @@ TEST_F(PolicyMetamorphicTest, BucketOrderNeverAffectsDecisions) {
     EXPECT_EQ(Decisions(), before) << "seed " << seed;
   }
 }
+
+// Metamorphic battery for the maintained (location, table) fingerprints the
+// plan cache keys its dependencies on: after any add / remove / clear
+// sequence they must equal a from-scratch recomputation, be insensitive to
+// install order, and move exactly when a governing policy's content does.
+class PolicyFingerprintTest
+    : public ::testing::TestWithParam<PolicyIndexMode> {
+ protected:
+  using Snapshot = std::map<std::pair<LocationId, std::string>, uint64_t>;
+  // A policy text and the location whose data it governs.
+  using Placed = std::pair<std::string, std::string>;
+
+  void SetUp() override {
+    auto catalog = tpch::BuildCatalog(tpch::TpchConfig{});
+    ASSERT_TRUE(catalog.ok()) << catalog.status();
+    catalog_ = std::make_unique<Catalog>(std::move(*catalog));
+    seeds_ = std::make_unique<PolicyCatalog>(catalog_.get());
+    tables_ = catalog_->TableNames();
+  }
+
+  std::unique_ptr<PolicyCatalog> NewCatalog() const {
+    return std::make_unique<PolicyCatalog>(catalog_.get(), GetParam());
+  }
+
+  // From scratch: the pair's seed (what a catalog that never held a policy
+  // reports) plus every governing expression's content_fp, mod 2^64.
+  uint64_t Oracle(const PolicyCatalog& p, LocationId loc,
+                  const std::string& table) const {
+    uint64_t h = seeds_->TablePolicyFingerprint(loc, table);
+    for (size_t i : p.ForTable(loc, table)) h += p.For(loc)[i].content_fp;
+    return h == 0 ? 1 : h;
+  }
+
+  // Every (location, table) pair of the catalog, governed or not.
+  Snapshot Fingerprints(const PolicyCatalog& p) const {
+    Snapshot out;
+    for (LocationId l = 0; l < catalog_->locations().num_locations(); ++l) {
+      for (const std::string& t : tables_) {
+        out[{l, t}] = p.TablePolicyFingerprint(l, t);
+      }
+    }
+    return out;
+  }
+
+  void ExpectMatchesOracle(const PolicyCatalog& p) const {
+    for (const auto& [pair, fp] : Fingerprints(p)) {
+      EXPECT_EQ(fp, Oracle(p, pair.first, pair.second))
+          << "l" << pair.first + 1 << "/" << pair.second;
+    }
+  }
+
+  // A random valid policy over a random table: `ship *` or an attribute
+  // subset, basic or aggregate (with optional group-by), to `*` or a
+  // location subset, with or without a numeric predicate.
+  Placed RandomPolicy(Rng& rng) const {
+    const size_t num_locs = catalog_->locations().num_locations();
+    const std::string& table =
+        tables_[rng.Uniform(0, static_cast<int64_t>(tables_.size()) - 1)];
+    const std::vector<ColumnDef>& cols =
+        (*catalog_->GetTable(table))->schema.columns();
+    auto pick = [&]() -> const ColumnDef& {
+      return cols[rng.Uniform(0, static_cast<int64_t>(cols.size()) - 1)];
+    };
+    std::string text = "ship ";
+    const bool aggregate = rng.Uniform(0, 2) == 0;
+    if (!aggregate && rng.Uniform(0, 3) == 0) {
+      text += "*";
+    } else {
+      std::vector<std::string> attrs;
+      for (int i = rng.Uniform(1, 3); i > 0; --i) {
+        const std::string& c = pick().name;
+        if (std::find(attrs.begin(), attrs.end(), c) == attrs.end()) {
+          attrs.push_back(c);
+        }
+      }
+      for (size_t i = 0; i < attrs.size(); ++i) {
+        text += (i > 0 ? ", " : "") + attrs[i];
+      }
+    }
+    if (aggregate) {
+      text += rng.Uniform(0, 1) == 0 ? " as aggregates sum"
+                                     : " as aggregates sum, max";
+    }
+    text += " from " + table + " to ";
+    if (rng.Uniform(0, 3) == 0) {
+      text += "*";
+    } else {
+      const int64_t first = rng.Uniform(1, static_cast<int64_t>(num_locs));
+      text += "l" + std::to_string(first);
+      if (rng.Uniform(0, 1) == 0) {
+        text += ", l" + std::to_string(first % num_locs + 1);
+      }
+    }
+    if (rng.Uniform(0, 1) == 0) {
+      for (const ColumnDef& c : cols) {
+        if (c.type != DataType::kInt64) continue;
+        text += " where " + c.name + " > " +
+                std::to_string(rng.Uniform(0, 50));
+        break;
+      }
+    }
+    if (aggregate && rng.Uniform(0, 1) == 0) text += " group by " + pick().name;
+    const std::string location =
+        "l" + std::to_string(rng.Uniform(1, static_cast<int64_t>(num_locs)));
+    return {location, text};
+  }
+
+  std::unique_ptr<PolicyCatalog> Install(
+      const std::vector<Placed>& policies) const {
+    auto p = NewCatalog();
+    for (const auto& [location, text] : policies) {
+      EXPECT_TRUE(p->AddPolicyText(location, text).ok()) << text;
+    }
+    return p;
+  }
+
+  // Policy ids currently installed, in location then install order.
+  std::vector<int64_t> Ids(const PolicyCatalog& p) const {
+    std::vector<int64_t> ids;
+    for (LocationId l = 0; l < catalog_->locations().num_locations(); ++l) {
+      for (const PolicyExpression& e : p.For(l)) ids.push_back(e.id);
+    }
+    return ids;
+  }
+
+  std::unique_ptr<Catalog> catalog_;
+  std::unique_ptr<PolicyCatalog> seeds_;  // never holds a policy
+  std::vector<std::string> tables_;
+};
+
+TEST_P(PolicyFingerprintTest, MaintainedValueMatchesFromScratchOracle) {
+  const size_t num_locs = catalog_->locations().num_locations();
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto p = NewCatalog();
+    ExpectMatchesOracle(*p);
+    for (int step = 0; step < 300; ++step) {
+      const int64_t op = rng.Uniform(0, 99);
+      const std::vector<int64_t> ids = Ids(*p);
+      if (op < 55 || ids.empty()) {
+        const auto [location, text] = RandomPolicy(rng);
+        ASSERT_TRUE(p->AddPolicyText(location, text).ok()) << text;
+      } else if (op < 65) {
+        // Pre-built: a copy of an installed expression, placed anywhere.
+        const LocationId from = static_cast<LocationId>(
+            rng.Uniform(0, static_cast<int64_t>(num_locs) - 1));
+        if (p->For(from).empty()) continue;
+        PolicyExpression copy = p->For(from)[rng.Uniform(
+            0, static_cast<int64_t>(p->For(from).size()) - 1)];
+        const LocationId to = static_cast<LocationId>(
+            rng.Uniform(0, static_cast<int64_t>(num_locs) - 1));
+        ASSERT_TRUE(p->AddPolicy(to, std::move(copy)).ok());
+      } else if (op < 98) {
+        const int64_t id =
+            ids[rng.Uniform(0, static_cast<int64_t>(ids.size()) - 1)];
+        ASSERT_TRUE(p->RemovePolicy(id).ok());
+      } else {
+        p->Clear();
+      }
+      ExpectMatchesOracle(*p);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "diverged at step " << step;
+      }
+    }
+  }
+}
+
+TEST_P(PolicyFingerprintTest, InstallOrderDoesNotMatter) {
+  Rng rng(17);
+  std::vector<Placed> policies;
+  for (int i = 0; i < 60; ++i) policies.push_back(RandomPolicy(rng));
+  const Snapshot forward = Fingerprints(*Install(policies));
+  std::reverse(policies.begin(), policies.end());
+  EXPECT_EQ(Fingerprints(*Install(policies)), forward);
+  for (size_t i = policies.size(); i > 1; --i) {
+    std::swap(policies[i - 1], policies[rng.Uniform(0, i - 1)]);
+  }
+  EXPECT_EQ(Fingerprints(*Install(policies)), forward);
+}
+
+TEST_P(PolicyFingerprintTest, RemoveThenReAddRestoresFingerprint) {
+  Rng rng(23);
+  std::vector<Placed> policies;
+  for (int i = 0; i < 40; ++i) policies.push_back(RandomPolicy(rng));
+  auto p = Install(policies);
+  const Snapshot before = Fingerprints(*p);
+  const size_t num_locs = catalog_->locations().num_locations();
+  for (LocationId l = 0; l < num_locs; ++l) {
+    if (p->For(l).empty()) continue;
+    const PolicyExpression victim = p->For(l).front();
+    const std::pair<LocationId, std::string> pair{l, victim.table};
+    ASSERT_TRUE(p->RemovePolicy(victim.id).ok());
+    Snapshot removed = Fingerprints(*p);
+    EXPECT_NE(removed[pair], before.at(pair));
+    removed[pair] = before.at(pair);
+    EXPECT_EQ(removed, before) << "a remove moved another pair";
+    ASSERT_TRUE(p->AddPolicy(l, victim).ok());
+    EXPECT_EQ(Fingerprints(*p), before);
+  }
+}
+
+TEST_P(PolicyFingerprintTest, EveryContentFieldMovesOnlyItsPair) {
+  const std::vector<Placed> base = {
+      {"l2", "ship orderkey, totalprice as aggregates sum from orders to "
+             "l4 where custkey > 10 group by orderdate"},
+      {"l2", "ship * from orders to l1"},
+      {"l2", "ship * from customer to l4, l5"},
+      {"l3", "ship orderkey from orders to *"},
+  };
+  const Snapshot original = Fingerprints(*Install(base));
+  // One field of the first policy changed at a time.
+  const std::vector<std::string> variants = {
+      // predicate
+      "ship orderkey, totalprice as aggregates sum from orders to l4 "
+      "where custkey > 11 group by orderdate",
+      // to
+      "ship orderkey, totalprice as aggregates sum from orders to l4, l5 "
+      "where custkey > 10 group by orderdate",
+      // attributes
+      "ship orderkey as aggregates sum from orders to l4 "
+      "where custkey > 10 group by orderdate",
+      // aggregate functions
+      "ship orderkey, totalprice as aggregates sum, max from orders to l4 "
+      "where custkey > 10 group by orderdate",
+      // group-by
+      "ship orderkey, totalprice as aggregates sum from orders to l4 "
+      "where custkey > 10 group by custkey",
+  };
+  const std::pair<LocationId, std::string> governed{1, "orders"};
+  for (const std::string& variant : variants) {
+    SCOPED_TRACE(variant);
+    std::vector<Placed> changed = base;
+    changed[0].second = variant;
+    Snapshot fp = Fingerprints(*Install(changed));
+    EXPECT_NE(fp[governed], original.at(governed));
+    fp[governed] = original.at(governed);
+    EXPECT_EQ(fp, original) << "the change moved another pair";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IndexModes, PolicyFingerprintTest,
+    ::testing::Values(PolicyIndexMode::kFlat, PolicyIndexMode::kHierarchical),
+    [](const ::testing::TestParamInfo<PolicyIndexMode>& info) {
+      return info.param == PolicyIndexMode::kFlat ? std::string("Flat")
+                                                  : std::string("Hier");
+    });
 
 }  // namespace
 }  // namespace cgq

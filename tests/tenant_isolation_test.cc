@@ -214,11 +214,20 @@ TEST_F(TenantIsolationTest, ColdTenantIsNotStarvedByHotBacklog) {
   }
   auto cold_ticket = cold->Submit(kCheapSql);
   ASSERT_TRUE(cold_ticket.ok());
+  // Right behind the cheap query, a cold blocker: stride order dispatches
+  // it within a few hot queries of the cheap one, and while it holds the
+  // single worker the hot tenant's counters are frozen, so the read below
+  // cannot race with the rest of the hot backlog draining.
+  auto cold_blocker = cold->Submit(kSlowSql);
+  ASSERT_TRUE(cold_blocker.ok());
 
   ASSERT_TRUE(blocker.Cancel(*b).ok());
   (void)blocker.Wait(*b);
 
   ASSERT_TRUE(cold->Wait(*cold_ticket).ok());
+  while (StatsFor(service, "cold").scheduled < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // Equal weights: the scheduler interleaves the two tenants, so when
   // the cold query finished, the hot backlog was still nearly intact. A
   // FIFO would have completed all 100 hot queries first.
@@ -226,6 +235,8 @@ TEST_F(TenantIsolationTest, ColdTenantIsNotStarvedByHotBacklog) {
   EXPECT_LT(hs.completed, 50)
       << "cold tenant waited behind the hot backlog";
 
+  ASSERT_TRUE(cold->Cancel(*cold_blocker).ok());
+  (void)cold->Wait(*cold_blocker);
   for (QueryService::TicketId id : hot_tickets) {
     EXPECT_TRUE(hot->Wait(id).ok());
   }

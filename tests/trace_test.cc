@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "net/network_model.h"
+#include "service/plan_cache.h"
 #include "tpch/tpch.h"
 
 namespace cgq {
@@ -338,6 +339,67 @@ TEST_F(TraceTest, CounterDeltasAndTracesDeterministicUnderSoak) {
   }
   EXPECT_EQ(measured_runs, 192);
 }
+
+#ifdef CGQ_TRACING
+
+// The last trace's spans named `name`, in canonical order.
+std::vector<CanonicalSpan> SpansNamed(const Engine& engine,
+                                      const std::string& name) {
+  std::vector<CanonicalSpan> out;
+  for (CanonicalSpan& s : engine.last_trace()->CanonicalSpans()) {
+    if (s.name == name) out.push_back(std::move(s));
+  }
+  return out;
+}
+
+std::string ArgOf(const CanonicalSpan& span, const std::string& key) {
+  for (const auto& [k, v] : span.args) {
+    if (k == key) return v;
+  }
+  return "<missing>";
+}
+
+// A compliant miss records its plan under exactly one `plan_cache_insert`
+// span beside the lookup, carrying the dependency and eviction counts; a
+// hit and a rejected query insert nothing.
+TEST_F(TraceTest, PlanCacheInsertSpanOnlyOnCompliantMiss) {
+  std::unique_ptr<Engine> engine = MakeTpchEngine(/*lossy=*/false);
+  PlanCacheOptions options;
+  options.shards = 1;
+  options.max_bytes = 1;  // every insert evicts the previous entry
+  PlanCache cache(options);
+  engine->set_plan_cache(&cache);
+  const std::string q3 = *tpch::Query(3);
+
+  ASSERT_TRUE(engine->Run(q3).ok());
+  std::vector<CanonicalSpan> inserts = SpansNamed(*engine, "plan_cache_insert");
+  ASSERT_EQ(inserts.size(), 1u);
+  EXPECT_EQ(inserts[0].path, "query/plan_cache_insert");
+  // Q3 scans customer, orders and lineitem, one fragment each.
+  EXPECT_EQ(ArgOf(inserts[0], "dependencies"), "3");
+  EXPECT_EQ(ArgOf(inserts[0], "evicted"), "0");
+
+  ASSERT_TRUE(engine->Run(*tpch::Query(10)).ok());
+  inserts = SpansNamed(*engine, "plan_cache_insert");
+  ASSERT_EQ(inserts.size(), 1u);
+  EXPECT_EQ(ArgOf(inserts[0], "evicted"), "1");
+
+  ASSERT_TRUE(engine->Run(*tpch::Query(10)).ok());
+  std::vector<CanonicalSpan> lookups = SpansNamed(*engine, "plan_cache_lookup");
+  ASSERT_EQ(lookups.size(), 1u);
+  EXPECT_EQ(ArgOf(lookups[0], "hit"), "1");
+  EXPECT_TRUE(SpansNamed(*engine, "plan_cache_insert").empty());
+
+  // No policy at all: Q3 must ship and is rejected, so nothing is cached.
+  engine->policies().Clear();
+  Result<QueryResult> rejected = engine->Run(q3);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsNonCompliant()) << rejected.status();
+  EXPECT_EQ(SpansNamed(*engine, "plan_cache_lookup").size(), 1u);
+  EXPECT_TRUE(SpansNamed(*engine, "plan_cache_insert").empty());
+}
+
+#endif  // CGQ_TRACING
 
 }  // namespace
 }  // namespace cgq
