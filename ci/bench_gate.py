@@ -15,7 +15,7 @@ Gates (the bench invocation that produces each input is in ci.yml):
     loopback      distributed bench_micro rows vs BENCH_micro.json row rows
     backends      cross-backend agreement (micro, fig6gh, lossy, plan cache)
     storage       disk-scan and spill-join digest agreement
-    disk-ratio    disk/memory row-scan geomean vs BENCH_micro.json
+    disk-ratio    disk/memory scan geomeans (row, fragment) vs BENCH_micro.json
     vector        fragment/row geomean speedup vs the vector baseline row
                   of BENCH_micro.json
     trace         Chrome trace artifact well-formedness
@@ -293,27 +293,30 @@ def gate_storage(args):
 
 
 def gate_disk_ratio(args):
-    # Same-machine ratio: the geomean disk/memory scan slowdown on the row
-    # backend must not regress more than 15% against the baseline.
-    def disk_ratio(path):
+    # Same-machine ratios: the geomean disk/memory scan slowdown of the
+    # row backend and of the fragment runtime must each not regress more
+    # than 15% against the baseline.
+    def disk_ratio(path, mode):
         rows = [r for r in load(path)
                 if r.get('bench') == 'micro_storage_summary'
-                and r.get('exec_mode') == 'row']
+                and r.get('exec_mode') == mode]
         if len(rows) != 1:
-            sys.exit(f'{path}: expected one row storage summary, '
+            sys.exit(f'{path}: expected one {mode} storage summary, '
                      f'got {len(rows)}')
         return rows[0]['disk_over_memory']
 
-    baseline = disk_ratio(args.baseline)
-    current = disk_ratio(args.current)
-    ceiling = baseline * 1.15
-    print(f'disk/memory row-scan geomean: baseline {baseline:.2f}x, '
-          f'current {current:.2f}x, ceiling {ceiling:.2f}x')
-    if current > ceiling:
-        print('perf regression: disk scans slowed more than 15% '
-              'relative to the checked-in baseline')
-        return 1
-    return 0
+    failures = 0
+    for mode in ('row', 'fragment'):
+        baseline = disk_ratio(args.baseline, mode)
+        current = disk_ratio(args.current, mode)
+        ceiling = baseline * 1.15
+        print(f'disk/memory {mode} scan geomean: baseline {baseline:.2f}x, '
+              f'current {current:.2f}x, ceiling {ceiling:.2f}x')
+        if current > ceiling:
+            print(f'perf regression: {mode} disk scans slowed more than 15% '
+                  'relative to the checked-in baseline')
+            failures += 1
+    return failures
 
 
 def gate_vector(args):

@@ -44,7 +44,7 @@ Status ForEachSpillFrame(const std::string& path,
     }
     wire::Reader r(data + pos + storage::kFrameHeaderSize,
                    header.payload_len);
-    auto batch = r.ReadColumns();
+    auto batch = storage::ReadFrameColumns(header.version, &r);
     if (!batch.ok()) {
       return Status::DataLoss(path + ": " + batch.status().message());
     }

@@ -1,6 +1,7 @@
 #ifndef CGQ_EXEC_VECTOR_COLUMN_BATCH_H_
 #define CGQ_EXEC_VECTOR_COLUMN_BATCH_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -22,6 +23,17 @@ class NullBitmap {
  public:
   NullBitmap() = default;
   explicit NullBitmap(size_t size) : size_(size), words_((size + 63) / 64) {}
+
+  /// A bitmap of `size` bits over `words` (the layout words() returns:
+  /// ceil(size/64) words, bit i of word i/64 for row i, no bit set at or
+  /// past `size`); the null count is their popcount.
+  static NullBitmap FromWords(std::vector<uint64_t> words, size_t size) {
+    NullBitmap out;
+    out.size_ = size;
+    for (uint64_t w : words) out.null_count_ += std::popcount(w);
+    out.words_ = std::move(words);
+    return out;
+  }
 
   size_t size() const { return size_; }
 
@@ -47,6 +59,7 @@ class NullBitmap {
   }
 
   int64_t null_count() const { return null_count_; }
+  const std::vector<uint64_t>& words() const { return words_; }
   bool AnyNull() const { return null_count_ != 0; }
   bool AllNull() const {
     return size_ != 0 && null_count_ == static_cast<int64_t>(size_);

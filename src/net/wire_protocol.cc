@@ -1,5 +1,6 @@
 #include "net/wire_protocol.h"
 
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -49,7 +50,83 @@ uint64_t ReadLe(const uint8_t* data, size_t bytes) {
   return v;
 }
 
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+uint64_t ByteSwap64(uint64_t v) {
+  uint64_t out = 0;
+  for (int i = 0; i < 8; ++i) out = (out << 8) | ((v >> (8 * i)) & 0xff);
+  return out;
+}
+
+uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return kLittleEndian ? v : ByteSwap64(v);
+}
+
+void StoreLe64(char* p, uint64_t v) {
+  if (!kLittleEndian) v = ByteSwap64(v);
+  std::memcpy(p, &v, sizeof(v));
+}
+
+void StoreLe32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+/// `n` 8-byte little-endian values into `dst` (int64, double or u64).
+template <typename T>
+void LoadLeArray(T* dst, const uint8_t* src, size_t n) {
+  static_assert(sizeof(T) == 8);
+  if constexpr (kLittleEndian) {
+    if (n != 0) std::memcpy(dst, src, n * 8);
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t bits = LoadLe64(src + 8 * i);
+      std::memcpy(&dst[i], &bits, 8);
+    }
+  }
+}
+
+// The odd multipliers of xxHash64: a product by either is a bijection.
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ull;
+
+/// A bijection of `acc` for a fixed `word` and of `word` for a fixed
+/// `acc`, so a changed input word always changes the result.
+uint64_t ChecksumStep(uint64_t acc, uint64_t word) {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
 }  // namespace
+
+uint64_t Checksum64(const uint8_t* data, size_t len) {
+  uint64_t lanes[4] = {kPrime1, kPrime2, kPrime3, ~kPrime1};
+  size_t i = 0;
+  for (; len - i >= 32; i += 32) {
+    lanes[0] = ChecksumStep(lanes[0], LoadLe64(data + i));
+    lanes[1] = ChecksumStep(lanes[1], LoadLe64(data + i + 8));
+    lanes[2] = ChecksumStep(lanes[2], LoadLe64(data + i + 16));
+    lanes[3] = ChecksumStep(lanes[3], LoadLe64(data + i + 24));
+  }
+  uint64_t h = ChecksumStep(kPrime3, len);
+  for (uint64_t lane : lanes) h = ChecksumStep(h, lane);
+  for (; len - i >= 8; i += 8) h = ChecksumStep(h, LoadLe64(data + i));
+  if (i < len) {
+    uint64_t tail = 0;
+    for (size_t k = 0; i + k < len; ++k) {
+      tail |= static_cast<uint64_t>(data[i + k]) << (8 * k);
+    }
+    h = ChecksumStep(h, tail);
+  }
+  // Final avalanche (MurmurHash3's fmix64, itself a bijection).
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
 
 std::string EncodeFrame(FrameType type, const std::string& payload) {
   std::string out;
@@ -59,8 +136,8 @@ std::string EncodeFrame(FrameType type, const std::string& payload) {
   AppendLe(&out, static_cast<uint16_t>(type), 2);
   AppendLe(&out, static_cast<uint32_t>(payload.size()), 4);
   AppendLe(&out,
-           Fnv1a(reinterpret_cast<const uint8_t*>(payload.data()),
-                 payload.size()),
+           Checksum64(reinterpret_cast<const uint8_t*>(payload.data()),
+                      payload.size()),
            8);
   out.append(payload);
   return out;
@@ -96,7 +173,7 @@ Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t len) {
 }
 
 Status VerifyPayload(const FrameHeader& header, const uint8_t* payload) {
-  if (Fnv1a(payload, header.payload_len) != header.checksum) {
+  if (Checksum64(payload, header.payload_len) != header.checksum) {
     return Status::InvalidArgument("frame checksum mismatch");
   }
   return Status::OK();
@@ -142,12 +219,86 @@ void Writer::PutCell(const vec::ColumnVector& col, size_t i) {
   }
 }
 
+char* Writer::Grow(size_t n) {
+  const size_t at = buf_.size();
+  buf_.resize(at + n);
+  return buf_.data() + at;
+}
+
+void Writer::PutColumn(const vec::ColumnVector& col, const vec::SelVec& sel) {
+  const size_t rows = sel.size();
+  if (col.tag == vec::ColumnTag::kValue) {
+    PutU8(static_cast<uint8_t>(vec::ColumnTag::kValue));
+    PutU8(0);
+    for (uint32_t i : sel) PutValue(col.vals[i]);
+    return;
+  }
+  // The NULL words of the selected rows, in selection order.
+  std::vector<uint64_t> null_words;
+  size_t nulls = 0;
+  if (col.nulls.AnyNull()) {
+    null_words.assign((rows + 63) / 64, 0);
+    for (size_t k = 0; k < rows; ++k) {
+      if (col.nulls.IsNull(sel[k])) {
+        null_words[k >> 6] |= uint64_t{1} << (k & 63);
+        ++nulls;
+      }
+    }
+  }
+  auto is_null = [&](size_t k) {
+    return nulls != 0 && ((null_words[k >> 6] >> (k & 63)) & 1u);
+  };
+  const vec::ColumnTag tag = nulls == rows ? vec::ColumnTag::kInt64 : col.tag;
+  PutU8(static_cast<uint8_t>(tag));
+  PutU8(nulls != 0 ? 1 : 0);
+  if (nulls != 0) {
+    char* out = Grow(null_words.size() * 8);
+    for (size_t w = 0; w < null_words.size(); ++w) {
+      StoreLe64(out + 8 * w, null_words[w]);
+    }
+  }
+  if (nulls == rows) {
+    Grow(rows * 8);  // an all-NULL int64 payload: zeros
+    return;
+  }
+  switch (tag) {
+    case vec::ColumnTag::kInt64:
+    case vec::ColumnTag::kDouble: {
+      char* out = Grow(rows * 8);
+      const void* base = tag == vec::ColumnTag::kInt64
+                             ? static_cast<const void*>(col.i64.data())
+                             : static_cast<const void*>(col.f64.data());
+      for (size_t k = 0; k < rows; ++k) {
+        uint64_t bits = 0;
+        if (!is_null(k)) {
+          std::memcpy(&bits, static_cast<const char*>(base) + 8 * sel[k], 8);
+        }
+        StoreLe64(out + 8 * k, bits);
+      }
+      return;
+    }
+    case vec::ColumnTag::kString: {
+      char* offsets = Grow(rows * 4);
+      uint32_t end = 0;
+      for (size_t k = 0; k < rows; ++k) {
+        if (!is_null(k)) end += static_cast<uint32_t>(col.str[sel[k]].size());
+        StoreLe32(offsets + 4 * k, end);
+      }
+      buf_.reserve(buf_.size() + end);
+      for (size_t k = 0; k < rows; ++k) {
+        if (!is_null(k)) buf_.append(col.str[sel[k]]);
+      }
+      return;
+    }
+    case vec::ColumnTag::kValue:
+      return;  // handled above
+  }
+}
+
 void Writer::PutColumns(const vec::ColumnBatch& batch) {
   PutU32(static_cast<uint32_t>(batch.NumRows()));
   PutU32(static_cast<uint32_t>(batch.NumColumns()));
-  for (const vec::ColumnPtr& col : batch.columns) {
-    for (uint32_t i : batch.sel) PutCell(*col, i);
-  }
+  for (const vec::ColumnPtr& col : batch.columns) PutColumn(*col, batch.sel);
 }
 
 void Writer::PutBatch(const vec::ColumnBatch& batch) {
@@ -283,6 +434,13 @@ Status Reader::Need(size_t n) {
   return Status::OK();
 }
 
+Result<const uint8_t*> Reader::Bytes(size_t n) {
+  CGQ_RETURN_NOT_OK(Need(n));
+  const uint8_t* p = data_ + pos_;
+  pos_ += n;
+  return p;
+}
+
 Result<uint8_t> Reader::U8() {
   CGQ_RETURN_NOT_OK(Need(1));
   return data_[pos_++];
@@ -366,23 +524,130 @@ Status Reader::ReadCell(vec::ColumnVector* col) {
   }
 }
 
+Status Reader::ReadColumn(uint32_t rows, vec::ColumnVector* col) {
+  CGQ_ASSIGN_OR_RETURN(uint8_t tag_byte, U8());
+  CGQ_ASSIGN_OR_RETURN(uint8_t flags, U8());
+  if (tag_byte > static_cast<uint8_t>(vec::ColumnTag::kValue)) {
+    return Status::InvalidArgument("bad column tag " +
+                                   std::to_string(tag_byte));
+  }
+  const auto tag = static_cast<vec::ColumnTag>(tag_byte);
+  const bool has_nulls = flags == 1;
+  if (flags > 1 || (has_nulls && tag == vec::ColumnTag::kValue)) {
+    return Status::InvalidArgument("bad column flags " +
+                                   std::to_string(flags));
+  }
+  if (tag == vec::ColumnTag::kValue) {
+    // Tagged values, at least a byte each; the typed appends infer the
+    // column's tag exactly as FromRows does.
+    if (remaining() < rows) return Status::InvalidArgument("truncated payload");
+    for (uint32_t i = 0; i < rows; ++i) CGQ_RETURN_NOT_OK(ReadCell(col));
+    return Status::OK();
+  }
+
+  if (has_nulls) {
+    const size_t num_words = (size_t{rows} + 63) / 64;
+    CGQ_ASSIGN_OR_RETURN(const uint8_t* p, Bytes(num_words * 8));
+    std::vector<uint64_t> words(num_words);
+    LoadLeArray(words.data(), p, num_words);
+    if (rows % 64 != 0 && (words.back() >> (rows % 64)) != 0) {
+      return Status::InvalidArgument("NULL bit past row " +
+                                     std::to_string(rows));
+    }
+    col->nulls = vec::NullBitmap::FromWords(std::move(words), rows);
+  } else {
+    col->nulls = vec::NullBitmap(rows);
+  }
+  auto is_null = [&](size_t i) { return has_nulls && col->nulls.IsNull(i); };
+
+  col->tag = tag;
+  switch (tag) {
+    case vec::ColumnTag::kInt64:
+    case vec::ColumnTag::kDouble: {
+      CGQ_ASSIGN_OR_RETURN(const uint8_t* p, Bytes(size_t{rows} * 8));
+      if (tag == vec::ColumnTag::kInt64) {
+        col->i64.resize(rows);
+        LoadLeArray(col->i64.data(), p, rows);
+      } else {
+        col->f64.resize(rows);
+        LoadLeArray(col->f64.data(), p, rows);
+      }
+      if (has_nulls) {
+        // NULL slots hold zero whatever the bytes say.
+        for (size_t i = 0; i < rows; ++i) {
+          if (!is_null(i)) continue;
+          if (tag == vec::ColumnTag::kInt64) {
+            col->i64[i] = 0;
+          } else {
+            col->f64[i] = 0;
+          }
+        }
+      }
+      break;
+    }
+    case vec::ColumnTag::kString: {
+      CGQ_ASSIGN_OR_RETURN(const uint8_t* offsets, Bytes(size_t{rows} * 4));
+      uint32_t end = 0;
+      for (uint32_t i = 0; i < rows; ++i) {
+        const uint32_t next = static_cast<uint32_t>(ReadLe(offsets + 4 * i, 4));
+        if (next < end) {
+          return Status::InvalidArgument("decreasing string offset at row " +
+                                         std::to_string(i));
+        }
+        end = next;
+      }
+      if (end > remaining()) {
+        return Status::InvalidArgument("string offsets past the payload");
+      }
+      CGQ_ASSIGN_OR_RETURN(const uint8_t* bytes, Bytes(end));
+      col->str.reserve(rows);
+      uint32_t begin = 0;
+      for (uint32_t i = 0; i < rows; ++i) {
+        const uint32_t next = static_cast<uint32_t>(ReadLe(offsets + 4 * i, 4));
+        if (is_null(i)) {
+          col->str.emplace_back();
+        } else {
+          col->str.emplace_back(reinterpret_cast<const char*>(bytes + begin),
+                                next - begin);
+        }
+        begin = next;
+      }
+      break;
+    }
+    case vec::ColumnTag::kValue:
+      break;  // handled above
+  }
+  if (col->nulls.null_count() == static_cast<int64_t>(rows) &&
+      tag != vec::ColumnTag::kInt64) {
+    // No value to type the column by: all-NULL columns are int64.
+    col->f64.clear();
+    col->str.clear();
+    col->i64.assign(rows, 0);
+    col->tag = vec::ColumnTag::kInt64;
+  }
+  return Status::OK();
+}
+
 Result<vec::ColumnBatch> Reader::ReadColumns() {
   CGQ_ASSIGN_OR_RETURN(uint32_t num_rows, U32());
   CGQ_ASSIGN_OR_RETURN(uint32_t num_cols, U32());
-  // Every value is at least its tag byte: counts the payload cannot hold
-  // fail here, before anything is allocated for them. A batch without
-  // values has nothing to bound its counts by; what it allocates (a
-  // selection entry per row, a column per column) stays within
-  // kMaxPayloadBytes.
-  const uint64_t values = uint64_t{num_rows} * num_cols;
-  const uint64_t empty_bytes = uint64_t{num_rows} * sizeof(uint32_t) +
-                               uint64_t{num_cols} * sizeof(vec::ColumnVector);
-  if (values == 0 ? empty_bytes > kMaxPayloadBytes : remaining() < values) {
+  if (num_cols == 0) {
+    // Nothing bounds a batch without columns but the payload limit on
+    // the selection it allocates.
+    if (uint64_t{num_rows} * sizeof(uint32_t) > kMaxPayloadBytes) {
+      return Status::InvalidArgument("truncated payload");
+    }
+    return vec::DenseBatch(RowLayout(), {}, num_rows);
+  }
+  // Every column holds at least its tag and flag bytes and a byte per
+  // row: counts the payload cannot hold fail here, before anything is
+  // allocated for them.
+  if (remaining() / num_cols < 2 + uint64_t{num_rows}) {
     return Status::InvalidArgument("truncated payload");
   }
   std::vector<vec::ColumnVector> cols(num_cols);
   for (vec::ColumnVector& col : cols) {
-    for (uint32_t i = 0; i < num_rows; ++i) CGQ_RETURN_NOT_OK(ReadCell(&col));
+    CGQ_RETURN_NOT_OK(ReadColumn(num_rows, &col));
   }
   return vec::DenseBatch(RowLayout(), std::move(cols), num_rows);
 }

@@ -22,14 +22,17 @@ namespace wire {
 ///        4     2  version   protocol version (kVersion)
 ///        6     2  type      FrameType
 ///        8     4  len       payload length in bytes
-///       12     8  checksum  FNV-1a over the payload bytes
+///       12     8  checksum  Checksum64 over the payload bytes
 ///       20   len  payload
 ///
 /// All integers are little-endian; doubles travel as their IEEE-754 bit
-/// pattern (lossless); strings as u32 length + bytes. The encoding is
+/// pattern (lossless); strings as u32 length + bytes; batches in the
+/// typed column layout of Writer::PutColumns. The encoding is
 /// byte-stable across platforms — the golden tests pin exact frames.
+/// The coordinator and the location servers ship from one build, so a
+/// peer speaks exactly kVersion or is refused at the handshake.
 inline constexpr uint32_t kMagic = 0x57514743u;
-inline constexpr uint16_t kVersion = 3;
+inline constexpr uint16_t kVersion = 4;
 inline constexpr size_t kHeaderSize = 20;
 /// Upper bound on one payload; larger frames are rejected as corrupt
 /// before any allocation happens (a resource guard against garbage
@@ -54,8 +57,19 @@ enum class FrameType : uint16_t {
 
 const char* FrameTypeToString(FrameType type);
 
-/// FNV-1a over `len` bytes (the payload checksum function).
+/// FNV-1a over `len` bytes: the checksum of file frames of format
+/// versions 1 and 2 (storage/format.h), kept only to verify them.
 uint64_t Fnv1a(const uint8_t* data, size_t len);
+
+/// The payload checksum of wire frames and of file frames from format
+/// version 3 on. Portable and word-at-a-time: four lanes each take
+/// every fourth little-endian 8-byte word through a step that is a
+/// bijection of both the lane and the word; the length, the lanes, the
+/// leftover words and the zero-padded tail bytes then fold into one
+/// value through the same step, and a final avalanche mixes it. Any
+/// change confined to one 8-byte word (every single-bit flip) changes
+/// the result.
+uint64_t Checksum64(const uint8_t* data, size_t len);
 
 /// Decoded frame header. `type` is left as raw u16 so unknown types can
 /// be diagnosed (the payload checks reject them).
@@ -90,9 +104,20 @@ class Writer {
   void PutString(const std::string& s);
   void PutValue(const Value& v);
   /// The batch codec of every stored or shipped batch (blocks, commit-
-  /// log records, spill frames, LoadTable and SHIP frames): u32 row
-  /// count, u32 column count, then each column's selected rows as
-  /// tagged values (PutValue), written from the typed columns.
+  /// log records, spill frames, LoadTable and SHIP frames), written
+  /// from the batch's selected rows (a filtered batch gathers here):
+  ///
+  ///   u32 rows, u32 columns, then per column:
+  ///     u8 tag    0 int64 (dates too), 1 double, 2 string, 3 value
+  ///     u8 flags  bit 0: the column has NULLs (always 0 for value)
+  ///     [bit 0]   ceil(rows/64) u64 null words, bit i = row i is NULL
+  ///     payload   int64 / double: rows x 8 bytes, NULL slots zero;
+  ///               string: rows u32 end offsets, then the bytes;
+  ///               value: rows tagged values (PutValue), NULLs inline
+  ///
+  /// A column whose selected rows are all NULL is written as int64,
+  /// which is how FromRows types it; a value column keeps the tagged
+  /// form, so decoding infers its tag as FromRows would.
   void PutColumns(const vec::ColumnBatch& batch);
   /// A SHIP batch: u32 attr count, the attrs, then PutColumns.
   void PutBatch(const vec::ColumnBatch& batch);
@@ -111,6 +136,10 @@ class Writer {
  private:
   /// Row `i` of `col` as one tagged value, read from the typed column.
   void PutCell(const vec::ColumnVector& col, size_t i);
+  /// One column of PutColumns over rows `sel` of `col`.
+  void PutColumn(const vec::ColumnVector& col, const vec::SelVec& sel);
+  /// Appends `n` zero bytes and returns where they start.
+  char* Grow(size_t n);
 
   std::string buf_;
 };
@@ -133,8 +162,12 @@ class Reader {
   Result<double> Double();
   Result<std::string> String();
   Result<Value> ReadValue();
-  /// Inverse of PutColumns: a dense batch with an empty layout, its
-  /// column tags inferred as vec::FromRows infers them.
+  /// Inverse of PutColumns: a dense batch with an empty layout whose
+  /// columns equal what vec::FromRows builds from the same rows (tags,
+  /// null bits, null counts, payloads). Every count is checked against
+  /// the bytes left before anything is sized for it; an unknown tag or
+  /// flag, a NULL bit past the row count, or a decreasing or past-end
+  /// string offset is refused.
   Result<vec::ColumnBatch> ReadColumns();
   /// Inverse of PutBatch; refuses a column count that differs from the
   /// attr count.
@@ -152,6 +185,10 @@ class Reader {
   Status Need(size_t n);
   /// Appends one tagged value to `col` (ColumnVector's typed appends).
   Status ReadCell(vec::ColumnVector* col);
+  /// One column of ReadColumns, `rows` rows long.
+  Status ReadColumn(uint32_t rows, vec::ColumnVector* col);
+  /// Borrows the next `n` bytes (bounds-checked).
+  Result<const uint8_t*> Bytes(size_t n);
 
   const uint8_t* data_;
   size_t len_;

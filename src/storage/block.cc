@@ -30,7 +30,7 @@ Result<vec::ColumnBatch> DecodeBlockFile(const std::string& bytes,
   }
 
   wire::Reader r(data + kFrameHeaderSize, header.payload_len);
-  auto batch = r.ReadColumns();
+  auto batch = ReadFrameColumns(header.version, &r);
   if (!batch.ok()) {
     return Status::DataLoss(what + ": " + batch.status().message());
   }

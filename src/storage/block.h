@@ -14,8 +14,9 @@ namespace storage {
 /// kBlockMagic whose payload is one batch in the batch codec
 /// (wire::Writer::PutColumns):
 ///
-///   u32 rows, u32 cols, then column-major tagged values (col 0 row
-///   0..n, col 1 row 0..n, ...)
+///   u32 rows, u32 cols, then per column its tag, its NULL words and
+///   its typed array (format version 3; versions 1 and 2 held
+///   column-major tagged values and still decode)
 ///
 /// The header `type` field is a flag word. Every block the engine
 /// writes has one row width and sets exactly kBlockColumnar. A block

@@ -1,9 +1,9 @@
 #include "storage/format.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "net/wire_protocol.h"
 
@@ -26,6 +26,36 @@ std::string MagicName(uint32_t magic) {
   return "frame";
 }
 
+uint64_t PayloadChecksum(uint16_t version, const uint8_t* payload,
+                         size_t len) {
+  return version >= kTypedColumnsVersion ? wire::Checksum64(payload, len)
+                                         : wire::Fnv1a(payload, len);
+}
+
+/// The batch layout of format versions 1 and 2: u32 rows, u32 columns,
+/// then column-major tagged values. Read-only; nothing writes it.
+Result<vec::ColumnBatch> ReadTaggedColumns(wire::Reader* r) {
+  CGQ_ASSIGN_OR_RETURN(uint32_t num_rows, r->U32());
+  CGQ_ASSIGN_OR_RETURN(uint32_t num_cols, r->U32());
+  // Every value is at least its tag byte; a batch without values can
+  // allocate no more than the payload limit.
+  const uint64_t values = uint64_t{num_rows} * num_cols;
+  const uint64_t empty_bytes = uint64_t{num_rows} * sizeof(uint32_t) +
+                               uint64_t{num_cols} * sizeof(vec::ColumnVector);
+  if (values == 0 ? empty_bytes > wire::kMaxPayloadBytes
+                  : r->remaining() < values) {
+    return Status::InvalidArgument("truncated payload");
+  }
+  std::vector<vec::ColumnVector> cols(num_cols);
+  for (vec::ColumnVector& col : cols) {
+    for (uint32_t i = 0; i < num_rows; ++i) {
+      CGQ_ASSIGN_OR_RETURN(Value v, r->ReadValue());
+      col.AppendValue(v);
+    }
+  }
+  return vec::DenseBatch(RowLayout(), std::move(cols), num_rows);
+}
+
 }  // namespace
 
 Result<std::string> EncodeFileFrame(uint32_t magic, uint16_t type,
@@ -41,8 +71,9 @@ Result<std::string> EncodeFileFrame(uint32_t magic, uint16_t type,
   w.PutU16(kFormatVersion);
   w.PutU16(type);
   w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutU64(wire::Fnv1a(reinterpret_cast<const uint8_t*>(payload.data()),
-                       payload.size()));
+  w.PutU64(PayloadChecksum(kFormatVersion,
+                           reinterpret_cast<const uint8_t*>(payload.data()),
+                           payload.size()));
   std::string frame = w.Take();
   frame += payload;
   return frame;
@@ -89,13 +120,18 @@ Result<FileFrameHeader> DecodeFileFrameHeader(uint32_t magic,
 
 Status VerifyFilePayload(const FileFrameHeader& header, const uint8_t* payload,
                          const std::string& what) {
-  uint64_t got = wire::Fnv1a(payload, header.payload_len);
+  uint64_t got = PayloadChecksum(header.version, payload, header.payload_len);
   if (got != header.checksum) {
     return Status::DataLoss(what + ": checksum mismatch (stored " +
                             std::to_string(header.checksum) + ", computed " +
                             std::to_string(got) + ")");
   }
   return Status::OK();
+}
+
+Result<vec::ColumnBatch> ReadFrameColumns(uint16_t version, wire::Reader* r) {
+  if (version >= kTypedColumnsVersion) return r->ReadColumns();
+  return ReadTaggedColumns(r);
 }
 
 Result<FileFrameHeader> DecodeFileFrame(uint32_t magic, const uint8_t* data,
@@ -114,16 +150,25 @@ Result<FileFrameHeader> DecodeFileFrame(uint32_t magic, const uint8_t* data,
 }
 
 Result<std::string> ReadFile(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) {
-    return Status::NotFound(path + ": no such file");
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    if (errno == ENOENT || errno == ENOTDIR) {
+      return Status::NotFound(path + ": no such file");
+    }
+    return Status::Unavailable(path + ": open failed");
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::Unavailable(path + ": open failed");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return Status::Unavailable(path + ": read failed");
-  return buf.str();
+  std::string bytes;
+  long size = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  bool ok = size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
+  if (ok) {
+    bytes.resize(static_cast<size_t>(size));
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+    ok = !std::ferror(f);
+  }
+  std::fclose(f);
+  if (!ok) return Status::Unavailable(path + ": read failed");
+  return bytes;
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {

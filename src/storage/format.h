@@ -5,8 +5,13 @@
 #include <string>
 
 #include "common/result.h"
+#include "exec/vector/column_batch.h"
 
 namespace cgq {
+namespace wire {
+class Reader;
+}  // namespace wire
+
 namespace storage {
 
 /// On-disk framing of the per-location storage engine and the spill
@@ -22,7 +27,7 @@ namespace storage {
 ///        6     2  type      artifact-specific (block flags, WAL record
 ///                           type, 1 for spill frames, 0 for manifests)
 ///        8     4  len       payload length in bytes
-///       12     8  checksum  FNV-1a over the payload bytes
+///       12     8  checksum  over the payload bytes, chosen by version
 ///       20   len  payload
 ///
 /// All integers little-endian via wire::Writer/Reader, so the encoding is
@@ -32,14 +37,20 @@ namespace storage {
 /// for blocks, manifests and spill files, which are only read once
 /// fully written).
 ///
-/// Version 2 holds batches in the batch codec (wire::Writer::PutColumns).
-/// Version-1 blocks and manifests have the same payload bytes and keep
-/// decoding; a version-1 commit-log record held rows and is refused.
+/// The version selects both the checksum and the batch layout:
+///   3  wire::Checksum64; batches in the typed column layout
+///      (wire::Writer::PutColumns) — the only version written.
+///   2  FNV-1a (wire::Fnv1a); batches as tagged values, one per cell,
+///      column-major. Still read, through a legacy decoder.
+///   1  as 2 for blocks and manifests; a version-1 commit-log record
+///      held rows and is refused.
 inline constexpr uint32_t kBlockMagic = 0x42514743u;     // "CGQB"
 inline constexpr uint32_t kWalMagic = 0x4C514743u;       // "CGQL"
 inline constexpr uint32_t kManifestMagic = 0x4D514743u;  // "CGQM"
 inline constexpr uint32_t kSpillMagic = 0x53514743u;     // "CGQS"
-inline constexpr uint16_t kFormatVersion = 2;
+inline constexpr uint16_t kFormatVersion = 3;
+/// The first version in the typed column layout and wire::Checksum64.
+inline constexpr uint16_t kTypedColumnsVersion = 3;
 inline constexpr size_t kFrameHeaderSize = 20;
 /// Resource guard against garbage length prefixes (far above any frame
 /// the engine writes: blocks target ~256 KiB, WAL records are chunked).
@@ -67,9 +78,16 @@ Result<FileFrameHeader> DecodeFileFrameHeader(uint32_t magic,
                                               const uint8_t* data, size_t len,
                                               const std::string& what);
 
-/// Verifies the payload checksum; kDataLoss on mismatch.
+/// Verifies the payload checksum of the header's version; kDataLoss on
+/// mismatch.
 Status VerifyFilePayload(const FileFrameHeader& header, const uint8_t* payload,
                          const std::string& what);
+
+/// Reads one batch from the payload of a frame of format `version`: the
+/// typed column layout (wire::Reader::ReadColumns) from
+/// kTypedColumnsVersion on, tagged values before it. Errors are the
+/// reader's kInvalidArgument; the caller types them kDataLoss.
+Result<vec::ColumnBatch> ReadFrameColumns(uint16_t version, wire::Reader* r);
 
 /// Decodes the frame of `magic` at the front of `data` (`len` bytes, maybe
 /// followed by more frames): header, whole payload present, checksum;

@@ -416,12 +416,15 @@ Result<bool> StorageEngine::Cursor::Next(vec::ColumnBatch* out) {
   if (next_block_ < blocks_.size()) {
     const ManifestBlock& block = blocks_[next_block_++];
     const std::string path = dir_ + "/" + BlockFileName(block.id);
+    TraceSpan span("block_read");
     auto bytes = ReadFile(path);
     if (bytes.status().IsNotFound()) {
       return Status::DataLoss(path + ": live block file missing");
     }
     CGQ_ASSIGN_OR_RETURN(std::string raw, std::move(bytes));
     CGQ_ASSIGN_OR_RETURN(*out, DecodeBlockFile(raw, path));
+    span.AddArg("bytes", static_cast<int64_t>(raw.size()));
+    span.AddArg("rows", static_cast<int64_t>(out->NumRows()));
     if (out->NumRows() != block.rows) {
       return Status::DataLoss(path + ": block holds " +
                               std::to_string(out->NumRows()) +

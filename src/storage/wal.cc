@@ -9,6 +9,13 @@
 namespace cgq {
 namespace storage {
 
+namespace {
+
+/// Commit-log records of format version 1 held rows, not batches.
+constexpr uint16_t kFirstBatchWalVersion = 2;
+
+}  // namespace
+
 Result<std::string> EncodeWalRecord(const WalRecord& rec) {
   wire::Writer w;
   w.PutU32(rec.location);
@@ -92,12 +99,13 @@ Result<size_t> ReplayWal(const std::string& path,
       break;  // torn payload at tail: the mutation was never acknowledged
     }
     const std::string what = path + " @" + std::to_string(pos);
-    if (header.version < kFormatVersion) {
+    if (header.version < kFirstBatchWalVersion) {
       return Status::Unsupported(
           what + ": commit-log record of format version " +
           std::to_string(header.version) + " holds rows; this build reads " +
-          "version " + std::to_string(kFormatVersion) +
-          " batches (checkpoint the store with the release that wrote it)");
+          "versions " + std::to_string(kFirstBatchWalVersion) + " to " +
+          std::to_string(kFormatVersion) +
+          " (checkpoint the store with the release that wrote it)");
     }
     const uint8_t* payload = data + pos + kFrameHeaderSize;
     CGQ_RETURN_NOT_OK(VerifyFilePayload(header, payload, what));
@@ -113,7 +121,7 @@ Result<size_t> ReplayWal(const std::string& path,
     Status decoded = [&]() -> Status {
       CGQ_ASSIGN_OR_RETURN(rec.location, r.U32());
       CGQ_ASSIGN_OR_RETURN(rec.table, r.String());
-      CGQ_ASSIGN_OR_RETURN(rec.batch, r.ReadColumns());
+      CGQ_ASSIGN_OR_RETURN(rec.batch, ReadFrameColumns(header.version, &r));
       if (!r.AtEnd()) {
         return Status::InvalidArgument(std::to_string(r.remaining()) +
                                        " trailing bytes in commit-log record");

@@ -22,9 +22,11 @@ namespace storage {
 ///   u32 location, string table, one batch (wire::Writer::PutColumns)
 ///
 /// so a record's rows share one width: the engine starts a new record
-/// wherever the row width changes. Records of format version 1 held
-/// rows instead and are refused at replay (kUnsupported, naming the
-/// file); they are never misparsed.
+/// wherever the row width changes. Version-2 records hold the batch as
+/// tagged values and still replay (a log may mix versions 2 and 3
+/// after an upgrade). Records of format version 1 held rows instead and
+/// are refused at replay (kUnsupported, naming the file); they are never
+/// misparsed.
 ///
 /// Recovery replays records after the manifest: kPut replaces the
 /// fragment's unflushed tail (and drops its manifest blocks), kAppend

@@ -74,11 +74,26 @@ TEST_F(StorageEngineTest, BlockRoundTripColumnar) {
   }
 }
 
-// Pins the block bytes: a 3-row block written by the encoder that
-// predates the batch codec (format version 1). The codec reproduces its
-// payload byte for byte (only the header's version field now says 2),
-// and the old block still decodes, with the tags FromRows infers — so
-// stores written before the codec still open.
+std::vector<Row> RowsOf(const vec::ColumnBatch& batch) {
+  return vec::ToRowBatch(batch).rows;
+}
+
+/// Bytes from a hex string (test fixtures).
+std::string FromHex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+// Pins the block bytes. A 3-row block written by the encoder that
+// predates the batch codec (format version 1, tagged values, FNV-1a)
+// still decodes, with the tags FromRows infers — so stores written
+// before the typed layout still open. Today's encoder writes the same
+// rows as the pinned version-3 block: typed column arrays under
+// Checksum64.
 TEST_F(StorageEngineTest, GoldenBlockEncoding) {
   const std::string v1_hex =
       "43475142"            // magic "CGQB"
@@ -97,12 +112,34 @@ TEST_F(StorageEngineTest, GoldenBlockEncoding) {
       "03020000006162"      // col 2: "ab"
       "0300000000"          //        ""
       "030300000078797a";   //        "xyz"
-  std::string v1;
-  for (size_t i = 0; i < v1_hex.size(); i += 2) {
-    v1.push_back(
-        static_cast<char>(std::stoi(v1_hex.substr(i, 2), nullptr, 16)));
-  }
+  const std::string v1 = FromHex(v1_hex);
   ASSERT_EQ(v1.size(), kFrameHeaderSize + 74);
+
+  const std::string v3_hex =
+      "43475142"            // magic "CGQB"
+      "0300"                // format version 3
+      "0100"                // kBlockColumnar
+      "57000000"            // payload length 87
+      "08f1054161623304"    // Checksum64 of the payload
+      "03000000"            // 3 rows
+      "03000000"            // 3 columns
+      "00"                  // col 0: int64
+      "01"                  //        has NULLs
+      "0200000000000000"    //        NULL word: row 1
+      "0700000000000000"    //        7
+      "0000000000000000"    //        NULL (zero)
+      "ffffffffffffffff"    //        -1
+      "01"                  // col 1: double
+      "00"                  //        no NULLs
+      "000000000000e03f"    //        0.5
+      "00000000000002c0"    //        -2.25
+      "000000205fa00242"    //        1e10
+      "02"                  // col 2: string
+      "00"                  //        no NULLs
+      "020000000200000005000000"  // end offsets 2, 2, 5
+      "616278797a";         //        "ab" "" "xyz"
+  const std::string v3 = FromHex(v3_hex);
+  ASSERT_EQ(v3.size(), kFrameHeaderSize + 87);
 
   const std::vector<Row> rows = {
       {Value::Int64(7), Value::Double(0.5), Value::String("ab")},
@@ -112,21 +149,147 @@ TEST_F(StorageEngineTest, GoldenBlockEncoding) {
   std::string now =
       EncodeBlockFile(vec::FromRows(rows.data(), rows.size(), 3))
           .ValueOrDie();
-  std::string expected = v1;
-  expected[4] = 0x02;  // format version 2
-  EXPECT_EQ(now, expected);
+  EXPECT_EQ(now, v3);
 
-  auto back = DecodeBlockFile(v1, "v1 block");
-  ASSERT_TRUE(back.ok()) << back.status();
-  ASSERT_EQ(back->NumColumns(), 3u);
-  EXPECT_EQ(back->columns[0]->tag, vec::ColumnTag::kInt64);
-  EXPECT_EQ(back->columns[1]->tag, vec::ColumnTag::kDouble);
-  EXPECT_EQ(back->columns[2]->tag, vec::ColumnTag::kString);
-  std::vector<Row> got = vec::ToRowBatch(*back).rows;
-  ASSERT_EQ(got.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(RowsStructurallyEqual(got[i], rows[i])) << i;
+  for (const auto& [name, bytes] : {std::pair<const char*, std::string>{
+                                        "v1 block", v1},
+                                    {"v3 block", v3}}) {
+    SCOPED_TRACE(name);
+    auto back = DecodeBlockFile(bytes, name);
+    ASSERT_TRUE(back.ok()) << back.status();
+    ASSERT_EQ(back->NumColumns(), 3u);
+    EXPECT_EQ(back->columns[0]->tag, vec::ColumnTag::kInt64);
+    EXPECT_EQ(back->columns[0]->nulls.null_count(), 1);
+    EXPECT_EQ(back->columns[1]->tag, vec::ColumnTag::kDouble);
+    EXPECT_EQ(back->columns[2]->tag, vec::ColumnTag::kString);
+    std::vector<Row> got = vec::ToRowBatch(*back).rows;
+    ASSERT_EQ(got.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(RowsStructurallyEqual(got[i], rows[i])) << i;
+    }
   }
+}
+
+// Format version 2 (tagged values under FNV-1a), pinned as the last
+// release wrote it: one block, the manifest naming it and one
+// commit-log record appended after the checkpoint.
+const std::vector<Row>& V2BlockRows() {
+  static const std::vector<Row> rows = {
+      {Value::Int64(7), Value::Double(0.5), Value::String("ab")},
+      {Value::Null(), Value::Double(-2.25), Value::String("")},
+      {Value::Int64(-1), Value::Null(), Value::String("xyz")},
+  };
+  return rows;
+}
+const std::vector<Row>& V2WalRows() {
+  static const std::vector<Row> rows = {
+      {Value::Int64(8), Value::Double(1.5), Value::Null()},
+  };
+  return rows;
+}
+const char kV2BlockHex[] =
+    "43475142" "0200" "0100" "42000000" "5b934adab95442d6"
+    "03000000" "03000000"
+    "010700000000000000" "00" "01ffffffffffffffff"        // col 0
+    "02000000000000e03f" "0200000000000002c0" "00"        // col 1
+    "03020000006162" "0300000000" "030300000078797a";    // col 2
+const char kV2ManifestHex[] =
+    "4347514d" "0200" "0000" "35000000" "b027d482add72f7c"
+    "0200000000000000"  // manifest version 2
+    "0200000000000000"  // commit log wal-2.log
+    "0200000000000000"  // next block id 2
+    "01000000"          // 1 fragment
+    "02000000" "0100000074" "01000000"  // location 2, "t", 1 block
+    "0100000000000000" "03000000";      // block 1, 3 rows
+const char kV2WalHex[] =
+    "4347514c" "0200" "0200" "24000000" "82093e1d695f7329"  // kAppend
+    "02000000" "0100000074"                                 // location 2, "t"
+    "01000000" "03000000"                                   // 1 row, 3 cols
+    "010800000000000000" "02000000000000f83f" "00";         // 8, 1.5, NULL
+
+// Each pinned version-2 frame decodes to the values it was written from.
+TEST_F(StorageEngineTest, GoldenV2FramesDecode) {
+  auto block = DecodeBlockFile(FromHex(kV2BlockHex), "v2 block");
+  ASSERT_TRUE(block.ok()) << block.status();
+  const std::vector<Row> block_rows = RowsOf(*block);
+  ASSERT_EQ(block_rows.size(), V2BlockRows().size());
+  for (size_t i = 0; i < block_rows.size(); ++i) {
+    EXPECT_TRUE(RowsStructurallyEqual(block_rows[i], V2BlockRows()[i])) << i;
+  }
+  EXPECT_EQ(block->columns[1]->tag, vec::ColumnTag::kDouble);
+  EXPECT_EQ(block->columns[1]->nulls.null_count(), 1);
+
+  auto manifest = Manifest::Decode(FromHex(kV2ManifestHex), "v2 manifest");
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  EXPECT_EQ(manifest->version, 2u);
+  EXPECT_EQ(manifest->wal_version, 2u);
+  EXPECT_EQ(manifest->next_block_id, 2u);
+  ASSERT_EQ(manifest->fragments.size(), 1u);
+  EXPECT_EQ(manifest->fragments[0].location, 2u);
+  EXPECT_EQ(manifest->fragments[0].table, "t");
+  ASSERT_EQ(manifest->fragments[0].blocks.size(), 1u);
+  EXPECT_EQ(manifest->fragments[0].blocks[0].id, 1u);
+  EXPECT_EQ(manifest->fragments[0].blocks[0].rows, 3u);
+
+  fs::create_directories(dir_);
+  const std::string wal_path = dir_ + "/wal-2.log";
+  std::ofstream(wal_path, std::ios::binary) << FromHex(kV2WalHex);
+  std::vector<WalRecord> records;
+  auto replayed = ReplayWal(wal_path, [&](WalRecord rec) {
+    records.push_back(std::move(rec));
+    return Status::OK();
+  });
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].type, WalRecordType::kAppend);
+  EXPECT_EQ(records[0].location, 2u);
+  EXPECT_EQ(records[0].table, "t");
+  const std::vector<Row> wal_rows = RowsOf(records[0].batch);
+  ASSERT_EQ(wal_rows.size(), 1u);
+  EXPECT_TRUE(RowsStructurallyEqual(wal_rows[0], V2WalRows()[0]));
+}
+
+// A store directory the last release wrote (pinned version-2 files)
+// reopens with every acknowledged row; scans equal the rows, and new
+// writes land beside the old frames and survive another reopen.
+TEST_F(StorageEngineTest, V2StoreReopens) {
+  fs::create_directories(dir_);
+  auto put = [&](const std::string& name, const std::string& bytes) {
+    std::ofstream(dir_ + "/" + name, std::ios::binary) << bytes;
+  };
+  put("CURRENT", "MANIFEST-2\n");
+  put("MANIFEST-2", FromHex(kV2ManifestHex));
+  put("b1.blk", FromHex(kV2BlockHex));
+  put("wal-2.log", FromHex(kV2WalHex));
+
+  std::vector<Row> want = V2BlockRows();
+  want.insert(want.end(), V2WalRows().begin(), V2WalRows().end());
+  auto expect_rows = [&](const StorageEngine& engine) {
+    std::vector<Row> all;
+    ASSERT_TRUE(engine.ReadAll(2, "t", &all).ok());
+    ASSERT_EQ(all.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(RowsStructurallyEqual(all[i], want[i])) << i;
+    }
+  };
+  {
+    StorageEngine engine;
+    Status opened = engine.Open(dir_);
+    ASSERT_TRUE(opened.ok()) << opened;
+    EXPECT_EQ(engine.recovery_replays(), 1);
+    expect_rows(engine);
+    // A version-3 record after the version-2 one in the same log.
+    const std::vector<Row> extra = {
+        {Value::Int64(9), Value::Double(2.5), Value::String("new")}};
+    ASSERT_TRUE(engine.Append(2, "t", extra).ok());
+    want.push_back(extra[0]);
+    expect_rows(engine);
+  }
+  StorageEngine engine;
+  ASSERT_TRUE(engine.Open(dir_).ok());
+  expect_rows(engine);
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  expect_rows(engine);
 }
 
 // Ragged rows are stored as blocks of one width each: a Put of mixed
@@ -231,10 +394,6 @@ struct DecoderCase {
   bool stream = false;
 };
 
-std::vector<Row> RowsOf(const vec::ColumnBatch& batch) {
-  return vec::ToRowBatch(batch).rows;
-}
-
 /// Re-frames `payload` under the magic and type of file frame `frame`.
 std::string ReframeFile(const std::string& frame, const std::string& payload) {
   wire::Reader r(frame);
@@ -297,12 +456,18 @@ bool IsTypedError(const Status& s) {
 // field reads like such a cut, and an empty spill file holds no frames.
 // Such a read yields fewer frames than were written, each unchanged.
 TEST_F(StorageEngineTest, ByteDecodersRefuseTruncationAndBitFlips) {
+  // Every column form of the typed layout: int64 with a NULL, double,
+  // string with an empty value, a mixed (value) column and an all-NULL
+  // one.
   const std::vector<Row> rows = {
-      {Value::Int64(7), Value::Double(0.5), Value::String("ab")},
-      {Value::Null(), Value::Double(-2.25), Value::String("")},
+      {Value::Int64(7), Value::Double(0.5), Value::String("ab"),
+       Value::Int64(1), Value::Null()},
+      {Value::Null(), Value::Double(-2.25), Value::String(""),
+       Value::String("m"), Value::Null()},
   };
   const vec::ColumnBatch batch =
-      vec::FromRows(RowLayout({1, 2, 3}), rows).ValueOrDie();
+      vec::FromRows(RowLayout({1, 2, 3, 4, 5}), rows).ValueOrDie();
+  ASSERT_EQ(batch.columns[3]->tag, vec::ColumnTag::kValue);
   fs::create_directories(dir_);
   const std::string scratch = dir_ + "/bytes";
   auto write_scratch = [&](const std::string& bytes) {
@@ -355,7 +520,7 @@ TEST_F(StorageEngineTest, ByteDecodersRefuseTruncationAndBitFlips) {
   DecoderCase spill;
   spill.name = "spill frame";
   spill.bytes =
-      exec_internal::EncodeSpillFrame(vec::FromRows(probe.data(), 2, 4))
+      exec_internal::EncodeSpillFrame(vec::FromRows(probe.data(), 2, 6))
           .ValueOrDie();
   spill.decode = [&](const std::string& bytes) -> Result<Records> {
     write_scratch(bytes);
@@ -443,6 +608,128 @@ TEST_F(StorageEngineTest, ByteDecodersRefuseTruncationAndBitFlips) {
       ASSERT_FALSE(got.ok()) << "payload prefix of " << cut << " decoded";
       EXPECT_TRUE(IsTypedError(got.status())) << got.status();
     }
+  }
+}
+
+// Typed-layout payloads under a valid checksum whose bodies are
+// malformed are refused before anything is sized by them: kDataLoss
+// from every file frame, kInvalidArgument from the wire.
+TEST_F(StorageEngineTest, TypedLayoutRefusesMalformedBodies) {
+  auto header = [](uint32_t rows, uint32_t cols) {
+    wire::Writer w;
+    w.PutU32(rows);
+    w.PutU32(cols);
+    return w;
+  };
+  std::vector<std::pair<std::string, std::string>> bodies;
+  {
+    wire::Writer w = header(2, 1);
+    w.PutU8(4);  // no such tag
+    w.PutU8(0);
+    for (int i = 0; i < 16; ++i) w.PutU8(0);
+    bodies.emplace_back("unknown tag", w.Take());
+  }
+  {
+    wire::Writer w = header(2, 1);
+    w.PutU8(0);
+    w.PutU8(2);  // no such flag
+    for (int i = 0; i < 16; ++i) w.PutU8(0);
+    bodies.emplace_back("unknown flag", w.Take());
+  }
+  {
+    wire::Writer w = header(2, 1);
+    w.PutU8(3);  // value column
+    w.PutU8(1);  // NULL words are inline in tagged values
+    w.PutU64(0);
+    w.PutValue(Value::Int64(1));
+    w.PutValue(Value::Int64(2));
+    bodies.emplace_back("value column with NULL words", w.Take());
+  }
+  {
+    wire::Writer w = header(2, 1);
+    w.PutU8(2);  // string
+    w.PutU8(0);
+    w.PutU32(3);
+    w.PutU32(2);  // decreasing end offset
+    for (char c : std::string("abc")) w.PutU8(static_cast<uint8_t>(c));
+    bodies.emplace_back("decreasing string offsets", w.Take());
+  }
+  {
+    wire::Writer w = header(2, 1);
+    w.PutU8(2);
+    w.PutU8(0);
+    w.PutU32(1);
+    w.PutU32(9);  // past the 3 string bytes
+    for (char c : std::string("abc")) w.PutU8(static_cast<uint8_t>(c));
+    bodies.emplace_back("string offset past the end", w.Take());
+  }
+  {
+    wire::Writer w = header(2, 1);
+    w.PutU8(0);
+    w.PutU8(1);
+    w.PutU64(uint64_t{1} << 5);  // row 5 of a 2-row column
+    w.PutU64(0);
+    w.PutU64(0);
+    bodies.emplace_back("NULL bit past the rows", w.Take());
+  }
+  {
+    wire::Writer w = header(2, 1);
+    w.PutU8(1);  // double
+    w.PutU8(0);
+    w.PutU64(0);  // one of two values
+    for (int i = 0; i < 4; ++i) w.PutU8(0);
+    bodies.emplace_back("rows x 8 beyond the payload", w.Take());
+  }
+  {
+    wire::Writer w = header(0xffffffffu, 1);
+    w.PutU8(0);
+    w.PutU8(0);
+    w.PutU64(7);
+    bodies.emplace_back("2^32-1 rows", w.Take());
+  }
+  fs::create_directories(dir_);
+  const std::string scratch = dir_ + "/frames";
+  for (const auto& [name, body] : bodies) {
+    SCOPED_TRACE(name);
+    wire::Reader r(body);
+    Result<vec::ColumnBatch> wire_batch = r.ReadColumns();
+    ASSERT_FALSE(wire_batch.ok());
+    EXPECT_TRUE(wire_batch.status().IsInvalidArgument())
+        << wire_batch.status();
+
+    wire::Writer out;
+    out.PutU32(1);  // 1 attr
+    out.PutU32(7);
+    const std::string out_payload = out.Take() + body;
+    auto out_frame = wire::OutputBatch::Decode(out_payload);
+    ASSERT_FALSE(out_frame.ok());
+    EXPECT_TRUE(out_frame.status().IsInvalidArgument()) << out_frame.status();
+
+    auto block = DecodeBlockFile(
+        EncodeFileFrame(kBlockMagic, kBlockColumnar, body).ValueOrDie(),
+        "block");
+    ASSERT_FALSE(block.ok());
+    EXPECT_TRUE(block.status().IsDataLoss()) << block.status();
+
+    wire::Writer rec;
+    rec.PutU32(1);
+    rec.PutString("t");
+    std::ofstream(scratch, std::ios::binary | std::ios::trunc)
+        << EncodeFileFrame(kWalMagic,
+                           static_cast<uint16_t>(WalRecordType::kPut),
+                           rec.Take() + body)
+               .ValueOrDie();
+    auto replayed =
+        ReplayWal(scratch, [](WalRecord) { return Status::OK(); });
+    ASSERT_FALSE(replayed.ok());
+    EXPECT_TRUE(replayed.status().IsDataLoss()) << replayed.status();
+
+    std::ofstream(scratch, std::ios::binary | std::ios::trunc)
+        << EncodeFileFrame(kSpillMagic, /*type=*/1, body).ValueOrDie();
+    Status spilled = exec_internal::ForEachSpillFrame(
+        scratch, [](vec::ColumnBatch) { return Status::OK(); });
+    ASSERT_FALSE(spilled.ok());
+    EXPECT_TRUE(spilled.IsDataLoss()) << spilled;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -397,6 +398,39 @@ TEST_F(TraceTest, PlanCacheInsertSpanOnlyOnCompliantMiss) {
   EXPECT_TRUE(rejected.status().IsNonCompliant()) << rejected.status();
   EXPECT_EQ(SpansNamed(*engine, "plan_cache_lookup").size(), 1u);
   EXPECT_TRUE(SpansNamed(*engine, "plan_cache_insert").empty());
+}
+
+// A disk scan records one `block_read` span per block it reads, with
+// the block's bytes and rows; a memory scan reads no block and records
+// none.
+TEST_F(TraceTest, BlockReadSpanPerDiskBlock) {
+  std::unique_ptr<Engine> engine = MakeTpchEngine(/*lossy=*/false);
+  engine->set_exec_mode(ExecMode::kFragment);
+  const std::string q6 = *tpch::Query(6);
+  Result<QueryResult> memory = engine->Run(q6);
+  ASSERT_TRUE(memory.ok()) << memory.status();
+  EXPECT_EQ(memory->metrics.storage_blocks_read, 0);
+  EXPECT_TRUE(SpansNamed(*engine, "block_read").empty());
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "cgq-trace-block-read")
+          .string();
+  std::filesystem::remove_all(dir);
+  storage::StorageOptions options;
+  options.block_target_bytes = 8 * 1024;  // several blocks per fragment
+  ASSERT_TRUE(engine->EnableDiskStorage(dir, options).ok());
+  Result<QueryResult> disk = engine->Run(q6);
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  const int64_t blocks = disk->metrics.storage_blocks_read;
+  ASSERT_GT(blocks, 1);
+  std::vector<CanonicalSpan> reads = SpansNamed(*engine, "block_read");
+  EXPECT_EQ(static_cast<int64_t>(reads.size()), blocks);
+  for (const CanonicalSpan& span : reads) {
+    EXPECT_GT(std::stoll(ArgOf(span, "bytes")), 0) << span.path;
+    EXPECT_GT(std::stoll(ArgOf(span, "rows")), 0) << span.path;
+  }
+  ASSERT_TRUE(engine->DisableDiskStorage().ok());
+  std::filesystem::remove_all(dir);
 }
 
 #endif  // CGQ_TRACING

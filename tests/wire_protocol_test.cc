@@ -7,6 +7,9 @@
 #include "net/wire_protocol.h"
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -34,26 +37,17 @@ Result<FrameHeader> Header(const std::string& frame) {
 TEST(WireFrame, GoldenHelloFrame) {
   std::string frame = EncodeFrame(FrameType::kHello, Hello().Encode());
   ASSERT_EQ(frame.size(), kHeaderSize + 2);
-  // Header: magic "CGQW", version 3, type 1, len 2, FNV-1a of {03 00}.
-  const std::vector<uint8_t> expected_prefix = {
-      'C',  'G',  'Q',  'W',        // magic, little-endian 0x57514743
-      0x03, 0x00,                   // version 3
-      0x01, 0x00,                   // type kHello
-      0x02, 0x00, 0x00, 0x00,       // payload length 2
+  const std::vector<uint8_t> expected = {
+      'C',  'G',  'Q',  'W',                           // magic 0x57514743
+      0x04, 0x00,                                      // version 4
+      0x01, 0x00,                                      // type kHello
+      0x02, 0x00, 0x00, 0x00,                          // payload length 2
+      0xa8, 0x1a, 0xd5, 0xd1, 0x45, 0x97, 0x9d, 0x68,  // Checksum64
+      0x04, 0x00,                                      // payload: v4
   };
-  std::vector<uint8_t> actual = Bytes(frame);
-  for (size_t i = 0; i < expected_prefix.size(); ++i) {
-    EXPECT_EQ(actual[i], expected_prefix[i]) << "byte " << i;
-  }
-  // Checksum bytes 12..19: FNV-1a over payload {0x03, 0x00}.
-  const uint8_t payload[] = {0x03, 0x00};
-  uint64_t sum = Fnv1a(payload, 2);
-  for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(actual[12 + i], static_cast<uint8_t>((sum >> (8 * i)) & 0xff));
-  }
-  // Payload itself.
-  EXPECT_EQ(actual[20], 0x03);
-  EXPECT_EQ(actual[21], 0x00);
+  EXPECT_EQ(Bytes(frame), expected);
+  const uint8_t payload[] = {0x04, 0x00};
+  EXPECT_EQ(Checksum64(payload, 2), 0x689d9745d1d51aa8ull);
 }
 
 /// A 2-column batch over 4 rows narrowed to rows {0, 2, 3}: an int64
@@ -73,22 +67,26 @@ vec::ColumnBatch FilteredBatch() {
 TEST(WireFrame, GoldenBatchEncoding) {
   Writer w;
   w.PutBatch(FilteredBatch());
-  // The attrs, then the batch codec: column-major over the selected
-  // rows only (row 1 is not encoded).
+  // The attrs, then the batch codec: per column its tag, its NULL words
+  // and its typed array, over the selected rows only (row 1 is not
+  // encoded).
   const std::vector<uint8_t> expected = {
       0x02, 0x00, 0x00, 0x00,                          // 2 attrs
       0x07, 0x00, 0x00, 0x00,                          // attr 7
       0x09, 0x00, 0x00, 0x00,                          // attr 9
       0x03, 0x00, 0x00, 0x00,                          // 3 rows
       0x02, 0x00, 0x00, 0x00,                          // 2 columns
-      0x01, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // col 0: 5
-      0x00,
-      0x00,                                            //        NULL
-      0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  //        -1
-      0xff,
-      0x03, 0x01, 0x00, 0x00, 0x00, 'a',               // col 1: "a"
-      0x03, 0x02, 0x00, 0x00, 0x00, 'b', 'c',          //        "bc"
-      0x00,                                            //        NULL
+      0x00, 0x01,                                      // col 0: int64, NULLs
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   NULL word: row 1
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   5
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   NULL
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  //   -1
+      0x02, 0x01,                                      // col 1: string, NULLs
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   NULL word: row 2
+      0x01, 0x00, 0x00, 0x00,                          //   ends: 1,
+      0x03, 0x00, 0x00, 0x00,                          //         3,
+      0x03, 0x00, 0x00, 0x00,                          //         3 (NULL)
+      'a',  'b',  'c',                                 //   "a" "bc"
   };
   EXPECT_EQ(Bytes(w.buffer()), expected);
 
@@ -201,6 +199,141 @@ TEST(WireFrame, CodecInfersTagsLikeFromRows) {
   }
 }
 
+/// `got` equals `want` slot for slot: tag, NULL words, NULL count and
+/// every payload (doubles by bit pattern).
+void ExpectSameColumn(const vec::ColumnVector& got,
+                      const vec::ColumnVector& want, const std::string& what) {
+  EXPECT_EQ(got.tag, want.tag) << what;
+  EXPECT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(got.nulls.null_count(), want.nulls.null_count()) << what;
+  EXPECT_EQ(got.nulls.words(), want.nulls.words()) << what;
+  EXPECT_EQ(got.i64, want.i64) << what;
+  EXPECT_EQ(got.str, want.str) << what;
+  ASSERT_EQ(got.f64.size(), want.f64.size()) << what;
+  for (size_t i = 0; i < got.f64.size(); ++i) {
+    uint64_t a, b;
+    std::memcpy(&a, &got.f64[i], 8);
+    std::memcpy(&b, &want.f64[i], 8);
+    EXPECT_EQ(a, b) << what << " row " << i;
+  }
+  ASSERT_EQ(got.vals.size(), want.vals.size()) << what;
+  for (size_t i = 0; i < got.vals.size(); ++i) {
+    EXPECT_TRUE(got.vals[i].StructurallyEquals(want.vals[i]))
+        << what << " row " << i;
+  }
+}
+
+/// One random value of column kind `kind`.
+Value RandomValue(int kind, std::mt19937_64* rng) {
+  std::uniform_int_distribution<int> pct(0, 99);
+  const int p = pct(*rng);
+  switch (kind) {
+    case 0:  // int64, a few NULLs
+      if (p < 5) return Value::Null();
+      if (p < 10) return Value::Int64(std::numeric_limits<int64_t>::min());
+      return Value::Int64(static_cast<int64_t>((*rng)()));
+    case 1:  // date
+      return Value::Date(static_cast<int64_t>((*rng)() % 20000));
+    case 2:  // double, -0.0 and extremes included
+      if (p < 5) return Value::Null();
+      if (p < 10) return Value::Double(-0.0);
+      if (p < 15) return Value::Double(1e300);
+      return Value::Double(static_cast<double>(static_cast<int64_t>(
+                               (*rng)() % 2000001) - 1000000) / 64.0);
+    case 3: {  // string, empty ones included
+      if (p < 5) return Value::Null();
+      std::string v((*rng)() % (p < 30 ? 1 : 24), 'a');
+      for (char& c : v) c = static_cast<char>('a' + (*rng)() % 26);
+      return Value::String(std::move(v));
+    }
+    case 4:  // NULL-heavy double
+      return p < 90 ? Value::Null() : Value::Double(p * 0.25);
+    case 5:  // all NULL
+      return Value::Null();
+    default:  // mixed: the value fallback
+      if (p < 10) return Value::Null();
+      if (p < 40) return Value::Int64(p);
+      if (p < 70) return Value::Double(p * 0.5);
+      return Value::String(std::string(p % 5, 'x'));
+  }
+}
+
+// Differential check of the typed layout: seeded random batches of every
+// column form, dense and filtered, decode to exactly the columns FromRows
+// builds from the selected rows (tags, NULL words and counts, payloads).
+TEST(WireFrame, TypedLayoutRoundTripsLikeFromRows) {
+  const size_t kRowCounts[] = {0, 1, 2, 63, 64, 65, 130};
+  int batches = 0;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    std::mt19937_64 rng(seed);
+    const size_t num_rows = kRowCounts[rng() % std::size(kRowCounts)];
+    const size_t num_cols = rng() % 7;  // 0 columns included
+    std::vector<int> kinds(num_cols);
+    std::vector<AttrId> attrs(num_cols);
+    for (size_t c = 0; c < num_cols; ++c) {
+      kinds[c] = static_cast<int>(rng() % 7);
+      attrs[c] = static_cast<AttrId>(c + 1);
+    }
+    std::vector<Row> rows(num_rows);
+    for (Row& row : rows) {
+      for (size_t c = 0; c < num_cols; ++c) {
+        row.push_back(RandomValue(kinds[c], &rng));
+      }
+    }
+    const RowLayout layout(attrs);
+    vec::ColumnBatch batch = vec::FromRows(layout, rows).ValueOrDie();
+    std::vector<Row> selected = rows;
+    if (seed % 2 == 0 && num_rows > 0) {
+      // A filtered batch: a non-identity selection, gathered as encoded.
+      batch.sel.clear();
+      selected.clear();
+      for (uint32_t i = 0; i < num_rows; ++i) {
+        if (rng() % 3 == 0) continue;
+        batch.sel.push_back(i);
+        selected.push_back(rows[i]);
+      }
+    }
+    const vec::ColumnBatch want =
+        vec::FromRows(layout, selected).ValueOrDie();
+
+    Writer w;
+    w.PutBatch(batch);
+    Reader r(w.buffer());
+    auto got = r.ReadBatch();
+    ASSERT_TRUE(got.ok()) << "seed " << seed << ": " << got.status();
+    EXPECT_TRUE(r.AtEnd()) << "seed " << seed;
+    EXPECT_EQ(got->layout.attrs(), attrs) << "seed " << seed;
+    EXPECT_EQ(got->sel, vec::RangeSel(0, selected.size())) << "seed " << seed;
+    ASSERT_EQ(got->NumColumns(), num_cols);
+    for (size_t c = 0; c < num_cols; ++c) {
+      ExpectSameColumn(*got->columns[c], *want.columns[c],
+                       "seed " + std::to_string(seed) + " col " +
+                           std::to_string(c) + " kind " +
+                           std::to_string(kinds[c]));
+    }
+    ++batches;
+  }
+  EXPECT_EQ(batches, 120);
+
+  // A selection that keeps only the NULLs of a double column types the
+  // column as FromRows does: all-NULL int64.
+  std::vector<Row> rows = {{Value::Null()}, {Value::Double(1.5)}};
+  vec::ColumnBatch batch = vec::FromRows(RowLayout({1}), rows).ValueOrDie();
+  ASSERT_EQ(batch.columns[0]->tag, vec::ColumnTag::kDouble);
+  batch.sel = {0};
+  Writer w;
+  w.PutBatch(batch);
+  Reader r(w.buffer());
+  auto got = r.ReadBatch();
+  ASSERT_TRUE(got.ok()) << got.status();
+  ExpectSameColumn(*got->columns[0],
+                   *vec::FromRows(RowLayout({1}), {rows[0]})
+                        .ValueOrDie()
+                        .columns[0],
+                   "all-NULL selection");
+  EXPECT_EQ(got->columns[0]->tag, vec::ColumnTag::kInt64);
+}
+
 TEST(WireFrame, GoldenValueEncodings) {
   Writer w;
   w.PutValue(Value::Null());
@@ -216,6 +349,33 @@ TEST(WireFrame, GoldenValueEncodings) {
       0x03, 0x02, 0x00, 0x00, 0x00, 'a', 'b',          // "ab"
   };
   EXPECT_EQ(Bytes(w.buffer()), expected);
+}
+
+// Checksum64 is pinned (frames on disk and on the wire carry it), sees
+// the length (a zero tail byte is not padding) and every single-bit
+// flip, whichever lane, leftover word or tail byte it lands in.
+TEST(WireFrame, Checksum64VectorsAndBitFlips) {
+  auto sum = [](const std::string& s) {
+    return Checksum64(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+  };
+  EXPECT_EQ(sum(""), 0xd11f82d4d5b4ac60ull);
+  EXPECT_EQ(sum("a"), 0x5e42a967a4135844ull);
+  EXPECT_EQ(sum("abcdefgh"), 0xe1ca5affefa83851ull);
+  EXPECT_EQ(sum("0123456789abcdef0123456789abcdef0123456789"),
+            0x1052ae9d83ee300bull);
+  EXPECT_NE(sum("a"), sum(std::string("a\0", 2)));
+  EXPECT_NE(sum(""), sum(std::string(1, '\0')));
+
+  std::string buf;
+  for (int i = 0; i < 77; ++i) buf.push_back(static_cast<char>(i * 37));
+  const uint64_t base = sum(buf);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = buf;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      EXPECT_NE(sum(flipped), base) << "byte " << i << " bit " << bit;
+    }
+  }
 }
 
 TEST(WireFrame, KnownFnv1aVector) {
