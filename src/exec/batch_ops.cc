@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -210,13 +211,14 @@ class ScanOp : public BatchOp {
 
 /// Disk-mode scan: each checksummed block decodes straight into
 /// columns, re-chunked to batch_size (the same batch boundaries as the
-/// memory scan), so at most one block per scan is resident.
+/// memory scan). `layout` is the node's outputs, or the subset a masked
+/// cursor decodes (BuildScan).
 class DiskScanOp : public ChunkedOp {
  public:
-  DiskScanOp(const PlanNode* node, TableStore::Cursor cursor,
+  DiskScanOp(const PlanNode* node, RowLayout layout, TableStore::Cursor cursor,
              size_t batch_size, int64_t* rows_scanned,
              int64_t* storage_blocks_read)
-      : ChunkedOp(LayoutOf(*node), batch_size, rows_scanned),
+      : ChunkedOp(std::move(layout), batch_size, rows_scanned),
         node_(node),
         cursor_(std::move(cursor)),
         storage_blocks_read_(storage_blocks_read) {}
@@ -224,7 +226,10 @@ class DiskScanOp : public ChunkedOp {
  protected:
   Result<bool> Fill() override {
     ColumnBatch block;
-    CGQ_ASSIGN_OR_RETURN(bool more, cursor_.Next(&block));
+    Result<bool> next = cursor_.Next(&block);
+    // A masked cursor refuses a block of another width this way.
+    if (next.status().IsInvalidArgument()) return WidthMismatch(node_->table);
+    CGQ_ASSIGN_OR_RETURN(bool more, std::move(next));
     if (storage_blocks_read_ != nullptr) {
       *storage_blocks_read_ += cursor_.blocks_read() - blocks_folded_;
       blocks_folded_ = cursor_.blocks_read();
@@ -749,9 +754,50 @@ class AggregateOp : public ChunkedOp {
   const std::atomic<bool>* cancel_;
 };
 
-}  // namespace
+/// The scan of `node`. `reads`, when set, holds every attr the
+/// Filter*->Project chain directly above the scan reads; a disk scan
+/// then decodes only those of its columns, in stored order. Memory scans
+/// serve the cached columns whole, which costs nothing extra.
+Result<BatchOpPtr> BuildScan(const PlanNode& node, const BatchOpEnv& env,
+                             size_t batch_size,
+                             const std::vector<AttrId>* reads) {
+  if (env.store->storage_mode() == StorageMode::kDisk) {
+    RowLayout layout = LayoutOf(node);
+    std::optional<vec::ColumnMask> keep;
+    if (reads != nullptr) {
+      keep.emplace();
+      std::vector<AttrId> kept;
+      for (const OutputCol& col : node.outputs) {
+        const bool read =
+            std::find(reads->begin(), reads->end(), col.id) != reads->end();
+        keep->push_back(read);
+        if (read) kept.push_back(col.id);
+      }
+      layout = RowLayout(std::move(kept));
+    }
+    CGQ_ASSIGN_OR_RETURN(TableStore::Cursor cursor,
+                         env.store->Scan(node.scan_location, node.table,
+                                         keep ? &*keep : nullptr));
+    return BatchOpPtr(new DiskScanOp(&node, std::move(layout),
+                                     std::move(cursor), batch_size,
+                                     env.rows_scanned,
+                                     env.storage_blocks_read));
+  }
+  CGQ_ASSIGN_OR_RETURN(
+      std::shared_ptr<const std::vector<ColumnPtr>> columns,
+      env.store->GetColumnar(node.scan_location, node.table));
+  if (!columns->empty() && columns->size() != node.outputs.size()) {
+    return WidthMismatch(node.table);
+  }
+  return BatchOpPtr(
+      new ScanOp(&node, std::move(columns), batch_size, env.rows_scanned));
+}
 
-Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
+/// BuildBatchOp, with `reads` as in BuildScan: a Project starts the set
+/// with its projected attrs, each Filter below it adds its conjuncts'
+/// attrs, and every other operator builds its children with none.
+Result<BatchOpPtr> Build(const PlanNode& node, const BatchOpEnv& env,
+                         const std::vector<AttrId>* reads) {
   const size_t batch_size = std::max<size_t>(1, env.batch_size);
   switch (node.kind()) {
     case PlanKind::kShip: {
@@ -761,39 +807,36 @@ Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
       }
       return env.ship_source(node);
     }
-    case PlanKind::kScan: {
-      if (env.store->storage_mode() == StorageMode::kDisk) {
-        CGQ_ASSIGN_OR_RETURN(TableStore::Cursor cursor,
-                             env.store->Scan(node.scan_location, node.table));
-        return BatchOpPtr(new DiskScanOp(&node, std::move(cursor),
-                                         batch_size, env.rows_scanned,
-                                         env.storage_blocks_read));
+    case PlanKind::kScan:
+      return BuildScan(node, env, batch_size, reads);
+    case PlanKind::kFilter: {
+      std::vector<AttrId> filter_reads;
+      if (reads != nullptr) {
+        filter_reads = *reads;
+        for (const ExprPtr& c : node.conjuncts) {
+          c->CollectAttrIds(&filter_reads);
+        }
       }
       CGQ_ASSIGN_OR_RETURN(
-          std::shared_ptr<const std::vector<ColumnPtr>> columns,
-          env.store->GetColumnar(node.scan_location, node.table));
-      if (!columns->empty() && columns->size() != node.outputs.size()) {
-        return WidthMismatch(node.table);
-      }
-      return BatchOpPtr(new ScanOp(&node, std::move(columns), batch_size,
-                                   env.rows_scanned));
-    }
-    case PlanKind::kFilter: {
-      CGQ_ASSIGN_OR_RETURN(BatchOpPtr child, BuildBatchOp(*node.child(0), env));
+          BatchOpPtr child,
+          Build(*node.child(0), env, reads ? &filter_reads : nullptr));
       return BatchOpPtr(new FilterOp(&node, std::move(child)));
     }
     case PlanKind::kProject: {
-      CGQ_ASSIGN_OR_RETURN(BatchOpPtr child, BuildBatchOp(*node.child(0), env));
+      CGQ_ASSIGN_OR_RETURN(BatchOpPtr child,
+                           Build(*node.child(0), env, &node.project_ids));
       return ProjectOp::Make(&node, std::move(child));
     }
     case PlanKind::kJoin: {
-      CGQ_ASSIGN_OR_RETURN(BatchOpPtr left, BuildBatchOp(*node.child(0), env));
-      CGQ_ASSIGN_OR_RETURN(BatchOpPtr right, BuildBatchOp(*node.child(1), env));
+      CGQ_ASSIGN_OR_RETURN(BatchOpPtr left, Build(*node.child(0), env, nullptr));
+      CGQ_ASSIGN_OR_RETURN(BatchOpPtr right,
+                           Build(*node.child(1), env, nullptr));
       return BatchOpPtr(new JoinOp(&node, std::move(left), std::move(right),
                                    batch_size, env));
     }
     case PlanKind::kAggregate: {
-      CGQ_ASSIGN_OR_RETURN(BatchOpPtr child, BuildBatchOp(*node.child(0), env));
+      CGQ_ASSIGN_OR_RETURN(BatchOpPtr child,
+                           Build(*node.child(0), env, nullptr));
       return BatchOpPtr(new AggregateOp(&node, std::move(child), batch_size,
                                         env.cancel));
     }
@@ -801,13 +844,19 @@ Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
       std::vector<BatchOpPtr> children;
       children.reserve(node.children().size());
       for (const PlanNodePtr& c : node.children()) {
-        CGQ_ASSIGN_OR_RETURN(BatchOpPtr child, BuildBatchOp(*c, env));
+        CGQ_ASSIGN_OR_RETURN(BatchOpPtr child, Build(*c, env, nullptr));
         children.push_back(std::move(child));
       }
       return UnionOp::Make(&node, std::move(children));
     }
   }
   return Status::Internal("unhandled plan kind");
+}
+
+}  // namespace
+
+Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
+  return Build(node, env, nullptr);
 }
 
 }  // namespace exec_internal

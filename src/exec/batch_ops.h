@@ -75,7 +75,9 @@ Status DrainBatchOp(BatchOp* op, const std::atomic<bool>* cancel,
 
 /// Builds the batch-operator tree of one fragment rooted at `node`.
 /// `env` must outlive the construction call; the returned operators keep
-/// only the store/cancel/counter pointers, not `env` itself.
+/// only the store/cancel/counter pointers, not `env` itself. A disk-mode
+/// scan whose consumers are Filter* then Project decodes only the
+/// columns that chain reads; every other scan decodes all of them.
 Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env);
 
 }  // namespace exec_internal

@@ -193,17 +193,22 @@ Result<size_t> TableStore::FragmentRows(LocationId location,
   return it->second.size();
 }
 
-Result<TableStore::Cursor> TableStore::Scan(LocationId location,
-                                            const std::string& table) const {
+Result<TableStore::Cursor> TableStore::Scan(
+    LocationId location, const std::string& table,
+    const vec::ColumnMask* keep) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string lowered = ToLower(table);
   Cursor cursor;
   if (engine_ != nullptr) {
     cursor.is_disk_ = true;
-    CGQ_ASSIGN_OR_RETURN(cursor.disk_, engine_->Scan(location, lowered));
+    CGQ_ASSIGN_OR_RETURN(cursor.disk_, engine_->Scan(location, lowered, keep));
     CGQ_ASSIGN_OR_RETURN(cursor.total_rows_,
                          engine_->FragmentRows(location, lowered));
     return cursor;
+  }
+  if (keep != nullptr) {
+    return Status::Unsupported(
+        "TableStore::Scan takes a column mask only in StorageMode::kDisk");
   }
   auto it = fragments_.find(Key(location, lowered));
   if (it == fragments_.end()) {

@@ -113,7 +113,12 @@ class TableStore {
     storage::StorageEngine::Cursor disk_;
     size_t total_rows_ = 0;
   };
-  Result<Cursor> Scan(LocationId location, const std::string& table) const;
+  /// `keep` (one entry per stored column) makes a disk-mode cursor
+  /// yield only the marked columns (StorageEngine::Scan); memory-mode
+  /// scans serve cached columns through GetColumnar instead and refuse a
+  /// mask as kUnsupported.
+  Result<Cursor> Scan(LocationId location, const std::string& table,
+                      const vec::ColumnMask* keep = nullptr) const;
 
   /// The fragment in columnar form (one immutable column per stored-row
   /// position), converted on first use and cached until the fragment is

@@ -278,6 +278,20 @@ ColumnBatch NextWidthRun(const std::vector<Row>& rows, size_t* pos) {
   return FromRows(rows.data() + begin, end - begin, width);
 }
 
+Status KeepColumns(const ColumnMask& keep, ColumnBatch* batch) {
+  if (keep.size() != batch->NumColumns()) {
+    return Status::InvalidArgument(
+        "column mask of " + std::to_string(keep.size()) +
+        " columns for a batch of " + std::to_string(batch->NumColumns()));
+  }
+  size_t kept = 0;
+  for (size_t c = 0; c < keep.size(); ++c) {
+    if (keep[c]) batch->columns[kept++] = std::move(batch->columns[c]);
+  }
+  batch->columns.resize(kept);
+  return Status::OK();
+}
+
 Result<ColumnBatch> FromRowBatch(const RowBatch& batch) {
   return FromRows(batch.layout, batch.rows);
 }

@@ -202,6 +202,16 @@ struct ColumnBatch {
   double ByteSize() const;
 };
 
+/// Which stored columns a decode materializes, by stored position: a
+/// masked decode (wire::Reader::ReadColumns, storage scans) yields only
+/// the columns marked true, in stored order.
+using ColumnMask = std::vector<bool>;
+
+/// Narrows a positional batch (empty layout) to the columns `keep`
+/// marks, keeping its rows; kInvalidArgument when the mask's width
+/// differs from the batch's.
+Status KeepColumns(const ColumnMask& keep, ColumnBatch* batch);
+
 /// A dense batch over freshly built columns of `num_rows` rows each.
 ColumnBatch DenseBatch(RowLayout layout, std::vector<ColumnVector> cols,
                        size_t num_rows);

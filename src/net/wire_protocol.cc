@@ -502,21 +502,27 @@ Status Reader::ReadCell(vec::ColumnVector* col) {
   CGQ_ASSIGN_OR_RETURN(uint8_t tag, U8());
   switch (tag) {
     case 0:
-      col->AppendNull();
+      if (col != nullptr) col->AppendNull();
       return Status::OK();
-    case 1: {
-      CGQ_ASSIGN_OR_RETURN(int64_t v, I64());
-      col->AppendInt64(v);
-      return Status::OK();
-    }
+    case 1:
     case 2: {
-      CGQ_ASSIGN_OR_RETURN(double v, Double());
-      col->AppendDouble(v);
+      CGQ_ASSIGN_OR_RETURN(uint64_t bits, U64());
+      if (col == nullptr) return Status::OK();
+      if (tag == 1) {
+        col->AppendInt64(static_cast<int64_t>(bits));
+      } else {
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        col->AppendDouble(v);
+      }
       return Status::OK();
     }
     case 3: {
-      CGQ_ASSIGN_OR_RETURN(std::string v, String());
-      col->AppendString(std::move(v));
+      CGQ_ASSIGN_OR_RETURN(uint32_t len, U32());
+      CGQ_ASSIGN_OR_RETURN(const uint8_t* p, Bytes(len));
+      if (col != nullptr) {
+        col->AppendString(std::string(reinterpret_cast<const char*>(p), len));
+      }
       return Status::OK();
     }
     default:
@@ -545,26 +551,33 @@ Status Reader::ReadColumn(uint32_t rows, vec::ColumnVector* col) {
     return Status::OK();
   }
 
+  const uint8_t* null_words = nullptr;
+  const size_t num_words = (size_t{rows} + 63) / 64;
   if (has_nulls) {
-    const size_t num_words = (size_t{rows} + 63) / 64;
-    CGQ_ASSIGN_OR_RETURN(const uint8_t* p, Bytes(num_words * 8));
-    std::vector<uint64_t> words(num_words);
-    LoadLeArray(words.data(), p, num_words);
-    if (rows % 64 != 0 && (words.back() >> (rows % 64)) != 0) {
+    CGQ_ASSIGN_OR_RETURN(null_words, Bytes(num_words * 8));
+    if (rows % 64 != 0 &&
+        (ReadLe(null_words + 8 * (num_words - 1), 8) >> (rows % 64)) != 0) {
       return Status::InvalidArgument("NULL bit past row " +
                                      std::to_string(rows));
     }
-    col->nulls = vec::NullBitmap::FromWords(std::move(words), rows);
-  } else {
-    col->nulls = vec::NullBitmap(rows);
+  }
+  if (col != nullptr) {
+    if (has_nulls) {
+      std::vector<uint64_t> words(num_words);
+      LoadLeArray(words.data(), null_words, num_words);
+      col->nulls = vec::NullBitmap::FromWords(std::move(words), rows);
+    } else {
+      col->nulls = vec::NullBitmap(rows);
+    }
+    col->tag = tag;
   }
   auto is_null = [&](size_t i) { return has_nulls && col->nulls.IsNull(i); };
 
-  col->tag = tag;
   switch (tag) {
     case vec::ColumnTag::kInt64:
     case vec::ColumnTag::kDouble: {
       CGQ_ASSIGN_OR_RETURN(const uint8_t* p, Bytes(size_t{rows} * 8));
+      if (col == nullptr) break;
       if (tag == vec::ColumnTag::kInt64) {
         col->i64.resize(rows);
         LoadLeArray(col->i64.data(), p, rows);
@@ -600,6 +613,7 @@ Status Reader::ReadColumn(uint32_t rows, vec::ColumnVector* col) {
         return Status::InvalidArgument("string offsets past the payload");
       }
       CGQ_ASSIGN_OR_RETURN(const uint8_t* bytes, Bytes(end));
+      if (col == nullptr) break;
       col->str.reserve(rows);
       uint32_t begin = 0;
       for (uint32_t i = 0; i < rows; ++i) {
@@ -617,6 +631,7 @@ Status Reader::ReadColumn(uint32_t rows, vec::ColumnVector* col) {
     case vec::ColumnTag::kValue:
       break;  // handled above
   }
+  if (col == nullptr) return Status::OK();
   if (col->nulls.null_count() == static_cast<int64_t>(rows) &&
       tag != vec::ColumnTag::kInt64) {
     // No value to type the column by: all-NULL columns are int64.
@@ -628,9 +643,14 @@ Status Reader::ReadColumn(uint32_t rows, vec::ColumnVector* col) {
   return Status::OK();
 }
 
-Result<vec::ColumnBatch> Reader::ReadColumns() {
+Result<vec::ColumnBatch> Reader::ReadColumns(const vec::ColumnMask* keep) {
   CGQ_ASSIGN_OR_RETURN(uint32_t num_rows, U32());
   CGQ_ASSIGN_OR_RETURN(uint32_t num_cols, U32());
+  if (keep != nullptr && keep->size() != num_cols) {
+    return Status::InvalidArgument(
+        "column mask of " + std::to_string(keep->size()) +
+        " columns for a batch of " + std::to_string(num_cols));
+  }
   if (num_cols == 0) {
     // Nothing bounds a batch without columns but the payload limit on
     // the selection it allocates.
@@ -645,9 +665,14 @@ Result<vec::ColumnBatch> Reader::ReadColumns() {
   if (remaining() / num_cols < 2 + uint64_t{num_rows}) {
     return Status::InvalidArgument("truncated payload");
   }
-  std::vector<vec::ColumnVector> cols(num_cols);
-  for (vec::ColumnVector& col : cols) {
-    CGQ_RETURN_NOT_OK(ReadColumn(num_rows, &col));
+  std::vector<vec::ColumnVector> cols;
+  cols.reserve(num_cols);
+  for (uint32_t c = 0; c < num_cols; ++c) {
+    if (keep != nullptr && !(*keep)[c]) {
+      CGQ_RETURN_NOT_OK(ReadColumn(num_rows, nullptr));
+      continue;
+    }
+    CGQ_RETURN_NOT_OK(ReadColumn(num_rows, &cols.emplace_back()));
   }
   return vec::DenseBatch(RowLayout(), std::move(cols), num_rows);
 }

@@ -168,7 +168,15 @@ class Reader {
   /// the bytes left before anything is sized for it; an unknown tag or
   /// flag, a NULL bit past the row count, or a decreasing or past-end
   /// string offset is refused.
-  Result<vec::ColumnBatch> ReadColumns();
+  ///
+  /// With `keep`, only the columns it marks are materialized, in stored
+  /// order; the batch keeps its row count even when none is kept. A
+  /// skipped column is still read through and validated exactly as a
+  /// kept one (tag, flag, NULL bits, string offsets, tagged values), so
+  /// a malformed body is refused whether or not its column is decoded.
+  /// A mask whose width differs from the batch's column count is
+  /// refused before any column is read.
+  Result<vec::ColumnBatch> ReadColumns(const vec::ColumnMask* keep = nullptr);
   /// Inverse of PutBatch; refuses a column count that differs from the
   /// attr count.
   Result<vec::ColumnBatch> ReadBatch();
@@ -183,9 +191,11 @@ class Reader {
 
  private:
   Status Need(size_t n);
-  /// Appends one tagged value to `col` (ColumnVector's typed appends).
+  /// Appends one tagged value to `col` (ColumnVector's typed appends);
+  /// a null `col` validates and skips the value.
   Status ReadCell(vec::ColumnVector* col);
-  /// One column of ReadColumns, `rows` rows long.
+  /// One column of ReadColumns, `rows` rows long; a null `col` validates
+  /// and skips the column without building it.
   Status ReadColumn(uint32_t rows, vec::ColumnVector* col);
   /// Borrows the next `n` bytes (bounds-checked).
   Result<const uint8_t*> Bytes(size_t n);

@@ -12,7 +12,8 @@ Result<std::string> EncodeBlockFile(const vec::ColumnBatch& batch) {
 }
 
 Result<vec::ColumnBatch> DecodeBlockFile(const std::string& bytes,
-                                         const std::string& what) {
+                                         const std::string& what,
+                                         const vec::ColumnMask* keep) {
   const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
   CGQ_ASSIGN_OR_RETURN(FileFrameHeader header,
                        DecodeFileFrame(kBlockMagic, data, bytes.size(), what));
@@ -29,8 +30,19 @@ Result<vec::ColumnBatch> DecodeBlockFile(const std::string& bytes,
                             std::to_string(header.type));
   }
 
+  if (keep != nullptr && header.payload_len >= 8) {
+    // Every layout opens with u32 rows, u32 columns.
+    wire::Reader counts(data + kFrameHeaderSize + 4, 4);
+    const uint32_t cols = counts.U32().ValueOrDie();
+    if (cols != keep->size()) {
+      return Status::InvalidArgument(
+          what + ": block of " + std::to_string(cols) +
+          " columns read with a column mask of " +
+          std::to_string(keep->size()));
+    }
+  }
   wire::Reader r(data + kFrameHeaderSize, header.payload_len);
-  auto batch = ReadFrameColumns(header.version, &r);
+  auto batch = ReadFrameColumns(header.version, &r, keep);
   if (!batch.ok()) {
     return Status::DataLoss(what + ": " + batch.status().message());
   }

@@ -35,8 +35,15 @@ Result<std::string> EncodeBlockFile(const vec::ColumnBatch& batch);
 /// batch (empty layout). Corruption — wrong magic, bad checksum,
 /// truncation, trailing garbage — is typed kDataLoss; a block is never
 /// partially decoded into wrong rows.
+///
+/// With `keep`, only the marked columns are materialized (see
+/// ReadFrameColumns); the checksum still covers the whole payload and
+/// every skipped column is still validated. A block whose column count
+/// differs from the mask's width is kInvalidArgument: its bytes are
+/// intact, the reader's schema disagrees with them.
 Result<vec::ColumnBatch> DecodeBlockFile(const std::string& bytes,
-                                         const std::string& what);
+                                         const std::string& what,
+                                         const vec::ColumnMask* keep = nullptr);
 
 }  // namespace storage
 }  // namespace cgq

@@ -129,9 +129,12 @@ Status VerifyFilePayload(const FileFrameHeader& header, const uint8_t* payload,
   return Status::OK();
 }
 
-Result<vec::ColumnBatch> ReadFrameColumns(uint16_t version, wire::Reader* r) {
-  if (version >= kTypedColumnsVersion) return r->ReadColumns();
-  return ReadTaggedColumns(r);
+Result<vec::ColumnBatch> ReadFrameColumns(uint16_t version, wire::Reader* r,
+                                          const vec::ColumnMask* keep) {
+  if (version >= kTypedColumnsVersion) return r->ReadColumns(keep);
+  CGQ_ASSIGN_OR_RETURN(vec::ColumnBatch batch, ReadTaggedColumns(r));
+  if (keep != nullptr) CGQ_RETURN_NOT_OK(vec::KeepColumns(*keep, &batch));
+  return batch;
 }
 
 Result<FileFrameHeader> DecodeFileFrame(uint32_t magic, const uint8_t* data,

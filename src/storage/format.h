@@ -86,8 +86,12 @@ Status VerifyFilePayload(const FileFrameHeader& header, const uint8_t* payload,
 /// Reads one batch from the payload of a frame of format `version`: the
 /// typed column layout (wire::Reader::ReadColumns) from
 /// kTypedColumnsVersion on, tagged values before it. Errors are the
-/// reader's kInvalidArgument; the caller types them kDataLoss.
-Result<vec::ColumnBatch> ReadFrameColumns(uint16_t version, wire::Reader* r);
+/// reader's kInvalidArgument; the caller types them kDataLoss. With
+/// `keep`, only the marked columns are returned: the typed layout skips
+/// the others while validating them, tagged values decode in full and
+/// are then narrowed.
+Result<vec::ColumnBatch> ReadFrameColumns(uint16_t version, wire::Reader* r,
+                                          const vec::ColumnMask* keep = nullptr);
 
 /// Decodes the frame of `magic` at the front of `data` (`len` bytes, maybe
 /// followed by more frames): header, whole payload present, checksum;

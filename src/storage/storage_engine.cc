@@ -399,7 +399,8 @@ size_t StorageEngine::TotalRows() const {
 }
 
 Result<StorageEngine::Cursor> StorageEngine::Scan(
-    LocationId location, const std::string& table) const {
+    LocationId location, const std::string& table,
+    const vec::ColumnMask* keep) const {
   auto it = fragments_.find({location, table});
   if (it == fragments_.end()) {
     return Status::NotFound("no fragment of '" + table + "' at location " +
@@ -409,6 +410,7 @@ Result<StorageEngine::Cursor> StorageEngine::Scan(
   cursor.dir_ = dir_;
   cursor.blocks_ = it->second.blocks;
   cursor.tail_ = it->second.tail;
+  if (keep != nullptr) cursor.keep_ = *keep;
   return cursor;
 }
 
@@ -422,9 +424,11 @@ Result<bool> StorageEngine::Cursor::Next(vec::ColumnBatch* out) {
       return Status::DataLoss(path + ": live block file missing");
     }
     CGQ_ASSIGN_OR_RETURN(std::string raw, std::move(bytes));
-    CGQ_ASSIGN_OR_RETURN(*out, DecodeBlockFile(raw, path));
+    CGQ_ASSIGN_OR_RETURN(
+        *out, DecodeBlockFile(raw, path, keep_ ? &*keep_ : nullptr));
     span.AddArg("bytes", static_cast<int64_t>(raw.size()));
     span.AddArg("rows", static_cast<int64_t>(out->NumRows()));
+    span.AddArg("columns", static_cast<int64_t>(out->NumColumns()));
     if (out->NumRows() != block.rows) {
       return Status::DataLoss(path + ": block holds " +
                               std::to_string(out->NumRows()) +
@@ -437,6 +441,7 @@ Result<bool> StorageEngine::Cursor::Next(vec::ColumnBatch* out) {
   }
   if (tail_pos_ < tail_.size()) {
     *out = vec::NextWidthRun(tail_, &tail_pos_);
+    if (keep_) CGQ_RETURN_NOT_OK(vec::KeepColumns(*keep_, out));
     return true;
   }
   return false;

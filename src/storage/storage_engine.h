@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -83,10 +84,16 @@ class StorageEngine {
   /// block, decoded straight into columns, or one same-width run of the
   /// unflushed tail, as a positional batch (empty layout). Snapshot
   /// semantics: mutations after Scan() are not observed.
+  ///
+  /// A cursor scanned with a column mask yields only the marked columns:
+  /// blocks skip the others while still verifying and validating them
+  /// (DecodeBlockFile), tail runs are narrowed after conversion.
   class Cursor {
    public:
     /// Sets *out to the next batch (never empty). False when the
-    /// fragment is exhausted. Block corruption is typed kDataLoss.
+    /// fragment is exhausted. Block corruption is typed kDataLoss; a
+    /// block or tail run whose width differs from the column mask is
+    /// kInvalidArgument.
     Result<bool> Next(vec::ColumnBatch* out);
     int64_t blocks_read() const { return blocks_read_; }
 
@@ -95,11 +102,15 @@ class StorageEngine {
     std::string dir_;
     std::vector<ManifestBlock> blocks_;
     std::vector<Row> tail_;
+    std::optional<vec::ColumnMask> keep_;  ///< unset: every column
     size_t next_block_ = 0;
     size_t tail_pos_ = 0;
     int64_t blocks_read_ = 0;
   };
-  Result<Cursor> Scan(LocationId location, const std::string& table) const;
+  /// `keep` (one entry per stored column), when given, is the cursor's
+  /// column mask.
+  Result<Cursor> Scan(LocationId location, const std::string& table,
+                      const vec::ColumnMask* keep = nullptr) const;
 
   /// Reads a whole fragment into *out (the disk -> RAM migration path).
   Status ReadAll(LocationId location, const std::string& table,

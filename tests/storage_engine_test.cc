@@ -7,6 +7,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "storage/format.h"
 #include "storage/manifest.h"
 #include "storage/wal.h"
+#include "typed_batches.h"
 #include "types/value.h"
 
 namespace cgq {
@@ -218,6 +220,19 @@ TEST_F(StorageEngineTest, GoldenV2FramesDecode) {
   }
   EXPECT_EQ(block->columns[1]->tag, vec::ColumnTag::kDouble);
   EXPECT_EQ(block->columns[1]->nulls.null_count(), 1);
+
+  // A masked read decodes the legacy layout in full, then keeps the
+  // marked columns.
+  const vec::ColumnMask outer = {true, false, true};
+  auto narrowed = DecodeBlockFile(FromHex(kV2BlockHex), "v2 block", &outer);
+  ASSERT_TRUE(narrowed.ok()) << narrowed.status();
+  ASSERT_EQ(narrowed->NumColumns(), 2u);
+  ASSERT_EQ(narrowed->NumRows(), V2BlockRows().size());
+  for (size_t i = 0; i < V2BlockRows().size(); ++i) {
+    EXPECT_TRUE(RowsStructurallyEqual(
+        RowsOf(*narrowed)[i], {V2BlockRows()[i][0], V2BlockRows()[i][2]}))
+        << i;
+  }
 
   auto manifest = Manifest::Decode(FromHex(kV2ManifestHex), "v2 manifest");
   ASSERT_TRUE(manifest.ok()) << manifest.status();
@@ -705,11 +720,24 @@ TEST_F(StorageEngineTest, TypedLayoutRefusesMalformedBodies) {
     ASSERT_FALSE(out_frame.ok());
     EXPECT_TRUE(out_frame.status().IsInvalidArgument()) << out_frame.status();
 
-    auto block = DecodeBlockFile(
-        EncodeFileFrame(kBlockMagic, kBlockColumnar, body).ValueOrDie(),
-        "block");
+    const std::string block_file =
+        EncodeFileFrame(kBlockMagic, kBlockColumnar, body).ValueOrDie();
+    auto block = DecodeBlockFile(block_file, "block");
     ASSERT_FALSE(block.ok());
     EXPECT_TRUE(block.status().IsDataLoss()) << block.status();
+    // Refused alike when a mask skips the malformed column.
+    for (const vec::ColumnMask& keep :
+         {vec::ColumnMask{false}, vec::ColumnMask{true}}) {
+      SCOPED_TRACE(keep[0] ? "kept" : "skipped");
+      wire::Reader masked(body);
+      Result<vec::ColumnBatch> masked_batch = masked.ReadColumns(&keep);
+      ASSERT_FALSE(masked_batch.ok());
+      EXPECT_TRUE(masked_batch.status().IsInvalidArgument())
+          << masked_batch.status();
+      auto masked_block = DecodeBlockFile(block_file, "block", &keep);
+      ASSERT_FALSE(masked_block.ok());
+      EXPECT_TRUE(masked_block.status().IsDataLoss()) << masked_block.status();
+    }
 
     wire::Writer rec;
     rec.PutU32(1);
@@ -730,6 +758,132 @@ TEST_F(StorageEngineTest, TypedLayoutRefusesMalformedBodies) {
         scratch, [](vec::ColumnBatch) { return Status::OK(); });
     ASSERT_FALSE(spilled.ok());
     EXPECT_TRUE(spilled.IsDataLoss()) << spilled;
+  }
+}
+
+// A masked decode returns exactly the kept columns of a full decode,
+// cell for cell, over the seeded batches of every column form (dense
+// and filtered; NULL, all-NULL, string and mixed columns): random masks
+// plus the empty and the full one. Keeping no column keeps the rows.
+TEST_F(StorageEngineTest, MaskedDecodeKeepsExactlyTheMarkedColumns) {
+  int masks = 0;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    const SeededBatch seeded = MakeSeededBatch(seed);
+    const size_t num_cols = seeded.kinds.size();
+    const std::string file = EncodeBlockFile(seeded.batch).ValueOrDie();
+    auto full = DecodeBlockFile(file, "block");
+    ASSERT_TRUE(full.ok()) << "seed " << seed << ": " << full.status();
+    ASSERT_EQ(full->NumColumns(), num_cols);
+
+    std::mt19937_64 rng(seed * 7919);
+    std::vector<vec::ColumnMask> keeps = {vec::ColumnMask(num_cols, false),
+                                          vec::ColumnMask(num_cols, true)};
+    for (int k = 0; k < 4; ++k) {
+      vec::ColumnMask keep(num_cols);
+      for (size_t c = 0; c < num_cols; ++c) keep[c] = rng() % 2 == 0;
+      keeps.push_back(std::move(keep));
+    }
+    for (const vec::ColumnMask& keep : keeps) {
+      std::string name = "seed " + std::to_string(seed) + " mask ";
+      for (bool b : keep) name += b ? '1' : '0';
+      SCOPED_TRACE(name);
+      wire::Writer w;
+      w.PutColumns(seeded.batch);
+      wire::Reader r(w.buffer());
+      auto read = r.ReadColumns(&keep);
+      ASSERT_TRUE(read.ok()) << read.status();
+      EXPECT_TRUE(r.AtEnd());
+      auto block = DecodeBlockFile(file, "block", &keep);
+      ASSERT_TRUE(block.ok()) << block.status();
+      for (const vec::ColumnBatch* got : {&*read, &*block}) {
+        EXPECT_EQ(got->NumRows(), seeded.want.NumRows());
+        size_t k = 0;
+        for (size_t c = 0; c < num_cols; ++c) {
+          if (!keep[c]) continue;
+          ASSERT_LT(k, got->NumColumns());
+          ExpectSameColumn(*got->columns[k++], *full->columns[c],
+                           "col " + std::to_string(c));
+        }
+        EXPECT_EQ(k, got->NumColumns());
+      }
+      ++masks;
+    }
+  }
+  EXPECT_EQ(masks, 120 * 6);
+}
+
+// A mask wider or narrower than the stored batch is refused, never
+// applied to the wrong columns: by the reader, by the block decoder in
+// both layouts (kInvalidArgument, not kDataLoss: the bytes are intact),
+// and by a cursor over blocks and over the unflushed tail.
+TEST_F(StorageEngineTest, MaskOfAnotherWidthIsRefused) {
+  const std::vector<Row> rows = MakeRows(10);
+  const vec::ColumnBatch batch = vec::FromRows(rows.data(), rows.size(), 3);
+  const std::string v3_file = EncodeBlockFile(batch).ValueOrDie();
+  for (const vec::ColumnMask& keep :
+       {vec::ColumnMask{true, true}, vec::ColumnMask{true, false, true, true},
+        vec::ColumnMask{}}) {
+    SCOPED_TRACE(std::to_string(keep.size()) + " columns");
+    wire::Writer w;
+    w.PutColumns(batch);
+    wire::Reader r(w.buffer());
+    auto read = r.ReadColumns(&keep);
+    ASSERT_FALSE(read.ok());
+    EXPECT_TRUE(read.status().IsInvalidArgument()) << read.status();
+    for (const std::string& file : {v3_file, FromHex(kV2BlockHex)}) {
+      auto block = DecodeBlockFile(file, "block", &keep);
+      ASSERT_FALSE(block.ok());
+      EXPECT_TRUE(block.status().IsInvalidArgument()) << block.status();
+    }
+  }
+
+  StorageEngine engine;
+  ASSERT_TRUE(engine.Open(dir_).ok());
+  ASSERT_TRUE(engine.Put(0, "t", rows).ok());
+  ASSERT_TRUE(engine.Checkpoint().ok());      // one block ...
+  ASSERT_TRUE(engine.Append(0, "t", rows).ok());  // ... then a tail run
+  const vec::ColumnMask wide = {true, false, true, false};
+  auto cursor = engine.Scan(0, "t", &wide);
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  vec::ColumnBatch chunk;
+  auto from_block = cursor->Next(&chunk);
+  ASSERT_FALSE(from_block.ok());
+  EXPECT_TRUE(from_block.status().IsInvalidArgument()) << from_block.status();
+  auto from_tail = cursor->Next(&chunk);
+  ASSERT_FALSE(from_tail.ok());
+  EXPECT_TRUE(from_tail.status().IsInvalidArgument()) << from_tail.status();
+}
+
+// A masked cursor yields the marked columns of every block and of the
+// unflushed tail, with the rows and block count of a full scan.
+TEST_F(StorageEngineTest, MaskedScanNarrowsBlocksAndTail) {
+  StorageOptions options;
+  options.block_target_bytes = 256;  // force many blocks
+  StorageEngine engine;
+  ASSERT_TRUE(engine.Open(dir_, options).ok());
+  ASSERT_TRUE(engine.Put(0, "t", MakeRows(200)).ok());
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  ASSERT_TRUE(engine.Append(0, "t", MakeRows(20, 200)).ok());
+
+  const vec::ColumnMask keep = {false, true, true};
+  auto cursor = engine.Scan(0, "t", &keep);
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  std::vector<Row> all;
+  vec::ColumnBatch chunk;
+  while (true) {
+    auto more = cursor->Next(&chunk);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    ASSERT_EQ(chunk.NumColumns(), 2u);
+    for (Row& r : vec::ToRowBatch(chunk).rows) all.push_back(std::move(r));
+  }
+  EXPECT_EQ(cursor->blocks_read(), engine.blocks_written());
+  ASSERT_EQ(all.size(), 220u);
+  for (int64_t i = 0; i < 220; ++i) {
+    const Row full = MakeRow(i);
+    EXPECT_TRUE(RowsStructurallyEqual(all[static_cast<size_t>(i)],
+                                      {full[1], full[2]}))
+        << i;
   }
 }
 

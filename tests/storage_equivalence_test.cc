@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "exec/batch_ops.h"
 #include "exec/executor.h"
 #include "exec/table_store.h"
 #include "net/cluster_client.h"
@@ -85,14 +87,20 @@ std::vector<std::string> ExactRows(const QueryResult& r) {
   return rows;
 }
 
-Result<OptimizedQuery> OptimizeTpch(const SharedStores& shared, int qnum,
-                                    const char* policy_set) {
+Result<OptimizedQuery> OptimizeSql(const SharedStores& shared,
+                                   const std::string& sql,
+                                   const char* policy_set) {
   PolicyCatalog policies(shared.catalog.get());
   CGQ_RETURN_NOT_OK(tpch::InstallPolicySet(policy_set, &policies));
   QueryOptimizer optimizer(shared.catalog.get(), &policies,
                            shared.net.get(), OptimizerOptions());
-  CGQ_ASSIGN_OR_RETURN(std::string sql, tpch::Query(qnum));
   return optimizer.Optimize(sql);
+}
+
+Result<OptimizedQuery> OptimizeTpch(const SharedStores& shared, int qnum,
+                                    const char* policy_set) {
+  CGQ_ASSIGN_OR_RETURN(std::string sql, tpch::Query(qnum));
+  return OptimizeSql(shared, sql, policy_set);
 }
 
 void ExpectSameAccounting(const ExecMetrics& a, const ExecMetrics& b) {
@@ -231,6 +239,121 @@ TEST(StorageEquivalenceTest, DiskBackedServersMatchAndSurviveRestart) {
     std::error_code ec;
     fs::remove_all(d, ec);
   }
+}
+
+/// The parent of every Scan under `node`, in pre-order.
+void ScanParents(const PlanNode& node, std::vector<const PlanNode*>* out) {
+  for (const PlanNodePtr& child : node.children()) {
+    if (child->kind() == PlanKind::kScan) out->push_back(&node);
+    ScanParents(*child, out);
+  }
+}
+
+/// Runs `q` on the disk store through the row and fragment backends
+/// and expects the in-memory row reference's rows and ship accounting.
+void ExpectDiskMatchesMemory(const OptimizedQuery& q) {
+  SharedStores& shared = Shared();
+  Executor ref_exec(shared.memory.get(), shared.net.get());
+  auto ref = ref_exec.Execute(q);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kFragment}) {
+    SCOPED_TRACE(mode == ExecMode::kRow ? "row" : "fragment");
+    ExecutorOptions opts;
+    opts.mode = mode;
+    Executor disk_exec(shared.disk.get(), shared.net.get(), opts);
+    auto disk = disk_exec.Execute(q);
+    ASSERT_TRUE(disk.ok()) << disk.status();
+    EXPECT_EQ(ExactRows(*disk), ExactRows(*ref));
+    ExpectSameAccounting(disk->metrics, ref->metrics);
+    EXPECT_GT(disk->metrics.storage_blocks_read, 0);
+  }
+}
+
+// Scans that feed a Join or a SHIP directly, with no Project above them,
+// decode every column; their results still match memory.
+TEST(StorageEquivalenceTest, ScansUnderJoinOrShipMatchMemory) {
+  SharedStores& shared = Shared();
+  const char* queries[] = {
+      "SELECT n.nationkey, n.name, n.regionkey, r.regionkey, r.name "
+      "FROM nation n, region r WHERE n.regionkey = r.regionkey",
+      "SELECT s.suppkey, n.nationkey, n.name, n.regionkey "
+      "FROM supplier s, nation n WHERE s.nationkey = n.nationkey",
+  };
+  std::vector<PlanKind> parents;
+  for (const char* sql : queries) {
+    SCOPED_TRACE(sql);
+    auto q = OptimizeSql(shared, sql, "CR");
+    ASSERT_TRUE(q.ok()) << q.status();
+    std::vector<const PlanNode*> scan_parents;
+    ScanParents(*q->plan, &scan_parents);
+    for (const PlanNode* parent : scan_parents) {
+      parents.push_back(parent->kind());
+    }
+    ExpectDiskMatchesMemory(*q);
+  }
+  EXPECT_NE(std::find(parents.begin(), parents.end(), PlanKind::kJoin),
+            parents.end());
+  EXPECT_NE(std::find(parents.begin(), parents.end(), PlanKind::kShip),
+            parents.end());
+}
+
+// The planner never builds a scan that keeps no column: a relation that
+// contributes only its row count keeps its first column
+// (plan/builder.cc), so COUNT(*) scans one column. A fragment built by
+// hand as Project[] over a disk scan decodes no column at all and still
+// yields every row, in the batches a memory scan yields.
+TEST(StorageEquivalenceTest, NarrowestDiskScansKeepEveryRow) {
+  SharedStores& shared = Shared();
+  auto q = OptimizeSql(shared, "SELECT COUNT(*) FROM lineitem", "CR");
+  ASSERT_TRUE(q.ok()) << q.status();
+  std::vector<const PlanNode*> scan_parents;
+  ScanParents(*q->plan, &scan_parents);
+  ASSERT_FALSE(scan_parents.empty());
+  for (const PlanNode* parent : scan_parents) {
+    ASSERT_EQ(parent->kind(), PlanKind::kProject);
+    EXPECT_EQ(parent->project_ids.size(), 1u);
+  }
+  ExpectDiskMatchesMemory(*q);
+
+  auto project = std::make_shared<PlanNode>(*scan_parents.front());
+  project->project_ids.clear();
+  project->project_names.clear();
+  project->outputs.clear();
+  const PlanNode& scan = *project->child(0);
+  struct Drained {
+    std::vector<size_t> batch_rows;
+    int64_t rows_scanned = 0;
+    int64_t blocks_read = 0;
+  };
+  auto drain = [&](const TableStore* store) -> Result<Drained> {
+    Drained out;
+    exec_internal::BatchOpEnv env;
+    env.store = store;
+    env.rows_scanned = &out.rows_scanned;
+    env.storage_blocks_read = &out.blocks_read;
+    CGQ_ASSIGN_OR_RETURN(exec_internal::BatchOpPtr op,
+                         exec_internal::BuildBatchOp(*project, env));
+    int64_t rows = 0;
+    CGQ_RETURN_NOT_OK(exec_internal::DrainBatchOp(
+        op.get(), nullptr, &rows, [&](vec::ColumnBatch batch) {
+          if (batch.NumColumns() != 0) {
+            return Status::Internal("a column was decoded");
+          }
+          out.batch_rows.push_back(batch.NumRows());
+          return Status::OK();
+        }));
+    return out;
+  };
+  auto memory = drain(shared.memory.get());
+  ASSERT_TRUE(memory.ok()) << memory.status();
+  auto disk = drain(shared.disk.get());
+  ASSERT_TRUE(disk.ok()) << disk.status();
+  EXPECT_EQ(disk->batch_rows, memory->batch_rows);
+  EXPECT_EQ(disk->rows_scanned, memory->rows_scanned);
+  EXPECT_EQ(static_cast<size_t>(disk->rows_scanned),
+            *shared.disk->FragmentRows(scan.scan_location, scan.table));
+  EXPECT_EQ(memory->blocks_read, 0);
+  EXPECT_GT(disk->blocks_read, 1);
 }
 
 // Round trip back to memory mode: DisableDiskStorage materializes every

@@ -425,9 +425,12 @@ TEST_F(TraceTest, BlockReadSpanPerDiskBlock) {
   ASSERT_GT(blocks, 1);
   std::vector<CanonicalSpan> reads = SpansNamed(*engine, "block_read");
   EXPECT_EQ(static_cast<int64_t>(reads.size()), blocks);
+  // Q6's lineitem scans sit under Filter -> Project, which read 4 of
+  // lineitem's 14 columns: only those are decoded.
   for (const CanonicalSpan& span : reads) {
     EXPECT_GT(std::stoll(ArgOf(span, "bytes")), 0) << span.path;
     EXPECT_GT(std::stoll(ArgOf(span, "rows")), 0) << span.path;
+    EXPECT_EQ(ArgOf(span, "columns"), "4") << span.path;
   }
   ASSERT_TRUE(engine->DisableDiskStorage().ok());
   std::filesystem::remove_all(dir);

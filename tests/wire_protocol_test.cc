@@ -17,6 +17,7 @@
 #include "exec/vector/column_batch.h"
 #include "gtest/gtest.h"
 #include "plan/plan_node.h"
+#include "typed_batches.h"
 
 namespace cgq {
 namespace wire {
@@ -199,117 +200,29 @@ TEST(WireFrame, CodecInfersTagsLikeFromRows) {
   }
 }
 
-/// `got` equals `want` slot for slot: tag, NULL words, NULL count and
-/// every payload (doubles by bit pattern).
-void ExpectSameColumn(const vec::ColumnVector& got,
-                      const vec::ColumnVector& want, const std::string& what) {
-  EXPECT_EQ(got.tag, want.tag) << what;
-  EXPECT_EQ(got.size(), want.size()) << what;
-  EXPECT_EQ(got.nulls.null_count(), want.nulls.null_count()) << what;
-  EXPECT_EQ(got.nulls.words(), want.nulls.words()) << what;
-  EXPECT_EQ(got.i64, want.i64) << what;
-  EXPECT_EQ(got.str, want.str) << what;
-  ASSERT_EQ(got.f64.size(), want.f64.size()) << what;
-  for (size_t i = 0; i < got.f64.size(); ++i) {
-    uint64_t a, b;
-    std::memcpy(&a, &got.f64[i], 8);
-    std::memcpy(&b, &want.f64[i], 8);
-    EXPECT_EQ(a, b) << what << " row " << i;
-  }
-  ASSERT_EQ(got.vals.size(), want.vals.size()) << what;
-  for (size_t i = 0; i < got.vals.size(); ++i) {
-    EXPECT_TRUE(got.vals[i].StructurallyEquals(want.vals[i]))
-        << what << " row " << i;
-  }
-}
-
-/// One random value of column kind `kind`.
-Value RandomValue(int kind, std::mt19937_64* rng) {
-  std::uniform_int_distribution<int> pct(0, 99);
-  const int p = pct(*rng);
-  switch (kind) {
-    case 0:  // int64, a few NULLs
-      if (p < 5) return Value::Null();
-      if (p < 10) return Value::Int64(std::numeric_limits<int64_t>::min());
-      return Value::Int64(static_cast<int64_t>((*rng)()));
-    case 1:  // date
-      return Value::Date(static_cast<int64_t>((*rng)() % 20000));
-    case 2:  // double, -0.0 and extremes included
-      if (p < 5) return Value::Null();
-      if (p < 10) return Value::Double(-0.0);
-      if (p < 15) return Value::Double(1e300);
-      return Value::Double(static_cast<double>(static_cast<int64_t>(
-                               (*rng)() % 2000001) - 1000000) / 64.0);
-    case 3: {  // string, empty ones included
-      if (p < 5) return Value::Null();
-      std::string v((*rng)() % (p < 30 ? 1 : 24), 'a');
-      for (char& c : v) c = static_cast<char>('a' + (*rng)() % 26);
-      return Value::String(std::move(v));
-    }
-    case 4:  // NULL-heavy double
-      return p < 90 ? Value::Null() : Value::Double(p * 0.25);
-    case 5:  // all NULL
-      return Value::Null();
-    default:  // mixed: the value fallback
-      if (p < 10) return Value::Null();
-      if (p < 40) return Value::Int64(p);
-      if (p < 70) return Value::Double(p * 0.5);
-      return Value::String(std::string(p % 5, 'x'));
-  }
-}
-
 // Differential check of the typed layout: seeded random batches of every
 // column form, dense and filtered, decode to exactly the columns FromRows
 // builds from the selected rows (tags, NULL words and counts, payloads).
 TEST(WireFrame, TypedLayoutRoundTripsLikeFromRows) {
-  const size_t kRowCounts[] = {0, 1, 2, 63, 64, 65, 130};
   int batches = 0;
   for (uint64_t seed = 1; seed <= 120; ++seed) {
-    std::mt19937_64 rng(seed);
-    const size_t num_rows = kRowCounts[rng() % std::size(kRowCounts)];
-    const size_t num_cols = rng() % 7;  // 0 columns included
-    std::vector<int> kinds(num_cols);
-    std::vector<AttrId> attrs(num_cols);
-    for (size_t c = 0; c < num_cols; ++c) {
-      kinds[c] = static_cast<int>(rng() % 7);
-      attrs[c] = static_cast<AttrId>(c + 1);
-    }
-    std::vector<Row> rows(num_rows);
-    for (Row& row : rows) {
-      for (size_t c = 0; c < num_cols; ++c) {
-        row.push_back(RandomValue(kinds[c], &rng));
-      }
-    }
-    const RowLayout layout(attrs);
-    vec::ColumnBatch batch = vec::FromRows(layout, rows).ValueOrDie();
-    std::vector<Row> selected = rows;
-    if (seed % 2 == 0 && num_rows > 0) {
-      // A filtered batch: a non-identity selection, gathered as encoded.
-      batch.sel.clear();
-      selected.clear();
-      for (uint32_t i = 0; i < num_rows; ++i) {
-        if (rng() % 3 == 0) continue;
-        batch.sel.push_back(i);
-        selected.push_back(rows[i]);
-      }
-    }
-    const vec::ColumnBatch want =
-        vec::FromRows(layout, selected).ValueOrDie();
-
+    const SeededBatch seeded = MakeSeededBatch(seed);
     Writer w;
-    w.PutBatch(batch);
+    w.PutBatch(seeded.batch);
     Reader r(w.buffer());
     auto got = r.ReadBatch();
     ASSERT_TRUE(got.ok()) << "seed " << seed << ": " << got.status();
     EXPECT_TRUE(r.AtEnd()) << "seed " << seed;
-    EXPECT_EQ(got->layout.attrs(), attrs) << "seed " << seed;
-    EXPECT_EQ(got->sel, vec::RangeSel(0, selected.size())) << "seed " << seed;
-    ASSERT_EQ(got->NumColumns(), num_cols);
-    for (size_t c = 0; c < num_cols; ++c) {
-      ExpectSameColumn(*got->columns[c], *want.columns[c],
+    EXPECT_EQ(got->layout.attrs(), seeded.batch.layout.attrs())
+        << "seed " << seed;
+    EXPECT_EQ(got->sel, vec::RangeSel(0, seeded.want.NumRows()))
+        << "seed " << seed;
+    ASSERT_EQ(got->NumColumns(), seeded.kinds.size());
+    for (size_t c = 0; c < seeded.kinds.size(); ++c) {
+      ExpectSameColumn(*got->columns[c], *seeded.want.columns[c],
                        "seed " + std::to_string(seed) + " col " +
                            std::to_string(c) + " kind " +
-                           std::to_string(kinds[c]));
+                           std::to_string(seeded.kinds[c]));
     }
     ++batches;
   }
