@@ -1,14 +1,11 @@
-// Extension benchmarks (DESIGN.md §7): phase-2 objective (total
-// communication cost vs response time, §3.3 Discussion) and physical join
-// method (hash vs sort-merge), on the six TPC-H queries under set CR.
-// Plans are executed at a small scale factor; reported network time uses
-// the message cost model.
+// Extension benchmark (DESIGN.md §7): phase-2 objective (total
+// communication cost vs response time, §3.3 Discussion) on the TPC-H
+// queries under set CR, as estimated by the optimizer's cost model.
 
 #include <cstdio>
 
 #include "bench_util.h"
 #include "core/optimizer.h"
-#include "exec/executor.h"
 #include "net/network_model.h"
 #include "tpch/tpch.h"
 
@@ -22,9 +19,6 @@ int main() {
   PolicyCatalog policies(&*catalog);
   if (!tpch::InstallPolicySet("CR", &policies).ok()) return 1;
   NetworkModel net = NetworkModel::DefaultGeo(5);
-  TableStore store;
-  if (!tpch::GenerateData(*catalog, config, &store).ok()) return 1;
-  Executor executor(&store, &net);
 
   bench::PrintHeader(
       "Phase-2 objective: estimated cost under total-cost vs response-time "
@@ -47,33 +41,5 @@ int main() {
                 catalog->locations().GetName(b->result_location).c_str());
   }
 
-  bench::PrintHeader(
-      "Join method: measured network time executing with hash vs "
-      "sort-merge equi-joins (identical results asserted in tests)");
-  std::printf("%-6s %-18s %-18s\n", "Query", "hash [net ms]",
-              "merge [net ms]");
-  for (int q : tpch::QueryNumbers()) {
-    std::string sql = *tpch::Query(q);
-    OptimizerOptions hash;
-    OptimizerOptions merge;
-    merge.prefer_sort_merge_join = true;
-    QueryOptimizer opt_hash(&*catalog, &policies, &net, hash);
-    QueryOptimizer opt_merge(&*catalog, &policies, &net, merge);
-    auto a = opt_hash.Optimize(sql);
-    auto b = opt_merge.Optimize(sql);
-    if (!a.ok() || !b.ok()) continue;
-    auto ra = executor.Execute(*a);
-    auto rb = executor.Execute(*b);
-    if (!ra.ok() || !rb.ok()) {
-      std::printf("Q%-5d execution failed\n", q);
-      continue;
-    }
-    std::printf("Q%-5d %-18.1f %-18.1f\n", q, ra->metrics.network_ms,
-                rb->metrics.network_ms);
-  }
-  std::printf("\n(join method never changes shipped bytes — transfers are "
-              "whole intermediate results — so the two columns agree; the "
-              "panel documents that physical choice and placement are "
-              "orthogonal, as in the paper's two-phase design)\n");
   return 0;
 }

@@ -73,7 +73,6 @@ Result<OptimizedQuery> QueryOptimizer::OptimizeAst(const QueryAst& ast) const {
   PlanAnnotator annotator(&memo, &evaluator,
                           options_.compliant ? PlanAnnotator::Mode::kCompliant
                                              : PlanAnnotator::Mode::kCostOnly);
-  annotator.set_prefer_sort_merge(options_.prefer_sort_merge_join);
   if (width > 1) annotator.set_parallelism(ThreadPool::Shared(), width);
   CGQ_ASSIGN_OR_RETURN(
       PlanNodePtr annotated,

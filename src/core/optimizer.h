@@ -30,9 +30,6 @@ struct OptimizerOptions {
   /// Phase-2 objective: false = total communication cost (paper default),
   /// true = response time (parallel transfers; §3.3 Discussion).
   bool response_time_objective = false;
-  /// Implementation rule preference: sort-merge join instead of hash join
-  /// for equi-joins.
-  bool prefer_sort_merge_join = false;
   /// Fan-out width for independent policy/implication checks (per-policy
   /// inside the evaluator, per-(group, database) AR4 prewarm inside the
   /// annotator). 1 = fully sequential (identical results either way; the

@@ -273,9 +273,9 @@ const std::vector<Winner>& PlanAnnotator::Winners(int group_id) {
 
 namespace {
 
-// Implementation rule: physical join selection. Hash (or sort-merge when
-// preferred) whenever a usable equi-conjunct exists; nested loop otherwise.
-JoinMethod ChooseJoinMethod(const PlanNode& join, bool prefer_sort_merge) {
+// Implementation rule: physical join selection. Hash whenever a usable
+// equi-conjunct exists; nested loop otherwise.
+JoinMethod ChooseJoinMethod(const PlanNode& join) {
   auto side_has = [&](size_t side, AttrId id) {
     for (const OutputCol& c : join.child(side)->outputs) {
       if (c.id == id) return true;
@@ -292,7 +292,7 @@ JoinMethod ChooseJoinMethod(const PlanNode& join, bool prefer_sort_merge) {
     AttrId b = c->child(1)->attr_id();
     if ((side_has(0, a) && side_has(1, b)) ||
         (side_has(0, b) && side_has(1, a))) {
-      return prefer_sort_merge ? JoinMethod::kSortMerge : JoinMethod::kHash;
+      return JoinMethod::kHash;
     }
   }
   return JoinMethod::kNestedLoop;
@@ -311,7 +311,7 @@ PlanNodePtr PlanAnnotator::Extract(int group_id, const Winner& winner) {
     node->children().push_back(Extract(cg, cw));
   }
   if (node->kind() == PlanKind::kJoin) {
-    node->join_method = ChooseJoinMethod(*node, prefer_sort_merge_);
+    node->join_method = ChooseJoinMethod(*node);
   }
   node->outputs = g.outputs;
   node->exec_trait = winner.exec_trait;

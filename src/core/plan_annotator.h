@@ -48,10 +48,6 @@ class PlanAnnotator {
   PlanAnnotator(Memo* memo, const PolicyEvaluator* evaluator, Mode mode)
       : memo_(memo), evaluator_(evaluator), mode_(mode) {}
 
-  /// Implementation-rule preference: use sort-merge instead of hash for
-  /// equi-joins (ablation / testing of physical alternatives).
-  void set_prefer_sort_merge(bool value) { prefer_sort_merge_ = value; }
-
   /// Fans independent AR4 evaluations — one per (single-database group,
   /// candidate database) pair — across up to `width` threads of `pool`
   /// before the sequential winner search runs (see PrewarmAr4). width <= 1
@@ -94,7 +90,6 @@ class PlanAnnotator {
   Memo* memo_;
   const PolicyEvaluator* evaluator_;
   Mode mode_;
-  bool prefer_sort_merge_ = false;
   ThreadPool* pool_ = nullptr;
   int width_ = 1;
   RuleCounts rules_;

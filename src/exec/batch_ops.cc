@@ -1,7 +1,6 @@
 #include "exec/batch_ops.h"
 
 #include <algorithm>
-#include <array>
 #include <deque>
 #include <optional>
 #include <unordered_map>
@@ -17,17 +16,9 @@ namespace exec_internal {
 
 using vec::ColumnBatch;
 using vec::ColumnPtr;
-using vec::ColumnTag;
 using vec::ColumnVector;
 using vec::SelVec;
 using vec::VecVal;
-
-Status CheckCancelled(const std::atomic<bool>* cancel) {
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-    return Status::Cancelled("query cancelled");
-  }
-  return Status::OK();
-}
 
 Status DrainBatchOp(BatchOp* op, const std::atomic<bool>* cancel,
                     int64_t* rows_out,
@@ -47,16 +38,6 @@ namespace {
 Status WidthMismatch(const std::string& table) {
   return Status::Internal("stored row width mismatch for table '" + table +
                           "'");
-}
-
-/// Appends rows [begin, end) of `batch` to `cols` (one per column).
-void AppendRows(const ColumnBatch& batch, size_t begin, size_t end,
-                std::vector<ColumnVector>* cols) {
-  for (size_t c = 0; c < cols->size(); ++c) {
-    const ColumnVector& src = *batch.columns[c];
-    ColumnVector& dst = (*cols)[c];
-    for (size_t k = begin; k < end; ++k) dst.AppendFrom(src, batch.sel[k]);
-  }
 }
 
 /// Re-chunks a stream of batches into batches of exactly `batch_size`
@@ -276,17 +257,6 @@ class FilterOp : public BatchOp {
   BatchOpPtr child_;
 };
 
-/// Rearranges column handles into `layout` (projection, union branches).
-ColumnBatch Remap(ColumnBatch in, const std::vector<size_t>& positions,
-                  const RowLayout& layout) {
-  ColumnBatch out;
-  out.layout = layout;
-  out.columns.reserve(positions.size());
-  for (size_t p : positions) out.columns.push_back(in.columns[p]);
-  out.sel = std::move(in.sel);
-  return out;
-}
-
 class ProjectOp : public BatchOp {
  public:
   static Result<BatchOpPtr> Make(const PlanNode* node, BatchOpPtr child) {
@@ -361,135 +331,12 @@ class UnionOp : public BatchOp {
   size_t current_ = 0;
 };
 
-/// Equi-join match finder over columns, with the defined match order of
-/// JoinHashTable: probe rows in input order; per probe row, build rows in
-/// build (insertion) order. Rows with a NULL key do not participate. Keys
-/// of up to four int64 build columns (every TPC-H join) are compared as
-/// plain integers, with each key's build rows chained in insertion order;
-/// other shapes hash RowKeys exactly like the row backend.
-class ColumnJoinTable {
- public:
-  /// `build` must be dense (its selection the identity).
-  void Build(const ColumnBatch& build, const JoinSpec& spec) {
-    int_keys_ = spec.key_positions.size() <= kMaxIntKeys;
-    for (auto [lp, rp] : spec.key_positions) {
-      int_keys_ &= build.columns[lp]->tag == ColumnTag::kInt64;
-    }
-    const size_t n = build.NumRows();
-    if (int_keys_) {
-      int_table_.reserve(n);
-      next_.assign(n, kEnd);
-      IntKey key;
-      for (uint32_t i = 0; i < n; ++i) {
-        if (!IntKeyOf(build, spec, /*build_side=*/true, i, &key)) continue;
-        auto [it, inserted] = int_table_.try_emplace(key, i, i);
-        if (!inserted) {
-          next_[it->second.second] = i;
-          it->second.second = i;
-        }
-      }
-      return;
-    }
-    table_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      RowKey key;
-      if (KeyOf(build, spec, /*build_side=*/true, i, &key)) {
-        table_[std::move(key)].push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
-
-  /// Appends every match of `probe`'s rows as (build row, probe column
-  /// row) pairs to `li` / `ri`.
-  Status Probe(const ColumnBatch& probe, const JoinSpec& spec,
-               const std::atomic<bool>* cancel, SelVec* li,
-               SelVec* ri) const {
-    for (size_t k = 0; k < probe.NumRows(); ++k) {
-      if ((k & 0x3ff) == 0) CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
-      const uint32_t r = probe.sel[k];
-      if (int_keys_) {
-        IntKey key;
-        if (!IntKeyOf(probe, spec, /*build_side=*/false, r, &key)) continue;
-        auto it = int_table_.find(key);
-        if (it == int_table_.end()) continue;
-        for (uint32_t l = it->second.first; l != kEnd; l = next_[l]) {
-          li->push_back(l);
-          ri->push_back(r);
-        }
-        continue;
-      }
-      RowKey key;
-      if (!KeyOf(probe, spec, /*build_side=*/false, r, &key)) continue;
-      auto it = table_.find(key);
-      if (it == table_.end()) continue;
-      for (uint32_t l : it->second) {
-        li->push_back(l);
-        ri->push_back(r);
-      }
-    }
-    return Status::OK();
-  }
-
- private:
-  static constexpr size_t kMaxIntKeys = 4;
-  static constexpr uint32_t kEnd = static_cast<uint32_t>(-1);
-  /// Int64 key values; slots past the key count stay zero.
-  using IntKey = std::array<int64_t, kMaxIntKeys>;
-  struct IntKeyHash {
-    size_t operator()(const IntKey& key) const {
-      uint64_t h = 0;
-      for (int64_t v : key) {
-        h = (h ^ static_cast<uint64_t>(v)) * 0x9E3779B97F4A7C15ULL;
-        h ^= h >> 29;
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-
-  /// The int64 join key of column row `i`; false when a key value is NULL
-  /// or not an int64 (such a row equals no int64 build key).
-  static bool IntKeyOf(const ColumnBatch& batch, const JoinSpec& spec,
-                       bool build_side, size_t i, IntKey* key) {
-    *key = IntKey{};
-    for (size_t c = 0; c < spec.key_positions.size(); ++c) {
-      auto [lp, rp] = spec.key_positions[c];
-      const ColumnVector& col = *batch.columns[build_side ? lp : rp];
-      if (col.tag == ColumnTag::kInt64) {
-        if (col.nulls.IsNull(i)) return false;
-        (*key)[c] = col.i64[i];
-        continue;
-      }
-      Value v = col.GetValue(i);
-      if (!v.is_int64()) return false;
-      (*key)[c] = v.int64();
-    }
-    return true;
-  }
-
-  /// The join key of column row `i`; false when a key value is NULL.
-  static bool KeyOf(const ColumnBatch& batch, const JoinSpec& spec,
-                    bool build_side, size_t i, RowKey* key) {
-    for (auto [lp, rp] : spec.key_positions) {
-      Value v = batch.columns[build_side ? lp : rp]->GetValue(i);
-      if (v.is_null()) return false;
-      key->values.push_back(std::move(v));
-    }
-    return true;
-  }
-
-  bool int_keys_ = false;
-  /// Int64 keys: key -> (first, last) build row of its chain, and the
-  /// next build row of each row's chain, in insertion order.
-  std::unordered_map<IntKey, std::pair<uint32_t, uint32_t>, IntKeyHash>
-      int_table_;
-  std::vector<uint32_t> next_;
-  std::unordered_map<RowKey, std::vector<uint32_t>, RowKeyHash> table_;
-};
-
-/// Join: the build (left) side is drained into columns; hash joins then
-/// stream the probe side batch by batch. Nested-loop and sort-merge
-/// joins (left-major output) and hash joins whose build side exceeds the
-/// memory budget (grace spill) run the shared row machinery.
+/// Join: the build (left) side is drained into columns. Hash joins then
+/// stream the probe side batch by batch through the ColumnJoinTable;
+/// joins without equi-keys drain the right side and pair each left row
+/// with every right row, one left row per Fill (left-major output). A
+/// hash join whose build side exceeds the memory budget takes the grace
+/// spill. Every path ends in the same JoinGather step.
 class JoinOp : public ChunkedOp {
  public:
   JoinOp(const PlanNode* node, BatchOpPtr left, BatchOpPtr right,
@@ -511,6 +358,12 @@ class JoinOp : public ChunkedOp {
       return Init();
     }
     CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
+    if (spec_.RequiresNestedLoop()) {
+      const uint32_t l = next_left_++;
+      CGQ_RETURN_NOT_OK(AddMatches(inner_, SelVec(inner_.NumRows(), l),
+                                   inner_.sel));
+      return next_left_ == build_.NumRows();
+    }
     CGQ_ASSIGN_OR_RETURN(OptBatch in, right_->Next());
     if (!in) {
       if (spill_ != nullptr) CGQ_RETURN_NOT_OK(FinishSpill());
@@ -520,41 +373,24 @@ class JoinOp : public ChunkedOp {
       CGQ_RETURN_NOT_OK(spill_->AddProbe(*in));
       return false;
     }
-    CGQ_RETURN_NOT_OK(ProbeBatch(*in));
+    SelVec li, ri;
+    CGQ_RETURN_NOT_OK(table_.Probe(*in, spec_, cancel_, &li, &ri));
+    CGQ_RETURN_NOT_OK(AddMatches(*in, li, ri));
     return false;
   }
 
  private:
   /// Materializes the build side and picks the join path; true when the
-  /// whole output was produced here.
+  /// join has no output.
   Result<bool> Init() {
     CGQ_ASSIGN_OR_RETURN(build_, DrainToColumns(left_.get(), cancel_));
     CGQ_ASSIGN_OR_RETURN(
         spec_, JoinSpec::Make(*node_, left_->layout(), right_->layout()));
+    gather_ = JoinGather(spec_);
 
-    if (spec_.RequiresNestedLoop() ||
-        node_->join_method != JoinMethod::kHash) {
-      CGQ_ASSIGN_OR_RETURN(ColumnBatch right,
-                           DrainToColumns(right_.get(), cancel_));
-      std::vector<Row> left_rows = vec::ToRowBatch(build_).rows;
-      std::vector<Row> right_rows = vec::ToRowBatch(right).rows;
-      std::vector<Row> matched;
-      if (spec_.RequiresNestedLoop() ||
-          node_->join_method == JoinMethod::kNestedLoop) {
-        for (const Row& l : left_rows) {
-          CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
-          for (const Row& r : right_rows) {
-            CGQ_RETURN_NOT_OK(spec_.EmitIfMatch(l, r, &matched).status());
-          }
-        }
-      } else {
-        CGQ_RETURN_NOT_OK(exec_internal::SortMergeJoin(
-            left_rows, right_rows, spec_.key_positions,
-            [&](const Row& l, const Row& r) {
-              return spec_.EmitIfMatch(l, r, &matched).status();
-            }));
-      }
-      return AddRows(matched);
+    if (spec_.RequiresNestedLoop()) {
+      CGQ_ASSIGN_OR_RETURN(inner_, DrainToColumns(right_.get(), cancel_));
+      return build_.NumRows() == 0 || inner_.NumRows() == 0;
     }
 
     const double build_bytes = build_.ByteSize();
@@ -575,62 +411,22 @@ class JoinOp : public ChunkedOp {
     }
 
     table_.Build(build_, spec_);
-    // Only the columns the output or the residual reference are gathered
-    // out of the conceptual combined (left ++ right) batch.
-    constexpr size_t kUnused = static_cast<size_t>(-1);
-    std::vector<size_t> to_gathered(spec_.combined.size(), kUnused);
-    auto require = [&](size_t pos) {
-      if (to_gathered[pos] == kUnused) {
-        to_gathered[pos] = gathered_.size();
-        gathered_.push_back(pos);
-      }
-    };
-    for (size_t p : spec_.out_positions) require(p);
-    std::vector<AttrId> residual_ids;
-    for (const ExprPtr& c : spec_.residual) c->CollectAttrIds(&residual_ids);
-    for (AttrId id : residual_ids) {
-      size_t pos = spec_.combined.PositionOf(id);
-      if (pos != RowLayout::kNotFound) require(pos);
-    }
-    std::vector<AttrId> gathered_attrs;
-    gathered_attrs.reserve(gathered_.size());
-    for (size_t pos : gathered_) {
-      gathered_attrs.push_back(spec_.combined.attrs()[pos]);
-    }
-    gathered_layout_ = RowLayout(std::move(gathered_attrs));
-    for (size_t p : spec_.out_positions) out_columns_.push_back(to_gathered[p]);
     return false;
   }
 
-  Status ProbeBatch(const ColumnBatch& probe) {
-    SelVec li, ri;
-    CGQ_RETURN_NOT_OK(table_.Probe(probe, spec_, cancel_, &li, &ri));
+  /// Adds the output of the (build row, `probe` row) pairs `li`/`ri`.
+  Status AddMatches(const ColumnBatch& probe, const SelVec& li,
+                    const SelVec& ri) {
     if (li.empty()) return Status::OK();
-    const size_t left_cols = build_.NumColumns();
-    ColumnBatch matched;
-    matched.layout = gathered_layout_;
-    matched.columns.reserve(gathered_.size());
-    for (size_t pos : gathered_) {
-      const ColumnVector& src = pos < left_cols
-                                    ? *build_.columns[pos]
-                                    : *probe.columns[pos - left_cols];
-      matched.columns.push_back(
-          vec::MakeColumn(src.Gather(pos < left_cols ? li : ri)));
-    }
-    matched.sel = vec::RangeSel(0, li.size());
-    if (!spec_.residual.empty()) {
-      SelVec keep = std::move(matched.sel);
-      CGQ_RETURN_NOT_OK(vec::FilterSel(spec_.residual, matched, &keep));
-      matched.sel = std::move(keep);
-    }
-    out_.Add(Remap(std::move(matched), out_columns_, layout_));
+    CGQ_ASSIGN_OR_RETURN(ColumnBatch out,
+                         gather_.Gather(build_, probe, li, ri));
+    out_.Add(std::move(out));
     return Status::OK();
   }
 
   Status FinishSpill() {
-    std::vector<Row> matched;
-    CGQ_RETURN_NOT_OK(spill_->Finish([&](Row row) {
-      matched.push_back(std::move(row));
+    CGQ_RETURN_NOT_OK(spill_->Finish([&](ColumnBatch batch) {
+      out_.Add(std::move(batch));
       return Status::OK();
     }));
     if (spill_partitions_ != nullptr) {
@@ -638,14 +434,7 @@ class JoinOp : public ChunkedOp {
     }
     if (spill_bytes_ != nullptr) *spill_bytes_ += spill_->spill_bytes();
     spill_.reset();
-    return AddRows(matched).status();
-  }
-
-  /// Adds row-machinery output; always true (the output is complete).
-  Result<bool> AddRows(const std::vector<Row>& rows) {
-    CGQ_ASSIGN_OR_RETURN(ColumnBatch batch, vec::FromRows(layout_, rows));
-    out_.Add(std::move(batch));
-    return true;
+    return Status::OK();
   }
 
   const PlanNode* node_;
@@ -657,13 +446,12 @@ class JoinOp : public ChunkedOp {
   int64_t* spill_partitions_;
   int64_t* spill_bytes_;
   JoinSpec spec_;
+  JoinGather gather_;
   ColumnBatch build_;
   ColumnJoinTable table_;
-  /// Combined (left ++ right) positions gathered per match, their layout,
-  /// and the gathered position of every output column.
-  std::vector<size_t> gathered_;
-  RowLayout gathered_layout_;
-  std::vector<size_t> out_columns_;
+  /// Nested loop: the drained right side, and the next left row to pair.
+  ColumnBatch inner_;
+  uint32_t next_left_ = 0;
   std::unique_ptr<SpillHashJoin> spill_;
   bool initialized_ = false;
 };

@@ -17,10 +17,6 @@ namespace exec_internal {
 
 using OptBatch = std::optional<vec::ColumnBatch>;
 
-/// Cooperative cancellation (ExecutorOptions::cancel), checked per batch
-/// and inside materialized-join loops. nullptr = not cancellable.
-Status CheckCancelled(const std::atomic<bool>* cancel);
-
 /// Pull-based columnar operator: Next() returns the next batch of at most
 /// `batch_size` rows, an empty optional at end-of-stream, or an error.
 /// Expressions run through the vector kernels (exec/vector/kernels.h).

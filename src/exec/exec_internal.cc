@@ -1,7 +1,16 @@
 #include "exec/exec_internal.h"
 
+#include "exec/vector/kernels.h"
+
 namespace cgq {
 namespace exec_internal {
+
+Status CheckCancelled(const std::atomic<bool>* cancel) {
+  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    return Status::Cancelled("query cancelled");
+  }
+  return Status::OK();
+}
 
 RowLayout LayoutOf(const PlanNode& node) {
   std::vector<AttrId> ids;
@@ -38,7 +47,6 @@ Result<bool> KeepRow(const std::vector<ExprPtr>& conjuncts, const Row& row,
 Result<JoinSpec> JoinSpec::Make(const PlanNode& node, const RowLayout& left,
                                 const RowLayout& right) {
   JoinSpec spec;
-  spec.method = node.join_method;
 
   // Split conjuncts into equi-pairs usable as hash keys and residuals.
   for (const ExprPtr& c : node.conjuncts) {
@@ -91,6 +99,81 @@ Result<bool> JoinSpec::EmitIfMatch(const Row& l, const Row& r,
   }
   out->push_back(std::move(final_row));
   return true;
+}
+
+vec::ColumnBatch Remap(vec::ColumnBatch in,
+                       const std::vector<size_t>& positions,
+                       const RowLayout& layout) {
+  vec::ColumnBatch out;
+  out.layout = layout;
+  out.columns.reserve(positions.size());
+  for (size_t p : positions) out.columns.push_back(in.columns[p]);
+  out.sel = std::move(in.sel);
+  return out;
+}
+
+void AppendRows(const vec::ColumnBatch& batch, size_t begin, size_t end,
+                std::vector<vec::ColumnVector>* cols) {
+  for (size_t c = 0; c < cols->size(); ++c) {
+    const vec::ColumnVector& src = *batch.columns[c];
+    vec::ColumnVector& dst = (*cols)[c];
+    for (size_t k = begin; k < end; ++k) dst.AppendFrom(src, batch.sel[k]);
+  }
+}
+
+JoinGather::JoinGather(const JoinSpec& spec) : residual_(spec.residual) {
+  constexpr size_t kUnused = static_cast<size_t>(-1);
+  std::vector<size_t> to_gathered(spec.combined.size(), kUnused);
+  auto require = [&](size_t pos) {
+    if (to_gathered[pos] == kUnused) {
+      to_gathered[pos] = gathered_.size();
+      gathered_.push_back(pos);
+    }
+  };
+  for (size_t p : spec.out_positions) require(p);
+  std::vector<AttrId> residual_ids;
+  for (const ExprPtr& c : residual_) c->CollectAttrIds(&residual_ids);
+  for (AttrId id : residual_ids) {
+    size_t pos = spec.combined.PositionOf(id);
+    if (pos != RowLayout::kNotFound) require(pos);
+  }
+  std::vector<AttrId> gathered_attrs;
+  gathered_attrs.reserve(gathered_.size());
+  for (size_t pos : gathered_) {
+    gathered_attrs.push_back(spec.combined.attrs()[pos]);
+  }
+  gathered_layout_ = RowLayout(std::move(gathered_attrs));
+  std::vector<AttrId> out_attrs;
+  out_attrs.reserve(spec.out_positions.size());
+  for (size_t p : spec.out_positions) {
+    out_columns_.push_back(to_gathered[p]);
+    out_attrs.push_back(spec.combined.attrs()[p]);
+  }
+  out_layout_ = RowLayout(std::move(out_attrs));
+}
+
+Result<vec::ColumnBatch> JoinGather::Gather(const vec::ColumnBatch& build,
+                                            const vec::ColumnBatch& probe,
+                                            const vec::SelVec& li,
+                                            const vec::SelVec& ri) const {
+  const size_t left_cols = build.NumColumns();
+  vec::ColumnBatch matched;
+  matched.layout = gathered_layout_;
+  matched.columns.reserve(gathered_.size());
+  for (size_t pos : gathered_) {
+    const vec::ColumnVector& src = pos < left_cols
+                                       ? *build.columns[pos]
+                                       : *probe.columns[pos - left_cols];
+    matched.columns.push_back(
+        vec::MakeColumn(src.Gather(pos < left_cols ? li : ri)));
+  }
+  matched.sel = vec::RangeSel(0, li.size());
+  if (!residual_.empty()) {
+    vec::SelVec keep = std::move(matched.sel);
+    CGQ_RETURN_NOT_OK(vec::FilterSel(residual_, matched, &keep));
+    matched.sel = std::move(keep);
+  }
+  return Remap(std::move(matched), out_columns_, out_layout_);
 }
 
 void JoinHashTable::Build(const std::vector<Row>& left,

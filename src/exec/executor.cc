@@ -148,20 +148,13 @@ class PlanInterpreter {
     RowBatch out;
     out.layout = LayoutOf(node);
 
-    if (spec.RequiresNestedLoop() ||
-        node.join_method == JoinMethod::kNestedLoop) {
+    if (spec.RequiresNestedLoop()) {
       for (const Row& l : left.rows) {
         CGQ_RETURN_NOT_OK(CheckCancelled(options_->cancel.get()));
         for (const Row& r : right.rows) {
           CGQ_RETURN_NOT_OK(spec.EmitIfMatch(l, r, &out.rows).status());
         }
       }
-    } else if (node.join_method == JoinMethod::kSortMerge) {
-      CGQ_RETURN_NOT_OK(exec_internal::SortMergeJoin(
-          left.rows, right.rows, spec.key_positions,
-          [&](const Row& l, const Row& r) {
-            return spec.EmitIfMatch(l, r, &out.rows).status();
-          }));
     } else {
       const double build_bytes = left.ByteSize();
       metrics_->max_build_bytes = std::max(
@@ -206,8 +199,10 @@ class PlanInterpreter {
     CGQ_ASSIGN_OR_RETURN(vec::ColumnBatch probe_cols,
                          vec::FromRowBatch(probe));
     CGQ_RETURN_NOT_OK(join.AddProbe(probe_cols));
-    CGQ_RETURN_NOT_OK(join.Finish([&](Row row) {
-      out->push_back(std::move(row));
+    CGQ_RETURN_NOT_OK(join.Finish([&](vec::ColumnBatch batch) {
+      for (Row& row : vec::ToRowBatch(batch).rows) {
+        out->push_back(std::move(row));
+      }
       return Status::OK();
     }));
     metrics_->spill_partitions += join.partitions();

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <numeric>
 
 #include "common/trace.h"
 #include "net/wire_protocol.h"
@@ -129,16 +128,17 @@ Status SpillHashJoin::Partition(const vec::ColumnBatch& batch, bool is_build,
     part.columns.push_back(vec::MakeColumn(std::move(ordinals)));
   }
   std::vector<vec::SelVec> sels(files->size());
-  Row key;
   for (uint32_t i : batch.sel) {
-    key.clear();
+    // HashRow of the key values, folded without building the key row.
+    size_t hash = 0x345678u;
     bool null_key = false;
     for (auto [lp, rp] : spec_->key_positions) {
-      key.push_back(batch.columns[is_build ? lp : rp]->GetValue(i));
-      null_key |= key.back().is_null();
+      const Value v = batch.columns[is_build ? lp : rp]->GetValue(i);
+      null_key |= v.is_null();
+      hash = hash * 1000003u ^ v.Hash();
     }
-    // A NULL key matches nothing, as in JoinHashTable::Build and Probe.
-    if (!null_key) sels[HashRow(key) % sels.size()].push_back(i);
+    // A NULL key matches nothing, as in ColumnJoinTable.
+    if (!null_key) sels[hash % sels.size()].push_back(i);
   }
   for (size_t p = 0; p < sels.size(); ++p) {
     if (sels[p].empty()) continue;
@@ -170,7 +170,8 @@ Status SpillHashJoin::AddProbe(const vec::ColumnBatch& batch) {
   return Partition(batch, /*is_build=*/false, &probe_files_);
 }
 
-Status SpillHashJoin::Finish(const std::function<Status(Row)>& emit) {
+Status SpillHashJoin::Finish(
+    const std::function<Status(vec::ColumnBatch)>& emit) {
   if (!initialized_) return Status::Internal("spill join not initialized");
   // Close every partition file; each is read back whole below.
   for (auto* files : {&build_files_, &probe_files_}) {
@@ -185,47 +186,61 @@ Status SpillHashJoin::Finish(const std::function<Status(Row)>& emit) {
   // ordinal; a probe row's matches all come from one partition, in build
   // insertion order, so a stable sort by ordinal restores the reference
   // order. Nothing is emitted before every partition has been read.
-  std::vector<Row> out;
+  const JoinGather gather(*spec_);
+  std::vector<vec::ColumnVector> out(gather.layout().size());
   std::vector<uint64_t> out_ordinals;
   for (size_t p = 0; p < build_files_.size(); ++p) {
     CGQ_RETURN_NOT_OK(CheckCancel());
-    std::vector<Row> build_rows;
-    auto add_build = [&](vec::ColumnBatch batch) {
-      for (Row& row : vec::ToRowBatch(batch).rows) {
-        build_rows.push_back(std::move(row));
+    std::vector<vec::ColumnVector> build_cols;
+    size_t build_rows = 0;
+    auto add_build = [&](vec::ColumnBatch frame) -> Status {
+      if (build_rows == 0) build_cols.resize(frame.NumColumns());
+      if (frame.NumColumns() != build_cols.size()) {
+        return Status::DataLoss(build_files_[p].path +
+                                ": build frames of different widths");
       }
+      AppendRows(frame, 0, frame.NumRows(), &build_cols);
+      build_rows += frame.NumRows();
       return Status::OK();
     };
     CGQ_RETURN_NOT_OK(ForEachSpillFrame(build_files_[p].path, add_build));
-    JoinHashTable table;
-    table.Build(build_rows, *spec_);
-    auto probe = [&](vec::ColumnBatch batch) -> Status {
+    if (build_rows == 0) continue;  // no probe row of the partition matches
+    const vec::ColumnBatch build =
+        vec::DenseBatch(RowLayout(), std::move(build_cols), build_rows);
+    ColumnJoinTable table;
+    table.Build(build, *spec_);
+    // A probe frame holds the probe columns and then the ordinals (see
+    // Partition).
+    const size_t probe_width = spec_->combined.size() - build.NumColumns();
+    auto probe = [&](vec::ColumnBatch frame) -> Status {
       CGQ_RETURN_NOT_OK(CheckCancel());
-      for (Row& row : vec::ToRowBatch(batch).rows) {
-        // The last value is the row's probe ordinal (see Partition).
-        if (row.empty() || !row.back().is_int64()) {
-          return Status::DataLoss(probe_files_[p].path +
-                                  ": probe row without its ordinal");
-        }
-        const uint64_t ordinal = static_cast<uint64_t>(row.back().int64());
-        row.pop_back();
-        auto match = [&](const Row& build_row) {
-          return spec_->EmitIfMatch(build_row, row, &out).status();
-        };
-        CGQ_RETURN_NOT_OK(table.Probe(row, *spec_, match));
-        out_ordinals.resize(out.size(), ordinal);
+      if (frame.NumColumns() != probe_width + 1 ||
+          frame.columns.back()->tag != vec::ColumnTag::kInt64) {
+        return Status::DataLoss(probe_files_[p].path +
+                                ": probe frame without its ordinals");
       }
+      vec::SelVec li, ri;
+      CGQ_RETURN_NOT_OK(table.Probe(frame, *spec_, cancel_, &li, &ri));
+      if (li.empty()) return Status::OK();
+      CGQ_ASSIGN_OR_RETURN(vec::ColumnBatch matched,
+                           gather.Gather(build, frame, li, ri));
+      const std::vector<int64_t>& ordinals = frame.columns.back()->i64;
+      for (uint32_t k : matched.sel) {
+        out_ordinals.push_back(static_cast<uint64_t>(ordinals[ri[k]]));
+      }
+      AppendRows(matched, 0, matched.NumRows(), &out);
       return Status::OK();
     };
     CGQ_RETURN_NOT_OK(ForEachSpillFrame(probe_files_[p].path, probe));
   }
-  std::vector<size_t> order(out.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+  if (out_ordinals.empty()) return Status::OK();
+  vec::SelVec order = vec::RangeSel(0, out_ordinals.size());
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return out_ordinals[a] < out_ordinals[b];
   });
-  for (size_t i : order) CGQ_RETURN_NOT_OK(emit(std::move(out[i])));
-  return Status::OK();
+  return emit(vec::DenseBatch(gather.layout(), std::move(out),
+                              out_ordinals.size())
+                  .Gather(order));
 }
 
 }  // namespace exec_internal

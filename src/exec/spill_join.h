@@ -12,7 +12,6 @@
 #include "common/result.h"
 #include "exec/exec_internal.h"
 #include "exec/vector/column_batch.h"
-#include "types/value.h"
 
 namespace cgq {
 namespace exec_internal {
@@ -23,9 +22,10 @@ namespace exec_internal {
 ///
 /// Both sides are hash-partitioned on the equi-key into P spill files
 /// (the same key always lands in the same partition), then each
-/// partition pair is joined independently with the regular in-memory
-/// JoinHashTable — so the resident input is ~1/P of both sides, beside
-/// the join's output, which every caller materializes. Each (input
+/// partition pair is joined independently on columns, with the
+/// ColumnJoinTable and JoinGather of the in-memory hash join — so the
+/// resident input is ~1/P of both sides, beside the join's output,
+/// which every caller materializes. Each (input
 /// batch, partition) pair is one checksummed spill frame (see
 /// EncodeSpillFrame), so a torn or corrupted spill file fails kDataLoss
 /// instead of yielding rows. The reference output order (probe rows in
@@ -37,7 +37,8 @@ namespace exec_internal {
 ///    (equal keys share a partition);
 ///  - every probe row is tagged with its global arrival ordinal, and a
 ///    probe row's matches live in exactly one partition;
-///  - Finish() stable-sorts the output by ordinal.
+///  - Finish() stable-sorts the output by ordinal and applies the
+///    order as one gather.
 ///
 /// Byte-identical to the non-spilled join, pinned by spill_join_test.
 class SpillHashJoin {
@@ -58,16 +59,18 @@ class SpillHashJoin {
 
   Status Init();
   /// Routes the batch's build-side rows to their partition files
-  /// (NULL-key rows are dropped, as JoinHashTable::Build drops them).
+  /// (NULL-key rows are dropped: they match nothing).
   Status AddBuild(const vec::ColumnBatch& batch);
   /// Routes the batch's probe-side rows, tagging each with the next
-  /// global ordinal (NULL-key rows are dropped, as JoinHashTable::Probe
-  /// skips them).
+  /// global ordinal (NULL-key rows are dropped: they match nothing).
   Status AddProbe(const vec::ColumnBatch& batch);
-  /// Joins every partition pair, then passes the output rows (in the
-  /// exact reference order) to `emit`. A torn or corrupt spill frame is
-  /// kDataLoss, before any row is emitted.
-  Status Finish(const std::function<Status(Row)>& emit);
+  /// Joins every partition pair, then passes the whole output (in the
+  /// exact reference order, laid out as the spec's output) to `emit` as
+  /// one dense batch; nothing when the join has no output. `spec`'s
+  /// `combined` layout must name the build then the probe columns. A
+  /// torn or corrupt spill frame is kDataLoss, before anything is
+  /// emitted.
+  Status Finish(const std::function<Status(vec::ColumnBatch)>& emit);
 
   int64_t partitions() const { return num_partitions_; }
   /// Bytes written across all spill files (both sides).

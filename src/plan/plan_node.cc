@@ -11,8 +11,6 @@ const char* JoinMethodToString(JoinMethod method) {
   switch (method) {
     case JoinMethod::kHash:
       return "hash";
-    case JoinMethod::kSortMerge:
-      return "merge";
     case JoinMethod::kNestedLoop:
       return "nl";
   }

@@ -27,7 +27,6 @@ const char* PlanKindToString(PlanKind kind);
 /// Physical join algorithm, chosen by the optimizer's implementation step.
 enum class JoinMethod {
   kHash,       ///< build/probe on the equi-conjuncts (default)
-  kSortMerge,  ///< sort both inputs on the equi-keys, merge
   kNestedLoop, ///< fallback for non-equi / cross joins
 };
 

@@ -113,7 +113,6 @@ PlanCache::Key PlanCache::ComputeKey(const std::string& sql,
   mix_all(options.enable_agg_pushdown ? 2 : 0);
   mix_all(options.required_result.bits());
   mix_all(options.response_time_objective ? 4 : 0);
-  mix_all(options.prefer_sort_merge_join ? 8 : 0);
   return Key{hi, lo};
 }
 

@@ -13,6 +13,9 @@
 // one batch size, every run's per-edge batch counts and modeled network
 // time equal those of the memory, single-thread, unbounded run.
 //
+// Joins without equi-keys (nested loops) over the small TPC-H tables
+// run the whole grid, every cell at every batch size.
+//
 // The NULL-semantics cases at the end pin the kernels' three-valued
 // logic on data the TPC-H generator never produces.
 
@@ -122,6 +125,30 @@ std::vector<std::string> SoakQueries(const Catalog& catalog) {
   return out;
 }
 
+// Theta and cross joins over nation, region and supplier; each plans as
+// a nested loop. The second one's residual meets NULLs (x / 0 is NULL at
+// regionkey 2); in the COUNT and in the last one, one side contributes
+// no output column.
+std::vector<std::string> NestedLoopQueries() {
+  return {
+      "SELECT n.name, r.name FROM nation n, region r "
+      "WHERE n.regionkey < r.regionkey",
+      "SELECT n.nationkey, r.regionkey FROM nation n, region r "
+      "WHERE n.nationkey / (r.regionkey - 2) > 3",
+      "SELECT COUNT(*) AS c FROM nation n, region r",
+      "SELECT s.name, n.name FROM supplier s, nation n "
+      "WHERE s.nationkey > n.nationkey + 20",
+      "SELECT n.name FROM nation n, region r WHERE n.nationkey > 20",
+  };
+}
+
+void CollectJoinMethods(const PlanNode& node, std::vector<JoinMethod>* out) {
+  if (node.kind() == PlanKind::kJoin) out->push_back(node.join_method);
+  for (const PlanNodePtr& child : node.children()) {
+    CollectJoinMethods(*child, out);
+  }
+}
+
 struct SoakConfig {
   bool disk = false;
   int threads = 1;
@@ -165,6 +192,43 @@ TEST(DifferentialSoak, FragmentRuntimeMatchesRowOracle) {
   size_t next_config = 0;
   int64_t spill_partitions = 0, blocks_read = 0;
   std::vector<bool> batch_covered(3, false);
+  // One fragment run of `q` in `cell`, against the row oracle and the
+  // memory, single-thread, unbounded fragment run at `batch_size`.
+  auto check = [&](const OptimizedQuery& q, const QueryResult& oracle,
+                   const QueryResult& reference, const SoakConfig& cell,
+                   int batch_size) {
+    SCOPED_TRACE(std::string(cell.disk ? "disk" : "memory") +
+                 " batch=" + std::to_string(batch_size) +
+                 " threads=" + std::to_string(cell.threads) +
+                 " budget=" + std::to_string(cell.budget));
+    auto got = run(q, cell.disk ? shared.disk.get() : shared.memory.get(),
+                   batch_size, cell.threads, cell.budget,
+                   ExecMode::kFragment);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ++runs;
+    const ExecMetrics& m = got->metrics;
+    EXPECT_EQ(Digest(*got), Digest(oracle));
+    EXPECT_EQ(m.ships, oracle.metrics.ships);
+    EXPECT_EQ(m.rows_shipped, oracle.metrics.rows_shipped);
+    EXPECT_EQ(m.bytes_shipped, oracle.metrics.bytes_shipped);
+    EXPECT_EQ(m.rows_scanned, oracle.metrics.rows_scanned);
+    EXPECT_EQ(m.network_ms, reference.metrics.network_ms);
+    ASSERT_EQ(m.edges.size(), reference.metrics.edges.size());
+    for (size_t e = 0; e < m.edges.size(); ++e) {
+      EXPECT_EQ(m.edges[e].batches, reference.metrics.edges[e].batches)
+          << "edge " << e;
+      EXPECT_EQ(m.edges[e].network_ms, reference.metrics.edges[e].network_ms)
+          << "edge " << e;
+    }
+    if (cell.budget > 0) spill_partitions += m.spill_partitions;
+    if (cell.disk) {
+      EXPECT_GT(m.storage_blocks_read, 0);
+      blocks_read += m.storage_blocks_read;
+    } else {
+      EXPECT_EQ(m.storage_blocks_read, 0);
+    }
+  };
+  int nested_loop_runs = 0;
   for (const char* policy_set : {"T", "CR"}) {
     PolicyCatalog policies(shared.catalog.get());
     ASSERT_TRUE(tpch::InstallPolicySet(policy_set, &policies).ok());
@@ -182,7 +246,6 @@ TEST(DifferentialSoak, FragmentRuntimeMatchesRowOracle) {
 
       auto oracle = run(*q, shared.memory.get(), 1024, 1, 0, ExecMode::kRow);
       ASSERT_TRUE(oracle.ok()) << oracle.status();
-      const uint64_t oracle_digest = Digest(*oracle);
 
       const size_t b = static_cast<size_t>(accepted) % 3;
       const int batch_size = kBatchSizes[b];
@@ -195,39 +258,36 @@ TEST(DifferentialSoak, FragmentRuntimeMatchesRowOracle) {
         cells.push_back(configs[next_config++ % configs.size()]);
       }
       for (const SoakConfig& cell : cells) {
-        SCOPED_TRACE(std::string(cell.disk ? "disk" : "memory") +
-                     " batch=" + std::to_string(batch_size) +
-                     " threads=" + std::to_string(cell.threads) +
-                     " budget=" + std::to_string(cell.budget));
-        auto got = run(*q, cell.disk ? shared.disk.get() : shared.memory.get(),
-                       batch_size, cell.threads, cell.budget,
-                       ExecMode::kFragment);
-        ASSERT_TRUE(got.ok()) << got.status();
-        ++runs;
-        const ExecMetrics& m = got->metrics;
-        EXPECT_EQ(Digest(*got), oracle_digest);
-        EXPECT_EQ(m.ships, oracle->metrics.ships);
-        EXPECT_EQ(m.rows_shipped, oracle->metrics.rows_shipped);
-        EXPECT_EQ(m.bytes_shipped, oracle->metrics.bytes_shipped);
-        EXPECT_EQ(m.rows_scanned, oracle->metrics.rows_scanned);
-        EXPECT_EQ(m.network_ms, reference->metrics.network_ms);
-        ASSERT_EQ(m.edges.size(), reference->metrics.edges.size());
-        for (size_t e = 0; e < m.edges.size(); ++e) {
-          EXPECT_EQ(m.edges[e].batches, reference->metrics.edges[e].batches)
-              << "edge " << e;
-          EXPECT_EQ(m.edges[e].network_ms,
-                    reference->metrics.edges[e].network_ms)
-              << "edge " << e;
-        }
-        if (cell.budget > 0) spill_partitions += m.spill_partitions;
-        if (cell.disk) {
-          EXPECT_GT(m.storage_blocks_read, 0);
-          blocks_read += m.storage_blocks_read;
-        } else {
-          EXPECT_EQ(m.storage_blocks_read, 0);
-        }
+        check(*q, *oracle, *reference, cell, batch_size);
       }
       ++accepted;
+    }
+    // The nested-loop inputs must be accepted, plan every join as a
+    // nested loop, and match the oracle in every cell of the grid.
+    for (const std::string& sql : NestedLoopQueries()) {
+      SCOPED_TRACE(std::string(policy_set) + ": " + sql);
+      auto q = optimizer.Optimize(sql);
+      ASSERT_TRUE(q.ok()) << q.status();
+      std::vector<JoinMethod> methods;
+      CollectJoinMethods(*q->plan, &methods);
+      ASSERT_FALSE(methods.empty());
+      for (JoinMethod m : methods) EXPECT_EQ(m, JoinMethod::kNestedLoop);
+      EXPECT_TRUE(CheckCompliance(*q->plan, evaluator,
+                                  shared.catalog->locations())
+                      .compliant);
+      auto oracle = run(*q, shared.memory.get(), 1024, 1, 0, ExecMode::kRow);
+      ASSERT_TRUE(oracle.ok()) << oracle.status();
+      ASSERT_FALSE(oracle->rows.empty());
+      for (int batch_size : kBatchSizes) {
+        auto reference = run(*q, shared.memory.get(), batch_size, 1, 0,
+                             ExecMode::kFragment);
+        ASSERT_TRUE(reference.ok()) << reference.status();
+        check(*q, *oracle, *reference, SoakConfig(), batch_size);
+        for (const SoakConfig& cell : configs) {
+          check(*q, *oracle, *reference, cell, batch_size);
+        }
+        nested_loop_runs += 1 + static_cast<int>(configs.size());
+      }
     }
   }
   // Coverage: every configuration of every axis ran, the 1 KiB budget
@@ -237,8 +297,10 @@ TEST(DifferentialSoak, FragmentRuntimeMatchesRowOracle) {
   EXPECT_EQ(batch_covered, std::vector<bool>(3, true));
   EXPECT_GT(spill_partitions, 0);
   EXPECT_GT(blocks_read, 0);
-  std::printf("differential soak: %d accepted plans, %d fragment runs\n",
-              accepted, runs);
+  EXPECT_EQ(nested_loop_runs, 2 * 5 * 3 * 8);
+  std::printf("differential soak: %d accepted plans, %d fragment runs "
+              "(%d of nested loops)\n",
+              accepted, runs, nested_loop_runs);
 }
 
 // --- NULL semantics ----------------------------------------------------------

@@ -22,6 +22,7 @@
 #include "exec/spill_join.h"
 #include "exec/table_store.h"
 #include "exec/vector/column_batch.h"
+#include "expr/expr.h"
 #include "net/cluster_client.h"
 #include "net/network_model.h"
 #include "net/server.h"
@@ -31,6 +32,17 @@ namespace cgq {
 namespace {
 
 using exec_internal::JoinSpec;
+using exec_internal::SpillHashJoin;
+
+// Joins every partition pair and returns the output rows in order.
+Result<std::vector<Row>> FinishRows(SpillHashJoin* join) {
+  std::vector<Row> rows;
+  CGQ_RETURN_NOT_OK(join->Finish([&](vec::ColumnBatch batch) {
+    for (Row& row : vec::ToRowBatch(batch).rows) rows.push_back(std::move(row));
+    return Status::OK();
+  }));
+  return rows;
+}
 
 class SpillJoinTest : public ::testing::Test {
  protected:
@@ -93,7 +105,6 @@ class SpillJoinTest : public ::testing::Test {
 };
 
 TEST_F(SpillJoinTest, PickPartitionsScalesWithPressure) {
-  using exec_internal::SpillHashJoin;
   // No pressure -> minimum fan-out; extreme pressure -> capped.
   EXPECT_EQ(SpillHashJoin::PickPartitions(1000, 1u << 30), 2);
   EXPECT_EQ(SpillHashJoin::PickPartitions(1u << 30, 1), 64);
@@ -204,6 +215,7 @@ TEST_F(SpillJoinTest, GenerousBudgetNeverSpills) {
 TEST_F(SpillJoinTest, DuplicateAndNullKeysMatchReference) {
   JoinSpec spec;
   spec.key_positions = {{0, 0}};
+  spec.combined = RowLayout({0, 1, 2, 3});
   spec.out_positions = {0, 1, 2, 3};  // identity over build ++ probe
 
   std::vector<Row> build, probe;
@@ -240,42 +252,102 @@ TEST_F(SpillJoinTest, DuplicateAndNullKeysMatchReference) {
       vec::FromRows(RowLayout({2, 3}), probe).ValueOrDie();
   for (int partitions : {2, 7, 64}) {
     SCOPED_TRACE("partitions=" + std::to_string(partitions));
-    exec_internal::SpillHashJoin join(
-        &spec, exec_internal::SpillHashJoin::MakeSpillDir(""), partitions,
-        nullptr);
+    SpillHashJoin join(&spec, SpillHashJoin::MakeSpillDir(""), partitions,
+                       nullptr);
     ASSERT_TRUE(join.Init().ok());
     ASSERT_TRUE(join.AddBuild(build_batch).ok());
     ASSERT_TRUE(join.AddProbe(probe_batch).ok());
-    std::vector<Row> got;
-    ASSERT_TRUE(join.Finish([&](Row row) {
-                      got.push_back(std::move(row));
-                      return Status::OK();
-                    })
-                    .ok());
-    ASSERT_EQ(got.size(), expected.size());
+    auto got = FinishRows(&join);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_TRUE(RowsStructurallyEqual(got[i], expected[i])) << "row " << i;
+      ASSERT_TRUE(RowsStructurallyEqual((*got)[i], expected[i]))
+          << "row " << i;
     }
     EXPECT_GT(join.spill_bytes(), 0);
+  }
+}
+
+// String keys take the ColumnJoinTable's RowKey path. A residual
+// conjunct (build value < probe value) drops some key matches, NULL
+// among them, and the output order is a permutation of build ++ probe.
+TEST_F(SpillJoinTest, StringKeysAndResidualMatchReference) {
+  JoinSpec spec;
+  spec.key_positions = {{0, 0}};
+  spec.combined = RowLayout({0, 1, 2, 3});
+  spec.residual = {Expr::Binary(
+      ExprOp::kLt, Expr::BoundColumn(1, "b", "v", "build", DataType::kInt64),
+      Expr::BoundColumn(3, "p", "v", "probe", DataType::kInt64))};
+  spec.out_positions = {2, 1, 3};  // probe key, build value, probe value
+
+  std::vector<Row> build, probe;
+  for (int64_t i = 0; i < 150; ++i) {
+    // Keys k0..k6; every 10th build value is NULL (fails the residual).
+    build.push_back({Value::String("k" + std::to_string(i % 7)),
+                     i % 10 == 3 ? Value::Null() : Value::Int64(i % 13)});
+  }
+  for (int64_t i = 0; i < 120; ++i) {
+    // Keys k0..k8: k7 and k8 match no build row.
+    probe.push_back({Value::String("k" + std::to_string(i % 9)),
+                     Value::Int64(i % 11)});
+  }
+  build.push_back({Value::Null(), Value::Int64(0)});
+  probe.push_back({Value::Null(), Value::Int64(12)});
+
+  // The documented contract: probe order outer, build insertion order
+  // inner, NULL keys never match, the residual keeps only bv < pv.
+  std::vector<Row> expected;
+  size_t key_matches = 0;
+  for (const Row& p : probe) {
+    if (p[0].is_null()) continue;
+    for (const Row& b : build) {
+      if (b[0].is_null() || b[0].str() != p[0].str()) continue;
+      ++key_matches;
+      if (b[1].is_null() || b[1].int64() >= p[1].int64()) continue;
+      expected.push_back({p[0], b[1], p[1]});
+    }
+  }
+  ASSERT_GT(expected.size(), 0u);
+  ASSERT_LT(expected.size(), key_matches) << "the residual must drop some";
+
+  const vec::ColumnBatch build_batch =
+      vec::FromRows(RowLayout({0, 1}), build).ValueOrDie();
+  const vec::ColumnBatch probe_batch =
+      vec::FromRows(RowLayout({2, 3}), probe).ValueOrDie();
+  ASSERT_EQ(build_batch.columns[0]->tag, vec::ColumnTag::kString);
+  for (int partitions : {2, 7, 64}) {
+    SCOPED_TRACE("partitions=" + std::to_string(partitions));
+    SpillHashJoin join(&spec, SpillHashJoin::MakeSpillDir(""), partitions,
+                       nullptr);
+    ASSERT_TRUE(join.Init().ok());
+    // Two probe batches: ordinals continue across AddProbe calls.
+    ASSERT_TRUE(join.AddBuild(build_batch).ok());
+    ASSERT_TRUE(join.AddProbe(probe_batch.Slice(0, 50)).ok());
+    ASSERT_TRUE(
+        join.AddProbe(probe_batch.Slice(50, probe_batch.NumRows())).ok());
+    auto got = FinishRows(&join);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_TRUE(RowsStructurallyEqual((*got)[i], expected[i]))
+          << "row " << i;
+    }
   }
 }
 
 TEST_F(SpillJoinTest, EmptySidesProduceEmptyOutput) {
   JoinSpec spec;
   spec.key_positions = {{0, 0}};
-  exec_internal::SpillHashJoin join(
-      &spec, exec_internal::SpillHashJoin::MakeSpillDir(""), 4, nullptr);
+  spec.combined = RowLayout({0, 1});
+  spec.out_positions = {0, 1};
+  SpillHashJoin join(&spec, SpillHashJoin::MakeSpillDir(""), 4, nullptr);
   ASSERT_TRUE(join.Init().ok());
   const vec::ColumnBatch probe =
-      vec::FromRows(RowLayout({0}), {{Value::Int64(1)}}).ValueOrDie();
+      vec::FromRows(RowLayout({1}), {{Value::Int64(1)}}).ValueOrDie();
   ASSERT_TRUE(join.AddProbe(probe).ok());
-  std::vector<Row> got;
-  ASSERT_TRUE(join.Finish([&](Row row) {
-                    got.push_back(std::move(row));
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_TRUE(got.empty());
+  auto got = FinishRows(&join);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got->empty());
 }
 
 // Spill files are checksummed frames: a byte flipped inside a build
@@ -285,6 +357,7 @@ TEST_F(SpillJoinTest, EmptySidesProduceEmptyOutput) {
 TEST_F(SpillJoinTest, CorruptSpillFrameIsDataLoss) {
   JoinSpec spec;
   spec.key_positions = {{0, 0}};
+  spec.combined = RowLayout({0, 1, 2});
   spec.out_positions = {0, 1, 2};  // build key, build value, probe key
 
   // Enough build rows that stdio has written most of each partition's
@@ -303,8 +376,8 @@ TEST_F(SpillJoinTest, CorruptSpillFrameIsDataLoss) {
   enum class Damage { kFlipValueByte, kTruncateMidFrame };
   for (Damage damage : {Damage::kFlipValueByte, Damage::kTruncateMidFrame}) {
     SCOPED_TRACE(damage == Damage::kFlipValueByte ? "flip" : "truncate");
-    const std::string dir = exec_internal::SpillHashJoin::MakeSpillDir("");
-    exec_internal::SpillHashJoin join(&spec, dir, 2, nullptr);
+    const std::string dir = SpillHashJoin::MakeSpillDir("");
+    SpillHashJoin join(&spec, dir, 2, nullptr);
     ASSERT_TRUE(join.Init().ok());
     ASSERT_TRUE(join.AddBuild(build_batch).ok());
 
@@ -330,8 +403,8 @@ TEST_F(SpillJoinTest, CorruptSpillFrameIsDataLoss) {
 
     ASSERT_TRUE(join.AddProbe(probe_batch).ok());
     size_t emitted = 0;
-    Status s = join.Finish([&](Row) {
-      ++emitted;
+    Status s = join.Finish([&](vec::ColumnBatch batch) {
+      emitted += batch.NumRows();
       return Status::OK();
     });
     ASSERT_FALSE(s.ok());

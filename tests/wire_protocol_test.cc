@@ -40,15 +40,15 @@ TEST(WireFrame, GoldenHelloFrame) {
   ASSERT_EQ(frame.size(), kHeaderSize + 2);
   const std::vector<uint8_t> expected = {
       'C',  'G',  'Q',  'W',                           // magic 0x57514743
-      0x04, 0x00,                                      // version 4
+      0x05, 0x00,                                      // version 5
       0x01, 0x00,                                      // type kHello
       0x02, 0x00, 0x00, 0x00,                          // payload length 2
-      0xa8, 0x1a, 0xd5, 0xd1, 0x45, 0x97, 0x9d, 0x68,  // Checksum64
-      0x04, 0x00,                                      // payload: v4
+      0xf2, 0x00, 0x43, 0x4c, 0xbb, 0x8f, 0x3c, 0x91,  // Checksum64
+      0x05, 0x00,                                      // payload: v5
   };
   EXPECT_EQ(Bytes(frame), expected);
-  const uint8_t payload[] = {0x04, 0x00};
-  EXPECT_EQ(Checksum64(payload, 2), 0x689d9745d1d51aa8ull);
+  const uint8_t payload[] = {0x05, 0x00};
+  EXPECT_EQ(Checksum64(payload, 2), 0x913c8fbb4c4300f2ull);
 }
 
 /// A 2-column batch over 4 rows narrowed to rows {0, 2, 3}: an int64
@@ -590,6 +590,40 @@ TEST(WireRoundTrip, PlanFragmentWithShipLeaf) {
       CheckFragmentPlacement(decoded->fragment_id, /*site=*/3,
                              droot.exec_trait, nullptr)
           .ok());
+}
+
+// The join method travels as one byte; 2 is past the last method
+// (kNestedLoop = 1), and a plan carrying it is refused.
+TEST(WireRoundTrip, UnknownJoinMethodRefused) {
+  auto scan = [](const char* table, AttrId id) {
+    auto node = std::make_shared<PlanNode>(PlanKind::kScan);
+    node->table = table;
+    node->outputs = {{id, "a", DataType::kInt64}};
+    return node;
+  };
+  auto join = std::make_shared<PlanNode>(PlanKind::kJoin);
+  join->outputs = {{1, "a", DataType::kInt64}, {2, "a", DataType::kInt64}};
+  join->children().push_back(scan("l", 1));
+  join->children().push_back(scan("r", 2));
+  StartFragment start;
+  start.root = join;
+
+  join->join_method = JoinMethod::kNestedLoop;
+  auto payload = start.Encode({});
+  ASSERT_TRUE(payload.ok());
+  auto decoded = StartFragment::Decode(*payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->root->join_method, JoinMethod::kNestedLoop);
+
+  join->join_method = static_cast<JoinMethod>(2);
+  payload = start.Encode({});
+  ASSERT_TRUE(payload.ok());
+  decoded = StartFragment::Decode(*payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsInvalidArgument()) << decoded.status();
+  EXPECT_NE(decoded.status().message().find("bad join method 2"),
+            std::string::npos)
+      << decoded.status();
 }
 
 TEST(WireRoundTrip, EveryFrameTypeHasAName) {
