@@ -127,8 +127,10 @@ Status Engine::DumpTraceToFile(const std::string& path) const {
   }
   std::string json = DumpTrace();
   size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
+  // A buffered write can first fail at close (a full disk): that is a
+  // truncated trace too.
+  const bool closed = std::fclose(f) == 0;
+  if (written != json.size() || !closed) {
     return Status::Internal("short write to trace file '" + path + "'");
   }
   return Status::OK();

@@ -15,7 +15,6 @@ namespace cgq {
 namespace exec_internal {
 
 using vec::ColumnBatch;
-using vec::ColumnPtr;
 using vec::ColumnVector;
 using vec::SelVec;
 using vec::VecVal;
@@ -153,52 +152,15 @@ Result<ColumnBatch> DrainToColumns(BatchOp* op,
   return vec::DenseBatch(op->layout(), std::move(cols), rows);
 }
 
-/// Memory-mode scan: batch_size windows over the store's cached columns
-/// of the fragment. No column is copied; the operators above read the
-/// columns they use through each window's selection.
-class ScanOp : public BatchOp {
+/// The scan of one fragment, in either storage mode: each cursor chunk
+/// (a memory column run or a decoded disk block) is re-chunked to
+/// batch_size. Windows inside one chunk share its columns. `layout` is
+/// the node's outputs, or the subset a masked cursor yields (BuildScan).
+class ScanOp : public ChunkedOp {
  public:
-  ScanOp(const PlanNode* node,
-         std::shared_ptr<const std::vector<ColumnPtr>> columns,
-         size_t batch_size, int64_t* rows_scanned)
-      : columns_(std::move(columns)),
-        rows_(columns_->empty() ? 0 : columns_->front()->size()),
-        batch_size_(batch_size),
-        rows_scanned_(rows_scanned),
-        layout_(LayoutOf(*node)) {}
-
-  Result<OptBatch> Next() override {
-    if (offset_ >= rows_) return OptBatch();
-    const size_t end = std::min(offset_ + batch_size_, rows_);
-    ColumnBatch out;
-    out.layout = layout_;
-    out.columns = *columns_;
-    out.sel = vec::RangeSel(offset_, end);
-    *rows_scanned_ += static_cast<int64_t>(end - offset_);
-    offset_ = end;
-    return OptBatch(std::move(out));
-  }
-
-  const RowLayout& layout() const override { return layout_; }
-
- private:
-  std::shared_ptr<const std::vector<ColumnPtr>> columns_;
-  const size_t rows_;
-  const size_t batch_size_;
-  int64_t* rows_scanned_;
-  RowLayout layout_;
-  size_t offset_ = 0;
-};
-
-/// Disk-mode scan: each checksummed block decodes straight into
-/// columns, re-chunked to batch_size (the same batch boundaries as the
-/// memory scan). `layout` is the node's outputs, or the subset a masked
-/// cursor decodes (BuildScan).
-class DiskScanOp : public ChunkedOp {
- public:
-  DiskScanOp(const PlanNode* node, RowLayout layout, TableStore::Cursor cursor,
-             size_t batch_size, int64_t* rows_scanned,
-             int64_t* storage_blocks_read)
+  ScanOp(const PlanNode* node, RowLayout layout, TableStore::Cursor cursor,
+         size_t batch_size, int64_t* rows_scanned,
+         int64_t* storage_blocks_read)
       : ChunkedOp(std::move(layout), batch_size, rows_scanned),
         node_(node),
         cursor_(std::move(cursor)),
@@ -208,7 +170,7 @@ class DiskScanOp : public ChunkedOp {
   Result<bool> Fill() override {
     ColumnBatch block;
     Result<bool> next = cursor_.Next(&block);
-    // A masked cursor refuses a block of another width this way.
+    // A masked cursor refuses a chunk of another width this way.
     if (next.status().IsInvalidArgument()) return WidthMismatch(node_->table);
     CGQ_ASSIGN_OR_RETURN(bool more, std::move(next));
     if (storage_blocks_read_ != nullptr) {
@@ -543,42 +505,30 @@ class AggregateOp : public ChunkedOp {
 };
 
 /// The scan of `node`. `reads`, when set, holds every attr the
-/// Filter*->Project chain directly above the scan reads; a disk scan
-/// then decodes only those of its columns, in stored order. Memory scans
-/// serve the cached columns whole, which costs nothing extra.
+/// Filter*->Project chain directly above the scan reads; the scan then
+/// yields only those of its columns, in stored order.
 Result<BatchOpPtr> BuildScan(const PlanNode& node, const BatchOpEnv& env,
                              size_t batch_size,
                              const std::vector<AttrId>* reads) {
-  if (env.store->storage_mode() == StorageMode::kDisk) {
-    RowLayout layout = LayoutOf(node);
-    std::optional<vec::ColumnMask> keep;
-    if (reads != nullptr) {
-      keep.emplace();
-      std::vector<AttrId> kept;
-      for (const OutputCol& col : node.outputs) {
-        const bool read =
-            std::find(reads->begin(), reads->end(), col.id) != reads->end();
-        keep->push_back(read);
-        if (read) kept.push_back(col.id);
-      }
-      layout = RowLayout(std::move(kept));
+  RowLayout layout = LayoutOf(node);
+  std::optional<vec::ColumnMask> keep;
+  if (reads != nullptr) {
+    keep.emplace();
+    std::vector<AttrId> kept;
+    for (const OutputCol& col : node.outputs) {
+      const bool read =
+          std::find(reads->begin(), reads->end(), col.id) != reads->end();
+      keep->push_back(read);
+      if (read) kept.push_back(col.id);
     }
-    CGQ_ASSIGN_OR_RETURN(TableStore::Cursor cursor,
-                         env.store->Scan(node.scan_location, node.table,
-                                         keep ? &*keep : nullptr));
-    return BatchOpPtr(new DiskScanOp(&node, std::move(layout),
-                                     std::move(cursor), batch_size,
-                                     env.rows_scanned,
-                                     env.storage_blocks_read));
+    layout = RowLayout(std::move(kept));
   }
-  CGQ_ASSIGN_OR_RETURN(
-      std::shared_ptr<const std::vector<ColumnPtr>> columns,
-      env.store->GetColumnar(node.scan_location, node.table));
-  if (!columns->empty() && columns->size() != node.outputs.size()) {
-    return WidthMismatch(node.table);
-  }
-  return BatchOpPtr(
-      new ScanOp(&node, std::move(columns), batch_size, env.rows_scanned));
+  CGQ_ASSIGN_OR_RETURN(TableStore::Cursor cursor,
+                       env.store->Scan(node.scan_location, node.table,
+                                       keep ? &*keep : nullptr));
+  return BatchOpPtr(new ScanOp(&node, std::move(layout), std::move(cursor),
+                               batch_size, env.rows_scanned,
+                               env.storage_blocks_read));
 }
 
 /// BuildBatchOp, with `reads` as in BuildScan: a Project starts the set

@@ -45,7 +45,6 @@ TableStore& TableStore::operator=(const TableStore& other) {
     } else {
       fragments_ = other.fragments_;
     }
-    std::lock_guard<std::mutex> clock(columnar_mu_);
     columnar_.clear();
   }
   return *this;
@@ -56,7 +55,6 @@ TableStore& TableStore::operator=(TableStore&& other) noexcept {
     std::scoped_lock lock(mu_, other.mu_);
     fragments_ = std::move(other.fragments_);
     engine_ = std::move(other.engine_);
-    std::lock_guard<std::mutex> clock(columnar_mu_);
     columnar_.clear();
   }
   return *this;
@@ -84,7 +82,6 @@ Status TableStore::EnableDiskStorage(const std::string& dir,
   CGQ_RETURN_NOT_OK(engine->Checkpoint());
   engine_ = std::move(engine);
   fragments_.clear();
-  std::lock_guard<std::mutex> clock(columnar_mu_);
   columnar_.clear();
   return Status::OK();
 }
@@ -101,7 +98,6 @@ Status TableStore::DisableDiskStorage() {
   }
   fragments_ = std::move(restored);
   engine_.reset();
-  std::lock_guard<std::mutex> clock(columnar_mu_);
   columnar_.clear();
   return Status::OK();
 }
@@ -127,7 +123,6 @@ Status TableStore::PutLocked(LocationId location, std::string table,
   } else {
     fragments_[key] = std::move(rows);
   }
-  std::lock_guard<std::mutex> clock(columnar_mu_);
   columnar_.erase(key);
   return Status::OK();
 }
@@ -159,7 +154,6 @@ Status TableStore::AppendRows(LocationId location, const std::string& table,
     std::vector<Row>& frag = fragments_[key];
     for (Row& row : rows) frag.push_back(std::move(row));
   }
-  std::lock_guard<std::mutex> clock(columnar_mu_);
   columnar_.erase(key);
   return Status::OK();
 }
@@ -200,84 +194,48 @@ Result<TableStore::Cursor> TableStore::Scan(
   std::string lowered = ToLower(table);
   Cursor cursor;
   if (engine_ != nullptr) {
-    cursor.is_disk_ = true;
     CGQ_ASSIGN_OR_RETURN(cursor.disk_, engine_->Scan(location, lowered, keep));
     CGQ_ASSIGN_OR_RETURN(cursor.total_rows_,
                          engine_->FragmentRows(location, lowered));
     return cursor;
   }
-  if (keep != nullptr) {
-    return Status::Unsupported(
-        "TableStore::Scan takes a column mask only in StorageMode::kDisk");
-  }
-  auto it = fragments_.find(Key(location, lowered));
+  std::string key = Key(location, lowered);
+  auto it = fragments_.find(key);
   if (it == fragments_.end()) {
     return Status::NotFound("no fragment of table '" + table +
                             "' at location " + std::to_string(location));
   }
-  cursor.memory_rows_ = it->second;  // snapshot: stays valid past the lock
-  cursor.total_rows_ = cursor.memory_rows_.size();
+  std::shared_ptr<const ColumnRuns>& runs = columnar_[key];
+  if (runs == nullptr) {
+    auto built = std::make_shared<ColumnRuns>();
+    for (size_t pos = 0; pos < it->second.size();) {
+      built->push_back(vec::NextWidthRun(it->second, &pos));
+    }
+    runs = std::move(built);
+  }
+  cursor.runs_ = runs;  // shared and immutable: valid past the lock
+  cursor.total_rows_ = it->second.size();
+  if (keep != nullptr) cursor.keep_ = *keep;
   return cursor;
 }
 
 Result<bool> TableStore::Cursor::Next(std::vector<Row>* out) {
   out->clear();
-  if (is_disk_) {
-    vec::ColumnBatch batch;
-    CGQ_ASSIGN_OR_RETURN(bool more, disk_.Next(&batch));
-    if (more) *out = vec::ToRowBatch(batch).rows;
-    return more;
-  }
-  if (memory_pos_ >= memory_rows_.size()) return false;
-  *out = std::move(memory_rows_);
-  memory_rows_.clear();
-  return true;
+  vec::ColumnBatch batch;
+  CGQ_ASSIGN_OR_RETURN(bool more, Next(&batch));
+  if (more) *out = vec::ToRowBatch(batch).rows;
+  return more;
 }
 
 Result<bool> TableStore::Cursor::Next(vec::ColumnBatch* out) {
-  if (is_disk_) return disk_.Next(out);
-  if (memory_pos_ >= memory_rows_.size()) return false;
-  *out = vec::NextWidthRun(memory_rows_, &memory_pos_);
+  if (runs_ == nullptr) return disk_.Next(out);
+  if (next_run_ == runs_->size()) return false;
+  *out = (*runs_)[next_run_++];
+  if (keep_) CGQ_RETURN_NOT_OK(vec::KeepColumns(*keep_, out));
   return true;
 }
 
-int64_t TableStore::Cursor::blocks_read() const {
-  return is_disk_ ? disk_.blocks_read() : 0;
-}
-
-Result<std::shared_ptr<const std::vector<vec::ColumnPtr>>>
-TableStore::GetColumnar(LocationId location, const std::string& table) const {
-  std::string key = Key(location, ToLower(table));
-  std::lock_guard<std::mutex> lock(mu_);
-  if (engine_ != nullptr) {
-    return Status::Unsupported(
-        "TableStore::GetColumnar caches whole fragments and requires "
-        "StorageMode::kMemory; stream disk-backed fragments with Scan()");
-  }
-  {
-    std::lock_guard<std::mutex> clock(columnar_mu_);
-    auto it = columnar_.find(key);
-    if (it != columnar_.end()) return it->second;
-  }
-  auto rows_it = fragments_.find(key);
-  if (rows_it == fragments_.end()) {
-    return Status::NotFound("no fragment of table '" + table +
-                            "' at location " + std::to_string(location));
-  }
-  const std::vector<Row>& rows = rows_it->second;
-  const size_t width = rows.empty() ? 0 : rows[0].size();
-  for (const Row& row : rows) {
-    if (row.size() != width) {
-      return Status::Internal("stored row width mismatch for table '" +
-                              table + "'");
-    }
-  }
-  auto built = std::make_shared<ColumnarFragment>(
-      vec::FromRows(rows.data(), rows.size(), width).columns);
-  std::lock_guard<std::mutex> clock(columnar_mu_);
-  columnar_[key] = built;
-  return std::shared_ptr<const ColumnarFragment>(std::move(built));
-}
+int64_t TableStore::Cursor::blocks_read() const { return disk_.blocks_read(); }
 
 std::vector<TableStore::FragmentRef> TableStore::ListFragments() const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -89,16 +90,19 @@ class TableStore {
                               const std::string& table) const;
 
   /// Streaming reader over one fragment, usable in both modes. Memory
-  /// mode yields the whole fragment (a snapshot copy); disk mode yields
-  /// one checksummed block per Next() and counts them.
+  /// mode yields the fragment's cached same-width column runs (shared,
+  /// not copied); disk mode yields one checksummed block per Next() and
+  /// counts them.
   class Cursor {
    public:
-    /// Fills *out (cleared first) with the next chunk; false when the
-    /// fragment is exhausted. Disk corruption is typed kDataLoss.
+    /// Fills *out (cleared first) with the next chunk as rows; false
+    /// when the fragment is exhausted. Disk corruption is typed
+    /// kDataLoss.
     Result<bool> Next(std::vector<Row>* out);
     /// The columnar form: the next chunk as a positional batch (empty
-    /// layout) of one row width. Disk blocks decode straight into it;
-    /// a ragged fragment yields one batch per same-width run.
+    /// layout) of one row width. A ragged fragment yields one batch per
+    /// same-width run; a chunk whose width differs from the cursor's
+    /// column mask is kInvalidArgument.
     Result<bool> Next(vec::ColumnBatch* out);
     /// Data blocks read so far (0 in memory mode).
     int64_t blocks_read() const;
@@ -107,27 +111,18 @@ class TableStore {
 
    private:
     friend class TableStore;
-    std::vector<Row> memory_rows_;
-    size_t memory_pos_ = 0;
-    bool is_disk_ = false;
+    /// Memory mode: the fragment's column runs; null in disk mode.
+    std::shared_ptr<const std::vector<vec::ColumnBatch>> runs_;
+    size_t next_run_ = 0;
+    std::optional<vec::ColumnMask> keep_;
     storage::StorageEngine::Cursor disk_;
     size_t total_rows_ = 0;
   };
-  /// `keep` (one entry per stored column) makes a disk-mode cursor
-  /// yield only the marked columns (StorageEngine::Scan); memory-mode
-  /// scans serve cached columns through GetColumnar instead and refuse a
-  /// mask as kUnsupported.
+  /// `keep` (one entry per stored column) makes the cursor yield only
+  /// the marked columns, in stored order. Snapshot semantics in both
+  /// modes: mutations after Scan() are not observed.
   Result<Cursor> Scan(LocationId location, const std::string& table,
                       const vec::ColumnMask* keep = nullptr) const;
-
-  /// The fragment in columnar form (one immutable column per stored-row
-  /// position), converted on first use and cached until the fragment is
-  /// replaced or appended to; fragment-runtime scans share the cached
-  /// columns. Memory mode only — disk-backed fragments stream block by
-  /// block through Scan(). Errors when the fragment is missing or its
-  /// rows disagree on width.
-  Result<std::shared_ptr<const std::vector<vec::ColumnPtr>>> GetColumnar(
-      LocationId location, const std::string& table) const;
 
   size_t TotalRows() const;
 
@@ -144,7 +139,9 @@ class TableStore {
   std::vector<FragmentRef> ListFragments() const;
 
  private:
-  using ColumnarFragment = std::vector<vec::ColumnPtr>;
+  /// A memory fragment in columnar form: its rows cut into same-width
+  /// runs (vec::NextWidthRun), immutable and shared by every cursor.
+  using ColumnRuns = std::vector<vec::ColumnBatch>;
 
   static std::string Key(LocationId location, const std::string& table) {
     return std::to_string(location) + "/" + table;
@@ -152,13 +149,13 @@ class TableStore {
   Status PutLocked(LocationId location, std::string table,
                    std::vector<Row> rows);
 
-  /// Guards fragments_, engine_ and the mode; columnar_mu_ nests inside.
+  /// Guards every member, the mode included.
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::vector<Row>> fragments_;
   std::unique_ptr<storage::StorageEngine> engine_;
-  mutable std::mutex columnar_mu_;
-  mutable std::unordered_map<std::string,
-                             std::shared_ptr<const ColumnarFragment>>
+  /// Memory mode: column runs built on a fragment's first Scan, dropped
+  /// when the fragment is replaced or appended to.
+  mutable std::unordered_map<std::string, std::shared_ptr<const ColumnRuns>>
       columnar_;
 };
 

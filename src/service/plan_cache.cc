@@ -1,7 +1,6 @@
 #include "service/plan_cache.h"
 
 #include <algorithm>
-#include <cctype>
 #include <utility>
 
 #include "common/trace.h"
@@ -26,32 +25,6 @@ inline void Mix(uint64_t* h, uint64_t v) {
     *h ^= (v >> (8 * i)) & 0xff;
     *h *= kFnvPrime;
   }
-}
-
-/// Lower-cases outside single-quoted string literals and collapses runs
-/// of whitespace to one space, so `SELECT  X` and `select x` share a
-/// cache entry while `WHERE name = 'EU'` keeps its literal intact.
-std::string NormalizeSql(const std::string& sql) {
-  std::string out;
-  out.reserve(sql.size());
-  bool in_string = false;
-  bool pending_space = false;
-  for (char c : sql) {
-    if (!in_string && std::isspace(static_cast<unsigned char>(c))) {
-      pending_space = !out.empty();
-      continue;
-    }
-    if (pending_space) {
-      out.push_back(' ');
-      pending_space = false;
-    }
-    if (c == '\'') in_string = !in_string;
-    out.push_back(in_string
-                      ? c
-                      : static_cast<char>(std::tolower(
-                            static_cast<unsigned char>(c))));
-  }
-  return out;
 }
 
 size_t StringBytes(const std::string& s) {
@@ -94,7 +67,6 @@ PlanCache::PlanCache(PlanCacheOptions options) : options_(options) {
 
 PlanCache::Key PlanCache::ComputeKey(const std::string& sql,
                                      const OptimizerOptions& options) {
-  const std::string norm = NormalizeSql(sql);
   // Two independent FNV-1a streams (distinct offsets) over the same
   // content give a 128-bit fingerprint, mirroring ExprFingerprint.
   uint64_t hi = kFnvOffset;
@@ -103,7 +75,7 @@ PlanCache::Key PlanCache::ComputeKey(const std::string& sql,
     Mix(&hi, v);
     Mix(&lo, v ^ 0xa5a5a5a5a5a5a5a5ULL);
   };
-  for (unsigned char c : norm) {
+  for (unsigned char c : sql) {
     hi = (hi ^ c) * kFnvPrime;
     lo = (lo ^ c) * kFnvPrime;
   }

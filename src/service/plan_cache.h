@@ -49,7 +49,7 @@ struct PlanCacheStats {
 };
 
 /// A compliant plan cache: memoizes the two-phase optimizer keyed by a
-/// normalized query fingerprint + the optimizer options that shape the
+/// query-skeleton fingerprint + the optimizer options that shape the
 /// plan, guarded by the policy-catalog epoch.
 ///
 /// Soundness (why serving a cached plan is safe): by Theorem 1 an
@@ -75,7 +75,7 @@ struct PlanCacheStats {
 /// in-flight queries).
 class PlanCache {
  public:
-  /// 128-bit cache key: fingerprint of the normalized SQL text and the
+  /// 128-bit cache key: fingerprint of the query skeleton and the
   /// plan-shaping OptimizerOptions fields.
   struct Key {
     uint64_t hi = 0;
@@ -93,10 +93,10 @@ class PlanCache {
 
   explicit PlanCache(PlanCacheOptions options = {});
 
-  /// Normalizes `sql` (lower-cased outside string literals, whitespace
-  /// collapsed) and fingerprints it together with the plan-shaping option
-  /// fields (compliant, agg pushdown, required result set, objective,
-  /// join preference). `threads` / `implication_cache` do not change the
+  /// Fingerprints `sql` as given (the engine passes the ParameterizeSql
+  /// skeleton, already the canonical token stream) together with the
+  /// plan-shaping option fields (compliant, agg pushdown, required result
+  /// set, objective). `threads` / `implication_cache` do not change the
   /// chosen plan and are excluded.
   static Key ComputeKey(const std::string& sql,
                         const OptimizerOptions& options);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "sql/param_normalizer.h"
 
 namespace cgq {
 namespace {
@@ -55,26 +56,37 @@ class PlanCacheTest : public ::testing::Test {
 };
 
 TEST_F(PlanCacheTest, KeyNormalizesWhitespaceAndCaseOutsideLiterals) {
+  // The engine keys the cache by the ParameterizeSql skeleton, which is
+  // already the canonical token stream: case and spacing outside literals
+  // never reach the key.
   OptimizerOptions opts;
-  auto a = PlanCache::ComputeKey("SELECT name FROM cust", opts);
-  auto b = PlanCache::ComputeKey("  select   NAME \n FROM  cust ", opts);
+  auto key = [&](const std::string& sql, const OptimizerOptions& o) {
+    return PlanCache::ComputeKey(ParameterizeSql(sql).skeleton, o);
+  };
+  auto a = key("SELECT name FROM cust", opts);
+  auto b = key("  select   NAME \n FROM  cust ", opts);
   EXPECT_EQ(a, b);
 
-  // String literals keep their case and spacing.
-  auto c = PlanCache::ComputeKey("SELECT id FROM cust WHERE name = 'A B'",
-                                 opts);
-  auto d = PlanCache::ComputeKey("SELECT id FROM cust WHERE name = 'a b'",
-                                 opts);
-  EXPECT_FALSE(c == d);
+  // Literals leave the skeleton: queries that differ only in a literal's
+  // case share one key and differ in their params.
+  const ParameterizedSql upper =
+      ParameterizeSql("SELECT id FROM cust WHERE name = 'A B'");
+  const ParameterizedSql lower =
+      ParameterizeSql("SELECT id FROM cust WHERE name = 'a b'");
+  EXPECT_EQ(PlanCache::ComputeKey(upper.skeleton, opts),
+            PlanCache::ComputeKey(lower.skeleton, opts));
+  ASSERT_EQ(upper.params.size(), 1u);
+  ASSERT_EQ(lower.params.size(), 1u);
+  EXPECT_FALSE(upper.params[0].StructurallyEquals(lower.params[0]));
 
   // Plan-shaping options split the key; throughput knobs do not.
   OptimizerOptions pinned = opts;
   pinned.required_result = LocationSet::Single(1);
-  EXPECT_FALSE(a == PlanCache::ComputeKey("SELECT name FROM cust", pinned));
+  EXPECT_FALSE(a == key("SELECT name FROM cust", pinned));
   OptimizerOptions threaded = opts;
   threaded.threads = 8;
   threaded.implication_cache = false;
-  EXPECT_EQ(a, PlanCache::ComputeKey("SELECT name FROM cust", threaded));
+  EXPECT_EQ(a, key("SELECT name FROM cust", threaded));
 }
 
 TEST_F(PlanCacheTest, HitAfterInsertMissOtherwise) {

@@ -381,5 +381,162 @@ TEST(StorageEquivalenceTest, DisableDiskStorageRoundTrips) {
   fs::remove_all(dir, ec);
 }
 
+// --- The memory cursor -------------------------------------------------------
+//
+// A memory-mode TableStore::Scan shares the fragment's cached column
+// runs, so it must behave like a disk cursor: masks narrow it, a mask of
+// the wrong width is refused, it is a snapshot, and a ragged fragment
+// comes back one same-width run at a time.
+
+std::vector<Row> MixedRows(int64_t n) {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < n; ++i) {
+    Value name =
+        i % 3 == 0 ? Value::Null() : Value::String("s" + std::to_string(i));
+    rows.push_back({Value::Int64(i), std::move(name),
+                    Value::Double(0.5 * static_cast<double>(i))});
+  }
+  return rows;
+}
+
+Result<std::vector<vec::ColumnBatch>> DrainCursor(
+    const TableStore& store, const std::string& table,
+    const vec::ColumnMask* keep) {
+  CGQ_ASSIGN_OR_RETURN(TableStore::Cursor cursor, store.Scan(0, table, keep));
+  std::vector<vec::ColumnBatch> out;
+  vec::ColumnBatch batch;
+  while (true) {
+    CGQ_ASSIGN_OR_RETURN(bool more, cursor.Next(&batch));
+    if (!more) return out;
+    out.push_back(std::move(batch));
+  }
+}
+
+TEST(MemoryCursorTest, MaskYieldsExactlyTheKeptColumns) {
+  TableStore store;
+  ASSERT_TRUE(store.Put(0, "t", MixedRows(50)).ok());
+  auto full = DrainCursor(store, "t", nullptr);
+  ASSERT_TRUE(full.ok()) << full.status();
+  const vec::ColumnMask keep = {true, false, true};
+  auto masked = DrainCursor(store, "t", &keep);
+  ASSERT_TRUE(masked.ok()) << masked.status();
+  ASSERT_EQ(full->size(), 1u);
+  ASSERT_EQ(masked->size(), 1u);
+  const vec::ColumnBatch& f = full->front();
+  const vec::ColumnBatch& m = masked->front();
+  ASSERT_EQ(f.NumColumns(), 3u);
+  ASSERT_EQ(m.NumColumns(), 2u);
+  ASSERT_EQ(m.NumRows(), 50u);
+  ASSERT_EQ(m.sel, f.sel);
+  const std::vector<Row> f_rows = vec::ToRowBatch(f).rows;
+  const std::vector<Row> m_rows = vec::ToRowBatch(m).rows;
+  for (size_t r = 0; r < f_rows.size(); ++r) {
+    EXPECT_TRUE(m_rows[r][0].StructurallyEquals(f_rows[r][0])) << r;
+    EXPECT_TRUE(m_rows[r][1].StructurallyEquals(f_rows[r][2])) << r;
+  }
+  // Both cursors share the cached columns rather than copies.
+  EXPECT_EQ(m.columns[0].get(), f.columns[0].get());
+  EXPECT_EQ(m.columns[1].get(), f.columns[2].get());
+}
+
+TEST(MemoryCursorTest, MaskOfAnotherWidthIsRefused) {
+  TableStore store;
+  ASSERT_TRUE(store.Put(0, "t", MixedRows(5)).ok());
+  const vec::ColumnMask narrow = {true, false};
+  auto cursor = store.Scan(0, "t", &narrow);
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  vec::ColumnBatch batch;
+  Result<bool> next = cursor->Next(&batch);
+  EXPECT_TRUE(next.status().IsInvalidArgument()) << next.status();
+
+  // The fragment runtime reports it as the stored-width error: a nation
+  // fragment stored one column short of its schema, scanned under a
+  // Project (so with a mask of the schema's width).
+  SharedStores& shared = Shared();
+  auto q = OptimizeSql(shared, "SELECT name FROM nation", "CR");
+  ASSERT_TRUE(q.ok()) << q.status();
+  std::vector<const PlanNode*> scan_parents;
+  ScanParents(*q->plan, &scan_parents);
+  ASSERT_FALSE(scan_parents.empty());
+  const PlanNode& project = *scan_parents.front();
+  ASSERT_EQ(project.kind(), PlanKind::kProject);
+  const PlanNode& scan = *project.child(0);
+  auto rows = shared.memory->Get(scan.scan_location, scan.table);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  std::vector<Row> short_rows = **rows;
+  for (Row& row : short_rows) row.pop_back();
+  TableStore broken;
+  ASSERT_TRUE(broken.Put(scan.scan_location, scan.table, short_rows).ok());
+  exec_internal::BatchOpEnv env;
+  env.store = &broken;
+  int64_t rows_scanned = 0;
+  env.rows_scanned = &rows_scanned;
+  auto op = exec_internal::BuildBatchOp(project, env);
+  ASSERT_TRUE(op.ok()) << op.status();
+  int64_t rows_out = 0;
+  Status drained = exec_internal::DrainBatchOp(
+      op->get(), nullptr, &rows_out,
+      [](vec::ColumnBatch) { return Status::OK(); });
+  EXPECT_TRUE(drained.IsInternal()) << drained;
+  EXPECT_NE(drained.message().find("stored row width mismatch"),
+            std::string::npos)
+      << drained;
+}
+
+TEST(MemoryCursorTest, CursorIsASnapshotAcrossAppend) {
+  TableStore store;
+  ASSERT_TRUE(store.Put(0, "t", MixedRows(4)).ok());
+  auto cursor = store.Scan(0, "t");
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  EXPECT_EQ(cursor->total_rows(), 4u);
+  ASSERT_TRUE(store.Append(0, "t", MixedRows(1).front()).ok());
+
+  std::vector<Row> seen, chunk;
+  while (true) {
+    auto more = cursor->Next(&chunk);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    seen.insert(seen.end(), chunk.begin(), chunk.end());
+  }
+  EXPECT_EQ(seen.size(), 4u);
+  auto after = DrainCursor(store, "t", nullptr);
+  ASSERT_TRUE(after.ok()) << after.status();
+  ASSERT_EQ(after->size(), 1u);
+  EXPECT_EQ(after->front().NumRows(), 5u);
+}
+
+TEST(MemoryCursorTest, RaggedFragmentYieldsOneBatchPerWidthRun) {
+  std::vector<Row> rows = {
+      {Value::Int64(1), Value::Int64(2)},
+      {Value::Int64(3), Value::Int64(4)},
+      {Value::Int64(5), Value::Int64(6), Value::Int64(7)},
+      {Value::Int64(8), Value::Int64(9), Value::Int64(10)},
+      {Value::Int64(11), Value::Int64(12), Value::Int64(13)},
+      {Value::Int64(14), Value::Int64(15)},
+  };
+  TableStore store;
+  ASSERT_TRUE(store.Put(0, "t", rows).ok());
+  auto batches = DrainCursor(store, "t", nullptr);
+  ASSERT_TRUE(batches.ok()) << batches.status();
+  ASSERT_EQ(batches->size(), 3u);
+  const size_t want_rows[] = {2, 3, 1};
+  const size_t want_cols[] = {2, 3, 2};
+  std::vector<Row> back;
+  for (size_t b = 0; b < 3; ++b) {
+    EXPECT_EQ((*batches)[b].NumRows(), want_rows[b]) << b;
+    EXPECT_EQ((*batches)[b].NumColumns(), want_cols[b]) << b;
+    for (Row& row : vec::ToRowBatch((*batches)[b]).rows) {
+      back.push_back(std::move(row));
+    }
+  }
+  ASSERT_EQ(back.size(), rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    ASSERT_EQ(back[r].size(), rows[r].size()) << r;
+    for (size_t c = 0; c < rows[r].size(); ++c) {
+      EXPECT_TRUE(back[r][c].StructurallyEquals(rows[r][c])) << r;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cgq

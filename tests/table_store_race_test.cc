@@ -120,6 +120,7 @@ TEST(TableStoreRaceTest, ConcurrentReadersAndCopies) {
   TableStore store;
   ASSERT_TRUE(store.Put(0, "t", MakeRows(256, 0)).ok());
 
+  const vec::ColumnMask keep = {false, true};
   std::atomic<bool> stop{false};
   std::thread mutator([&] {
     int64_t i = 0;
@@ -136,6 +137,20 @@ TEST(TableStoreRaceTest, ConcurrentReadersAndCopies) {
       while (true) {
         auto more = cursor->Next(&chunk);
         if (!more.ok() || !*more) break;
+      }
+      // A masked columnar drain shares the cached column runs the
+      // mutator's Puts keep dropping.
+      auto masked = store.Scan(0, "t", &keep);
+      if (!masked.ok()) continue;
+      vec::ColumnBatch batch;
+      while (true) {
+        auto more = masked->Next(&batch);
+        ASSERT_TRUE(more.ok()) << more.status();
+        if (!*more) break;
+        ASSERT_EQ(batch.NumColumns(), 1u);
+        for (uint32_t i : batch.sel) {
+          ASSERT_FALSE(batch.columns[0]->GetValue(i).is_null());
+        }
       }
       (void)store.FragmentRows(0, "t");
       (void)store.TotalRows();

@@ -264,6 +264,25 @@ TEST_F(TraceTest, MacrosCompileOutCompletely) {
 
 #endif  // CGQ_TRACING
 
+// --- Trace file export --------------------------------------------------------
+
+// A dump small enough to sit in stdio's buffer first fails when close
+// flushes it; on a full device that is a truncated trace, not OK.
+TEST_F(TraceTest, DumpTraceToFileReportsAFailedClose) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  Engine engine(Catalog(), NetworkModel::DefaultGeo(1));
+  Status full = engine.DumpTraceToFile("/dev/full");
+  EXPECT_TRUE(full.IsInternal()) << full;
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "cgq-trace-dump.json")
+          .string();
+  EXPECT_TRUE(engine.DumpTraceToFile(path).ok());
+  std::filesystem::remove(path);
+}
+
 // --- Seeded determinism soak ------------------------------------------------
 
 std::unique_ptr<Engine> MakeTpchEngine(bool lossy) {
