@@ -273,8 +273,8 @@ const std::vector<Winner>& PlanAnnotator::Winners(int group_id) {
 
 namespace {
 
-// Implementation rule: physical join selection. Hash whenever a usable
-// equi-conjunct exists; nested loop otherwise.
+// Implementation rule: physical join selection. Hash whenever a
+// conjunct is a hash key across the two inputs; nested loop otherwise.
 JoinMethod ChooseJoinMethod(const PlanNode& join) {
   auto side_has = [&](size_t side, AttrId id) {
     for (const OutputCol& c : join.child(side)->outputs) {
@@ -283,11 +283,7 @@ JoinMethod ChooseJoinMethod(const PlanNode& join) {
     return false;
   };
   for (const ExprPtr& c : join.conjuncts) {
-    if (c->op() != ExprOp::kEq) continue;
-    if (c->child(0)->op() != ExprOp::kColumnRef ||
-        c->child(1)->op() != ExprOp::kColumnRef) {
-      continue;
-    }
+    if (!IsHashJoinKey(*c)) continue;
     AttrId a = c->child(0)->attr_id();
     AttrId b = c->child(1)->attr_id();
     if ((side_has(0, a) && side_has(1, b)) ||

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -420,7 +419,9 @@ class JoinOp : public ChunkedOp {
 
 /// Hash aggregation: arguments are evaluated per input batch, then rows
 /// fold into their group's accumulators in input order (the accumulation
-/// order of HashAggregator); groups are emitted in first-seen order.
+/// order of HashAggregator). A KeyIndex numbers the groups in first-seen
+/// order, which is the order they are emitted in, and keeps each group's
+/// key cells for the output.
 class AggregateOp : public ChunkedOp {
  public:
   AggregateOp(const PlanNode* node, BatchOpPtr child, size_t batch_size,
@@ -435,25 +436,20 @@ class AggregateOp : public ChunkedOp {
     CGQ_ASSIGN_OR_RETURN(
         std::vector<size_t> group_positions,
         PositionsOf(node_->group_ids, child_->layout(), "aggregate input"));
-    struct GroupState {
-      Row key;
+    const bool global = group_positions.empty();
+    auto new_group = [this] {
       std::vector<AggAccumulator> accs;
+      accs.reserve(node_->agg_calls.size());
+      for (const AggCall& call : node_->agg_calls) accs.emplace_back(call);
+      return accs;
     };
-    auto new_group = [this](Row key) {
-      GroupState state;
-      state.key = std::move(key);
-      state.accs.reserve(node_->agg_calls.size());
-      for (const AggCall& call : node_->agg_calls) {
-        state.accs.emplace_back(call.fn);
-      }
-      return state;
-    };
-    std::unordered_map<RowKey, size_t, RowKeyHash> group_index;
-    std::vector<GroupState> groups;
+    KeyIndex index;
+    std::vector<std::vector<AggAccumulator>> groups;
     // A global aggregate has exactly one group, even over no input.
-    if (group_positions.empty()) groups.push_back(new_group(Row()));
+    if (global) groups.push_back(new_group());
 
     std::vector<VecVal> args;
+    std::vector<uint32_t> ids;
     while (true) {
       CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
       CGQ_ASSIGN_OR_RETURN(OptBatch in, child_->Next());
@@ -464,33 +460,23 @@ class AggregateOp : public ChunkedOp {
                              vec::EvalExprVec(*call.arg, *in, in->sel));
         args.push_back(std::move(v));
       }
+      if (!global) {
+        index.Lookup(*in, group_positions, KeyIndex::Mode::kGroup, &ids);
+      }
+      while (groups.size() < index.size()) groups.push_back(new_group());
       for (size_t k = 0; k < in->NumRows(); ++k) {
-        GroupState* state = group_positions.empty() ? &groups[0] : nullptr;
-        if (state == nullptr) {
-          RowKey key;
-          for (size_t p : group_positions) {
-            key.values.push_back(in->columns[p]->GetValue(in->sel[k]));
-          }
-          auto it = group_index.find(key);
-          if (it == group_index.end()) {
-            Row key_row = key.values;
-            it = group_index.emplace(std::move(key), groups.size()).first;
-            groups.push_back(new_group(std::move(key_row)));
-          }
-          state = &groups[it->second];
-        }
+        std::vector<AggAccumulator>& accs = groups[global ? 0 : ids[k]];
         for (size_t a = 0; a < args.size(); ++a) {
-          state->accs[a].Add(args[a].At(in->sel, k));
+          accs[a].Add(args[a].At(in->sel, k));
         }
       }
     }
 
-    std::vector<ColumnVector> cols(layout_.size());
-    for (ColumnVector& c : cols) c.Reserve(groups.size());
-    for (const GroupState& state : groups) {
-      size_t c = 0;
-      for (const Value& v : state.key) cols[c++].AppendValue(v);
-      for (const AggAccumulator& acc : state.accs) {
+    std::vector<ColumnVector> cols = std::move(index.keys());
+    cols.resize(layout_.size());
+    for (const std::vector<AggAccumulator>& accs : groups) {
+      size_t c = group_positions.size();
+      for (const AggAccumulator& acc : accs) {
         cols[c++].AppendValue(acc.Finish());
       }
     }

@@ -1,5 +1,10 @@
 #include "exec/exec_internal.h"
 
+#include <bit>
+#include <functional>
+#include <string_view>
+#include <variant>
+
 #include "exec/vector/kernels.h"
 
 namespace cgq {
@@ -48,27 +53,21 @@ Result<JoinSpec> JoinSpec::Make(const PlanNode& node, const RowLayout& left,
                                 const RowLayout& right) {
   JoinSpec spec;
 
-  // Split conjuncts into equi-pairs usable as hash keys and residuals.
-  for (const ExprPtr& c : node.conjuncts) {
-    bool is_key = false;
-    if (c->op() == ExprOp::kEq && c->child(0)->op() == ExprOp::kColumnRef &&
-        c->child(1)->op() == ExprOp::kColumnRef) {
-      AttrId a = c->child(0)->attr_id();
-      AttrId b = c->child(1)->attr_id();
-      size_t la = left.PositionOf(a);
-      size_t rb = right.PositionOf(b);
-      if (la != RowLayout::kNotFound && rb != RowLayout::kNotFound) {
-        spec.key_positions.emplace_back(la, rb);
-        is_key = true;
-      } else {
-        size_t lb = left.PositionOf(b);
-        size_t ra = right.PositionOf(a);
-        if (lb != RowLayout::kNotFound && ra != RowLayout::kNotFound) {
-          spec.key_positions.emplace_back(lb, ra);
-          is_key = true;
-        }
-      }
+  // Split conjuncts into hash keys across the inputs and residuals.
+  auto add_key = [&](AttrId l, AttrId r) {
+    const size_t lp = left.PositionOf(l);
+    const size_t rp = right.PositionOf(r);
+    if (lp == RowLayout::kNotFound || rp == RowLayout::kNotFound) {
+      return false;
     }
+    spec.key_positions.emplace_back(lp, rp);
+    return true;
+  };
+  for (const ExprPtr& c : node.conjuncts) {
+    const bool is_key =
+        IsHashJoinKey(*c) &&
+        (add_key(c->child(0)->attr_id(), c->child(1)->attr_id()) ||
+         add_key(c->child(1)->attr_id(), c->child(0)->attr_id()));
     if (!is_key) spec.residual.push_back(c);
   }
 
@@ -83,6 +82,13 @@ Result<JoinSpec> JoinSpec::Make(const PlanNode& node, const RowLayout& left,
                        PositionsOf(out.attrs(), spec.combined,
                                    "join output"));
   return spec;
+}
+
+std::vector<size_t> JoinSpec::KeyColumns(bool left) const {
+  std::vector<size_t> out;
+  out.reserve(key_positions.size());
+  for (auto [lp, rp] : key_positions) out.push_back(left ? lp : rp);
+  return out;
 }
 
 Result<bool> JoinSpec::EmitIfMatch(const Row& l, const Row& r,
@@ -118,6 +124,112 @@ void AppendRows(const vec::ColumnBatch& batch, size_t begin, size_t end,
     const vec::ColumnVector& src = *batch.columns[c];
     vec::ColumnVector& dst = (*cols)[c];
     for (size_t k = begin; k < end; ++k) dst.AppendFrom(src, batch.sel[k]);
+  }
+}
+
+namespace {
+
+constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+
+/// One key cell, whatever its column's tag: NULL, int64, double or the
+/// bytes of a string. Its == is RowKey's structural equality.
+using Cell = std::variant<std::monostate, int64_t, double, std::string_view>;
+
+Cell CellAt(const vec::ColumnVector& col, size_t row) {
+  if (col.tag == vec::ColumnTag::kValue) {
+    const Value& v = col.vals[row];
+    if (v.is_int64()) return v.int64();
+    if (v.is_double()) return v.dbl();
+    if (v.is_string()) return std::string_view(v.str());
+    return {};
+  }
+  if (col.nulls.IsNull(row)) return {};
+  if (col.tag == vec::ColumnTag::kInt64) return col.i64[row];
+  if (col.tag == vec::ColumnTag::kDouble) return col.f64[row];
+  return std::string_view(col.str[row]);
+}
+
+uint64_t HashCell(const Cell& c) {
+  if (const int64_t* i = std::get_if<int64_t>(&c)) return *i;
+  if (const double* d = std::get_if<double>(&c)) {
+    return std::bit_cast<uint64_t>(*d == 0 ? 0.0 : *d);  // -0.0 as 0.0
+  }
+  if (const auto* s = std::get_if<std::string_view>(&c)) {
+    return std::hash<std::string_view>()(*s);
+  }
+  return kGolden;  // NULL
+}
+
+}  // namespace
+
+void KeyIndex::HashRows(const vec::ColumnBatch& batch,
+                        const std::vector<size_t>& keys,
+                        std::vector<uint64_t>* hashes,
+                        std::vector<bool>* nulls) {
+  hashes->assign(batch.NumRows(), 0);
+  nulls->assign(batch.NumRows(), false);
+  for (size_t c : keys) {
+    for (size_t k = 0; k < batch.NumRows(); ++k) {
+      const Cell cell = CellAt(*batch.columns[c], batch.sel[k]);
+      if (cell.index() == 0) (*nulls)[k] = true;
+      // The multiply spreads into the top bits (the table's slots), the
+      // shift back into the low ones (spill partitions take a modulo).
+      const uint64_t h = ((*hashes)[k] ^ HashCell(cell)) * kGolden;
+      (*hashes)[k] = h ^ (h >> 32);
+    }
+  }
+}
+
+void KeyIndex::Reserve(size_t n) {
+  if (2 * n <= slots_.size()) return;
+  const size_t capacity = std::bit_ceil(2 * n | 16);
+  slots_.assign(capacity, kNone);
+  shift_ = 64 - std::countr_zero(capacity);
+  for (uint32_t id = 0; id < size(); ++id) {
+    size_t s = hashes_[id] >> shift_;
+    while (slots_[s] != kNone) s = (s + 1) & (capacity - 1);
+    slots_[s] = id;
+  }
+}
+
+size_t KeyIndex::Slot(const vec::ColumnBatch& batch,
+                      const std::vector<size_t>& keys, uint32_t row,
+                      uint64_t hash) const {
+  for (size_t s = hash >> shift_;; s = (s + 1) & (slots_.size() - 1)) {
+    const uint32_t id = slots_[s];
+    if (id == kNone) return s;
+    if (hashes_[id] != hash) continue;
+    size_t c = 0;
+    while (c < keys.size() && CellAt(keys_[c], id) ==
+                                  CellAt(*batch.columns[keys[c]], row)) {
+      ++c;
+    }
+    if (c == keys.size()) return s;
+  }
+}
+
+void KeyIndex::Lookup(const vec::ColumnBatch& batch,
+                      const std::vector<size_t>& keys, Mode mode,
+                      std::vector<uint32_t>* ids) {
+  std::vector<uint64_t> hashes;
+  std::vector<bool> nulls;
+  HashRows(batch, keys, &hashes, &nulls);
+  ids->assign(batch.NumRows(), kNone);
+  keys_.resize(keys.size());
+  for (size_t k = 0; k < batch.NumRows(); ++k) {
+    if (nulls[k] && mode != Mode::kGroup) continue;
+    if (mode != Mode::kProbe) Reserve(size() + 1);
+    if (slots_.empty()) return;  // a probe of an empty index
+    const uint32_t row = batch.sel[k];
+    const size_t s = Slot(batch, keys, row, hashes[k]);
+    if (slots_[s] == kNone && mode != Mode::kProbe) {
+      slots_[s] = static_cast<uint32_t>(size());
+      hashes_.push_back(hashes[k]);
+      for (size_t c = 0; c < keys.size(); ++c) {
+        keys_[c].AppendFrom(*batch.columns[keys[c]], row);
+      }
+    }
+    (*ids)[k] = slots_[s];
   }
 }
 
@@ -208,7 +320,7 @@ Status HashAggregator::Add(const Row& row) {
     GroupState state;
     state.key = key.values;
     for (const AggCall& call : node_->agg_calls) {
-      state.accs.emplace_back(call.fn);
+      state.accs.emplace_back(call);
     }
     it = group_index_.emplace(std::move(key), groups_.size()).first;
     groups_.push_back(std::move(state));
@@ -226,7 +338,7 @@ std::vector<Row> HashAggregator::Finish() {
   if (groups_.empty() && node_->group_ids.empty()) {
     GroupState state;
     for (const AggCall& call : node_->agg_calls) {
-      state.accs.emplace_back(call.fn);
+      state.accs.emplace_back(call);
     }
     groups_.push_back(std::move(state));
   }

@@ -1,7 +1,6 @@
 #ifndef CGQ_EXEC_EXEC_INTERNAL_H_
 #define CGQ_EXEC_EXEC_INTERNAL_H_
 
-#include <array>
 #include <atomic>
 #include <string>
 #include <unordered_map>
@@ -18,14 +17,16 @@ namespace cgq {
 namespace exec_internal {
 
 /// Operator machinery shared by the executor backends. The columnar
-/// fragment runtime (exec/batch_ops.h) joins with one match finder
-/// (ColumnJoinTable) and one gather-and-residual step (JoinGather): hash
-/// probes, nested loops and the grace spill's partitions (spill_join.h)
-/// all feed (build row, probe row) pairs into it. The row interpreter
-/// (the kRow oracle) runs on JoinHashTable, EmitIfMatch and
-/// HashAggregator. Both take JoinSpec. The two can only be validated
-/// byte-for-byte because the orders below are *defined*, not accidents
-/// of standard-library hash containers:
+/// fragment runtime (exec/batch_ops.h) keys every hash structure on one
+/// KeyIndex over typed columns: the hash join's match finder
+/// (ColumnJoinTable), the grace spill's partitioning (spill_join.h) and
+/// group-by all number keys with it. Hash probes, nested loops and the
+/// spill's partitions feed (build row, probe row) pairs into one
+/// gather-and-residual step (JoinGather). The row interpreter (the kRow
+/// oracle) runs on RowKey, JoinHashTable, EmitIfMatch and HashAggregator.
+/// Both take JoinSpec. The two can only be validated byte-for-byte
+/// because the orders below are *defined*, not accidents of hash
+/// containers:
 ///
 ///  - Hash join: probe rows in input order; per probe row, matching build
 ///    rows in build (insertion) order.
@@ -33,7 +34,10 @@ namespace exec_internal {
 ///    right rows in input order.
 ///  - Aggregation: groups emitted in first-seen order of their keys.
 ///
-/// (See DESIGN.md §12, "the row-reference validation contract".)
+/// Both match keys structurally (NULL = NULL for groups, int64 1 != double
+/// 1.0), which is why only same-family `col = col` conjuncts are hash
+/// keys (IsHashJoinKey). (See DESIGN.md §12, "the row-reference
+/// validation contract".)
 
 /// Cooperative cancellation (ExecutorOptions::cancel), checked per batch
 /// and inside materialized-join loops. nullptr = not cancellable.
@@ -42,7 +46,7 @@ Status CheckCancelled(const std::atomic<bool>* cancel);
 /// Layout of an operator's output rows.
 RowLayout LayoutOf(const PlanNode& node);
 
-/// Hash-table key wrapper with structural row equality.
+/// The row oracle's hash-table key: a row with structural equality.
 struct RowKey {
   Row values;
   bool operator==(const RowKey& other) const {
@@ -80,6 +84,9 @@ struct JoinSpec {
   /// loop.
   bool RequiresNestedLoop() const { return key_positions.empty(); }
 
+  /// The key columns of the left (build) or right (probe) input.
+  std::vector<size_t> KeyColumns(bool left) const;
+
   /// Row oracle: applies the residual conjuncts to l ++ r; on success
   /// appends the reordered output row to `*out` and returns true.
   Result<bool> EmitIfMatch(const Row& l, const Row& r,
@@ -97,41 +104,68 @@ vec::ColumnBatch Remap(vec::ColumnBatch in,
 void AppendRows(const vec::ColumnBatch& batch, size_t begin, size_t end,
                 std::vector<vec::ColumnVector>* cols);
 
+/// The columnar core's one key index. It numbers the distinct keys of
+/// ColumnBatch rows (their cells in a list of key columns) in
+/// first-insertion order, in one open-addressing table at most half full
+/// that grows by doubling. Cells hash and compare on their columns' tags
+/// (int64/date and double as words, strings over their bytes, kValue
+/// through its Value), so a cell hashes and compares the same whatever
+/// its column's tag. Equality is RowKey's: NULL equals NULL, int64 never
+/// equals double, -0.0 equals 0.0, NaN equals nothing.
+class KeyIndex {
+ public:
+  static constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+  /// kGroup numbers every key; kBuild every key without a NULL cell;
+  /// kProbe finds keys without a NULL cell and numbers none.
+  enum class Mode { kGroup, kBuild, kProbe };
+
+  /// For each row batch.sel[k]: the hash of its key, and whether a key
+  /// cell is NULL.
+  static void HashRows(const vec::ColumnBatch& batch,
+                       const std::vector<size_t>& keys,
+                       std::vector<uint64_t>* hashes, std::vector<bool>* nulls);
+
+  /// Sizes the table for `n` distinct keys.
+  void Reserve(size_t n);
+  /// (*ids)[k] = the id of row batch.sel[k]'s key (unseen keys take the
+  /// next ids), or kNone where `mode` numbers none.
+  void Lookup(const vec::ColumnBatch& batch, const std::vector<size_t>& keys,
+              Mode mode, std::vector<uint32_t>* ids);
+
+  size_t size() const { return hashes_.size(); }
+  /// The keys' first-seen cells in id order, one column per key column.
+  std::vector<vec::ColumnVector>& keys() { return keys_; }
+
+ private:
+  /// The slot holding `row`'s key's id, or the empty slot it would take.
+  size_t Slot(const vec::ColumnBatch& batch, const std::vector<size_t>& keys,
+              uint32_t row, uint64_t hash) const;
+
+  std::vector<uint32_t> slots_;  ///< ids, at the top bits of their hash
+  int shift_ = 64;
+  std::vector<uint64_t> hashes_;  ///< per id
+  std::vector<vec::ColumnVector> keys_;
+};
+
 /// Equi-join match finder over columns, with the defined match order of
 /// JoinHashTable: probe rows in input order; per probe row, build rows in
-/// build (insertion) order. Rows with a NULL key do not participate. Keys
-/// of up to four int64 build columns (every TPC-H join) are compared as
-/// plain integers, with each key's build rows chained in insertion order;
-/// other shapes hash RowKeys exactly like the row backend.
+/// build (insertion) order. Rows with a NULL key do not participate. A
+/// KeyIndex numbers the build keys; each key chains its build rows.
 class ColumnJoinTable {
  public:
   /// `build` must be dense (its selection the identity).
   void Build(const vec::ColumnBatch& build, const JoinSpec& spec) {
-    int_keys_ = spec.key_positions.size() <= kMaxIntKeys;
-    for (auto [lp, rp] : spec.key_positions) {
-      int_keys_ &= build.columns[lp]->tag == vec::ColumnTag::kInt64;
-    }
-    const size_t n = build.NumRows();
-    if (int_keys_) {
-      int_table_.reserve(n);
-      next_.assign(n, kEnd);
-      IntKey key;
-      for (uint32_t i = 0; i < n; ++i) {
-        if (!IntKeyOf(build, spec, /*build_side=*/true, i, &key)) continue;
-        auto [it, inserted] = int_table_.try_emplace(key, i, i);
-        if (!inserted) {
-          next_[it->second.second] = i;
-          it->second.second = i;
-        }
-      }
-      return;
-    }
-    table_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      RowKey key;
-      if (KeyOf(build, spec, /*build_side=*/true, i, &key)) {
-        table_[std::move(key)].push_back(static_cast<uint32_t>(i));
-      }
+    std::vector<uint32_t> ids;
+    index_.Reserve(build.NumRows());
+    index_.Lookup(build, spec.KeyColumns(/*left=*/true),
+                  KeyIndex::Mode::kBuild, &ids);
+    heads_.assign(index_.size(), KeyIndex::kNone);
+    next_.resize(build.NumRows());
+    // Backwards, so that each chain runs in insertion order.
+    for (uint32_t i = static_cast<uint32_t>(build.NumRows()); i-- > 0;) {
+      if (ids[i] == KeyIndex::kNone) continue;
+      next_[i] = heads_[ids[i]];
+      heads_[ids[i]] = i;
     }
   }
 
@@ -139,87 +173,26 @@ class ColumnJoinTable {
   /// row) pairs to `li` / `ri`.
   Status Probe(const vec::ColumnBatch& probe, const JoinSpec& spec,
                const std::atomic<bool>* cancel, vec::SelVec* li,
-               vec::SelVec* ri) const {
+               vec::SelVec* ri) {
+    std::vector<uint32_t> ids;
+    index_.Lookup(probe, spec.KeyColumns(/*left=*/false),
+                  KeyIndex::Mode::kProbe, &ids);
     for (size_t k = 0; k < probe.NumRows(); ++k) {
       if ((k & 0x3ff) == 0) CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
-      const uint32_t r = probe.sel[k];
-      if (int_keys_) {
-        IntKey key;
-        if (!IntKeyOf(probe, spec, /*build_side=*/false, r, &key)) continue;
-        auto it = int_table_.find(key);
-        if (it == int_table_.end()) continue;
-        for (uint32_t l = it->second.first; l != kEnd; l = next_[l]) {
-          li->push_back(l);
-          ri->push_back(r);
-        }
-        continue;
-      }
-      RowKey key;
-      if (!KeyOf(probe, spec, /*build_side=*/false, r, &key)) continue;
-      auto it = table_.find(key);
-      if (it == table_.end()) continue;
-      for (uint32_t l : it->second) {
+      if (ids[k] == KeyIndex::kNone) continue;
+      for (uint32_t l = heads_[ids[k]]; l != KeyIndex::kNone; l = next_[l]) {
         li->push_back(l);
-        ri->push_back(r);
+        ri->push_back(probe.sel[k]);
       }
     }
     return Status::OK();
   }
 
  private:
-  static constexpr size_t kMaxIntKeys = 4;
-  static constexpr uint32_t kEnd = static_cast<uint32_t>(-1);
-  /// Int64 key values; slots past the key count stay zero.
-  using IntKey = std::array<int64_t, kMaxIntKeys>;
-  struct IntKeyHash {
-    size_t operator()(const IntKey& key) const {
-      uint64_t h = 0;
-      for (int64_t v : key) {
-        h = (h ^ static_cast<uint64_t>(v)) * 0x9E3779B97F4A7C15ULL;
-        h ^= h >> 29;
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-
-  /// The int64 join key of column row `i`; false when a key value is NULL
-  /// or not an int64 (such a row equals no int64 build key).
-  static bool IntKeyOf(const vec::ColumnBatch& batch, const JoinSpec& spec,
-                       bool build_side, size_t i, IntKey* key) {
-    *key = IntKey{};
-    for (size_t c = 0; c < spec.key_positions.size(); ++c) {
-      auto [lp, rp] = spec.key_positions[c];
-      const vec::ColumnVector& col = *batch.columns[build_side ? lp : rp];
-      if (col.tag == vec::ColumnTag::kInt64) {
-        if (col.nulls.IsNull(i)) return false;
-        (*key)[c] = col.i64[i];
-        continue;
-      }
-      Value v = col.GetValue(i);
-      if (!v.is_int64()) return false;
-      (*key)[c] = v.int64();
-    }
-    return true;
-  }
-
-  /// The join key of column row `i`; false when a key value is NULL.
-  static bool KeyOf(const vec::ColumnBatch& batch, const JoinSpec& spec,
-                    bool build_side, size_t i, RowKey* key) {
-    for (auto [lp, rp] : spec.key_positions) {
-      Value v = batch.columns[build_side ? lp : rp]->GetValue(i);
-      if (v.is_null()) return false;
-      key->values.push_back(std::move(v));
-    }
-    return true;
-  }
-
-  bool int_keys_ = false;
-  /// Int64 keys: key -> (first, last) build row of its chain, and the
-  /// next build row of each row's chain, in insertion order.
-  std::unordered_map<IntKey, std::pair<uint32_t, uint32_t>, IntKeyHash>
-      int_table_;
+  KeyIndex index_;
+  /// Per key id, its first build row; per build row, its key's next one.
+  std::vector<uint32_t> heads_;
   std::vector<uint32_t> next_;
-  std::unordered_map<RowKey, std::vector<uint32_t>, RowKeyHash> table_;
 };
 
 /// The step every columnar join path ends in. Given matched (build row,

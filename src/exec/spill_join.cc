@@ -114,7 +114,7 @@ Status SpillHashJoin::Init() {
 Status SpillHashJoin::Partition(const vec::ColumnBatch& batch, bool is_build,
                                 std::vector<SpillFile>* files) {
   if (!initialized_) return Status::Internal("spill join not initialized");
-  CGQ_RETURN_NOT_OK(CheckCancel());
+  CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
   vec::ColumnBatch part;
   part.columns = batch.columns;
   if (!is_build) {
@@ -127,18 +127,14 @@ Status SpillHashJoin::Partition(const vec::ColumnBatch& batch, bool is_build,
     }
     part.columns.push_back(vec::MakeColumn(std::move(ordinals)));
   }
+  // Equal keys hash alike on both sides, whatever their columns' tags.
+  std::vector<uint64_t> hashes;
+  std::vector<bool> nulls;
+  KeyIndex::HashRows(batch, spec_->KeyColumns(is_build), &hashes, &nulls);
   std::vector<vec::SelVec> sels(files->size());
-  for (uint32_t i : batch.sel) {
-    // HashRow of the key values, folded without building the key row.
-    size_t hash = 0x345678u;
-    bool null_key = false;
-    for (auto [lp, rp] : spec_->key_positions) {
-      const Value v = batch.columns[is_build ? lp : rp]->GetValue(i);
-      null_key |= v.is_null();
-      hash = hash * 1000003u ^ v.Hash();
-    }
+  for (size_t k = 0; k < batch.NumRows(); ++k) {
     // A NULL key matches nothing, as in ColumnJoinTable.
-    if (!null_key) sels[hash % sels.size()].push_back(i);
+    if (!nulls[k]) sels[hashes[k] % sels.size()].push_back(batch.sel[k]);
   }
   for (size_t p = 0; p < sels.size(); ++p) {
     if (sels[p].empty()) continue;
@@ -151,13 +147,6 @@ Status SpillHashJoin::Partition(const vec::ColumnBatch& batch, bool is_build,
     }
     spill_bytes_ += static_cast<int64_t>(frame.size());
     CGQ_COUNTER_ADD("storage.spill_bytes", static_cast<int64_t>(frame.size()));
-  }
-  return Status::OK();
-}
-
-Status SpillHashJoin::CheckCancel() const {
-  if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-    return Status::Cancelled("query cancelled during spill join");
   }
   return Status::OK();
 }
@@ -190,7 +179,7 @@ Status SpillHashJoin::Finish(
   std::vector<vec::ColumnVector> out(gather.layout().size());
   std::vector<uint64_t> out_ordinals;
   for (size_t p = 0; p < build_files_.size(); ++p) {
-    CGQ_RETURN_NOT_OK(CheckCancel());
+    CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
     std::vector<vec::ColumnVector> build_cols;
     size_t build_rows = 0;
     auto add_build = [&](vec::ColumnBatch frame) -> Status {
@@ -213,7 +202,7 @@ Status SpillHashJoin::Finish(
     // Partition).
     const size_t probe_width = spec_->combined.size() - build.NumColumns();
     auto probe = [&](vec::ColumnBatch frame) -> Status {
-      CGQ_RETURN_NOT_OK(CheckCancel());
+      CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
       if (frame.NumColumns() != probe_width + 1 ||
           frame.columns.back()->tag != vec::ColumnTag::kInt64) {
         return Status::DataLoss(probe_files_[p].path +

@@ -92,7 +92,6 @@ class SpillHashJoin {
   /// frame per partition that got rows; probe rows take ordinals.
   Status Partition(const vec::ColumnBatch& batch, bool is_build,
                    std::vector<SpillFile>* files);
-  Status CheckCancel() const;
 
   const JoinSpec* spec_;
   std::string dir_;

@@ -189,7 +189,9 @@ Value AggAccumulator::Finish() const {
     case AggFn::kCount:
       return Value::Int64(count_);
     case AggFn::kSum:
-      if (count_ == 0) return Value::Null();
+      if (count_ == 0) {
+        return merges_counts_ ? Value::Int64(0) : Value::Null();
+      }
       return sum_is_integral_ ? Value::Int64(static_cast<int64_t>(sum_))
                               : Value::Double(sum_);
     case AggFn::kAvg:

@@ -62,16 +62,20 @@ Result<bool> EvalPredicate(const Expr& pred, const Row& row,
 class AggAccumulator {
  public:
   explicit AggAccumulator(AggFn fn) : fn_(fn) {}
+  explicit AggAccumulator(const AggCall& call)
+      : fn_(call.fn), merges_counts_(call.merges_counts) {}
 
   /// Folds one (already-evaluated) argument value. NULLs are ignored, per
   /// SQL semantics.
   void Add(const Value& v);
 
-  /// Final value; NULL for empty SUM/AVG/MIN/MAX groups, 0 for COUNT.
+  /// Final value; NULL for empty SUM/AVG/MIN/MAX groups, 0 for COUNT
+  /// and for a SUM that merges counts.
   Value Finish() const;
 
  private:
   AggFn fn_;
+  bool merges_counts_ = false;
   int64_t count_ = 0;
   double sum_ = 0;
   bool sum_is_integral_ = true;

@@ -170,9 +170,13 @@ class Expr {
 struct AggCall {
   AggFn fn = AggFn::kSum;
   ExprPtr arg;  ///< never null
+  /// Set on the SUM that merges partial COUNTs (eager aggregation): it
+  /// finishes 0, not NULL, over no rows, as the COUNT it replaces does.
+  bool merges_counts = false;
 
   bool Equals(const AggCall& other) const {
-    return fn == other.fn && arg->Equals(*other.arg);
+    return fn == other.fn && arg->Equals(*other.arg) &&
+           merges_counts == other.merges_counts;
   }
   std::string ToString() const;
 };

@@ -396,6 +396,7 @@ Status Writer::PutPlan(
       for (const AggCall& call : node.agg_calls) {
         PutU8(static_cast<uint8_t>(call.fn));
         PutExpr(*call.arg);
+        PutU8(call.merges_counts ? 1 : 0);
       }
       PutU32(static_cast<uint32_t>(node.agg_out_ids.size()));
       for (AttrId id : node.agg_out_ids) PutU32(id);
@@ -877,6 +878,12 @@ Result<PlanNodePtr> Reader::ReadPlan(std::vector<int>* input_channels) {
         AggCall call;
         call.fn = static_cast<AggFn>(fn);
         CGQ_ASSIGN_OR_RETURN(call.arg, ReadExpr());
+        CGQ_ASSIGN_OR_RETURN(uint8_t merges_counts, U8());
+        if (merges_counts > 1) {
+          return Status::InvalidArgument("bad count-merge flag " +
+                                         std::to_string(merges_counts));
+        }
+        call.merges_counts = merges_counts == 1;
         node->agg_calls.push_back(std::move(call));
       }
       CGQ_ASSIGN_OR_RETURN(uint32_t num_outs, U32());

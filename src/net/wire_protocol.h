@@ -32,7 +32,7 @@ namespace wire {
 /// The coordinator and the location servers ship from one build, so a
 /// peer speaks exactly kVersion or is refused at the handshake.
 inline constexpr uint32_t kMagic = 0x57514743u;
-inline constexpr uint16_t kVersion = 5;
+inline constexpr uint16_t kVersion = 6;
 inline constexpr size_t kHeaderSize = 20;
 /// Upper bound on one payload; larger frames are rejected as corrupt
 /// before any allocation happens (a resource guard against garbage

@@ -205,6 +205,8 @@ class RuleEngine {
     return out_ids;
   }
 
+  // Partial SUMs and COUNTs merge by SUM; the merging call of a COUNT is
+  // marked merges_counts, so it still finishes 0 over no rows.
   static AggFn OuterFnOf(AggFn fn) {
     return (fn == AggFn::kSum || fn == AggFn::kCount) ? AggFn::kSum : fn;
   }
@@ -316,7 +318,8 @@ class RuleEngine {
           const AggCall& orig = agg.agg_calls[slot];
           outer_calls[slot] =
               AggCall{OuterFnOf(orig.fn),
-                      PartialRef(out_ids[k], orig.fn, orig.arg)};
+                      PartialRef(out_ids[k], orig.fn, orig.arg),
+                      orig.fn == AggFn::kCount};
         }
         ExprPtr cnt_ref;
         if (with_count) {
@@ -377,7 +380,8 @@ class RuleEngine {
       for (size_t i = 0; i < agg.agg_calls.size(); ++i) {
         const AggCall& orig = agg.agg_calls[i];
         outer_calls.push_back(AggCall{
-            OuterFnOf(orig.fn), PartialRef(out_ids[i], orig.fn, orig.arg)});
+            OuterFnOf(orig.fn), PartialRef(out_ids[i], orig.fn, orig.arg),
+            orig.fn == AggFn::kCount});
       }
 
       std::vector<int> branch_groups;

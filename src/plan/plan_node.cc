@@ -17,6 +17,16 @@ const char* JoinMethodToString(JoinMethod method) {
   return "?";
 }
 
+bool IsHashJoinKey(const Expr& c) {
+  auto family = [](DataType t) {
+    return t == DataType::kDate ? DataType::kInt64 : t;
+  };
+  return c.op() == ExprOp::kEq &&
+         c.child(0)->op() == ExprOp::kColumnRef &&
+         c.child(1)->op() == ExprOp::kColumnRef &&
+         family(c.child(0)->type()) == family(c.child(1)->type());
+}
+
 const char* PlanKindToString(PlanKind kind) {
   switch (kind) {
     case PlanKind::kScan:

@@ -32,6 +32,13 @@ enum class JoinMethod {
 
 const char* JoinMethodToString(JoinMethod method);
 
+/// True when join conjunct `c` can be a hash key: `a = b` over two column
+/// refs of one type family (int64/date, double or string). Hash keys
+/// match structurally but `=` compares numerically, so a cross-family
+/// `=` (int64 0 = double 0.0) stays a residual. The physical join choice
+/// and the executors' JoinSpec both decide keys with this test.
+bool IsHashJoinKey(const Expr& c);
+
 /// One output column of a plan operator.
 struct OutputCol {
   AttrId id = 0;

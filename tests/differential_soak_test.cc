@@ -303,6 +303,95 @@ TEST(DifferentialSoak, FragmentRuntimeMatchesRowOracle) {
               accepted, runs, nested_loop_runs);
 }
 
+// Key shapes the TPC-H inputs above never build: a join on a string key
+// (with long build chains), a join on five int-family keys, and GROUP BY
+// on a double column, alone and beside a string. Each runs the whole
+// grid against the row oracle under unrestricted policies.
+TEST(DifferentialSoak, KeyShapesMatchRowOracle) {
+  SharedTpch shared;
+  PolicyCatalog policies(shared.catalog.get());
+  ASSERT_TRUE(tpch::InstallUnrestrictedPolicies(&policies).ok());
+  QueryOptimizer optimizer(shared.catalog.get(), &policies,
+                           shared.net.get(), OptimizerOptions());
+  struct Input {
+    std::string sql;
+    size_t join_keys;  // hash keys of the plan's one join; 0: no join
+  };
+  const std::vector<Input> inputs = {
+      {"SELECT o.orderkey, l.linenumber FROM orders o, lineitem l "
+       "WHERE o.orderstatus = l.linestatus AND o.orderkey < 160 "
+       "AND l.orderkey < 12",
+       1},
+      {"SELECT a.orderkey, a.linenumber, b.quantity "
+       "FROM lineitem a, lineitem b "
+       "WHERE a.orderkey = b.orderkey AND a.partkey = b.partkey "
+       "AND a.suppkey = b.suppkey AND a.linenumber = b.linenumber "
+       "AND a.shipdate = b.shipdate AND a.orderkey < 300",
+       5},
+      {"SELECT l.discount, COUNT(*) AS n, SUM(l.quantity) AS q "
+       "FROM lineitem l GROUP BY l.discount",
+       0},
+      {"SELECT l.tax, l.returnflag, MIN(l.extendedprice) AS lo "
+       "FROM lineitem l GROUP BY l.tax, l.returnflag",
+       0},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.sql);
+    auto q = optimizer.Optimize(input.sql);
+    ASSERT_TRUE(q.ok()) << q.status();
+    std::vector<const PlanNode*> joins;
+    std::vector<const PlanNode*> stack = {q->plan.get()};
+    while (!stack.empty()) {
+      const PlanNode* n = stack.back();
+      stack.pop_back();
+      if (n->kind() == PlanKind::kJoin) joins.push_back(n);
+      for (const PlanNodePtr& c : n->children()) stack.push_back(c.get());
+    }
+    ASSERT_EQ(joins.size(), input.join_keys == 0 ? 0u : 1u);
+    if (!joins.empty()) {
+      EXPECT_EQ(joins[0]->join_method, JoinMethod::kHash);
+      size_t keys = 0;
+      for (const ExprPtr& c : joins[0]->conjuncts) keys += IsHashJoinKey(*c);
+      EXPECT_EQ(keys, input.join_keys);
+    }
+    ExecutorOptions opts;
+    opts.mode = ExecMode::kRow;
+    auto oracle =
+        Executor(shared.memory.get(), shared.net.get(), opts).Execute(*q);
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    ASSERT_GT(oracle->rows.size(), 1u);
+    opts.mode = ExecMode::kFragment;
+    for (bool disk : {false, true}) {
+      for (int batch_size : {1, 7, 1024}) {
+        for (int threads : {1, 4}) {
+          for (uint64_t budget : {uint64_t{0}, uint64_t{1024}}) {
+            SCOPED_TRACE(std::string(disk ? "disk" : "memory") +
+                         " batch=" + std::to_string(batch_size) +
+                         " threads=" + std::to_string(threads) +
+                         " budget=" + std::to_string(budget));
+            opts.batch_size = batch_size;
+            opts.threads = threads;
+            opts.memory_budget_bytes = budget;
+            auto got = Executor(disk ? shared.disk.get() : shared.memory.get(),
+                                shared.net.get(), opts)
+                           .Execute(*q);
+            ASSERT_TRUE(got.ok()) << got.status();
+            EXPECT_EQ(Digest(*got), Digest(*oracle));
+            EXPECT_EQ(got->metrics.rows_shipped, oracle->metrics.rows_shipped);
+            EXPECT_EQ(got->metrics.bytes_shipped,
+                      oracle->metrics.bytes_shipped);
+            EXPECT_EQ(got->metrics.rows_scanned, oracle->metrics.rows_scanned);
+            // The 1 KiB budget sends both joins down the grace spill.
+            if (budget > 0 && input.join_keys > 0) {
+              EXPECT_GT(got->metrics.spill_partitions, 0);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- NULL semantics ----------------------------------------------------------
 
 // A small two-site engine whose data is riddled with NULLs: NULL filter

@@ -25,8 +25,36 @@ class JoinMethodsTest : public ::testing::Test {
     for (const auto& c : n.children()) CollectMethods(*c, out);
   }
 
+  /// Optimizes and runs `sql` over TPC-H data on `mode`.
+  Result<QueryResult> Run(const std::string& sql, ExecMode mode,
+                          const OptimizerOptions& opts = OptimizerOptions()) {
+    if (store_ == nullptr) {
+      store_ = std::make_unique<TableStore>();
+      CGQ_CHECK(tpch::GenerateData(*catalog_, config_, store_.get()).ok());
+    }
+    QueryOptimizer optimizer(catalog_.get(), policies_.get(), net_.get(),
+                             opts);
+    CGQ_ASSIGN_OR_RETURN(OptimizedQuery q, optimizer.Optimize(sql));
+    ExecutorOptions exec;
+    exec.mode = mode;
+    return Executor(store_.get(), net_.get(), exec).Execute(q);
+  }
+
+  /// The one value `sql` returns on `mode`.
+  int64_t Count(const std::string& sql, ExecMode mode,
+                const OptimizerOptions& opts = OptimizerOptions()) {
+    auto r = Run(sql, mode, opts);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status();
+    if (!r.ok() || r->rows.size() != 1 || !r->rows[0][0].is_int64()) {
+      ADD_FAILURE() << sql << ": not one int64 value";
+      return -1;
+    }
+    return r->rows[0][0].int64();
+  }
+
   tpch::TpchConfig config_;
   std::unique_ptr<Catalog> catalog_;
+  std::unique_ptr<TableStore> store_;
   std::unique_ptr<PolicyCatalog> policies_;
   std::unique_ptr<NetworkModel> net_;
 };
@@ -67,6 +95,75 @@ TEST_F(JoinMethodsTest, CrossJoinFallsBackToNestedLoop) {
   auto r = engine.Run("SELECT t1.a, t2.a AS b FROM t1, t2");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows.size(), 4u);  // cross product
+}
+
+// Hash keys match structurally (int64 0 != double 0.0) while `=`
+// compares numerically, so an equality across type families is a
+// residual: the join runs, and is labelled, as a nested loop.
+TEST_F(JoinMethodsTest, CrossFamilyEqualityIsAResidual) {
+  const std::string sql =
+      "SELECT COUNT(*) FROM nation n, lineitem l "
+      "WHERE n.nationkey = l.discount";
+  QueryOptimizer optimizer(catalog_.get(), policies_.get(), net_.get(),
+                           OptimizerOptions());
+  auto plan = optimizer.Optimize(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::vector<JoinMethod> methods;
+  CollectMethods(*plan->plan, &methods);
+  ASSERT_EQ(methods.size(), 1u);
+  EXPECT_EQ(methods[0], JoinMethod::kNestedLoop);
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kFragment}) {
+    SCOPED_TRACE(mode == ExecMode::kRow ? "row" : "fragment");
+    EXPECT_EQ(Count(sql, mode), 1093);
+    EXPECT_EQ(Count("SELECT COUNT(*) FROM lineitem l WHERE l.discount = 0",
+                    mode),
+              1093);
+    EXPECT_EQ(Count("SELECT COUNT(*) FROM nation n, lineitem l "
+                    "WHERE n.nationkey <= l.discount "
+                    "AND n.nationkey >= l.discount",
+                    mode),
+              1093);
+  }
+}
+
+// An equality of incomparable families fails as it does in a filter.
+TEST_F(JoinMethodsTest, IncomparableFamiliesFailInAJoin) {
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kFragment}) {
+    SCOPED_TRACE(mode == ExecMode::kRow ? "row" : "fragment");
+    for (const char* sql :
+         {"SELECT COUNT(*) FROM nation n, region r "
+          "WHERE n.name = r.regionkey",
+          "SELECT COUNT(*) FROM nation n WHERE n.name = n.regionkey"}) {
+      auto r = Run(sql, mode);
+      ASSERT_FALSE(r.ok()) << sql;
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+      EXPECT_NE(r.status().message().find(
+                    "comparing incompatible value families"),
+                std::string::npos)
+          << r.status();
+    }
+  }
+}
+
+// Eager aggregation merges a pushed-down COUNT by summing the partial
+// counts; over an empty join that sum is still COUNT's 0, not NULL.
+TEST_F(JoinMethodsTest, CountOverAnEmptyJoinIsZero) {
+  const std::string sql =
+      "SELECT COUNT(*) FROM nation n, lineitem l "
+      "WHERE n.nationkey = l.linenumber AND n.name = 'NOPE'";
+  QueryOptimizer optimizer(catalog_.get(), policies_.get(), net_.get(),
+                           OptimizerOptions());
+  auto plan = optimizer.Optimize(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const std::string text = PlanToString(*plan->plan, nullptr);
+  EXPECT_NE(text.find("Aggregate(partial)"), std::string::npos) << text;
+  OptimizerOptions no_pushdown;
+  no_pushdown.enable_agg_pushdown = false;
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kFragment}) {
+    SCOPED_TRACE(mode == ExecMode::kRow ? "row" : "fragment");
+    EXPECT_EQ(Count(sql, mode), 0);
+    EXPECT_EQ(Count(sql, mode, no_pushdown), 0);
+  }
 }
 
 }  // namespace

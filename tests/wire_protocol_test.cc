@@ -40,15 +40,15 @@ TEST(WireFrame, GoldenHelloFrame) {
   ASSERT_EQ(frame.size(), kHeaderSize + 2);
   const std::vector<uint8_t> expected = {
       'C',  'G',  'Q',  'W',                           // magic 0x57514743
-      0x05, 0x00,                                      // version 5
+      0x06, 0x00,                                      // version 6
       0x01, 0x00,                                      // type kHello
       0x02, 0x00, 0x00, 0x00,                          // payload length 2
-      0xf2, 0x00, 0x43, 0x4c, 0xbb, 0x8f, 0x3c, 0x91,  // Checksum64
-      0x05, 0x00,                                      // payload: v5
+      0x19, 0xdc, 0xdc, 0xec, 0x4b, 0x8a, 0x8e, 0x35,  // Checksum64
+      0x06, 0x00,                                      // payload: v6
   };
   EXPECT_EQ(Bytes(frame), expected);
-  const uint8_t payload[] = {0x05, 0x00};
-  EXPECT_EQ(Checksum64(payload, 2), 0x913c8fbb4c4300f2ull);
+  const uint8_t payload[] = {0x06, 0x00};
+  EXPECT_EQ(Checksum64(payload, 2), 0x358e8a4becdcdc19ull);
 }
 
 /// A 2-column batch over 4 rows narrowed to rows {0, 2, 3}: an int64
@@ -624,6 +624,31 @@ TEST(WireRoundTrip, UnknownJoinMethodRefused) {
   EXPECT_NE(decoded.status().message().find("bad join method 2"),
             std::string::npos)
       << decoded.status();
+}
+
+// An aggregate call's count-merge flag travels with the plan: a merged
+// COUNT must still finish 0 over no rows on the server.
+TEST(WireRoundTrip, CountMergeFlagTravels) {
+  auto scan = std::make_shared<PlanNode>(PlanKind::kScan);
+  scan->table = "t";
+  scan->outputs = {{1, "cnt", DataType::kInt64}};
+  auto agg = std::make_shared<PlanNode>(PlanKind::kAggregate);
+  const ExprPtr cnt = Expr::BoundColumn(1, "", "cnt", "", DataType::kInt64);
+  agg->agg_calls = {AggCall{AggFn::kSum, cnt, /*merges_counts=*/true},
+                    AggCall{AggFn::kSum, cnt}};
+  agg->agg_out_ids = {2, 3};
+  agg->outputs = {{2, "n", DataType::kInt64}, {3, "s", DataType::kInt64}};
+  agg->children().push_back(scan);
+  StartFragment start;
+  start.root = agg;
+  auto payload = start.Encode({});
+  ASSERT_TRUE(payload.ok());
+  auto decoded = StartFragment::Decode(*payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_EQ(decoded->root->agg_calls.size(), 2u);
+  EXPECT_TRUE(decoded->root->agg_calls[0].merges_counts);
+  EXPECT_FALSE(decoded->root->agg_calls[1].merges_counts);
+  EXPECT_TRUE(decoded->root->agg_calls[0].Equals(agg->agg_calls[0]));
 }
 
 TEST(WireRoundTrip, EveryFrameTypeHasAName) {
