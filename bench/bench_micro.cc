@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -41,6 +42,7 @@
 #include "plan/binder.h"
 #include "plan/builder.h"
 #include "plan/summary.h"
+#include "service/plan_cache.h"
 #include "service/query_service.h"
 #include "sql/parser.h"
 #include "storage/storage_engine.h"
@@ -631,6 +633,75 @@ int SpillSweepBench(const bench::BenchOptions& opts,
   return failures;
 }
 
+// Plan-cache churn row (part of --plan-cache): distinct skeletons worth
+// about twice the byte budget flow once each through a small cache, as
+// ad-hoc queries do. Every key is first-seen, so once a shard is full
+// admission must refuse the rest rather than evict for them (CI's
+// backends gate checks both).
+void PlanCacheChurnBench(Engine& engine,
+                         const std::vector<std::string>& sqls,
+                         bench::JsonReport* report) {
+  std::vector<OptimizedQuery> plans;
+  for (const std::string& sql : sqls) {
+    auto q = engine.Optimize(sql);
+    CGQ_CHECK(q.ok());
+    plans.push_back(std::move(*q));
+  }
+  constexpr int kSkeletons = 480;
+  size_t stream_bytes = 0;
+  for (int i = 0; i < kSkeletons; ++i) {
+    stream_bytes +=
+        PlanCache::EstimatePlanBytes(*plans[i % plans.size()].plan);
+  }
+  PlanCacheOptions copts;
+  copts.max_bytes = stream_bytes / 2;
+  PlanCache cache(copts);
+
+  int64_t admitted = 0;
+  double admitted_us = 0;
+  double refused_us = 0;
+  for (int i = 0; i < kSkeletons; ++i) {
+    const PlanCache::Key key = PlanCache::ComputeKey(
+        sqls[i % sqls.size()] + " -- churn " + std::to_string(i),
+        engine.default_options());
+    auto start = std::chrono::steady_clock::now();
+    PlanCache::InsertResult r =
+        cache.Insert(key, plans[i % plans.size()], {}, engine.policies());
+    double us = std::chrono::duration<double, std::micro>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    if (r.admitted) {
+      ++admitted;
+      admitted_us += us;
+    } else {
+      refused_us += us;
+    }
+  }
+  PlanCacheStats stats = cache.stats();
+  const int64_t refused = stats.refused;
+  auto mean = [](double total, int64_t n) { return n > 0 ? total / n : 0; };
+  std::printf(
+      "\nchurn: %d first-seen skeletons through a %.1f KB cache: %lld "
+      "admitted (%.1f us), %lld refused (%.1f us), %lld evicted, mean "
+      "insert %.1f us\n",
+      kSkeletons, copts.max_bytes / 1024.0, static_cast<long long>(admitted),
+      mean(admitted_us, admitted), static_cast<long long>(refused),
+      mean(refused_us, refused), static_cast<long long>(stats.evictions),
+      mean(admitted_us + refused_us, kSkeletons));
+  bench::JsonRow row;
+  row.Set("bench", "plan_cache_churn")
+      .Set("skeletons", kSkeletons)
+      .Set("max_bytes", copts.max_bytes)
+      .Set("admitted", admitted)
+      .Set("refused", refused)
+      .Set("evicted", stats.evictions)
+      .Set("cache_entries", stats.entries)
+      .Set("mean_insert_us", mean(admitted_us + refused_us, kSkeletons))
+      .Set("mean_admitted_us", mean(admitted_us, admitted))
+      .Set("mean_refused_us", mean(refused_us, refused));
+  report->Add(row);
+}
+
 // Plan-cache service bench (--plan-cache): N concurrent clients replay
 // the workload through a QueryService. Reports the cache hit rate,
 // client-observed p50/p99 latency, and the optimizer time a hit saves —
@@ -816,6 +887,7 @@ int PlanCacheBench(const bench::BenchOptions& opts,
       .Set("cache_bytes", after.bytes)
       .Set("revalidations", after.revalidations);
   report->Add(summary);
+  PlanCacheChurnBench(engine, sqls, report);
   return failures;
 }
 

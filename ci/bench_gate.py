@@ -13,7 +13,8 @@ Gates (the bench invocation that produces each input is in ci.yml):
     service       bench_service p99 / saturation / hit-rate gate
     policy-scale  bench_policy_scale decisions, warm eval latency, speedup
     loopback      distributed bench_micro rows vs BENCH_micro.json row rows
-    backends      cross-backend agreement (micro, fig6gh, lossy, plan cache)
+    backends      cross-backend agreement (micro, fig6gh, lossy, plan cache,
+                  plan-cache churn admission)
     storage       disk-scan and spill-join digest agreement
     disk-ratio    disk/memory scan geomeans (row, fragment) vs BENCH_micro.json
     vector        fragment/row geomean speedup vs the vector baseline row
@@ -242,10 +243,30 @@ def gate_backends(args):
             print(f"plan_cache: hit rate {s['hit_rate']} below 0.99")
             failures += 1
 
+    # Plan-cache churn: every skeleton in the row is first-seen, so a full
+    # cache must refuse them (admission on second miss), never evict.
+    churn = [r for r in load(args.micro)
+             if r.get('bench') == 'plan_cache_churn']
+    if cache and not churn:
+        print('plan_cache_churn: no row emitted')
+        failures += 1
+    for r in churn:
+        if r['evicted'] != 0:
+            print(f"plan_cache_churn: full cache evicted {r['evicted']} "
+                  f"entries for first-seen keys")
+            failures += 1
+        if r['refused'] == 0:
+            print('plan_cache_churn: no insert refused')
+            failures += 1
+        if r['admitted'] + r['refused'] != r['skeletons']:
+            print(f"plan_cache_churn: {r['admitted']} admitted + "
+                  f"{r['refused']} refused != {r['skeletons']} inserts")
+            failures += 1
+
     print(f'{len(micro)} micro rows, {len(fig)} fig6gh rows, '
           f'{len(faulted)} faulted rows '
           f'({total_retries} retries absorbed), '
-          f'{len(cache)} plan-cache rows, '
+          f'{len(cache)} plan-cache rows, {len(churn)} churn rows, '
           f'{failures} disagreement(s)')
     return failures
 

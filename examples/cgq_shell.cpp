@@ -521,15 +521,16 @@ int main(int argc, char** argv) {
             std::printf(
                 "plan cache: %lld hit(s) (%lld exact, %lld parameterized), "
                 "%lld miss(es), %lld invalidation(s), %lld revalidation(s), "
-                "%lld eviction(s); %zu entr%s / %.1f KB resident; policy "
-                "epoch %llu\n",
+                "%lld eviction(s), %lld refused insert(s); %zu entr%s / "
+                "%.1f KB resident; policy epoch %llu\n",
                 static_cast<long long>(cs.hits),
                 static_cast<long long>(cs.exact_hits),
                 static_cast<long long>(cs.param_hits),
                 static_cast<long long>(cs.misses),
                 static_cast<long long>(cs.invalidations),
                 static_cast<long long>(cs.revalidations),
-                static_cast<long long>(cs.evictions), cs.entries,
+                static_cast<long long>(cs.evictions),
+                static_cast<long long>(cs.refused), cs.entries,
                 cs.entries == 1 ? "y" : "ies", cs.bytes / 1024.0,
                 static_cast<unsigned long long>(engine.policies().epoch()));
             PrintTenantCounters(*service);

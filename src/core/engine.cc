@@ -70,6 +70,7 @@ Result<OptimizedQuery> Engine::OptimizeMaybeCached(
     TraceSpan span("plan_cache_insert");
     const PlanCache::InsertResult inserted =
         plan_cache_->Insert(key, q, param_sql.params, *policies_);
+    span.AddArg("admitted", inserted.admitted ? 1 : 0);
     span.AddArg("dependencies", static_cast<int64_t>(inserted.dependencies));
     span.AddArg("evicted", inserted.evicted);
   }

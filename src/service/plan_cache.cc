@@ -201,6 +201,27 @@ PlanCache::InsertResult PlanCache::Insert(const Key& key,
                                           const std::vector<Value>& params,
                                           const PolicyCatalog& policies) {
   if (q.plan == nullptr) return {};
+  size_t params_bytes = 0;
+  for (const Value& v : params) params_bytes += sizeof(Value) + v.ByteSize();
+  // Admission is decided on the caller's plan, before the clone and the
+  // dependency walk that a refused key never needs.
+  const size_t estimate =
+      sizeof(Entry) + EstimatePlanBytes(*q.plan) + params_bytes;
+  Shard& shard = ShardFor(key);
+  bool admitted;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    admitted = AdmitLocked(shard, key, estimate);
+  }
+  if (!admitted) {
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.refused;
+    }
+    CGQ_COUNTER_ADD("plan_cache.refused", 1);
+    return {};
+  }
+
   Entry entry;
   entry.key = key;
   entry.query = q;
@@ -213,10 +234,7 @@ PlanCache::InsertResult PlanCache::Insert(const Key& key,
   // instead of ever serving a wrongly-bound plan.
   entry.bindable = PlanParamsBindable(*entry.query.plan, params);
   entry.epoch = policies.epoch();
-  entry.bytes = sizeof(Entry) + EstimatePlanBytes(*entry.query.plan);
-  for (const Value& v : entry.params) {
-    entry.bytes += sizeof(Value) + v.ByteSize();
-  }
+  entry.bytes = estimate;
   for (const Dependency& d : entry.deps) {
     entry.bytes += sizeof(Dependency) + d.table.capacity();
   }
@@ -224,7 +242,6 @@ PlanCache::InsertResult PlanCache::Insert(const Key& key,
 
   int64_t evicted = 0;
   {
-    Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
     if (it != shard.index.end()) EraseLocked(shard, it->second);
@@ -243,7 +260,25 @@ PlanCache::InsertResult PlanCache::Insert(const Key& key,
   CGQ_COUNTER_ADD("plan_cache.inserts", 1);
   if (evicted > 0) CGQ_COUNTER_ADD("plan_cache.evictions", evicted);
   PublishGauges();
-  return InsertResult{dependencies, evicted};
+  return InsertResult{true, dependencies, evicted};
+}
+
+bool PlanCache::AdmitLocked(Shard& shard, const Key& key, size_t bytes) {
+  const bool needs_no_eviction = shard.lru.empty() ||
+                                 shard.bytes + bytes <= per_shard_budget_ ||
+                                 shard.index.count(key) > 0;
+  // A key leaves the doorkeeper when it is admitted, so the doorkeeper
+  // only ever holds keys that are not resident.
+  if (shard.doorkeeper.erase(key) > 0 || needs_no_eviction) return true;
+  // TinyLFU's periodic reset: forget every refused key once there are as
+  // many of them as resident entries.
+  constexpr size_t kDoorkeeperFloor = 64;
+  if (shard.doorkeeper.size() >=
+      std::max(shard.lru.size(), kDoorkeeperFloor)) {
+    shard.doorkeeper.clear();
+  }
+  shard.doorkeeper.insert(key);
+  return false;
 }
 
 void PlanCache::Invalidate(const Key& key) {
@@ -281,6 +316,7 @@ void PlanCache::Clear() {
     shard.lru.clear();
     shard.index.clear();
     shard.bytes = 0;
+    shard.doorkeeper.clear();
   }
   PublishGauges();
 }
@@ -295,6 +331,7 @@ PlanCacheStats PlanCache::stats() const {
     std::lock_guard<std::mutex> lock(shard.mu);
     out.entries += shard.lru.size();
     out.bytes += shard.bytes;
+    out.doorkeeper_keys += shard.doorkeeper.size();
   }
   return out;
 }

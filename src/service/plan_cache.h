@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/optimizer.h"
@@ -44,8 +45,14 @@ struct PlanCacheStats {
   int64_t revalidations = 0;
   /// Entries evicted by the LRU byte budget (still valid, just cold).
   int64_t evictions = 0;
+  /// Inserts refused by admission: the shard was full and the key was
+  /// on its first miss (see PlanCache::Insert). Nothing was cloned,
+  /// stored or evicted for them.
+  int64_t refused = 0;
   size_t entries = 0;
   size_t bytes = 0;
+  /// Refused keys the doorkeepers remember, awaiting their second miss.
+  size_t doorkeeper_keys = 0;
 };
 
 /// A compliant plan cache: memoizes the two-phase optimizer keyed by a
@@ -134,6 +141,7 @@ class PlanCache {
 
   /// What one Insert did, for the engine's `plan_cache_insert` span.
   struct InsertResult {
+    bool admitted = false;    ///< false: refused by admission, not stored
     size_t dependencies = 0;  ///< (location, table) pairs recorded
     int64_t evicted = 0;      ///< LRU entries dropped for the byte budget
   };
@@ -141,6 +149,14 @@ class PlanCache {
   /// Caches a successfully optimized compliant query under `key` at the
   /// catalog's current epoch. Replaces any existing entry; evicts the LRU
   /// tail past the byte budget.
+  ///
+  /// Admission on second miss (TinyLFU's doorkeeper): an insert that
+  /// needs no eviction — the key is resident, or the shard has room or is
+  /// empty — is always admitted. One that would evict is admitted only if
+  /// its key was refused before; a first-seen key is recorded in the
+  /// shard's doorkeeper and refused, before anything is cloned. So a full
+  /// cache under a stream of one-off queries keeps its entries instead of
+  /// churning them, and a cache that never fills behaves as plain LRU.
   ///
   /// `params` is the parameter vector the query's text carried. The
   /// entry is marked rebindable only when every ordinal in [0, n) appears
@@ -187,11 +203,18 @@ class PlanCache {
     std::list<Entry> lru;
     std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
     size_t bytes = 0;
+    /// Keys refused once while the shard was full. Cleared when it holds
+    /// as many keys as the shard holds entries (with a small floor), so
+    /// it never outgrows the shard itself.
+    std::unordered_set<Key, KeyHash> doorkeeper;
   };
 
   Shard& ShardFor(const Key& key) {
     return shards_[key.hi & (shards_.size() - 1)];
   }
+  /// The admission rule of Insert for an entry of about `bytes` (lock
+  /// held); records a refused key in the doorkeeper.
+  bool AdmitLocked(Shard& shard, const Key& key, size_t bytes);
   /// Erases `it` from `shard` (lock held) and updates byte accounting.
   void EraseLocked(Shard& shard, std::list<Entry>::iterator it);
   void PublishGauges() const;

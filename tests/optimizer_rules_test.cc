@@ -89,9 +89,7 @@ TEST_F(MemoTest, AssociativityEnumeratesAllOrders) {
     if (!has_join) continue;
     int rels = __builtin_popcount(g.rel_set);
     if (rels == 2) ++two_set_join_groups;
-    if (rels == 3) {
-      for (int e : g.mexprs) top_join_exprs += 1;
-    }
+    if (rels == 3) top_join_exprs += static_cast<int>(g.mexprs.size());
   }
   EXPECT_GE(two_set_join_groups, 2);
   // 3 relations: at least left-deep x2 sides x commute alternatives.

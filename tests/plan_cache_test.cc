@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <shared_mutex>
@@ -205,7 +206,11 @@ TEST_F(PlanCacheTest, LruEvictsAtByteBudget) {
     std::string sql = "SELECT name FROM cust WHERE id > " + std::to_string(i);
     PlanCache::Key key = PlanCache::ComputeKey(sql, opts);
     keys.push_back(key);
-    cache.Insert(key, MustOptimize(sql), {}, policies());
+    // Offered twice: once the shard is full, a first-seen key is refused
+    // and only its second miss is admitted (and evicts).
+    OptimizedQuery q = MustOptimize(sql);
+    cache.Insert(key, q, {}, policies());
+    cache.Insert(key, q, {}, policies());
   }
 
   PlanCacheStats stats = cache.stats();
@@ -225,6 +230,127 @@ TEST_F(PlanCacheTest, ExplicitInvalidateErases) {
   cache.Invalidate(key);
   EXPECT_FALSE(cache.Lookup(key, {}, policies()).has_value());
   EXPECT_EQ(cache.stats().invalidations, 1);
+}
+
+// Admission on second miss. These use one shard whose budget holds
+// `room` entries of the size of SELECT name FROM cust's plan.
+class PlanCacheAdmissionTest : public PlanCacheTest {
+ protected:
+  void SetUp() override {
+    PlanCacheTest::SetUp();
+    opts_ = engine_->default_options();
+    plan_ = MustOptimize("SELECT name FROM cust");
+    PlanCache probe;
+    probe.Insert(KeyOf(0), plan_, {}, policies());
+    entry_bytes_ = probe.stats().bytes;
+    ASSERT_GT(entry_bytes_, 0u);
+  }
+
+  // Distinct skeletons sharing one plan: the cache only sees their keys.
+  PlanCache::Key KeyOf(int i) const {
+    return PlanCache::ComputeKey("SELECT name FROM cust -- " +
+                                     std::to_string(i),
+                                 opts_);
+  }
+
+  std::unique_ptr<PlanCache> MakeCache(size_t room) const {
+    PlanCacheOptions copts;
+    copts.shards = 1;
+    copts.max_bytes = entry_bytes_ * room + entry_bytes_ / 2;
+    return std::make_unique<PlanCache>(copts);
+  }
+
+  PlanCache::InsertResult Insert(PlanCache& cache, int i) {
+    return cache.Insert(KeyOf(i), plan_, {}, policies());
+  }
+
+  bool Hits(PlanCache& cache, int i) {
+    return cache.Lookup(KeyOf(i), {}, policies()).has_value();
+  }
+
+  OptimizerOptions opts_;
+  OptimizedQuery plan_;
+  size_t entry_bytes_ = 0;
+};
+
+TEST_F(PlanCacheAdmissionTest, ShardWithRoomAdmitsFirstSeenKey) {
+  std::unique_ptr<PlanCache> cache = MakeCache(2);
+  for (int i = 0; i < 2; ++i) {
+    PlanCache::InsertResult r = Insert(*cache, i);
+    EXPECT_TRUE(r.admitted) << i;
+    EXPECT_EQ(r.evicted, 0) << i;
+    EXPECT_TRUE(Hits(*cache, i)) << i;
+  }
+  EXPECT_EQ(cache->stats().refused, 0);
+  EXPECT_EQ(cache->stats().doorkeeper_keys, 0u);
+}
+
+TEST_F(PlanCacheAdmissionTest, FullShardRefusesFirstSeenKey) {
+  std::unique_ptr<PlanCache> cache = MakeCache(1);
+  ASSERT_TRUE(Insert(*cache, 0).admitted);
+  PlanCache::InsertResult r = Insert(*cache, 1);
+  EXPECT_FALSE(r.admitted);
+  EXPECT_EQ(r.evicted, 0);
+  EXPECT_EQ(r.dependencies, 0u);  // refused before the dependency walk
+  PlanCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.refused, 1);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.doorkeeper_keys, 1u);
+  EXPECT_FALSE(Hits(*cache, 1));
+  EXPECT_TRUE(Hits(*cache, 0));
+}
+
+TEST_F(PlanCacheAdmissionTest, SecondMissIsAdmittedAndEvictsLruTail) {
+  std::unique_ptr<PlanCache> cache = MakeCache(2);
+  ASSERT_TRUE(Insert(*cache, 0).admitted);
+  ASSERT_TRUE(Insert(*cache, 1).admitted);
+  ASSERT_TRUE(Hits(*cache, 0));  // key 1 is now the LRU tail
+  ASSERT_FALSE(Insert(*cache, 2).admitted);
+  PlanCache::InsertResult r = Insert(*cache, 2);
+  EXPECT_TRUE(r.admitted);
+  EXPECT_EQ(r.evicted, 1);
+  EXPECT_EQ(r.dependencies, 1u);
+  EXPECT_TRUE(Hits(*cache, 2));
+  EXPECT_TRUE(Hits(*cache, 0));
+  EXPECT_FALSE(Hits(*cache, 1));
+  PlanCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.refused, 1);
+  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(stats.doorkeeper_keys, 0u);  // admitted keys leave it
+}
+
+TEST_F(PlanCacheAdmissionTest, ResidentKeyIsAlwaysReplaced) {
+  std::unique_ptr<PlanCache> cache = MakeCache(1);
+  ASSERT_TRUE(Insert(*cache, 0).admitted);
+  for (int round = 0; round < 3; ++round) {
+    PlanCache::InsertResult r = Insert(*cache, 0);
+    EXPECT_TRUE(r.admitted) << round;
+    EXPECT_EQ(r.evicted, 0) << round;
+  }
+  PlanCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.refused, 0);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_TRUE(Hits(*cache, 0));
+}
+
+TEST_F(PlanCacheAdmissionTest, DoorkeeperStaysBoundedAfterManyRefusals) {
+  std::unique_ptr<PlanCache> cache = MakeCache(1);
+  ASSERT_TRUE(Insert(*cache, 0).admitted);
+  constexpr int kDistinct = 1000;
+  size_t most = 0;
+  for (int i = 1; i <= kDistinct; ++i) {
+    ASSERT_FALSE(Insert(*cache, i).admitted) << i;
+    most = std::max(most, cache->stats().doorkeeper_keys);
+  }
+  PlanCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.refused, kDistinct);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.entries, 1u);
+  // Reset at max(entries, floor of 64) keys: far below the 1000 offered.
+  EXPECT_GT(most, 0u);
+  EXPECT_LE(most, 64u);
+  EXPECT_TRUE(Hits(*cache, 0));
 }
 
 // Threaded stress (meaningful under TSan): concurrent lookups, inserts,
@@ -287,8 +413,11 @@ TEST_F(PlanCacheTest, ThreadedStress) {
   PlanCacheStats stats = cache.stats();
   EXPECT_GT(hits.load(), 0);
   EXPECT_EQ(stats.hits, hits.load());
-  // Cached entries still serve valid deep copies afterwards.
-  cache.Insert(keys[0], plans[0], {}, policies());
+  // Cached entries still serve valid deep copies afterwards. Cleared
+  // first so the insert lands in an empty shard, which admits any key
+  // whatever the stress left in the shard or its doorkeeper.
+  cache.Clear();
+  EXPECT_TRUE(cache.Insert(keys[0], plans[0], {}, policies()).admitted);
   auto hit = cache.Lookup(keys[0], {}, policies());
   ASSERT_TRUE(hit.has_value());
   EXPECT_NE(hit->plan, nullptr);

@@ -268,7 +268,7 @@ TEST_F(SpillJoinTest, DuplicateAndNullKeysMatchReference) {
   }
 }
 
-// String keys take the ColumnJoinTable's RowKey path. A residual
+// String keys go through KeyIndex like every other key. A residual
 // conjunct (build value < probe value) drops some key matches, NULL
 // among them, and the output order is a permutation of build ++ probe.
 TEST_F(SpillJoinTest, StringKeysAndResidualMatchReference) {

@@ -386,7 +386,7 @@ TEST_F(TraceTest, PlanCacheInsertSpanOnlyOnCompliantMiss) {
   std::unique_ptr<Engine> engine = MakeTpchEngine(/*lossy=*/false);
   PlanCacheOptions options;
   options.shards = 1;
-  options.max_bytes = 1;  // every insert evicts the previous entry
+  options.max_bytes = 1;  // every admitted insert evicts the previous entry
   PlanCache cache(options);
   engine->set_plan_cache(&cache);
   const std::string q3 = *tpch::Query(3);
@@ -396,12 +396,22 @@ TEST_F(TraceTest, PlanCacheInsertSpanOnlyOnCompliantMiss) {
   ASSERT_EQ(inserts.size(), 1u);
   EXPECT_EQ(inserts[0].path, "query/plan_cache_insert");
   // Q3 scans customer, orders and lineitem, one fragment each.
+  EXPECT_EQ(ArgOf(inserts[0], "admitted"), "1");
   EXPECT_EQ(ArgOf(inserts[0], "dependencies"), "3");
   EXPECT_EQ(ArgOf(inserts[0], "evicted"), "0");
 
+  // The shard is full: Q10's first miss is refused, nothing is evicted.
   ASSERT_TRUE(engine->Run(*tpch::Query(10)).ok());
   inserts = SpansNamed(*engine, "plan_cache_insert");
   ASSERT_EQ(inserts.size(), 1u);
+  EXPECT_EQ(ArgOf(inserts[0], "admitted"), "0");
+  EXPECT_EQ(ArgOf(inserts[0], "evicted"), "0");
+
+  // Its second miss is admitted and evicts Q3.
+  ASSERT_TRUE(engine->Run(*tpch::Query(10)).ok());
+  inserts = SpansNamed(*engine, "plan_cache_insert");
+  ASSERT_EQ(inserts.size(), 1u);
+  EXPECT_EQ(ArgOf(inserts[0], "admitted"), "1");
   EXPECT_EQ(ArgOf(inserts[0], "evicted"), "1");
 
   ASSERT_TRUE(engine->Run(*tpch::Query(10)).ok());
