@@ -17,13 +17,16 @@ Gates (the bench invocation that produces each input is in ci.yml):
                   plan-cache churn admission)
     storage       disk-scan and spill-join digest agreement
     disk-ratio    disk/memory scan geomeans (row, fragment) vs BENCH_micro.json
+                  (median over one or more --current runs)
     vector        fragment/row geomean speedup vs the vector baseline row
-                  of BENCH_micro.json
+                  of BENCH_micro.json (median over one or more --current
+                  runs)
     trace         Chrome trace artifact well-formedness
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 ALL_MODES = {'row', 'fragment'}
@@ -313,10 +316,19 @@ def gate_storage(args):
     return failures
 
 
+def median_over_runs(paths, value):
+    """The median of value(path) over the runs, printing each."""
+    values = [value(path) for path in paths]
+    if len(values) > 1:
+        print('  runs: ' + ', '.join(f'{v:.2f}x' for v in values))
+    return statistics.median(values)
+
+
 def gate_disk_ratio(args):
     # Same-machine ratios: the geomean disk/memory scan slowdown of the
     # row backend and of the fragment runtime must each not regress more
-    # than 15% against the baseline.
+    # than 15% against the baseline. With several --current runs the
+    # median ratio is gated, so one run slowed by host noise does not fail.
     def disk_ratio(path, mode):
         rows = [r for r in load(path)
                 if r.get('bench') == 'micro_storage_summary'
@@ -329,10 +341,12 @@ def gate_disk_ratio(args):
     failures = 0
     for mode in ('row', 'fragment'):
         baseline = disk_ratio(args.baseline, mode)
-        current = disk_ratio(args.current, mode)
+        current = median_over_runs(args.current,
+                                   lambda path: disk_ratio(path, mode))
         ceiling = baseline * 1.15
         print(f'disk/memory {mode} scan geomean: baseline {baseline:.2f}x, '
-              f'current {current:.2f}x, ceiling {ceiling:.2f}x')
+              f'current {current:.2f}x (median of {len(args.current)}), '
+              f'ceiling {ceiling:.2f}x')
         if current > ceiling:
             print(f'perf regression: {mode} disk scans slowed more than 15% '
                   'relative to the checked-in baseline')
@@ -344,7 +358,8 @@ def gate_vector(args):
     # Same-machine ratio: the fragment/row geomean speedup must not drop
     # more than 15% below the baseline. The baseline is the checked-in
     # summary row of the former vector backend, whose columnar kernels
-    # the fragment runtime now runs.
+    # the fragment runtime now runs. With several --current runs the
+    # median speedup is gated.
     def geomean(path, mode):
         rows = [r for r in load(path)
                 if r.get('bench') == 'micro_exec_summary'
@@ -355,10 +370,12 @@ def gate_vector(args):
         return rows[0]['geomean_speedup']
 
     baseline = geomean(args.baseline, 'vector')
-    current = geomean(args.current, 'fragment')
+    current = median_over_runs(args.current,
+                               lambda path: geomean(path, 'fragment'))
     floor = baseline * 0.85
     print(f'columnar/row geomean: baseline (vector) {baseline:.2f}x, '
-          f'current (fragment) {current:.2f}x, floor {floor:.2f}x')
+          f'current (fragment) {current:.2f}x '
+          f'(median of {len(args.current)}), floor {floor:.2f}x')
     if current < floor:
         print('perf regression: fragment geomean dropped more '
               'than 15% below the checked-in vector baseline')
@@ -403,7 +420,9 @@ def main():
     def add(name, fn, **paths):
         p = sub.add_parser(name)
         for flag, default in paths.items():
-            p.add_argument('--' + flag, default=default)
+            # A list default takes one or more files (median gates).
+            p.add_argument('--' + flag, default=default,
+                           nargs='+' if isinstance(default, list) else None)
         p.set_defaults(fn=fn)
 
     add('service', gate_service, baseline='BENCH_service.json',
@@ -417,9 +436,9 @@ def main():
         fault='bench-results/micro-fault.json')
     add('storage', gate_storage, current='bench-results/micro.json')
     add('disk-ratio', gate_disk_ratio, baseline='BENCH_micro.json',
-        current='bench-results/micro.json')
+        current=['bench-results/micro.json'])
     add('vector', gate_vector, baseline='BENCH_micro.json',
-        current='bench-results/micro.json')
+        current=['bench-results/micro.json'])
     add('trace', gate_trace, current='bench-results/trace.json')
 
     args = parser.parse_args()

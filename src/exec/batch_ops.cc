@@ -417,11 +417,53 @@ class JoinOp : public ChunkedOp {
   bool initialized_ = false;
 };
 
-/// Hash aggregation: arguments are evaluated per input batch, then rows
-/// fold into their group's accumulators in input order (the accumulation
-/// order of HashAggregator). A KeyIndex numbers the groups in first-seen
-/// order, which is the order they are emitted in, and keeps each group's
-/// key cells for the output.
+/// Folds one evaluated aggregate argument into `accs`, row k into group
+/// ids[k], in input order: one typed loop per batch, chosen by the
+/// argument's tag (a constant, an int64/date or double column), and
+/// Value by Value for string and kValue columns.
+Status FoldArg(const VecVal& arg, const SelVec& sel,
+               const std::vector<uint32_t>& ids,
+               std::vector<AggAccumulator>* accs) {
+  AggAccumulator* acc = accs->data();
+  const size_t n = sel.size();
+  if (arg.is_const) {
+    for (size_t k = 0; k < n; ++k) {
+      CGQ_RETURN_NOT_OK(acc[ids[k]].Add(arg.cval));
+    }
+    return Status::OK();
+  }
+  const ColumnVector& col = arg.col();
+  const bool any_null = col.nulls.AnyNull();
+  switch (col.tag) {
+    case vec::ColumnTag::kInt64:
+      for (size_t k = 0; k < n; ++k) {
+        const size_t i = arg.IndexOf(sel, k);
+        if (any_null && col.nulls.IsNull(i)) continue;
+        if (!acc[ids[k]].AddInt64(col.i64[i])) return IntegerOverflow();
+      }
+      return Status::OK();
+    case vec::ColumnTag::kDouble:
+      for (size_t k = 0; k < n; ++k) {
+        const size_t i = arg.IndexOf(sel, k);
+        if (any_null && col.nulls.IsNull(i)) continue;
+        acc[ids[k]].AddDouble(col.f64[i]);
+      }
+      return Status::OK();
+    case vec::ColumnTag::kString:
+    case vec::ColumnTag::kValue:
+      for (size_t k = 0; k < n; ++k) {
+        CGQ_RETURN_NOT_OK(acc[ids[k]].Add(arg.At(sel, k)));
+      }
+      return Status::OK();
+  }
+  return Status::OK();
+}
+
+/// Hash aggregation: arguments are evaluated per input batch, then each
+/// argument folds into its call's per-group accumulators (FoldArg) in
+/// input order, the accumulation order of HashAggregator. A KeyIndex
+/// numbers the groups in first-seen order, which is the order they are
+/// emitted in, and keeps each group's key cells for the output.
 class AggregateOp : public ChunkedOp {
  public:
   AggregateOp(const PlanNode* node, BatchOpPtr child, size_t batch_size,
@@ -437,50 +479,46 @@ class AggregateOp : public ChunkedOp {
         std::vector<size_t> group_positions,
         PositionsOf(node_->group_ids, child_->layout(), "aggregate input"));
     const bool global = group_positions.empty();
-    auto new_group = [this] {
-      std::vector<AggAccumulator> accs;
-      accs.reserve(node_->agg_calls.size());
-      for (const AggCall& call : node_->agg_calls) accs.emplace_back(call);
-      return accs;
-    };
+    const std::vector<AggCall>& calls = node_->agg_calls;
     KeyIndex index;
-    std::vector<std::vector<AggAccumulator>> groups;
+    // Per call, one accumulator per group.
+    std::vector<std::vector<AggAccumulator>> accs(calls.size());
+    size_t groups = 0;
+    auto add_groups = [&](size_t n) {
+      for (size_t a = 0; a < calls.size(); ++a) {
+        accs[a].resize(n, AggAccumulator(calls[a]));
+      }
+      groups = n;
+    };
     // A global aggregate has exactly one group, even over no input.
-    if (global) groups.push_back(new_group());
+    if (global) add_groups(1);
 
-    std::vector<VecVal> args;
+    VecVal arg;
     std::vector<uint32_t> ids;
     while (true) {
       CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
       CGQ_ASSIGN_OR_RETURN(OptBatch in, child_->Next());
       if (!in) break;
-      args.clear();
-      for (const AggCall& call : node_->agg_calls) {
-        CGQ_ASSIGN_OR_RETURN(VecVal v,
-                             vec::EvalExprVec(*call.arg, *in, in->sel));
-        args.push_back(std::move(v));
-      }
-      if (!global) {
+      if (global) {
+        ids.assign(in->NumRows(), 0);
+      } else {
         index.Lookup(*in, group_positions, KeyIndex::Mode::kGroup, &ids);
+        add_groups(index.size());
       }
-      while (groups.size() < index.size()) groups.push_back(new_group());
-      for (size_t k = 0; k < in->NumRows(); ++k) {
-        std::vector<AggAccumulator>& accs = groups[global ? 0 : ids[k]];
-        for (size_t a = 0; a < args.size(); ++a) {
-          accs[a].Add(args[a].At(in->sel, k));
-        }
+      for (size_t a = 0; a < calls.size(); ++a) {
+        CGQ_ASSIGN_OR_RETURN(arg, vec::EvalExprVec(*calls[a].arg, *in,
+                                                   in->sel));
+        CGQ_RETURN_NOT_OK(FoldArg(arg, in->sel, ids, &accs[a]));
       }
     }
 
     std::vector<ColumnVector> cols = std::move(index.keys());
     cols.resize(layout_.size());
-    for (const std::vector<AggAccumulator>& accs : groups) {
-      size_t c = group_positions.size();
-      for (const AggAccumulator& acc : accs) {
-        cols[c++].AppendValue(acc.Finish());
-      }
+    for (size_t a = 0; a < calls.size(); ++a) {
+      ColumnVector& col = cols[group_positions.size() + a];
+      for (const AggAccumulator& acc : accs[a]) col.AppendValue(acc.Finish());
     }
-    out_.Add(vec::DenseBatch(layout_, std::move(cols), groups.size()));
+    out_.Add(vec::DenseBatch(layout_, std::move(cols), groups));
     return true;
   }
 

@@ -121,9 +121,8 @@ vec::ColumnBatch Remap(vec::ColumnBatch in,
 void AppendRows(const vec::ColumnBatch& batch, size_t begin, size_t end,
                 std::vector<vec::ColumnVector>* cols) {
   for (size_t c = 0; c < cols->size(); ++c) {
-    const vec::ColumnVector& src = *batch.columns[c];
-    vec::ColumnVector& dst = (*cols)[c];
-    for (size_t k = begin; k < end; ++k) dst.AppendFrom(src, batch.sel[k]);
+    (*cols)[c].AppendSelected(*batch.columns[c], batch.sel.data() + begin,
+                              end - begin);
   }
 }
 
@@ -166,45 +165,118 @@ void KeyIndex::HashRows(const vec::ColumnBatch& batch,
                         const std::vector<size_t>& keys,
                         std::vector<uint64_t>* hashes,
                         std::vector<bool>* nulls) {
-  hashes->assign(batch.NumRows(), 0);
-  nulls->assign(batch.NumRows(), false);
+  const size_t n = batch.NumRows();
+  const uint32_t* sel = batch.sel.data();
+  hashes->assign(n, 0);
+  nulls->assign(n, false);
+  uint64_t* h = hashes->data();
+  // The multiply spreads into the top bits (the table's slots), the
+  // shift back into the low ones (spill partitions take a modulo).
+  auto mix = [](uint64_t* acc, uint64_t cell) {
+    const uint64_t m = (*acc ^ cell) * kGolden;
+    *acc = m ^ (m >> 32);
+  };
   for (size_t c : keys) {
-    for (size_t k = 0; k < batch.NumRows(); ++k) {
-      const Cell cell = CellAt(*batch.columns[c], batch.sel[k]);
-      if (cell.index() == 0) (*nulls)[k] = true;
-      // The multiply spreads into the top bits (the table's slots), the
-      // shift back into the low ones (spill partitions take a modulo).
-      const uint64_t h = ((*hashes)[k] ^ HashCell(cell)) * kGolden;
-      (*hashes)[k] = h ^ (h >> 32);
+    const vec::ColumnVector& col = *batch.columns[c];
+    // HashCell of each typed cell, a NULL one as kGolden.
+    auto typed = [&](auto cell_hash) {
+      const bool any_null = col.nulls.AnyNull();
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t i = sel[k];
+        if (any_null && col.nulls.IsNull(i)) {
+          (*nulls)[k] = true;
+          mix(&h[k], kGolden);
+        } else {
+          mix(&h[k], cell_hash(i));
+        }
+      }
+    };
+    switch (col.tag) {
+      case vec::ColumnTag::kInt64:
+        typed([&](uint32_t i) { return static_cast<uint64_t>(col.i64[i]); });
+        break;
+      case vec::ColumnTag::kDouble:
+        typed([&](uint32_t i) {
+          const double d = col.f64[i];
+          return std::bit_cast<uint64_t>(d == 0 ? 0.0 : d);
+        });
+        break;
+      case vec::ColumnTag::kString:
+        typed([&](uint32_t i) {
+          return static_cast<uint64_t>(
+              std::hash<std::string_view>()(col.str[i]));
+        });
+        break;
+      case vec::ColumnTag::kValue:
+        for (size_t k = 0; k < n; ++k) {
+          const Cell cell = CellAt(col, sel[k]);
+          if (cell.index() == 0) (*nulls)[k] = true;
+          mix(&h[k], HashCell(cell));
+        }
+        break;
     }
   }
 }
+
+struct KeyIndex::KeyMatch {
+  /// The shared tag of the batch's and the stored key column, or kValue
+  /// to compare through CellAt.
+  vec::ColumnTag tag;
+  const vec::ColumnVector* col;
+  vec::ColumnVector* key;
+
+  /// Appends `row`'s cell to the stored keys, typed where it compares
+  /// typed (such a cell is never NULL).
+  void Append(uint32_t row) const {
+    switch (tag) {
+      case vec::ColumnTag::kInt64:
+        return key->AppendInt64(col->i64[row]);
+      case vec::ColumnTag::kDouble:
+        return key->AppendDouble(col->f64[row]);
+      case vec::ColumnTag::kString:
+        return key->AppendString(col->str[row]);
+      case vec::ColumnTag::kValue:
+        return key->AppendFrom(*col, row);
+    }
+  }
+
+  bool Equal(uint32_t id, uint32_t row) const {
+    switch (tag) {
+      case vec::ColumnTag::kInt64:
+        return !key->nulls.IsNull(id) && key->i64[id] == col->i64[row];
+      case vec::ColumnTag::kDouble:  // -0.0 == 0.0; NaN equals nothing
+        return !key->nulls.IsNull(id) && key->f64[id] == col->f64[row];
+      case vec::ColumnTag::kString:
+        return !key->nulls.IsNull(id) && key->str[id] == col->str[row];
+      case vec::ColumnTag::kValue:
+        break;
+    }
+    return CellAt(*key, id) == CellAt(*col, row);
+  }
+};
 
 void KeyIndex::Reserve(size_t n) {
   if (2 * n <= slots_.size()) return;
   const size_t capacity = std::bit_ceil(2 * n | 16);
-  slots_.assign(capacity, kNone);
+  slots_.assign(capacity, Entry());
   shift_ = 64 - std::countr_zero(capacity);
   for (uint32_t id = 0; id < size(); ++id) {
     size_t s = hashes_[id] >> shift_;
-    while (slots_[s] != kNone) s = (s + 1) & (capacity - 1);
-    slots_[s] = id;
+    while (slots_[s].id != kNone) s = (s + 1) & (capacity - 1);
+    slots_[s] = {id, static_cast<uint32_t>(hashes_[id])};
   }
 }
 
-size_t KeyIndex::Slot(const vec::ColumnBatch& batch,
-                      const std::vector<size_t>& keys, uint32_t row,
-                      uint64_t hash) const {
+inline size_t KeyIndex::Slot(const std::vector<KeyMatch>& match,
+                             uint32_t row, uint64_t hash) const {
+  const uint32_t check = static_cast<uint32_t>(hash);
   for (size_t s = hash >> shift_;; s = (s + 1) & (slots_.size() - 1)) {
-    const uint32_t id = slots_[s];
-    if (id == kNone) return s;
-    if (hashes_[id] != hash) continue;
+    const Entry e = slots_[s];
+    if (e.id == kNone) return s;
+    if (e.check != check) continue;
     size_t c = 0;
-    while (c < keys.size() && CellAt(keys_[c], id) ==
-                                  CellAt(*batch.columns[keys[c]], row)) {
-      ++c;
-    }
-    if (c == keys.size()) return s;
+    while (c < match.size() && match[c].Equal(e.id, row)) ++c;
+    if (c == match.size()) return s;
   }
 }
 
@@ -216,20 +288,35 @@ void KeyIndex::Lookup(const vec::ColumnBatch& batch,
   HashRows(batch, keys, &hashes, &nulls);
   ids->assign(batch.NumRows(), kNone);
   keys_.resize(keys.size());
+  std::vector<KeyMatch> match;
+  match.reserve(keys.size());
+  for (size_t c = 0; c < keys.size(); ++c) {
+    const vec::ColumnVector& col = *batch.columns[keys[c]];
+    vec::ColumnVector& key = keys_[c];
+    // Only kGroup looks NULL cells up; the other modes skip their rows.
+    const bool typed = col.tag != vec::ColumnTag::kValue &&
+                       (mode != Mode::kGroup || !col.nulls.AnyNull());
+    // An empty key column takes the tag its first (non-NULL) cell gives.
+    if (typed && key.size() == 0) key.tag = col.tag;
+    match.push_back(
+        {typed && key.tag == col.tag ? col.tag : vec::ColumnTag::kValue,
+         &col, &key});
+  }
   for (size_t k = 0; k < batch.NumRows(); ++k) {
     if (nulls[k] && mode != Mode::kGroup) continue;
-    if (mode != Mode::kProbe) Reserve(size() + 1);
+    if (mode != Mode::kProbe && 2 * (size() + 1) > slots_.size()) {
+      Reserve(size() + 1);
+    }
     if (slots_.empty()) return;  // a probe of an empty index
     const uint32_t row = batch.sel[k];
-    const size_t s = Slot(batch, keys, row, hashes[k]);
-    if (slots_[s] == kNone && mode != Mode::kProbe) {
-      slots_[s] = static_cast<uint32_t>(size());
+    const size_t s = Slot(match, row, hashes[k]);
+    if (slots_[s].id == kNone && mode != Mode::kProbe) {
+      slots_[s] = {static_cast<uint32_t>(size()),
+                   static_cast<uint32_t>(hashes[k])};
       hashes_.push_back(hashes[k]);
-      for (size_t c = 0; c < keys.size(); ++c) {
-        keys_[c].AppendFrom(*batch.columns[keys[c]], row);
-      }
+      for (const KeyMatch& m : match) m.Append(row);
     }
-    (*ids)[k] = slots_[s];
+    (*ids)[k] = slots_[s].id;
   }
 }
 
@@ -329,7 +416,7 @@ Status HashAggregator::Add(const Row& row) {
   for (size_t i = 0; i < node_->agg_calls.size(); ++i) {
     CGQ_ASSIGN_OR_RETURN(
         Value v, EvalExpr(*node_->agg_calls[i].arg, row, in_layout_));
-    state.accs[i].Add(v);
+    CGQ_RETURN_NOT_OK(state.accs[i].Add(v));
   }
   return Status::OK();
 }

@@ -120,7 +120,8 @@ class KeyIndex {
   enum class Mode { kGroup, kBuild, kProbe };
 
   /// For each row batch.sel[k]: the hash of its key, and whether a key
-  /// cell is NULL.
+  /// cell is NULL. Each key column is hashed in one pass typed by its
+  /// tag.
   static void HashRows(const vec::ColumnBatch& batch,
                        const std::vector<size_t>& keys,
                        std::vector<uint64_t>* hashes, std::vector<bool>* nulls);
@@ -128,7 +129,10 @@ class KeyIndex {
   /// Sizes the table for `n` distinct keys.
   void Reserve(size_t n);
   /// (*ids)[k] = the id of row batch.sel[k]'s key (unseen keys take the
-  /// next ids), or kNone where `mode` numbers none.
+  /// next ids), or kNone where `mode` numbers none. A key column whose
+  /// tag equals its stored keys' (and that holds no NULL a lookup must
+  /// match) compares on payloads; kValue columns, mixed tags and NULL
+  /// group keys compare cell by cell.
   void Lookup(const vec::ColumnBatch& batch, const std::vector<size_t>& keys,
               Mode mode, std::vector<uint32_t>* ids);
 
@@ -137,11 +141,21 @@ class KeyIndex {
   std::vector<vec::ColumnVector>& keys() { return keys_; }
 
  private:
-  /// The slot holding `row`'s key's id, or the empty slot it would take.
-  size_t Slot(const vec::ColumnBatch& batch, const std::vector<size_t>& keys,
-              uint32_t row, uint64_t hash) const;
+  /// How one Lookup compares a key column's cells with the stored keys'.
+  struct KeyMatch;
 
-  std::vector<uint32_t> slots_;  ///< ids, at the top bits of their hash
+  /// One table slot: a key's id (kNone: empty) and the low half of its
+  /// hash, so that a probe reads a stored key only on a likely match.
+  struct Entry {
+    uint32_t id = kNone;
+    uint32_t check = 0;
+  };
+
+  /// The slot holding `row`'s key's id, or the empty slot it would take.
+  size_t Slot(const std::vector<KeyMatch>& match, uint32_t row,
+              uint64_t hash) const;
+
+  std::vector<Entry> slots_;  ///< at the top bits of their key's hash
   int shift_ = 64;
   std::vector<uint64_t> hashes_;  ///< per id
   std::vector<vec::ColumnVector> keys_;

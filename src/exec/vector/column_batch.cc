@@ -17,6 +17,39 @@ const char* ColumnTagToString(ColumnTag tag) {
   return "?";
 }
 
+void NullBitmap::AppendSelected(const NullBitmap& src, const uint32_t* sel,
+                                size_t n) {
+  if (n == 0) return;
+  const size_t at = size_;
+  Resize(size_ + n);  // new words are zero
+  if (!src.AnyNull()) return;
+  bool run = true;
+  for (size_t k = 1; k < n && run; ++k) run = sel[k] == sel[0] + k;
+  if (!run) {
+    for (size_t k = 0; k < n; ++k) {
+      if (src.IsNull(sel[k])) SetNull(at + k);
+    }
+    return;
+  }
+  // Bits [sel[0], sel[0] + n) of src land at [at, at + n), 64 at a time.
+  for (size_t k = 0; k < n; k += 64) {
+    const size_t from = sel[0] + k;
+    const size_t w = from >> 6, off = from & 63;
+    uint64_t bits = src.words_[w] >> off;
+    if (off != 0 && w + 1 < src.words_.size()) {
+      bits |= src.words_[w + 1] << (64 - off);
+    }
+    if (n - k < 64) bits &= (uint64_t{1} << (n - k)) - 1;
+    if (bits == 0) continue;
+    null_count_ += std::popcount(bits);
+    const size_t to = at + k, tw = to >> 6, toff = to & 63;
+    words_[tw] |= bits << toff;
+    if (toff != 0 && tw + 1 < words_.size()) {
+      words_[tw + 1] |= bits >> (64 - toff);
+    }
+  }
+}
+
 void ColumnVector::Reserve(size_t n) {
   switch (tag) {
     case ColumnTag::kInt64:
@@ -145,6 +178,42 @@ void ColumnVector::AppendFrom(const ColumnVector& other, size_t i) {
   AppendValue(other.GetValue(i));
 }
 
+void ColumnVector::AppendSelected(const ColumnVector& other,
+                                  const uint32_t* sel, size_t n) {
+  size_t k = 0;
+  for (; k < n && (tag != other.tag || tag == ColumnTag::kValue); ++k) {
+    AppendFrom(other, sel[k]);
+  }
+  sel += k;
+  n -= k;
+  if (n == 0) return;
+  // NULL slots take a zero / empty payload, whatever `other` holds there.
+  const bool any_null = other.nulls.AnyNull();
+  auto copy = [&](auto& dst, const auto& src) {
+    const size_t base = dst.size();
+    dst.resize(base + n);
+    for (size_t j = 0; j < n; ++j) dst[base + j] = src[sel[j]];
+    if (!any_null) return;
+    for (size_t j = 0; j < n; ++j) {
+      if (other.nulls.IsNull(sel[j])) dst[base + j] = {};
+    }
+  };
+  switch (tag) {
+    case ColumnTag::kInt64:
+      copy(i64, other.i64);
+      break;
+    case ColumnTag::kDouble:
+      copy(f64, other.f64);
+      break;
+    case ColumnTag::kString:
+      copy(str, other.str);
+      break;
+    case ColumnTag::kValue:
+      break;
+  }
+  nulls.AppendSelected(other.nulls, sel, n);
+}
+
 ColumnVector ColumnVector::Gather(const std::vector<uint32_t>& sel) const {
   ColumnVector out;
   out.tag = tag;
@@ -178,24 +247,26 @@ ColumnVector ColumnVector::Gather(const std::vector<uint32_t>& sel) const {
 size_t ColumnVector::ByteSize(const std::vector<uint32_t>& sel) const {
   // Mirrors Value::ByteSize per row: 1 byte for NULL, 8 for numerics,
   // size+4 for strings.
-  size_t bytes = 0;
-  for (uint32_t i : sel) {
-    if (nulls.IsNull(i)) {
-      bytes += 1;
-      continue;
-    }
-    switch (tag) {
-      case ColumnTag::kInt64:
-      case ColumnTag::kDouble:
-        bytes += 8;
-        break;
-      case ColumnTag::kString:
-        bytes += str[i].size() + 4;
-        break;
-      case ColumnTag::kValue:
-        bytes += vals[i].ByteSize();
-        break;
-    }
+  const bool any_null = nulls.AnyNull();
+  size_t null_rows = 0;
+  if (any_null) {
+    for (uint32_t i : sel) null_rows += nulls.IsNull(i);
+  }
+  size_t bytes = null_rows;
+  switch (tag) {
+    case ColumnTag::kInt64:
+    case ColumnTag::kDouble:
+      return bytes + 8 * (sel.size() - null_rows);
+    case ColumnTag::kString:
+      for (uint32_t i : sel) {
+        if (!any_null || !nulls.IsNull(i)) bytes += str[i].size() + 4;
+      }
+      return bytes;
+    case ColumnTag::kValue:
+      for (uint32_t i : sel) {
+        if (!any_null || !nulls.IsNull(i)) bytes += vals[i].ByteSize();
+      }
+      return bytes;
   }
   return bytes;
 }

@@ -58,6 +58,11 @@ class NullBitmap {
     }
   }
 
+  /// Appends bit sel[k] of `src` for each k < n: zero words when `src`
+  /// has no NULL, shifted words when `sel` is a run of consecutive rows,
+  /// bit by bit otherwise.
+  void AppendSelected(const NullBitmap& src, const uint32_t* sel, size_t n);
+
   int64_t null_count() const { return null_count_; }
   const std::vector<uint64_t>& words() const { return words_; }
   bool AnyNull() const { return null_count_ != 0; }
@@ -139,6 +144,13 @@ struct ColumnVector {
 
   /// Appends row `i` of `other` (same-tag fast path, generic otherwise).
   void AppendFrom(const ColumnVector& other, size_t i);
+
+  /// Appends rows sel[0..n) of `other`, equal to AppendFrom of each. Once
+  /// the tags agree (at once, or after a first value retags a column that
+  /// holds only NULLs) the rest is copied in bulk; kValue and mixed tags
+  /// go cell by cell.
+  void AppendSelected(const ColumnVector& other, const uint32_t* sel,
+                      size_t n);
 
   /// New column holding rows `sel` of this one, in selection order.
   ColumnVector Gather(const std::vector<uint32_t>& sel) const;

@@ -1,6 +1,7 @@
 #include "exec/vector/kernels.h"
 
 #include <string>
+#include <string_view>
 
 #include "common/str_util.h"
 #include "expr/eval.h"
@@ -150,6 +151,101 @@ bool ApplyCmp(ExprOp op, int c) {
   }
 }
 
+/// Reads one operand of a typed comparison as T: a constant, or a column
+/// payload P at sel[k] (a batch column) or at k (a kernel output).
+template <typename T, typename P>
+struct Reader {
+  T constant{};
+  const P* data = nullptr;
+  const NullBitmap* nulls = nullptr;  ///< set when the column has NULLs
+  bool indirect = false;
+
+  size_t Index(const uint32_t* sel, size_t k) const {
+    return indirect ? sel[k] : k;
+  }
+  bool Null(const uint32_t* sel, size_t k) const {
+    return nulls != nullptr && nulls->IsNull(Index(sel, k));
+  }
+  T Get(const uint32_t* sel, size_t k) const {
+    if (data == nullptr) return constant;
+    return static_cast<T>(data[Index(sel, k)]);
+  }
+};
+
+template <typename T, typename P>
+Reader<T, P> ColumnReader(const Operand& op, const std::vector<P>& payload) {
+  Reader<T, P> r;
+  r.data = payload.data();
+  if (op.col->nulls.AnyNull()) r.nulls = &op.col->nulls;
+  r.indirect = op.indirect;
+  return r;
+}
+
+template <typename T, typename P>
+Reader<T, P> ConstReader(T constant) {
+  Reader<T, P> r;
+  r.constant = constant;
+  return r;
+}
+
+/// Calls emit(k, null, c) for each selected row k in order: whether
+/// either side is NULL, and the three-way comparison c (-1, 0 or 1; NaN
+/// compares equal). emit may overwrite sel[j] for j <= k: sel[k] is read
+/// before emit(k, ...) runs.
+template <typename L, typename R, typename Emit>
+void CompareEach(const L& l, const R& r, const SelVec& sel, Emit emit) {
+  const uint32_t* rows = sel.data();
+  const bool any_null = l.nulls != nullptr || r.nulls != nullptr;
+  for (size_t k = 0; k < sel.size(); ++k) {
+    const auto x = l.Get(rows, k);
+    const auto y = r.Get(rows, k);
+    const bool null = any_null && (l.Null(rows, k) || r.Null(rows, k));
+    emit(k, null, x < y ? -1 : (x > y ? 1 : 0));
+  }
+}
+
+/// CompareEach over a typed pair of operands: int/int compares as int64,
+/// any other numeric pair as double, strings by their bytes. False, with
+/// no emit, when the pair needs the scalar fallback (kValue columns,
+/// family mixes).
+template <typename Emit>
+bool CompareTyped(const Operand& a, const Operand& b, const SelVec& sel,
+                  Emit emit) {
+  if (a.IsString() && b.IsString()) {
+    auto str = [](const Operand& o) {
+      return o.IsCol() ? ColumnReader<std::string_view>(o, o.col->str)
+                       : ConstReader<std::string_view, std::string>(*o.cs);
+    };
+    CompareEach(str(a), str(b), sel, emit);
+    return true;
+  }
+  if (!a.IsNumeric() || !b.IsNumeric()) return false;
+  if (a.IsInt() && b.IsInt()) {
+    auto i64 = [](const Operand& o) {
+      return o.IsCol() ? ColumnReader<int64_t>(o, o.col->i64)
+                       : ConstReader<int64_t, int64_t>(o.ci);
+    };
+    CompareEach(i64(a), i64(b), sel, emit);
+    return true;
+  }
+  // At most one side is an int64 column; its payload widens per row.
+  auto f64 = [](const Operand& o) {
+    return o.kind == Operand::kDoubleCol
+               ? ColumnReader<double>(o, o.col->f64)
+               : ConstReader<double, double>(
+                     o.kind == Operand::kConstInt ? static_cast<double>(o.ci)
+                                                  : o.cd);
+  };
+  if (a.kind == Operand::kIntCol) {
+    CompareEach(ColumnReader<double>(a, a.col->i64), f64(b), sel, emit);
+  } else if (b.kind == Operand::kIntCol) {
+    CompareEach(f64(a), ColumnReader<double>(b, b.col->i64), sel, emit);
+  } else {
+    CompareEach(f64(a), f64(b), sel, emit);
+  }
+  return true;
+}
+
 Result<VecVal> CompareVec(ExprOp op, const VecVal& l, const VecVal& r,
                           const SelVec& sel) {
   // NULL compared to anything is NULL — checked before operand families,
@@ -166,37 +262,15 @@ Result<VecVal> CompareVec(ExprOp op, const VecVal& l, const VecVal& r,
   Operand a = Classify(l);
   Operand b = Classify(r);
   ColumnVector out = BoolCol(n);
-  if (a.IsNumeric() && b.IsNumeric()) {
-    if (a.IsInt() && b.IsInt()) {
-      for (size_t k = 0; k < n; ++k) {
-        if (a.NullAt(sel, k) || b.NullAt(sel, k)) {
+  const bool typed =
+      CompareTyped(a, b, sel, [&](size_t, bool null, int c) {
+        if (null) {
           PushNull(&out);
-          continue;
+        } else {
+          PushBool(&out, ApplyCmp(op, c));
         }
-        int64_t x = a.IntAt(sel, k), y = b.IntAt(sel, k);
-        PushBool(&out, ApplyCmp(op, x < y ? -1 : (x > y ? 1 : 0)));
-      }
-    } else {
-      for (size_t k = 0; k < n; ++k) {
-        if (a.NullAt(sel, k) || b.NullAt(sel, k)) {
-          PushNull(&out);
-          continue;
-        }
-        double x = a.DoubleAt(sel, k), y = b.DoubleAt(sel, k);
-        PushBool(&out, ApplyCmp(op, x < y ? -1 : (x > y ? 1 : 0)));
-      }
-    }
-  } else if (a.IsString() && b.IsString()) {
-    for (size_t k = 0; k < n; ++k) {
-      if (a.NullAt(sel, k) || b.NullAt(sel, k)) {
-        PushNull(&out);
-        continue;
-      }
-      const std::string& x = a.StrAt(sel, k);
-      const std::string& y = b.StrAt(sel, k);
-      PushBool(&out, ApplyCmp(op, x.compare(y) < 0 ? -1 : (x == y ? 0 : 1)));
-    }
-  } else {
+      });
+  if (!typed) {
     // kValue columns or family mixes: the scalar reference, elementwise.
     for (size_t k = 0; k < n; ++k) {
       CGQ_ASSIGN_OR_RETURN(
@@ -205,6 +279,32 @@ Result<VecVal> CompareVec(ExprOp op, const VecVal& l, const VecVal& r,
     }
   }
   return VecVal::Owned(std::move(out));
+}
+
+/// Narrows `sel` to the rows where `l op r` holds, in one pass that
+/// builds no boolean column: the rows CompareVec's result keeps. False,
+/// with `sel` untouched, when the operands need CompareVec (two
+/// constants, kValue columns, family mixes).
+bool CompareSel(ExprOp op, const VecVal& l, const VecVal& r, SelVec* sel) {
+  if (l.is_const && r.is_const) return false;
+  if ((l.is_const && l.cval.is_null()) || (r.is_const && r.cval.is_null())) {
+    sel->clear();
+    return true;
+  }
+  // Bit c + 1 of `keep` is set when outcome c satisfies `op`.
+  int keep = 0;
+  for (int c = -1; c <= 1; ++c) keep |= ApplyCmp(op, c) << (c + 1);
+  uint32_t* rows = sel->data();
+  size_t out = 0;
+  if (!CompareTyped(Classify(l), Classify(r), *sel,
+                    [&](size_t k, bool null, int c) {
+                      rows[out] = rows[k];
+                      out += !null && ((keep >> (c + 1)) & 1);
+                    })) {
+    return false;
+  }
+  sel->resize(out);
+  return true;
 }
 
 Result<VecVal> ArithmeticVec(ExprOp op, const VecVal& l, const VecVal& r,
@@ -247,10 +347,14 @@ Result<VecVal> ArithmeticVec(ExprOp op, const VecVal& l, const VecVal& r,
           PushNull(&out);
           continue;
         }
-        int64_t x = a.IntAt(sel, k), y = b.IntAt(sel, k);
-        out.i64.push_back(op == ExprOp::kAdd   ? x + y
-                          : op == ExprOp::kSub ? x - y
-                                               : x * y);
+        int64_t x = a.IntAt(sel, k), y = b.IntAt(sel, k), z = 0;
+        const bool overflow = op == ExprOp::kAdd
+                                  ? __builtin_add_overflow(x, y, &z)
+                              : op == ExprOp::kSub
+                                  ? __builtin_sub_overflow(x, y, &z)
+                                  : __builtin_mul_overflow(x, y, &z);
+        if (overflow) return IntegerOverflow();
+        out.i64.push_back(z);
         out.nulls.AppendBit(false);
       }
     } else {
@@ -468,7 +572,15 @@ Status FilterSel(const std::vector<ExprPtr>& conjuncts,
                  const ColumnBatch& batch, SelVec* sel) {
   for (const ExprPtr& c : conjuncts) {
     if (sel->empty()) return Status::OK();
-    CGQ_ASSIGN_OR_RETURN(VecVal v, EvalExprVec(*c, batch, *sel));
+    VecVal v;
+    if (IsComparisonOp(c->op())) {
+      CGQ_ASSIGN_OR_RETURN(VecVal l, EvalExprVec(*c->child(0), batch, *sel));
+      CGQ_ASSIGN_OR_RETURN(VecVal r, EvalExprVec(*c->child(1), batch, *sel));
+      if (CompareSel(c->op(), l, r, sel)) continue;
+      CGQ_ASSIGN_OR_RETURN(v, CompareVec(c->op(), l, r, *sel));
+    } else {
+      CGQ_ASSIGN_OR_RETURN(v, EvalExprVec(*c, batch, *sel));
+    }
     if (v.is_const) {
       if (!v.cval.is_null() && IsTruthyValue(v.cval)) continue;
       sel->clear();

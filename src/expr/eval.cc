@@ -56,17 +56,23 @@ Result<Value> EvalArithmeticValues(ExprOp op, const Value& l,
     return Value::Double(l.AsDouble() / d);
   }
   if (l.is_int64() && r.is_int64()) {
-    int64_t a = l.int64(), b = r.int64();
+    int64_t a = l.int64(), b = r.int64(), out = 0;
+    bool overflow = false;
     switch (op) {
       case ExprOp::kAdd:
-        return Value::Int64(a + b);
-      case ExprOp::kSub:
-        return Value::Int64(a - b);
-      case ExprOp::kMul:
-        return Value::Int64(a * b);
-      default:
+        overflow = __builtin_add_overflow(a, b, &out);
         break;
+      case ExprOp::kSub:
+        overflow = __builtin_sub_overflow(a, b, &out);
+        break;
+      case ExprOp::kMul:
+        overflow = __builtin_mul_overflow(a, b, &out);
+        break;
+      default:
+        return Status::Internal("not arithmetic");
     }
+    if (overflow) return IntegerOverflow();
+    return Value::Int64(out);
   }
   double a = l.AsDouble(), b = r.AsDouble();
   switch (op) {
@@ -164,23 +170,32 @@ Result<bool> EvalPredicate(const Expr& pred, const Row& row,
   return !v.is_null() && IsTruthyValue(v);
 }
 
-void AggAccumulator::Add(const Value& v) {
-  if (v.is_null()) return;
+Status IntegerOverflow() {
+  return Status::InvalidArgument("integer overflow");
+}
+
+Status AggAccumulator::Add(const Value& v) {
+  if (v.is_null()) return Status::OK();
+  if (v.is_int64()) {
+    return AddInt64(v.int64()) ? Status::OK() : IntegerOverflow();
+  }
+  if (v.is_double()) {
+    AddDouble(v.dbl());
+    return Status::OK();
+  }
+  if (fn_ == AggFn::kSum || fn_ == AggFn::kAvg) {
+    return Status::InvalidArgument("SUM and AVG require a numeric argument");
+  }
   ++count_;
-  switch (fn_) {
-    case AggFn::kCount:
-      return;
-    case AggFn::kSum:
-    case AggFn::kAvg:
-      sum_ += v.AsDouble();
-      sum_is_integral_ &= v.is_int64();
-      return;
-    case AggFn::kMin:
-      if (min_.is_null() || v.Compare(min_) < 0) min_ = v;
-      return;
-    case AggFn::kMax:
-      if (max_.is_null() || v.Compare(max_) > 0) max_ = v;
-      return;
+  if (fn_ != AggFn::kCount) FoldExtreme(v);
+  return Status::OK();
+}
+
+void AggAccumulator::FoldExtreme(const Value& v) {
+  if (fn_ == AggFn::kMin) {
+    if (min_.is_null() || v.Compare(min_) < 0) min_ = v;
+  } else if (max_.is_null() || v.Compare(max_) > 0) {
+    max_ = v;
   }
 }
 
@@ -192,11 +207,12 @@ Value AggAccumulator::Finish() const {
       if (count_ == 0) {
         return merges_counts_ ? Value::Int64(0) : Value::Null();
       }
-      return sum_is_integral_ ? Value::Int64(static_cast<int64_t>(sum_))
-                              : Value::Double(sum_);
+      return sum_is_integral_ ? Value::Int64(isum_) : Value::Double(sum_);
     case AggFn::kAvg:
       if (count_ == 0) return Value::Null();
-      return Value::Double(sum_ / static_cast<double>(count_));
+      return Value::Double(
+          (sum_is_integral_ ? static_cast<double>(isum_) : sum_) /
+          static_cast<double>(count_));
     case AggFn::kMin:
       return min_;
     case AggFn::kMax:

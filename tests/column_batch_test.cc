@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
 #include "exec/vector/column_batch.h"
 #include "exec/vector/kernels.h"
+#include "typed_batches.h"
 
 namespace cgq {
 namespace vec {
@@ -177,6 +179,55 @@ TEST(ColumnBatchTest, SharedColumnsSurviveSourceBatchDestruction) {
     kept = cb->columns[0];
   }
   ExpectSameValue(kept->GetValue(0), Value::Int64(42), "shared column");
+}
+
+// AppendSelected (the bulk copy behind the fragment runtime's
+// AppendRows) must build exactly the column per-cell AppendFrom builds:
+// sources of every RandomValue kind (every tag, NULLs, kValue), windows
+// at every bit offset and sparse selections, into fresh, all-NULL,
+// committed and kValue destinations, appended to more than once.
+TEST(ColumnVectorTest, BulkAppendEqualsPerCellAppend) {
+  std::mt19937_64 rng(20261020);
+  auto column = [&](int kind, size_t n) {
+    ColumnVector col;
+    if (kind == 7) col.tag = ColumnTag::kDouble;  // typed, all NULL
+    if (kind == 8) col.tag = ColumnTag::kValue;
+    for (size_t i = 0; i < n; ++i) {
+      col.AppendValue(kind >= 7 ? Value::Null() : RandomValue(kind, &rng));
+    }
+    return col;
+  };
+  int cases = 0;
+  for (int src_kind = 0; src_kind < 9; ++src_kind) {
+    for (int dst_kind = 0; dst_kind < 9; ++dst_kind) {
+      for (size_t dst_rows : {size_t{0}, size_t{3}, size_t{64}, size_t{70}}) {
+        const ColumnVector src = column(src_kind, 200);
+        ColumnVector bulk = column(dst_kind, dst_rows);
+        ColumnVector cells = bulk;
+        const std::string what = "src kind " + std::to_string(src_kind) +
+                                 " dst kind " + std::to_string(dst_kind) +
+                                 " dst rows " + std::to_string(dst_rows);
+        // A window at a random bit offset, a sparse selection, a window.
+        for (int round = 0; round < 3; ++round) {
+          SelVec sel;
+          if (round == 1) {
+            for (uint32_t i = 0; i < 200; ++i) {
+              if (rng() % 3 != 0) sel.push_back(i);
+            }
+          } else {
+            const size_t begin = rng() % 100;
+            sel = RangeSel(begin, begin + rng() % 100);
+          }
+          bulk.AppendSelected(src, sel.data(), sel.size());
+          for (uint32_t i : sel) cells.AppendFrom(src, i);
+          ExpectSameColumn(bulk, cells, what + " round " +
+                                            std::to_string(round));
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 9 * 9 * 4 * 3);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -390,6 +391,121 @@ TEST(DifferentialSoak, KeyShapesMatchRowOracle) {
       }
     }
   }
+}
+
+// Columns whose cells mix int64 and double are stored as kValue columns
+// (or typed, in a block where one type happens to be alone), and carry
+// NULLs, so filters, join keys, group keys and SUM/MIN/MAX over them take
+// the cell and Value fallbacks beside the typed paths TPC-H exercises.
+// Each query runs the whole grid against the row oracle.
+TEST(DifferentialSoak, MixedTagColumnsMatchRowOracle) {
+  Catalog catalog;
+  (void)*catalog.mutable_locations().AddLocation("s1");
+  (void)*catalog.mutable_locations().AddLocation("s2");
+  TableDef m;
+  m.name = "m";
+  m.schema = Schema({{"id", DataType::kInt64},
+                     {"x", DataType::kDouble},
+                     {"g", DataType::kDouble}});
+  m.fragments = {TableFragment{0, 1.0}};
+  m.stats.row_count = 400;
+  (void)catalog.AddTable(m);
+  TableDef n;
+  n.name = "n";
+  n.schema = Schema({{"x2", DataType::kDouble}, {"w", DataType::kInt64}});
+  n.fragments = {TableFragment{1, 1.0}};
+  n.stats.row_count = 40;
+  (void)catalog.AddTable(n);
+  PolicyCatalog policies(&catalog);
+  ASSERT_TRUE(policies.AddPolicyText("s1", "ship * from m to *").ok());
+  ASSERT_TRUE(policies.AddPolicyText("s2", "ship * from n to *").ok());
+
+  // x cycles through int64 and double spellings of the same numbers
+  // (structurally distinct keys, numerically equal in filters), -0.0, NaN
+  // and NULL.
+  auto mixed = [](int64_t i) {
+    if (i % 7 == 0) return Value::Null();
+    if (i % 29 == 0) return Value::Double(-0.0);
+    if (i % 31 == 0) return Value::Double(std::nan(""));
+    const int64_t v = i % 13;
+    return i % 2 == 0 ? Value::Int64(v) : Value::Double(static_cast<double>(v));
+  };
+  TableStore memory;
+  std::vector<Row> m_rows, n_rows;
+  for (int64_t i = 0; i < 400; ++i) {
+    m_rows.push_back({Value::Int64(i), mixed(i), mixed(i / 3 + 1)});
+  }
+  for (int64_t i = 0; i < 40; ++i) {
+    n_rows.push_back({mixed(i * 5 + 1), Value::Int64(i % 4)});
+  }
+  ASSERT_EQ(vec::FromRows(m_rows.data(), m_rows.size(), 3).columns[1]->tag,
+            vec::ColumnTag::kValue);
+  memory.Put(0, "m", m_rows);
+  memory.Put(1, "n", n_rows);
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("cgq-differential-mixed-" + std::to_string(::getpid())))
+          .string();
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  TableStore disk(memory);
+  storage::StorageOptions storage_options;
+  storage_options.block_target_bytes = 1024;
+  ASSERT_TRUE(disk.EnableDiskStorage(dir, storage_options).ok());
+  const NetworkModel net = NetworkModel::DefaultGeo(2);
+  QueryOptimizer optimizer(&catalog, &policies, &net, OptimizerOptions());
+
+  const std::vector<std::string> queries = {
+      "SELECT m.id, m.x FROM m WHERE m.x > 5",
+      "SELECT m.id FROM m WHERE m.x >= 2.5 AND m.x < 9 AND m.g <> 4",
+      "SELECT m.id, m.g FROM m WHERE m.x = 3",
+      "SELECT m.id, n.w FROM m, n WHERE m.x = n.x2",
+      "SELECT m.g, COUNT(*) AS c, SUM(m.x) AS s, MIN(m.x) AS lo, "
+      "MAX(m.x) AS hi FROM m GROUP BY m.g",
+      "SELECT SUM(m.x) AS s, MIN(m.x) AS lo, MAX(m.x) AS hi, AVG(m.x) AS a "
+      "FROM m WHERE m.id > 10",
+      "SELECT n.x2, SUM(m.x) AS s, MIN(m.g) AS lo FROM m, n "
+      "WHERE m.x = n.x2 GROUP BY n.x2",
+  };
+  int64_t spilled = 0;
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
+    auto q = optimizer.Optimize(sql);
+    ASSERT_TRUE(q.ok()) << q.status();
+    ExecutorOptions opts;
+    opts.mode = ExecMode::kRow;
+    auto oracle = Executor(&memory, &net, opts).Execute(*q);
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    ASSERT_GE(oracle->rows.size(), 1u);
+    opts.mode = ExecMode::kFragment;
+    for (bool on_disk : {false, true}) {
+      for (int batch_size : {1, 7, 1024}) {
+        for (int threads : {1, 4}) {
+          for (uint64_t budget : {uint64_t{0}, uint64_t{1024}}) {
+            SCOPED_TRACE(std::string(on_disk ? "disk" : "memory") +
+                         " batch=" + std::to_string(batch_size) +
+                         " threads=" + std::to_string(threads) +
+                         " budget=" + std::to_string(budget));
+            opts.batch_size = batch_size;
+            opts.threads = threads;
+            opts.memory_budget_bytes = budget;
+            auto got = Executor(on_disk ? &disk : &memory, &net, opts)
+                           .Execute(*q);
+            ASSERT_TRUE(got.ok()) << got.status();
+            EXPECT_EQ(Digest(*got), Digest(*oracle));
+            EXPECT_EQ(got->metrics.rows_shipped, oracle->metrics.rows_shipped);
+            EXPECT_EQ(got->metrics.bytes_shipped,
+                      oracle->metrics.bytes_shipped);
+            EXPECT_EQ(got->metrics.rows_scanned, oracle->metrics.rows_scanned);
+            spilled += got->metrics.spill_partitions;
+          }
+        }
+      }
+    }
+  }
+  // The joins' build sides exceed the 1 KiB budget: the grace spill ran.
+  EXPECT_GT(spilled, 0);
+  fs::remove_all(dir, ec);
 }
 
 // --- NULL semantics ----------------------------------------------------------

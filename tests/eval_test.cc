@@ -1,5 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "exec/vector/column_batch.h"
+#include "exec/vector/kernels.h"
 #include "expr/eval.h"
 #include "sql/parser.h"
 
@@ -209,6 +220,282 @@ TEST(AggAccumulatorTest, MinMaxStrings) {
   mn.Add(Value::String("pear"));
   mn.Add(Value::String("apple"));
   EXPECT_EQ(mn.Finish().str(), "apple");
+}
+
+constexpr int64_t kMaxInt = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMinInt = std::numeric_limits<int64_t>::min();
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+bool IsOverflow(const Status& s) {
+  return s.IsInvalidArgument() &&
+         s.message().find("integer overflow") != std::string::npos;
+}
+
+TEST_F(EvalTest, IntegerOverflowIsAnError) {
+  const std::vector<std::pair<const char*, int64_t>> cases = {
+      {"a + b > 0", 1}, {"a - b > 0", -1}, {"a * b > 0", 2}};
+  for (const auto& [sql, b] : cases) {
+    auto r = Eval(sql, Value::Int64(kMaxInt), Value::Int64(b), Value::Null());
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(IsOverflow(r.status())) << sql << ": " << r.status();
+  }
+  auto min_minus = Eval("a - b > 0", Value::Int64(kMinInt), Value::Int64(1),
+                        Value::Null());
+  EXPECT_TRUE(!min_minus.ok() && IsOverflow(min_minus.status()));
+  // The edges themselves are fine, and doubles never overflow.
+  auto edge = EvalArithmeticValues(ExprOp::kAdd, Value::Int64(kMaxInt - 1),
+                                   Value::Int64(1));
+  ASSERT_TRUE(edge.ok());
+  EXPECT_EQ(edge->int64(), kMaxInt);
+  auto dbl = EvalArithmeticValues(ExprOp::kAdd, Value::Int64(kMaxInt),
+                                  Value::Double(1));
+  ASSERT_TRUE(dbl.ok());
+  EXPECT_TRUE(dbl->is_double());
+}
+
+// The kernel's typed int64 path fails the same way as the scalar one.
+TEST_F(EvalTest, KernelIntegerOverflowIsAnError) {
+  vec::ColumnVector col;
+  col.AppendInt64(1);
+  col.AppendInt64(kMaxInt);
+  vec::ColumnBatch batch = vec::DenseBatch(RowLayout({0}), {col}, 2);
+  ExprPtr a = Expr::BoundColumn(0, "t", "a", "t", DataType::kInt64);
+  for (ExprOp op : {ExprOp::kAdd, ExprOp::kMul}) {
+    ExprPtr e = Expr::Binary(op, a, Expr::Literal(Value::Int64(2)));
+    auto all = vec::EvalExprVec(*e, batch, batch.sel);
+    ASSERT_FALSE(all.ok());
+    EXPECT_TRUE(IsOverflow(all.status())) << all.status();
+    auto first = vec::EvalExprVec(*e, batch, vec::SelVec{0});
+    ASSERT_TRUE(first.ok()) << first.status();
+  }
+  ExprPtr neg = Expr::Binary(ExprOp::kSub, Expr::Literal(Value::Int64(-2)), a);
+  auto r = vec::EvalExprVec(*neg, batch, batch.sel);
+  EXPECT_TRUE(!r.ok() && IsOverflow(r.status()));
+}
+
+// FilterSel narrows the selection directly for typed comparisons; it
+// must keep exactly the rows of the boolean-column path (EvalExprVec,
+// then truthiness), and of the scalar evaluator.
+TEST(FilterSelTest, DirectComparisonsKeepTheBooleanColumnRows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::mt19937_64 rng(7);
+  const size_t n = 150;
+  std::vector<Row> rows(n);
+  for (Row& row : rows) {
+    const int p = static_cast<int>(rng() % 100);
+    const int64_t i = static_cast<int64_t>(rng() % 7) - 3;
+    static const double kDoubles[] = {-3.0, -0.0, 0.0, 1.5, 2.0, nan};
+    static const char* kStrings[] = {"", "a", "ab", "b"};
+    row = {
+        p < 10 ? Value::Null() : Value::Int64(i),                   // 1 int
+        p % 11 == 0 ? Value::Null()                                 // 2 dbl
+                    : Value::Double(kDoubles[rng() % 6]),
+        p % 13 == 0 ? Value::Null()                                 // 3 str
+                    : Value::String(kStrings[rng() % 4]),
+        Value::Int64(i + 1),                                        // 4 int
+        Value::Double(kDoubles[rng() % 5]),                         // 5 dbl
+        p % 2 == 0 ? Value::Int64(i) : Value::Double(i * 0.5),      // 6 mixed
+        Value::Null(),                                              // 7 null
+    };
+  }
+  const RowLayout layout({1, 2, 3, 4, 5, 6, 7});
+  vec::ColumnBatch batch = vec::FromRows(layout, rows).ValueOrDie();
+  ASSERT_EQ(batch.columns[5]->tag, vec::ColumnTag::kValue);
+  auto col = [](AttrId id) {
+    const DataType t = id == 3 ? DataType::kString
+                       : id == 2 || id == 5 || id == 6 ? DataType::kDouble
+                                                       : DataType::kInt64;
+    return Expr::BoundColumn(id, "t", "c" + std::to_string(id), "t", t);
+  };
+  auto lit = [](Value v) { return Expr::Literal(std::move(v)); };
+  // Numeric operands: columns, constants of both types, NaN, -0.0, NULL
+  // and an arithmetic (kernel-owned) column; strings likewise.
+  const std::vector<ExprPtr> numeric = {
+      col(1), col(2), col(4), col(5), col(6), col(7),
+      lit(Value::Int64(0)), lit(Value::Int64(-1)), lit(Value::Double(0.0)),
+      lit(Value::Double(-0.0)), lit(Value::Double(1.5)),
+      lit(Value::Double(nan)),
+      lit(Value::Null()),
+      Expr::Binary(ExprOp::kAdd, col(1), lit(Value::Int64(1))),
+      Expr::Binary(ExprOp::kMul, col(2), lit(Value::Double(2.0)))};
+  const std::vector<ExprPtr> strings = {col(3), lit(Value::String("a")),
+                                        lit(Value::String("")),
+                                        lit(Value::Null())};
+  const std::vector<vec::SelVec> sels = {
+      vec::RangeSel(0, n), vec::RangeSel(5, 70),
+      [&] {
+        vec::SelVec s;
+        for (uint32_t i = 0; i < n; i += 1 + rng() % 3) s.push_back(i);
+        return s;
+      }()};
+  int checked = 0;
+  for (ExprOp op : {ExprOp::kEq, ExprOp::kNe, ExprOp::kLt, ExprOp::kLe,
+                    ExprOp::kGt, ExprOp::kGe}) {
+    for (const auto* pool : {&numeric, &strings}) {
+      for (const ExprPtr& l : *pool) {
+        for (const ExprPtr& r : *pool) {
+          const ExprPtr cmp = Expr::Binary(op, l, r);
+          for (const vec::SelVec& sel : sels) {
+            SCOPED_TRACE(cmp->ToString() + " over " +
+                         std::to_string(sel.size()) + " rows");
+            auto v = vec::EvalExprVec(*cmp, batch, sel);
+            ASSERT_TRUE(v.ok()) << v.status();
+            vec::SelVec want;
+            for (size_t k = 0; k < sel.size(); ++k) {
+              if (IsTruthyValue(v->At(sel, k))) want.push_back(sel[k]);
+            }
+            vec::SelVec scalar;
+            for (uint32_t i : sel) {
+              auto keep = EvalPredicate(*cmp, rows[i], layout);
+              ASSERT_TRUE(keep.ok()) << keep.status();
+              if (*keep) scalar.push_back(i);
+            }
+            vec::SelVec got = sel;
+            ASSERT_TRUE(vec::FilterSel({cmp}, batch, &got).ok());
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(got, scalar);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 6 * (15 * 15 + 4 * 4) * 3);
+}
+
+// A comparison of incomparable families still fails from FilterSel.
+TEST(FilterSelTest, IncomparableFamiliesFail) {
+  vec::ColumnBatch batch =
+      vec::FromRows(RowLayout({1}), {{Value::String("x")}}).ValueOrDie();
+  ExprPtr cmp = Expr::Binary(
+      ExprOp::kEq, Expr::BoundColumn(1, "t", "s", "t", DataType::kString),
+      Expr::Literal(Value::Int64(1)));
+  vec::SelVec sel = batch.sel;
+  Status s = vec::FilterSel({cmp}, batch, &sel);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s;
+}
+
+TEST(AggAccumulatorTest, IntegralSumIsExact) {
+  AggAccumulator sum(AggFn::kSum);
+  ASSERT_TRUE(sum.Add(Value::Int64(kTwo53)).ok());
+  ASSERT_TRUE(sum.Add(Value::Int64(1)).ok());
+  EXPECT_TRUE(sum.Finish().StructurallyEquals(Value::Int64(kTwo53 + 1)));
+  // AVG divides the exact sum: (2^53 + 1 + 2) / 2, not (2^53 + 2) / 2.
+  AggAccumulator avg(AggFn::kAvg);
+  ASSERT_TRUE(avg.Add(Value::Int64(kTwo53 + 1)).ok());
+  ASSERT_TRUE(avg.Add(Value::Int64(2)).ok());
+  EXPECT_EQ(avg.Finish().dbl(), static_cast<double>(kTwo53 + 3) / 2);
+  // A double switches the sum to double from the exact prefix on.
+  ASSERT_TRUE(sum.Add(Value::Double(0.5)).ok());
+  EXPECT_TRUE(sum.Finish().StructurallyEquals(
+      Value::Double(static_cast<double>(kTwo53 + 1) + 0.5)));
+}
+
+TEST(AggAccumulatorTest, IntegralSumOverflowIsAnError) {
+  AggAccumulator sum(AggFn::kSum);
+  ASSERT_TRUE(sum.Add(Value::Int64(kMaxInt)).ok());
+  Status s = sum.Add(Value::Int64(kMaxInt));
+  EXPECT_TRUE(IsOverflow(s)) << s;
+  AggAccumulator low(AggFn::kSum);
+  ASSERT_TRUE(low.Add(Value::Int64(kMinInt)).ok());
+  EXPECT_FALSE(low.AddInt64(-1));
+  // AVG's result is a double: it continues in double instead.
+  AggAccumulator avg(AggFn::kAvg);
+  ASSERT_TRUE(avg.Add(Value::Int64(kMaxInt)).ok());
+  ASSERT_TRUE(avg.Add(Value::Int64(kMaxInt)).ok());
+  EXPECT_EQ(avg.Finish().dbl(), static_cast<double>(kMaxInt));
+}
+
+/// The Value fold the typed one must equal: MIN/MAX through
+/// Value::Compare, COUNT of non-NULLs, and a sum exact while integral
+/// that continues in double, in input order, once a double arrives.
+Value ReferenceFold(AggFn fn, const std::vector<Value>& in) {
+  int64_t count = 0;
+  __int128 exact = 0;
+  bool integral = true;
+  double sum = 0;
+  Value extreme;
+  for (const Value& v : in) {
+    if (v.is_null()) continue;
+    ++count;
+    if (integral && v.is_int64()) {
+      exact += v.int64();
+    } else {
+      if (integral) sum = static_cast<double>(static_cast<int64_t>(exact));
+      integral = false;
+      sum += v.AsDouble();
+    }
+    const int c = extreme.is_null() ? 0 : v.Compare(extreme);
+    if (extreme.is_null() || (fn == AggFn::kMin ? c < 0 : c > 0)) {
+      extreme = v;
+    }
+  }
+  switch (fn) {
+    case AggFn::kCount:
+      return Value::Int64(count);
+    case AggFn::kSum:
+      if (count == 0) return Value::Null();
+      return integral ? Value::Int64(static_cast<int64_t>(exact))
+                      : Value::Double(sum);
+    case AggFn::kAvg:
+      if (count == 0) return Value::Null();
+      return Value::Double(
+          (integral ? static_cast<double>(static_cast<int64_t>(exact)) : sum) /
+          static_cast<double>(count));
+    default:
+      return extreme;
+  }
+}
+
+bool SameBits(const Value& a, const Value& b) {
+  if (a.is_double() && b.is_double()) {
+    uint64_t x, y;
+    double da = a.dbl(), db = b.dbl();
+    std::memcpy(&x, &da, 8);
+    std::memcpy(&y, &db, 8);
+    return x == y;
+  }
+  return a.StructurallyEquals(b);
+}
+
+// The typed fold (AddInt64 / AddDouble per cell) equals the reference
+// Value fold, for MIN/MAX over NaN and -0.0 beside 0.0 too.
+TEST(AggAccumulatorTest, TypedFoldEqualsValueFold) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::mt19937_64 rng(11);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<Value> in(rng() % 12);
+    const int shape = trial % 4;  // ints, doubles, ints then doubles, mixed
+    for (size_t i = 0; i < in.size(); ++i) {
+      const int p = static_cast<int>(rng() % 100);
+      const bool as_int = shape == 0 || (shape == 2 && i < in.size() / 2) ||
+                          (shape == 3 && p % 2 == 0);
+      static const double kDoubles[] = {-0.0, 0.0, 1.5, -2.25, nan, 3.0};
+      if (p < 10) {
+        in[i] = Value::Null();
+      } else if (as_int) {
+        in[i] = Value::Int64(p % 3 == 0 ? kTwo53
+                                        : static_cast<int64_t>(p) - 50);
+      } else {
+        in[i] = Value::Double(kDoubles[rng() % 6]);
+      }
+    }
+    for (AggFn fn : {AggFn::kCount, AggFn::kSum, AggFn::kAvg, AggFn::kMin,
+                     AggFn::kMax}) {
+      AggAccumulator typed(fn);
+      for (const Value& v : in) {
+        if (v.is_int64()) {
+          ASSERT_TRUE(typed.AddInt64(v.int64()));
+        } else if (v.is_double()) {
+          typed.AddDouble(v.dbl());
+        }
+      }
+      const Value want = ReferenceFold(fn, in);
+      EXPECT_TRUE(SameBits(typed.Finish(), want))
+          << "trial " << trial << " fn " << static_cast<int>(fn) << ": "
+          << typed.Finish().ToString() << " vs " << want.ToString();
+    }
+  }
 }
 
 }  // namespace

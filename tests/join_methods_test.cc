@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/engine.h"
 #include "tpch/tpch.h"
 #include "exec/executor.h"
@@ -163,6 +166,70 @@ TEST_F(JoinMethodsTest, CountOverAnEmptyJoinIsZero) {
     SCOPED_TRACE(mode == ExecMode::kRow ? "row" : "fragment");
     EXPECT_EQ(Count(sql, mode), 0);
     EXPECT_EQ(Count(sql, mode, no_pushdown), 0);
+  }
+}
+
+// Integral SUMs are exact in int64 (2^53 + 1 is not rounded, and AVG
+// divides the exact sum); a SUM or an int64 `+ - *` that leaves int64
+// fails kInvalidArgument "integer overflow" instead of wrapping. Both
+// backends agree, through a join and GROUP BY as well.
+TEST_F(JoinMethodsTest, IntegerSumsAreExactAndOverflowIsAnError) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Catalog catalog;
+  (void)*catalog.mutable_locations().AddLocation("z");
+  for (const char* name : {"big", "tags"}) {
+    TableDef t;
+    t.name = name;
+    t.schema = Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
+    t.fragments = {TableFragment{0, 1.0}};
+    t.stats.row_count = 5;
+    (void)catalog.AddTable(t);
+  }
+  Engine engine(std::move(catalog), NetworkModel::DefaultGeo(1));
+  engine.store().Put(0, "big",
+                     {{Value::Int64(1), Value::Int64(kTwo53)},
+                      {Value::Int64(1), Value::Int64(1)},
+                      {Value::Int64(1), Value::Int64(1)},
+                      {Value::Int64(2), Value::Int64(kMax)},
+                      {Value::Int64(2), Value::Int64(kMax)}});
+  engine.store().Put(0, "tags", {{Value::Int64(1), Value::Int64(0)},
+                                 {Value::Int64(2), Value::Int64(0)}});
+  auto overflows = [](const Result<QueryResult>& r) {
+    return !r.ok() && r.status().IsInvalidArgument() &&
+           r.status().message().find("integer overflow") != std::string::npos;
+  };
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kFragment}) {
+    SCOPED_TRACE(mode == ExecMode::kRow ? "row" : "fragment");
+    engine.set_exec_mode(mode);
+    auto sum = engine.Run("SELECT SUM(b.v) AS s FROM big b WHERE b.k = 1");
+    ASSERT_TRUE(sum.ok()) << sum.status();
+    ASSERT_EQ(sum->rows.size(), 1u);
+    EXPECT_TRUE(sum->rows[0][0].StructurallyEquals(Value::Int64(kTwo53 + 2)))
+        << sum->rows[0][0].ToString();
+    auto avg = engine.Run("SELECT AVG(b.v) AS a FROM big b WHERE b.k = 1");
+    ASSERT_TRUE(avg.ok()) << avg.status();
+    ASSERT_EQ(avg->rows.size(), 1u);
+    EXPECT_TRUE(avg->rows[0][0].StructurallyEquals(
+        Value::Double(static_cast<double>(kTwo53 + 2) / 3)))
+        << avg->rows[0][0].ToString();
+    auto joined = engine.Run(
+        "SELECT t.k, SUM(b.v) AS s FROM big b, tags t WHERE b.k = t.k "
+        "AND t.k = 1 GROUP BY t.k");
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    ASSERT_EQ(joined->rows.size(), 1u);
+    EXPECT_TRUE(
+        joined->rows[0][1].StructurallyEquals(Value::Int64(kTwo53 + 2)));
+    EXPECT_TRUE(overflows(
+        engine.Run("SELECT SUM(b.v) AS s FROM big b WHERE b.k = 2")));
+    EXPECT_TRUE(overflows(
+        engine.Run("SELECT b.k, SUM(b.v) AS s FROM big b GROUP BY b.k")));
+    EXPECT_TRUE(overflows(engine.Run(
+        "SELECT b.k FROM big b, tags t WHERE b.k = t.k AND b.v + t.k > 0")));
+    EXPECT_TRUE(overflows(engine.Run(
+        "SELECT SUM(b.v * t.k) AS s FROM big b, tags t WHERE b.k = t.k")));
+    EXPECT_TRUE(overflows(
+        engine.Run("SELECT b.k FROM big b WHERE b.v * 2 > 0")));
   }
 }
 

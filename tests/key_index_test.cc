@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -244,6 +247,117 @@ TEST(KeyIndexTest, EdgeCellsFollowStructuralEquality) {
   join_keys.Lookup(batch, {0}, KeyIndex::Mode::kBuild, &ids);
   const uint32_t kNone = KeyIndex::kNone;
   EXPECT_EQ(ids, (std::vector<uint32_t>{0, 1, 1, 2, 3, kNone, kNone, 4, 0}));
+}
+
+// The typed key paths against the cell path: one index is fed the same
+// values as typed NULL-free columns, then as kValue columns, then as
+// typed columns with NULLs, in batches; its ids and keys() must equal a
+// first-seen RowKey map's all along.
+TEST(KeyIndexTest, TypedValueAndNullBatchesShareOneNumbering) {
+  Rng rng(0x7e9d);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Shape shape = RandomShape(&rng);
+    for (Family& f : shape.families) {
+      if (f == Family::kMixed) f = Family::kInt64;
+    }
+    const size_t width = shape.families.size();
+    std::vector<Row> rows =
+        RandomRows(shape, static_cast<size_t>(rng.Uniform(1, 50)), &rng);
+    for (Row& row : rows) {
+      for (size_t c = 0; c < width; ++c) {
+        while (row[c].is_null()) row[c] = RandomValue(shape.families[c], &rng);
+      }
+    }
+    std::vector<Row> with_nulls = rows;
+    for (Row& row : with_nulls) {
+      for (Value& v : row) {
+        if (rng.Bernoulli(0.2)) v = Value::Null();
+      }
+    }
+    KeyIndex index;
+    std::unordered_map<RowKey, uint32_t, RowKeyHash> expected;
+    std::vector<Row> first_seen;
+    std::vector<uint32_t> ids;
+    for (int round = 0; round < 3; ++round) {
+      const std::vector<Row>& input = round == 2 ? with_nulls : rows;
+      const vec::ColumnBatch batch = MakeBatch(
+          input, width, std::vector<bool>(width, round == 1),
+          RandomSel(input.size(), &rng));
+      for (size_t c : shape.keys) {
+        EXPECT_EQ(batch.columns[c]->tag == vec::ColumnTag::kValue,
+                  round == 1);
+      }
+      index.Lookup(batch, shape.keys, KeyIndex::Mode::kGroup, &ids);
+      for (size_t k = 0; k < batch.NumRows(); ++k) {
+        RowKey key;
+        for (size_t c : shape.keys) {
+          key.values.push_back(input[batch.sel[k]][c]);
+        }
+        auto it = expected.find(key);
+        if (it == expected.end()) {
+          first_seen.push_back(key.values);
+          const uint32_t id = static_cast<uint32_t>(expected.size());
+          it = expected.emplace(std::move(key), id).first;
+        }
+        ASSERT_EQ(ids[k], it->second) << "round " << round << " row " << k;
+      }
+    }
+    ASSERT_EQ(index.size(), first_seen.size());
+    for (size_t id = 0; id < first_seen.size(); ++id) {
+      for (size_t c = 0; c < shape.keys.size(); ++c) {
+        const Value got = index.keys()[c].GetValue(id);
+        const Value& want = first_seen[id][c];
+        const bool both_nan = got.is_double() && want.is_double() &&
+                              std::isnan(got.dbl()) && std::isnan(want.dbl());
+        EXPECT_TRUE(both_nan || got.StructurallyEquals(want))
+            << "id " << id << " column " << c;
+      }
+    }
+  }
+}
+
+// HashRows' typed column passes give each row the hash of the per-cell
+// formula: fold (h ^ cell) * golden, h ^ h >> 32 over the key cells,
+// where a cell is an int64 as its bits, a double as its bits (-0.0 as
+// 0.0), a string as std::hash of its bytes and NULL as the golden ratio.
+// Spill partitions and table slots depend on these values.
+TEST(KeyIndexTest, HashRowsEqualsThePerCellFormula) {
+  constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+  auto cell_hash = [&](const Value& v) -> uint64_t {
+    if (v.is_null()) return kGolden;
+    if (v.is_int64()) return static_cast<uint64_t>(v.int64());
+    if (v.is_double()) {
+      return std::bit_cast<uint64_t>(v.dbl() == 0 ? 0.0 : v.dbl());
+    }
+    return std::hash<std::string_view>()(v.str());
+  };
+  Rng rng(0x4a5b);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Shape shape = RandomShape(&rng);
+    const std::vector<Row> rows =
+        RandomRows(shape, static_cast<size_t>(rng.Uniform(0, 70)), &rng);
+    const vec::ColumnBatch batch =
+        MakeBatch(rows, shape.families.size(), RandomTags(shape, &rng),
+                  RandomSel(rows.size(), &rng));
+    std::vector<uint64_t> hashes;
+    std::vector<bool> nulls;
+    KeyIndex::HashRows(batch, shape.keys, &hashes, &nulls);
+    ASSERT_EQ(hashes.size(), batch.NumRows());
+    for (size_t k = 0; k < batch.NumRows(); ++k) {
+      uint64_t h = 0;
+      bool has_null = false;
+      for (size_t c : shape.keys) {
+        const Value& v = rows[batch.sel[k]][c];
+        has_null |= v.is_null();
+        h = (h ^ cell_hash(v)) * kGolden;
+        h ^= h >> 32;
+      }
+      EXPECT_EQ(hashes[k], h) << "row " << k;
+      EXPECT_EQ(nulls[k], has_null) << "row " << k;
+    }
+  }
 }
 
 }  // namespace
