@@ -18,7 +18,7 @@ Gates (the bench invocation that produces each input is in ci.yml):
     storage       disk-scan and spill-join digest agreement
     disk-ratio    disk/memory scan geomeans (row, fragment) vs BENCH_micro.json
                   (median over one or more --current runs)
-    vector        fragment/row geomean speedup vs the vector baseline row
+    vector        fragment/row geomean speedup vs the fragment summary row
                   of BENCH_micro.json (median over one or more --current
                   runs)
     trace         Chrome trace artifact well-formedness
@@ -355,30 +355,28 @@ def gate_disk_ratio(args):
 
 
 def gate_vector(args):
-    # Same-machine ratio: the fragment/row geomean speedup must not drop
-    # more than 15% below the baseline. The baseline is the checked-in
-    # summary row of the former vector backend, whose columnar kernels
-    # the fragment runtime now runs. With several --current runs the
+    # Same-machine ratio: the fragment/row geomean speedup (the columnar
+    # runtime over the row oracle) must not drop more than 15% below the
+    # checked-in fragment summary row. With several --current runs the
     # median speedup is gated.
-    def geomean(path, mode):
+    def geomean(path):
         rows = [r for r in load(path)
                 if r.get('bench') == 'micro_exec_summary'
-                and r.get('exec_mode') == mode]
+                and r.get('exec_mode') == 'fragment']
         if len(rows) != 1:
-            sys.exit(f'{path}: expected one {mode} summary row, '
+            sys.exit(f'{path}: expected one fragment summary row, '
                      f'got {len(rows)}')
         return rows[0]['geomean_speedup']
 
-    baseline = geomean(args.baseline, 'vector')
-    current = median_over_runs(args.current,
-                               lambda path: geomean(path, 'fragment'))
+    baseline = geomean(args.baseline)
+    current = median_over_runs(args.current, geomean)
     floor = baseline * 0.85
-    print(f'columnar/row geomean: baseline (vector) {baseline:.2f}x, '
-          f'current (fragment) {current:.2f}x '
-          f'(median of {len(args.current)}), floor {floor:.2f}x')
+    print(f'fragment/row geomean: baseline {baseline:.2f}x, '
+          f'current {current:.2f}x (median of {len(args.current)}), '
+          f'floor {floor:.2f}x')
     if current < floor:
         print('perf regression: fragment geomean dropped more '
-              'than 15% below the checked-in vector baseline')
+              'than 15% below the checked-in baseline')
         return 1
     return 0
 

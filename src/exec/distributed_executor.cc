@@ -205,10 +205,12 @@ Status RunRemoteFragment(const PlanFragment& fragment, RunState* st) {
     }
   }();
   if (!s.ok()) {
-    // Dropping the connection aborts the server-side session; the relays
-    // unblock via the channel abort that our caller will issue (or have
-    // already issued).
-    socket.Close();
+    // Shutting the connection down aborts the server-side session and
+    // fails every relay send at once; the relays blocked on a channel
+    // unblock via the abort our caller issues (or has issued). The
+    // socket closes only after the relays are joined: a descriptor
+    // closed under a relay could be reused by another dial.
+    socket.Shutdown();
   }
   join_relays();
   if (s.ok()) {

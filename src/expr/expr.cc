@@ -1,5 +1,6 @@
 #include "expr/expr.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "common/logging.h"
@@ -126,6 +127,7 @@ ExprPtr Expr::Unary(ExprOp op, ExprPtr child) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->op_ = op;
   e->type_ = DataType::kInt64;
+  e->depth_ = child->depth_ + 1;
   e->children_ = {std::move(child)};
   return e;
 }
@@ -149,6 +151,7 @@ ExprPtr Expr::Binary(ExprOp op, ExprPtr left, ExprPtr right) {
       e->type_ = DataType::kInt64;  // boolean as 0/1
       break;
   }
+  e->depth_ = std::max(left->depth_, right->depth_) + 1;
   e->children_ = {std::move(left), std::move(right)};
   return e;
 }
@@ -157,6 +160,7 @@ ExprPtr Expr::InList(ExprPtr needle, std::vector<Value> literals) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->op_ = ExprOp::kIn;
   e->type_ = DataType::kInt64;
+  e->depth_ = needle->depth_ + 1;
   e->children_ = {std::move(needle)};
   e->in_list_ = std::move(literals);
   return e;
@@ -290,13 +294,16 @@ ExprPtr Expr::Substitute(
   bool changed = false;
   std::vector<ExprPtr> new_children;
   new_children.reserve(e->children_.size());
+  int depth = 0;
   for (const ExprPtr& c : e->children_) {
     ExprPtr nc = Substitute(c, mapping);
     changed |= (nc.get() != c.get());
+    depth = std::max(depth, nc->depth_);
     new_children.push_back(std::move(nc));
   }
   if (!changed) return e;
   auto copy = std::shared_ptr<Expr>(new Expr(*e));
+  copy->depth_ = depth + 1;
   copy->children_ = std::move(new_children);
   return copy;
 }

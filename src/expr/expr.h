@@ -19,6 +19,16 @@ constexpr AttrId kFirstSyntheticAttr = 1u << 20;
 
 inline bool IsSyntheticAttr(AttrId id) { return id >= kFirstSyntheticAttr; }
 
+/// Deepest expression the SQL parser admits (Expr::depth(), and its own
+/// recursion), for queries and policy texts alike. Every pass over an
+/// expression recurses once per level, so the bound keeps hostile nesting
+/// a typed kInvalidArgument instead of a stack overflow. It sits below
+/// SQLite's 1000 (SQLITE_MAX_EXPR_DEPTH) because one parenthesis level
+/// recurses through ten grammar functions: about 10 KB of stack in a
+/// Debug ASan build, where the bound must still leave the 8 MiB default
+/// stack most of its room.
+inline constexpr int kMaxExprDepth = 256;
+
 /// An attribute of a *base table* (not an instance): what dataflow policies
 /// talk about. Both fields are lower-cased.
 struct BaseAttr {
@@ -110,6 +120,8 @@ class Expr {
   /// Which literal token of the query text this literal came from; -1 for
   /// synthetic / policy literals that must never be rebound.
   int param_ordinal() const { return param_ordinal_; }
+  /// Levels of the tree rooted here: 1 for a leaf.
+  int depth() const { return depth_; }
 
   // Column-ref accessors.
   AttrId attr_id() const { return attr_id_; }
@@ -154,6 +166,7 @@ class Expr {
   std::vector<Value> in_list_;
   std::vector<int> in_list_ordinals_;
   int param_ordinal_ = -1;
+  int depth_ = 1;
 
   // Column-ref payload.
   AttrId attr_id_ = 0;

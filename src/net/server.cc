@@ -1,17 +1,9 @@
 #include "net/server.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -124,49 +116,23 @@ struct FragmentSession {
 
 }  // namespace
 
-/// Per-connection state of the event loop. The loop thread owns inbuf
-/// and frame parsing; the fragment worker appends output frames to
-/// outbuf under out_mu and wakes the loop to flush.
-struct ConnectionState {
+/// One accepted connection. Its thread reads every frame; its replies
+/// and the fragment worker's output frames share send_mu, so frames never
+/// interleave on the socket.
+struct SiteServer::Connection {
   Socket socket;
-  std::string inbuf;
-  std::mutex out_mu;
-  std::string outbuf;
-  size_t out_off = 0;
-  bool dead = false;
+  std::mutex send_mu;
   std::unique_ptr<FragmentSession> session;
+  std::thread thread;
+  bool done = false;  // under SiteServer::mu_: socket closed, thread ending
 
-  void EnqueueFrame(wire::FrameType type, const std::string& payload) {
-    std::string frame = wire::EncodeFrame(type, payload);
-    std::lock_guard<std::mutex> lock(out_mu);
-    outbuf.append(frame);
+  Status Send(wire::FrameType type, const std::string& payload) {
+    std::lock_guard<std::mutex> lock(send_mu);
+    return SendFrame(socket, type, payload, /*timeout_ms=*/-1);
   }
-
-  /// Writes as much buffered output as the socket accepts (non-blocking).
-  /// Returns false when the connection broke.
-  bool Flush() {
-    std::lock_guard<std::mutex> lock(out_mu);
-    while (out_off < outbuf.size()) {
-      ssize_t n = ::send(socket.fd(), outbuf.data() + out_off,
-                         outbuf.size() - out_off, MSG_NOSIGNAL);
-      if (n > 0) {
-        out_off += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    if (out_off == outbuf.size()) {
-      outbuf.clear();
-      out_off = 0;
-    }
-    return true;
-  }
-
-  bool HasPendingOutput() {
-    std::lock_guard<std::mutex> lock(out_mu);
-    return out_off < outbuf.size();
+  Status SendError(const Status& status) {
+    return Send(wire::FrameType::kError,
+                wire::ErrorMsg::FromStatus(status).Encode());
   }
 };
 
@@ -183,180 +149,99 @@ Status SiteServer::Start() {
   CGQ_ASSIGN_OR_RETURN(listener_,
                        Socket::Listen(options_.host, options_.port));
   CGQ_ASSIGN_OR_RETURN(port_, listener_.LocalPort());
-  CGQ_RETURN_NOT_OK(listener_.SetNonBlocking(true));
-  if (::pipe(wake_pipe_) != 0) {
-    return Status::Unavailable(std::string("pipe: ") +
-                               ::strerror(errno));
-  }
-  // Non-blocking read end: the loop drains whatever wake bytes piled up
-  // without ever blocking inside the drain.
-  int flags = ::fcntl(wake_pipe_[0], F_GETFL, 0);
-  ::fcntl(wake_pipe_[0], F_SETFL, flags | O_NONBLOCK);
-  stopping_.store(false);
-  loop_ = std::thread([this] { LoopThread(); });
+  stopping_ = false;
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
   started_ = true;
   return Status::OK();
 }
 
 void SiteServer::Stop() {
   if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
-  Wake();
-  if (loop_.joinable()) loop_.join();
-  for (int& fd : wake_pipe_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
+  {
+    // Shutting a socket down returns the accept, recv or send blocked on
+    // it; the sockets close on their own threads.
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+    listener_.Shutdown();
+    for (const auto& conn : connections_) {
+      if (!conn->done) conn->socket.Shutdown();
+    }
   }
+  accept_thread_.join();
+  // Only the accept thread changes connections_, and it has ended.
+  for (const auto& conn : connections_) conn->thread.join();
+  connections_.clear();
   listener_.Close();
   started_ = false;
 }
 
-void SiteServer::Wake() {
-  if (wake_pipe_[1] >= 0) {
-    char byte = 1;
-    ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
-    (void)ignored;
-  }
-}
-
-void SiteServer::CloseConnection(size_t index) {
-  ConnectionState* conn = connections_[index].get();
-  if (conn->session != nullptr) {
-    conn->session->AbortInputs(
-        Status::Unavailable("connection closed by coordinator"));
-    if (conn->session->worker.joinable()) conn->session->worker.join();
-  }
-  connections_.erase(connections_.begin() +
-                     static_cast<ptrdiff_t>(index));
-}
-
-void SiteServer::LoopThread() {
-  std::vector<pollfd> pfds;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pfds.clear();
-    pfds.push_back({wake_pipe_[0], POLLIN, 0});
-    pfds.push_back({listener_.fd(), POLLIN, 0});
-    for (const auto& conn : connections_) {
-      short events = POLLIN;
-      if (conn->HasPendingOutput()) events |= POLLOUT;
-      pfds.push_back({conn->socket.fd(), events, 0});
+void SiteServer::AcceptLoop() {
+  while (true) {
+    Result<Socket> accepted = listener_.Accept();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_) return;
+    if (!accepted.ok()) continue;
+    if (CGQ_FAILPOINT("sited.accept")) continue;  // refuse: drop it
+    // Join the connections that ended since the last accept.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if ((*it)->done) {
+        (*it)->thread.join();
+        it = connections_.erase(it);
+      } else {
+        ++it;
+      }
     }
-    int rc = ::poll(pfds.data(), pfds.size(), -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
+    Connection* conn =
+        connections_.emplace_back(std::make_unique<Connection>()).get();
+    conn->socket = std::move(accepted).ValueOrDie();
+    conn->thread = std::thread([this, conn] { Serve(conn); });
+  }
+}
+
+void SiteServer::Serve(Connection* conn) {
+  while (true) {
+    Result<Frame> frame = RecvFrame(conn->socket, /*timeout_ms=*/-1);
+    if (!frame.ok()) {
+      // A framing refusal (bad magic, version skew, bad checksum) is
+      // answered; there is no resync point, so the connection drops.
+      if (!frame.status().IsUnavailable()) {
+        (void)conn->SendError(frame.status());
+      }
       break;
     }
-    if (pfds[0].revents & POLLIN) {
-      char drain[64];
-      while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
-    if (pfds[1].revents & POLLIN) {
-      while (true) {
-        Result<Socket> accepted = listener_.Accept();
-        if (!accepted.ok()) break;
-        if (CGQ_FAILPOINT("sited.accept")) continue;  // refuse: drop it
-        auto conn = std::make_unique<ConnectionState>();
-        conn->socket = std::move(accepted).ValueOrDie();
-        (void)conn->socket.SetNonBlocking(true);
-        connections_.push_back(std::move(conn));
-      }
-    }
-    // Service existing connections (pfds[i + 2] belongs to
-    // connections_[i]; both vectors are stable during this pass).
-    const size_t n = connections_.size();
-    for (size_t i = 0; i < n && i + 2 < pfds.size(); ++i) {
-      ConnectionState* conn = connections_[i].get();
-      short revents = pfds[i + 2].revents;
-      if (revents & (POLLERR | POLLHUP | POLLNVAL)) conn->dead = true;
-      if (!conn->dead && (revents & POLLOUT)) {
-        if (!conn->Flush()) conn->dead = true;
-      }
-      if (!conn->dead && (revents & POLLIN)) {
-        char buf[64 * 1024];
-        while (true) {
-          ssize_t got = ::recv(conn->socket.fd(), buf, sizeof(buf), 0);
-          if (got > 0) {
-            conn->inbuf.append(buf, static_cast<size_t>(got));
-            continue;
-          }
-          if (got == 0) conn->dead = true;
-          if (got < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-              errno != EINTR) {
-            conn->dead = true;
-          }
-          break;
-        }
-        // Parse complete frames off the front of the buffer.
-        size_t consumed = 0;
-        while (!conn->dead &&
-               conn->inbuf.size() - consumed >= wire::kHeaderSize) {
-          const uint8_t* base = reinterpret_cast<const uint8_t*>(
-              conn->inbuf.data() + consumed);
-          Result<wire::FrameHeader> header =
-              wire::DecodeFrameHeader(base, wire::kHeaderSize);
-          if (!header.ok()) {
-            // Unrecoverable framing error (bad magic / version skew):
-            // report and drop the connection — there is no resync point.
-            conn->EnqueueFrame(
-                wire::FrameType::kError,
-                wire::ErrorMsg::FromStatus(header.status()).Encode());
-            conn->Flush();
-            conn->dead = true;
-            break;
-          }
-          const size_t frame_size =
-              wire::kHeaderSize + header->payload_len;
-          if (conn->inbuf.size() - consumed < frame_size) break;
-          std::string payload = conn->inbuf.substr(
-              consumed + wire::kHeaderSize, header->payload_len);
-          consumed += frame_size;
-          Status ok = wire::VerifyPayload(
-              *header,
-              reinterpret_cast<const uint8_t*>(payload.data()));
-          if (!ok.ok()) {
-            conn->EnqueueFrame(wire::FrameType::kError,
-                               wire::ErrorMsg::FromStatus(ok).Encode());
-            conn->Flush();
-            conn->dead = true;
-            break;
-          }
-          HandleFrame(conn, header->type, std::move(payload));
-        }
-        if (consumed > 0) conn->inbuf.erase(0, consumed);
-      }
-      if (!conn->dead) conn->Flush();
-    }
-    for (size_t i = connections_.size(); i-- > 0;) {
-      if (connections_[i]->dead) CloseConnection(i);
-    }
+    if (!HandleFrame(conn, *frame).ok()) break;
   }
-  // Shutdown: abort everything still in flight.
-  for (size_t i = connections_.size(); i-- > 0;) CloseConnection(i);
+  if (conn->session != nullptr) {
+    // Fail a send the worker is blocked in, then end the fragment.
+    conn->socket.Shutdown();
+    conn->session->AbortInputs(
+        Status::Unavailable("connection closed by coordinator"));
+    conn->session->worker.join();
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  conn->socket.Close();
+  conn->done = true;
 }
 
-void SiteServer::HandleFrame(ConnectionState* conn, uint16_t type,
-                             std::string payload) {
-  auto fail = [conn](const Status& status) {
-    conn->EnqueueFrame(wire::FrameType::kError,
-                       wire::ErrorMsg::FromStatus(status).Encode());
-  };
-  switch (static_cast<wire::FrameType>(type)) {
+/// Answers one frame. A refused request is answered with kError and keeps
+/// the connection; an error return (a failed send, a simulated crash)
+/// drops it.
+Status SiteServer::HandleFrame(Connection* conn, const Frame& frame) {
+  switch (frame.type) {
     case wire::FrameType::kHello: {
-      Result<wire::Hello> hello = wire::Hello::Decode(payload);
-      if (!hello.ok()) return fail(hello.status());
+      Result<wire::Hello> hello = wire::Hello::Decode(frame.payload);
+      if (!hello.ok()) return conn->SendError(hello.status());
       wire::HelloAck ack;
       ack.locations = options_.locations;
-      conn->EnqueueFrame(wire::FrameType::kHelloAck, ack.Encode());
-      return;
+      return conn->Send(wire::FrameType::kHelloAck, ack.Encode());
     }
     case wire::FrameType::kLoadTable: {
-      Result<wire::LoadTable> load = wire::LoadTable::Decode(payload);
-      if (!load.ok()) return fail(load.status());
+      Result<wire::LoadTable> load = wire::LoadTable::Decode(frame.payload);
+      if (!load.ok()) return conn->SendError(load.status());
       wire::LoadTable& msg = *load;
       if (std::find(options_.locations.begin(), options_.locations.end(),
                     msg.location) == options_.locations.end()) {
-        return fail(Status::InvalidArgument(
+        return conn->SendError(Status::InvalidArgument(
             "location l" + std::to_string(msg.location) +
             " is not hosted by this server"));
       }
@@ -368,71 +253,68 @@ void SiteServer::HandleFrame(ConnectionState* conn, uint16_t type,
           msg.replace
               ? store_.Put(msg.location, msg.table, std::move(chunk))
               : store_.AppendRows(msg.location, msg.table, std::move(chunk));
-      if (!stored.ok()) return fail(stored);
+      if (!stored.ok()) return conn->SendError(stored);
       wire::LoadAck ack;
       Result<size_t> rows = store_.FragmentRows(msg.location, msg.table);
       ack.fragment_rows = rows.ok() ? static_cast<int64_t>(*rows) : 0;
-      conn->EnqueueFrame(wire::FrameType::kLoadAck, ack.Encode());
-      return;
+      return conn->Send(wire::FrameType::kLoadAck, ack.Encode());
     }
     case wire::FrameType::kStartFragment:
-      return StartFragmentWorker(conn, std::move(payload));
+      return StartFragment(conn, frame.payload);
     case wire::FrameType::kInputBatch: {
-      Result<wire::InputBatch> input = wire::InputBatch::Decode(payload);
-      if (!input.ok()) return fail(input.status());
+      Result<wire::InputBatch> input =
+          wire::InputBatch::Decode(frame.payload);
+      if (!input.ok()) return conn->SendError(input.status());
       if (conn->session == nullptr) {
-        return fail(Status::Internal("input batch without a fragment"));
+        return conn->SendError(
+            Status::Internal("input batch without a fragment"));
       }
       auto it = conn->session->inputs.find(input->channel);
       if (it == conn->session->inputs.end()) {
-        return fail(Status::Internal(
+        return conn->SendError(Status::Internal(
             "input batch for unknown channel " +
             std::to_string(input->channel)));
       }
       it->second->Push(std::move(input->batch));
-      return;
+      return Status::OK();
     }
     case wire::FrameType::kInputEnd: {
-      Result<wire::InputEnd> end = wire::InputEnd::Decode(payload);
-      if (!end.ok()) return fail(end.status());
-      if (conn->session == nullptr) return;
+      Result<wire::InputEnd> end = wire::InputEnd::Decode(frame.payload);
+      if (!end.ok()) return conn->SendError(end.status());
+      if (conn->session == nullptr) return Status::OK();
       auto it = conn->session->inputs.find(end->channel);
       if (it != conn->session->inputs.end()) it->second->CloseQueue();
-      return;
+      return Status::OK();
     }
     case wire::FrameType::kCancel: {
       if (conn->session != nullptr) {
         conn->session->AbortInputs(
             Status::Cancelled("query cancelled by caller"));
       }
-      return;
+      return Status::OK();
     }
     default:
-      return fail(Status::InvalidArgument(
-          "unexpected frame type " + std::to_string(type) +
+      return conn->SendError(Status::InvalidArgument(
+          "unexpected frame type " +
+          std::to_string(static_cast<int>(frame.type)) +
           " on a server connection"));
   }
 }
 
-void SiteServer::StartFragmentWorker(ConnectionState* conn,
-                                     std::string payload) {
-  auto fail = [conn](const Status& status) {
-    conn->EnqueueFrame(wire::FrameType::kError,
-                       wire::ErrorMsg::FromStatus(status).Encode());
-  };
+Status SiteServer::StartFragment(Connection* conn,
+                                 const std::string& payload) {
   Result<wire::StartFragment> decoded =
       wire::StartFragment::Decode(payload);
-  if (!decoded.ok()) return fail(decoded.status());
+  if (!decoded.ok()) return conn->SendError(decoded.status());
   if (conn->session != nullptr) {
-    return fail(Status::Internal(
+    return conn->SendError(Status::Internal(
         "connection already carries a fragment (one per connection)"));
   }
   // Simulated crash: the process "dies" between receiving the fragment
   // and acknowledging it — the coordinator sees the connection drop with
   // no ack and must restart the attempt.
   if (CGQ_FAILPOINT("sited.crash_before_ack")) {
-    conn->dead = true;
-    return;
+    return Status::Unavailable("injected failure: crash before StartAck");
   }
   auto session = std::make_unique<FragmentSession>();
   session->start = std::move(decoded).ValueOrDie();
@@ -443,7 +325,7 @@ void SiteServer::StartFragmentWorker(ConnectionState* conn,
   // coordinator having checked the same thing before dispatch.
   if (std::find(options_.locations.begin(), options_.locations.end(),
                 start.site) == options_.locations.end()) {
-    return fail(Status::InvalidArgument(
+    return conn->SendError(Status::InvalidArgument(
         "fragment #" + std::to_string(start.fragment_id) +
         " dispatched to a server not hosting l" +
         std::to_string(start.site)));
@@ -452,20 +334,19 @@ void SiteServer::StartFragmentWorker(ConnectionState* conn,
   Status placement = CheckFragmentPlacement(
       start.fragment_id, start.site, start.root->exec_trait,
       start.has_output_ship ? &ship_trait : nullptr, start.ship_to);
-  if (!placement.ok()) return fail(placement);
+  if (!placement.ok()) return conn->SendError(placement);
 
   for (int channel : start.input_channels) {
     session->inputs.emplace(channel, std::make_unique<InputQueue>());
   }
+  CGQ_RETURN_NOT_OK(conn->Send(wire::FrameType::kStartAck, std::string()));
   conn->session = std::move(session);
-  conn->EnqueueFrame(wire::FrameType::kStartAck, std::string());
 
   FragmentSession* fs = conn->session.get();
-  SiteServer* server = this;
-  fs->worker = std::thread([server, conn, fs] {
+  fs->worker = std::thread([this, conn, fs] {
     wire::OutputEnd end;
     BatchOpEnv env;
-    env.store = &server->store_;
+    env.store = &store_;
     env.batch_size = std::max<size_t>(1, fs->start.batch_size);
     env.cancel = &fs->cancel;
     env.rows_scanned = &end.rows_scanned;
@@ -481,30 +362,25 @@ void SiteServer::StartFragmentWorker(ConnectionState* conn,
       }
       return BatchOpPtr(new QueueSourceOp(&ship, it->second.get()));
     };
-    auto run = [&]() -> Status {
+    Status s = [&]() -> Status {
       CGQ_ASSIGN_OR_RETURN(BatchOpPtr op,
                            BuildBatchOp(*fs->start.root, env));
-      return DrainBatchOp(op.get(), env.cancel, &end.rows_out,
-                          [&](vec::ColumnBatch batch) {
-                            wire::OutputBatch out;
-                            out.batch = std::move(batch);
-                            conn->EnqueueFrame(wire::FrameType::kOutputBatch,
-                                               out.Encode());
-                            server->Wake();
-                            return Status::OK();
-                          });
-    };
-    Status s = run();
+      return DrainBatchOp(
+          op.get(), env.cancel, &end.rows_out, [&](vec::ColumnBatch batch) {
+            wire::OutputBatch out;
+            out.batch = std::move(batch);
+            return conn->Send(wire::FrameType::kOutputBatch, out.Encode());
+          });
+    }();
     if (s.ok()) {
-      conn->EnqueueFrame(wire::FrameType::kOutputEnd, end.Encode());
-      server->fragments_completed_.fetch_add(1,
-                                             std::memory_order_relaxed);
+      // Counted before kOutputEnd leaves: a client that read it sees it.
+      fragments_completed_.fetch_add(1, std::memory_order_relaxed);
+      (void)conn->Send(wire::FrameType::kOutputEnd, end.Encode());
     } else {
-      conn->EnqueueFrame(wire::FrameType::kError,
-                         wire::ErrorMsg::FromStatus(s).Encode());
+      (void)conn->SendError(s);
     }
-    server->Wake();
   });
+  return Status::OK();
 }
 
 }  // namespace net

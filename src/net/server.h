@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,11 +18,11 @@
 namespace cgq {
 namespace net {
 
-struct ConnectionState;
-
 /// A location server: hosts the TableStore slice of one or more locations
-/// and executes plan fragments dispatched by the coordinator, behind a
-/// small poll() event loop with per-connection read/write buffers.
+/// and executes plan fragments dispatched by the coordinator. An accept
+/// thread hands every connection to a thread of its own, which reads
+/// frames with net::RecvFrame and answers with net::SendFrame, the frame
+/// I/O of the coordinator's end.
 ///
 /// Protocol per connection (the coordinator dials a fresh connection per
 /// fragment *attempt*, so a connection carries at most one fragment):
@@ -36,14 +38,20 @@ struct ConnectionState;
 ///   OutputBatch* + OutputEnd | Error     the fragment's result stream
 ///   Cancel                               cooperative cancellation
 ///
-/// Frames are parsed on the event-loop thread; each fragment runs on its
-/// own worker thread against the *same* operator core
-/// (exec_internal::BuildBatchOp) the in-process backends use, which is
-/// what makes loopback results byte-identical to ExecMode::kFragment.
-/// Input channels buffer without bound (the coordinator's sequential
-/// schedule may relay a whole intermediate before the consumer drains
-/// it); output frames append to the connection's write buffer, flushed as
-/// the socket accepts them.
+/// A fragment runs on its own worker thread against the *same* operator
+/// core (exec_internal::BuildBatchOp) the in-process backends use, which
+/// is what makes loopback results byte-identical to ExecMode::kFragment,
+/// while the connection thread goes on reading its input frames. Input
+/// channels buffer without bound: one socket multiplexes all of a
+/// fragment's channels, and the coordinator's sequential schedule may
+/// relay a whole intermediate before the consumer drains it. The worker
+/// sends its output frames itself under the connection's send mutex, so
+/// a coordinator that stops reading blocks its own connection only.
+///
+/// Server I/O has no timeouts: a connection waits for its next frame
+/// without a bound. Stop() shuts every socket down, which returns every
+/// blocked call, and then joins every thread. An ended connection's
+/// thread is joined at the next accept or by Stop().
 class SiteServer {
  public:
   struct Options {
@@ -54,7 +62,6 @@ class SiteServer {
     /// Locations whose store slices this server hosts (a deployment may
     /// map several locations onto one server process).
     std::vector<LocationId> locations;
-    int io_timeout_ms = kDefaultIoTimeoutMs;
     /// When non-empty, the hosted store runs in StorageMode::kDisk on
     /// this directory: LoadTable chunks are durable before kLoadAck, and
     /// Start() recovers previously persisted fragments, so a restarted
@@ -68,11 +75,11 @@ class SiteServer {
   SiteServer(const SiteServer&) = delete;
   SiteServer& operator=(const SiteServer&) = delete;
 
-  /// Binds, starts the event loop. port() is valid afterwards.
+  /// Binds, starts accepting. port() is valid afterwards.
   Status Start();
 
-  /// Stops the loop, aborts in-flight fragments, joins every worker.
-  /// Idempotent.
+  /// Stops accepting, drops every connection (aborting its fragment) and
+  /// joins every thread. Idempotent.
   void Stop();
 
   /// The actually-bound port (ephemeral when Options::port was 0).
@@ -92,23 +99,24 @@ class SiteServer {
   }
 
  private:
-  void LoopThread();
-  void HandleFrame(ConnectionState* conn, uint16_t type,
-                   std::string payload);
-  void StartFragmentWorker(ConnectionState* conn, std::string payload);
-  void CloseConnection(size_t index);
-  void Wake();
+  struct Connection;
+
+  void AcceptLoop();
+  void Serve(Connection* conn);
+  Status HandleFrame(Connection* conn, const Frame& frame);
+  Status StartFragment(Connection* conn, const std::string& payload);
 
   Options options_;
   Socket listener_;
   uint16_t port_ = 0;
-  int wake_pipe_[2] = {-1, -1};
-  std::thread loop_;
-  std::atomic<bool> stopping_{false};
   bool started_ = false;
   TableStore store_;
-  std::vector<std::unique_ptr<ConnectionState>> connections_;
+  /// Guards stopping_, connections_ and every connection's socket close.
+  std::mutex mu_;
+  bool stopping_ = false;
+  std::list<std::unique_ptr<Connection>> connections_;
   std::atomic<int64_t> fragments_completed_{0};
+  std::thread accept_thread_;
 };
 
 }  // namespace net

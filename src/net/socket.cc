@@ -56,6 +56,14 @@ Status PollFor(int fd, short events, int timeout_ms, const char* what) {
   return Status::OK();
 }
 
+Status SetNonBlocking(int fd, bool nonblocking) {
+  int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0) return Unavailable("fcntl(F_GETFL)");
+  flags = nonblocking ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
+  if (::fcntl(fd, F_SETFL, flags) < 0) return Unavailable("fcntl(F_SETFL)");
+  return Status::OK();
+}
+
 }  // namespace
 
 void Socket::Close() {
@@ -63,6 +71,10 @@ void Socket::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+void Socket::Shutdown() const {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 Result<Socket> Socket::Listen(const std::string& host, uint16_t port) {
@@ -106,7 +118,7 @@ Result<Socket> Socket::Connect(const std::string& host, uint16_t port,
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Unavailable("socket");
   Socket s(fd);
-  CGQ_RETURN_NOT_OK(s.SetNonBlocking(true));
+  CGQ_RETURN_NOT_OK(SetNonBlocking(fd, true));
   int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   if (rc != 0 && errno != EINPROGRESS) return Unavailable("connect");
   if (rc != 0) {
@@ -118,18 +130,10 @@ Result<Socket> Socket::Connect(const std::string& host, uint16_t port,
                                  std::strerror(err ? err : errno));
     }
   }
-  CGQ_RETURN_NOT_OK(s.SetNonBlocking(false));
+  CGQ_RETURN_NOT_OK(SetNonBlocking(fd, false));
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return s;
-}
-
-Status Socket::SetNonBlocking(bool nonblocking) const {
-  int flags = ::fcntl(fd_, F_GETFL, 0);
-  if (flags < 0) return Unavailable("fcntl(F_GETFL)");
-  flags = nonblocking ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (::fcntl(fd_, F_SETFL, flags) < 0) return Unavailable("fcntl(F_SETFL)");
-  return Status::OK();
 }
 
 Status Socket::SendAll(const void* data, size_t len, int timeout_ms) const {

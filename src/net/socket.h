@@ -16,7 +16,8 @@ namespace net {
 inline constexpr int kDefaultIoTimeoutMs = 30000;
 
 /// Thin RAII wrapper over a POSIX TCP socket. Blocking calls are bounded
-/// by poll() timeouts; every transport-level failure (refused connection,
+/// by poll() timeouts, where a negative timeout waits without bound (the
+/// site server's I/O); every transport-level failure (refused connection,
 /// reset, timeout, EOF mid-frame) maps to StatusCode::kUnavailable — the
 /// retryable category the executors' recovery machinery already handles —
 /// while protocol-level corruption (bad magic/checksum) stays
@@ -42,6 +43,10 @@ class Socket {
   int fd() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
   void Close();
+  /// Shuts both directions down (shutdown(2)) but keeps the descriptor:
+  /// an accept, recv or send blocked on it returns, and another thread
+  /// may call this while one is blocked. Close() still releases it.
+  void Shutdown() const;
   /// Releases ownership of the descriptor without closing it.
   int Release() {
     int fd = fd_;
@@ -58,14 +63,13 @@ class Socket {
   /// The actually-bound local port (getsockname), for port-0 listeners.
   Result<uint16_t> LocalPort() const;
 
-  /// Accepts one connection (the caller polled for readability).
+  /// Accepts one connection, blocking until one arrives or the listener
+  /// is shut down.
   Result<Socket> Accept() const;
 
   /// Connects to `host:port`, bounded by `timeout_ms`.
   static Result<Socket> Connect(const std::string& host, uint16_t port,
                                 int timeout_ms);
-
-  Status SetNonBlocking(bool nonblocking) const;
 
   /// Sends all `len` bytes; polls for writability up to `timeout_ms` per
   /// stall. MSG_NOSIGNAL keeps a dead peer from raising SIGPIPE.

@@ -699,7 +699,29 @@ Result<vec::ColumnBatch> Reader::ReadBatch() {
   return batch;
 }
 
+namespace {
+
+/// Holds one level of ReadExpr/ReadPlan recursion for its scope.
+class DepthScope {
+ public:
+  explicit DepthScope(int* depth) : depth_(depth) { ++*depth_; }
+  ~DepthScope() { --*depth_; }
+  Status Check() const {
+    if (*depth_ <= kMaxDecodeDepth) return Status::OK();
+    return Status::InvalidArgument("payload nests deeper than " +
+                                   std::to_string(kMaxDecodeDepth) +
+                                   " levels");
+  }
+
+ private:
+  int* depth_;
+};
+
+}  // namespace
+
 Result<ExprPtr> Reader::ReadExpr() {
+  const DepthScope scope(&depth_);
+  CGQ_RETURN_NOT_OK(scope.Check());
   CGQ_ASSIGN_OR_RETURN(uint8_t tag, U8());
   switch (tag) {
     case 0: {
@@ -790,6 +812,8 @@ Result<std::vector<OutputCol>> ReadOutputs(Reader* r) {
 }  // namespace
 
 Result<PlanNodePtr> Reader::ReadPlan(std::vector<int>* input_channels) {
+  const DepthScope scope(&depth_);
+  CGQ_RETURN_NOT_OK(scope.Check());
   CGQ_ASSIGN_OR_RETURN(uint8_t kind_tag, U8());
   if (kind_tag > static_cast<uint8_t>(PlanKind::kShip)) {
     return Status::InvalidArgument("bad plan kind " +

@@ -38,6 +38,13 @@ inline constexpr size_t kHeaderSize = 20;
 /// before any allocation happens (a resource guard against garbage
 /// length prefixes).
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
+/// Deepest ReadExpr/ReadPlan recursion the decoder admits, counting plan
+/// operators and expression levels along one path: twice the parser's
+/// kMaxExprDepth, so every plan the planner builds from a parsed query
+/// decodes (its operators stay shallow, and it wraps an expression in
+/// at most a few levels, e.g. SUM(x) -> SUM(x * count)), while a hostile
+/// payload is refused before it exhausts the stack.
+inline constexpr int kMaxDecodeDepth = 2 * kMaxExprDepth;
 
 /// Message kinds of the coordinator <-> location-server protocol.
 enum class FrameType : uint16_t {
@@ -180,6 +187,8 @@ class Reader {
   /// Inverse of PutBatch; refuses a column count that differs from the
   /// attr count.
   Result<vec::ColumnBatch> ReadBatch();
+  /// Refuses nesting past kMaxDecodeDepth (kInvalidArgument), as does
+  /// ReadPlan.
   Result<ExprPtr> ReadExpr();
   /// Inverse of Writer::PutPlan. Decoded SHIP leaves have no children;
   /// their channel id is appended to `*input_channels` in encounter
@@ -203,6 +212,7 @@ class Reader {
   const uint8_t* data_;
   size_t len_;
   size_t pos_ = 0;
+  int depth_ = 0;  // ReadExpr/ReadPlan recursion
 };
 
 // --- Typed payloads -------------------------------------------------------

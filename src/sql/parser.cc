@@ -78,8 +78,10 @@ class Parser {
                                    std::to_string(Peek().offset));
   }
 
-  // Expression grammar (loosest to tightest binding).
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  // Expression grammar (loosest to tightest binding). Parens, subquery
+  // bodies, NOT and unary minus recurse through Descend; every node built
+  // goes through Nest. Both refuse past kMaxExprDepth.
+  Result<ExprPtr> ParseExpr() { return Descend(&Parser::ParseOr); }
   Result<ExprPtr> ParseOr();
   Result<ExprPtr> ParseAnd();
   Result<ExprPtr> ParseNot();
@@ -88,6 +90,22 @@ class Parser {
   Result<ExprPtr> ParseMultiplicative();
   Result<ExprPtr> ParseUnary();
   Result<ExprPtr> ParsePrimary();
+
+  Result<ExprPtr> Descend(Result<ExprPtr> (Parser::*parse)()) {
+    if (depth_ >= kMaxExprDepth) return TooDeep();
+    ++depth_;
+    Result<ExprPtr> e = (this->*parse)();
+    --depth_;
+    return e;
+  }
+  Result<ExprPtr> Nest(ExprPtr e) const {
+    if (e->depth() > kMaxExprDepth) return TooDeep();
+    return e;
+  }
+  Status TooDeep() const {
+    return Err("expression nests deeper than " +
+               std::to_string(kMaxExprDepth) + " levels");
+  }
 
   Result<Value> ParseLiteralValue();
   /// Literal factory: tags the node with the next param ordinal when this
@@ -117,13 +135,14 @@ class Parser {
   // is exactly the order ParameterizeSql() extracts them in.
   bool tag_literals_ = false;
   int next_param_ordinal_ = 0;
+  int depth_ = 0;  // Descend recursion
 };
 
 Result<ExprPtr> Parser::ParseOr() {
   CGQ_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
   while (MatchIdent("or")) {
     CGQ_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
-    left = Expr::Binary(ExprOp::kOr, left, right);
+    CGQ_ASSIGN_OR_RETURN(left, Nest(Expr::Binary(ExprOp::kOr, left, right)));
   }
   return left;
 }
@@ -132,15 +151,15 @@ Result<ExprPtr> Parser::ParseAnd() {
   CGQ_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
   while (MatchIdent("and")) {
     CGQ_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
-    left = Expr::Binary(ExprOp::kAnd, left, right);
+    CGQ_ASSIGN_OR_RETURN(left, Nest(Expr::Binary(ExprOp::kAnd, left, right)));
   }
   return left;
 }
 
 Result<ExprPtr> Parser::ParseNot() {
   if (MatchIdent("not")) {
-    CGQ_ASSIGN_OR_RETURN(ExprPtr inner, ParseNot());
-    return Expr::Unary(ExprOp::kNot, inner);
+    CGQ_ASSIGN_OR_RETURN(ExprPtr inner, Descend(&Parser::ParseNot));
+    return Nest(Expr::Unary(ExprOp::kNot, inner));
   }
   if (CheckIdent("exists") && Peek(1).type == TokenType::kLParen) {
     Advance();  // EXISTS
@@ -172,8 +191,8 @@ Result<ExprPtr> Parser::ParseComparison() {
   }
   if (MatchIdent("like")) {
     CGQ_ASSIGN_OR_RETURN(ExprPtr pattern, ParseAdditive());
-    return Expr::Binary(negated ? ExprOp::kNotLike : ExprOp::kLike, left,
-                        pattern);
+    return Nest(Expr::Binary(negated ? ExprOp::kNotLike : ExprOp::kLike,
+                             left, pattern));
   }
   if (MatchIdent("in")) {
     CGQ_RETURN_NOT_OK(Expect(TokenType::kLParen, "'(' after IN"));
@@ -202,7 +221,7 @@ Result<ExprPtr> Parser::ParseComparison() {
                      ? Expr::InList(left, std::move(values),
                                     std::move(ordinals))
                      : Expr::InList(left, std::move(values));
-    return negated ? Expr::Unary(ExprOp::kNot, in) : in;
+    return Nest(negated ? Expr::Unary(ExprOp::kNot, in) : in);
   }
   if (MatchIdent("between")) {
     CGQ_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
@@ -211,7 +230,7 @@ Result<ExprPtr> Parser::ParseComparison() {
     ExprPtr range =
         Expr::Binary(ExprOp::kAnd, Expr::Binary(ExprOp::kGe, left, lo),
                      Expr::Binary(ExprOp::kLe, left, hi));
-    return negated ? Expr::Unary(ExprOp::kNot, range) : range;
+    return Nest(negated ? Expr::Unary(ExprOp::kNot, range) : range);
   }
   ExprOp op;
   switch (Peek().type) {
@@ -253,7 +272,7 @@ Result<ExprPtr> Parser::ParseComparison() {
     return Expr::Literal(Value::Int64(1));  // placeholder conjunct
   }
   CGQ_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
-  return Expr::Binary(op, left, right);
+  return Nest(Expr::Binary(op, left, right));
 }
 
 Result<ExprPtr> Parser::ParseAdditive() {
@@ -262,7 +281,7 @@ Result<ExprPtr> Parser::ParseAdditive() {
     ExprOp op = Check(TokenType::kPlus) ? ExprOp::kAdd : ExprOp::kSub;
     Advance();
     CGQ_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
-    left = Expr::Binary(op, left, right);
+    CGQ_ASSIGN_OR_RETURN(left, Nest(Expr::Binary(op, left, right)));
   }
   return left;
 }
@@ -273,14 +292,14 @@ Result<ExprPtr> Parser::ParseMultiplicative() {
     ExprOp op = Check(TokenType::kStar) ? ExprOp::kMul : ExprOp::kDiv;
     Advance();
     CGQ_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
-    left = Expr::Binary(op, left, right);
+    CGQ_ASSIGN_OR_RETURN(left, Nest(Expr::Binary(op, left, right)));
   }
   return left;
 }
 
 Result<ExprPtr> Parser::ParseUnary() {
   if (Match(TokenType::kMinus)) {
-    CGQ_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnary());
+    CGQ_ASSIGN_OR_RETURN(ExprPtr inner, Descend(&Parser::ParseUnary));
     // Fold negated numeric literals so -5 stays a literal (range
     // estimation and the implication test rely on column-vs-literal form).
     if (inner->op() == ExprOp::kLiteral) {
@@ -296,7 +315,8 @@ Result<ExprPtr> Parser::ParseUnary() {
                                   inner->param_ordinal());
       }
     }
-    return Expr::Binary(ExprOp::kSub, Expr::Literal(Value::Int64(0)), inner);
+    return Nest(
+        Expr::Binary(ExprOp::kSub, Expr::Literal(Value::Int64(0)), inner));
   }
   return ParsePrimary();
 }

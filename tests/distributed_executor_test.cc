@@ -60,10 +60,26 @@ struct SharedCluster {
   net::ClusterClient cluster;
 };
 
+SharedCluster* shared_cluster = nullptr;
+
 SharedCluster& Shared() {
-  static SharedCluster* s = new SharedCluster();
-  return *s;
+  if (shared_cluster == nullptr) shared_cluster = new SharedCluster();
+  return *shared_cluster;
 }
+
+// Tears the shared cluster down after the last test (of each
+// --gtest_repeat iteration): a server joins the threads of its ended
+// connections only at its next accept or in Stop(), so one left running
+// would leave finished threads unjoined at exit.
+class TearDownSharedCluster : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    delete shared_cluster;
+    shared_cluster = nullptr;
+  }
+};
+::testing::Environment* const kTearDownSharedCluster =
+    ::testing::AddGlobalTestEnvironment(new TearDownSharedCluster);
 
 // Full-precision serialization: loopback runs must reproduce the
 // in-process result byte for byte, order included.
@@ -242,6 +258,63 @@ TEST(DistributedExecutorTest, EngineRunsDistributedEndToEnd) {
 
   EXPECT_EQ(ExactRows(*dist), ExactRows(*row));
   ExpectSameAccounting(dist->metrics, row->metrics);
+}
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// `n` copies of `term` joined by `op`: a left-deep chain.
+std::string Chain(const std::string& term, const std::string& op, int n) {
+  return term + Repeat(" " + op + " " + term, n - 1);
+}
+
+// Queries at the parser's nesting bound run, and the site servers decode
+// every fragment the coordinator builds from them, the planner's extra
+// levels (e.g. SUM(x) -> SUM(x * count)) included: the distributed run
+// equals the row backend. Past the bound, Run fails typed; 10,000 OR
+// terms used to overflow the stack.
+TEST(DistributedExecutorTest, NestingAtParserBoundRunsDistributed) {
+  SharedCluster& shared = Shared();
+  Engine engine(Catalog(*shared.catalog), NetworkModel::DefaultGeo(5));
+  ASSERT_TRUE(tpch::InstallPolicySet("CR", &engine.policies()).ok());
+  ASSERT_TRUE(
+      tpch::GenerateData(engine.catalog(), shared.config, &engine.store())
+          .ok());
+  ASSERT_TRUE(engine.ConnectCluster(shared.cluster.endpoints()).ok());
+
+  auto ors = [](int terms) {
+    return "SELECT name FROM region WHERE " +
+           Chain("regionkey = 0", "OR", terms);
+  };
+  const std::vector<std::string> at_bound = {
+      // kMaxExprDepth - 1 comparisons under a left-deep OR chain.
+      ors(kMaxExprDepth - 1),
+      // kMaxExprDepth - 2 NOTs over a comparison.
+      "SELECT COUNT(*) FROM lineitem l WHERE " +
+          Repeat("NOT ", kMaxExprDepth - 2) + "l.quantity < 24",
+      // A kMaxExprDepth-level sum under an aggregate over a join.
+      "SELECT SUM(" + Chain("l.quantity", "+", kMaxExprDepth) +
+          ") FROM orders o, lineitem l WHERE o.orderkey = l.orderkey",
+  };
+  for (const std::string& sql : at_bound) {
+    SCOPED_TRACE(sql.substr(0, 60));
+    engine.set_exec_mode(ExecMode::kRow);
+    auto row = engine.Run(sql);
+    ASSERT_TRUE(row.ok()) << row.status();
+    engine.set_exec_mode(ExecMode::kDistributed);
+    auto dist = engine.Run(sql);
+    ASSERT_TRUE(dist.ok()) << dist.status();
+    EXPECT_EQ(ExactRows(*dist), ExactRows(*row));
+  }
+
+  for (int terms : {kMaxExprDepth, 10000}) {
+    auto refused = engine.Run(ors(terms));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status();
+  }
 }
 
 }  // namespace

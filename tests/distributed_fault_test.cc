@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -62,10 +63,26 @@ struct SharedCluster {
   net::ClusterClient cluster;
 };
 
+SharedCluster* shared_cluster = nullptr;
+
 SharedCluster& Shared() {
-  static SharedCluster* s = new SharedCluster();
-  return *s;
+  if (shared_cluster == nullptr) shared_cluster = new SharedCluster();
+  return *shared_cluster;
 }
+
+// Tears the shared cluster down after the last test (of each
+// --gtest_repeat iteration): a server joins the threads of its ended
+// connections only at its next accept or in Stop(), so one left running
+// would leave finished threads unjoined at exit.
+class TearDownSharedCluster : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    delete shared_cluster;
+    shared_cluster = nullptr;
+  }
+};
+::testing::Environment* const kTearDownSharedCluster =
+    ::testing::AddGlobalTestEnvironment(new TearDownSharedCluster);
 
 // Full-precision serialization: recovered runs must reproduce the
 // fault-free result byte for byte, order included.
@@ -199,6 +216,47 @@ TEST_F(DistributedFaultTest, MidStreamResetRecovers) {
 TEST_F(DistributedFaultTest, AcceptFailureRecovers) {
   PrepareCleanRun();
   ExpectOneRestartRecovery("sited.accept");
+}
+
+// The output stream of an interior fragment (one with input channels,
+// so not restartable) resets while its relay threads still have input
+// batches to send. The coordinator shuts the connection down, joins the
+// relays and only then closes the socket, so no relay writes to a
+// closed (or reused) descriptor: the query ends with the typed
+// kUnavailable, without a hang.
+TEST_F(DistributedFaultTest, InteriorMidStreamResetEndsTyped) {
+  SharedCluster& shared = Shared();
+  PolicyCatalog policies(shared.catalog.get());
+  ASSERT_TRUE(tpch::InstallPolicySet("CR", &policies).ok());
+  QueryOptimizer optimizer(shared.catalog.get(), &policies,
+                           shared.net.get(), OptimizerOptions());
+  // One result row: the top fragment receives one output batch and then
+  // kOutputEnd, so its first stream evaluation is the next-to-last one
+  // of the whole (sequential) run.
+  auto q = optimizer.Optimize(
+      "SELECT SUM(l.extendedprice) FROM orders o, lineitem l "
+      "WHERE o.orderkey = l.orderkey");
+  ASSERT_TRUE(q.ok()) << q.status();
+  RetryPolicy retry;
+  ExecutorOptions options = DistributedOptions(shared, retry);
+  options.batch_size = 8;  // many input batches for the relays
+
+  const char* site = "net.client.recv.stream";
+  Failpoints::ArmEveryN(site, std::numeric_limits<int64_t>::max());
+  Executor probe(shared.store.get(), shared.net.get(), options);
+  ASSERT_TRUE(probe.Execute(*q).ok());
+  const int64_t evaluations = Failpoints::Evaluations(site);
+  ASSERT_GE(evaluations, 4);
+
+  Failpoints::ArmEveryN(site, evaluations - 1);
+  Executor exec(shared.store.get(), shared.net.get(), options);
+  auto r = exec.Execute(*q);
+  EXPECT_EQ(Failpoints::Fires(site), 1);
+  Failpoints::DisarmAll();
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsUnavailable()) << r.status();
+  EXPECT_NE(r.status().message().find("mid-stream"), std::string::npos)
+      << r.status();
 }
 
 // A host that refuses every dial cannot be retried away: bounded

@@ -60,6 +60,65 @@ PlanNodePtr ScanPlan(const std::string& table, LocationId site) {
   return scan;
 }
 
+// A consumer fragment at l0: Project(attr 1) over a SHIP leaf from l1
+// with layout (1, 2). Encoded with the leaf on input channel 0.
+Result<std::string> ConsumerFragment(int fragment_id) {
+  const std::vector<OutputCol> cols = {{1, "x", DataType::kInt64},
+                                       {2, "y", DataType::kInt64}};
+  auto producer = ScanPlan("t", 1);
+  producer->outputs = cols;
+  auto ship = std::make_shared<PlanNode>(PlanKind::kShip);
+  ship->ship_from = 1;
+  ship->ship_to = 0;
+  ship->location = 0;
+  ship->outputs = cols;
+  ship->children().push_back(producer);
+  auto project = std::make_shared<PlanNode>(PlanKind::kProject);
+  project->project_ids = {1};
+  project->outputs = {cols[0]};
+  project->location = 0;
+  project->children().push_back(ship);
+
+  wire::StartFragment start;
+  start.fragment_id = fragment_id;
+  start.site = 0;
+  start.batch_size = 16;
+  start.root = project;
+  return start.Encode({{ship.get(), 0}});
+}
+
+// About 16 MB of rows, more than loopback socket buffers hold, so a
+// fragment scanning them blocks in a send once its reader stops reading.
+std::vector<Row> WideRows() {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 16000; ++i) {
+    rows.push_back({Value::String(std::string(1000, 'a'))});
+  }
+  return rows;
+}
+
+// A scan of WideRows' table "t" at l0, 64 rows per output batch.
+Result<std::string> WideScanFragment() {
+  wire::StartFragment start;
+  start.site = 0;
+  start.batch_size = 64;
+  start.root = ScanPlan("t", 0);
+  start.root->outputs = {{1, "s", DataType::kString}};
+  return start.Encode({});
+}
+
+// Sends kStartFragment and expects kStartAck.
+Status StartAcked(const Socket& sock, const std::string& payload) {
+  CGQ_RETURN_NOT_OK(
+      SendFrame(sock, wire::FrameType::kStartFragment, payload, kIoMs));
+  CGQ_ASSIGN_OR_RETURN(Frame ack, RecvFrame(sock, kIoMs));
+  if (ack.type != wire::FrameType::kStartAck) {
+    return Status::Internal(std::string("expected StartAck, got ") +
+                            wire::FrameTypeToString(ack.type));
+  }
+  return Status::OK();
+}
+
 TEST(SiteServerTest, BindsEphemeralPortAndStopsIdempotently) {
   SiteServer a(Hosting({0}));
   SiteServer b(Hosting({1}));
@@ -177,6 +236,7 @@ TEST(SiteServerTest, CorruptedChecksumRejected) {
   auto err = wire::ErrorMsg::Decode(reply->payload);
   ASSERT_TRUE(err.ok());
   EXPECT_TRUE(err->ToStatus().IsInvalidArgument());
+  EXPECT_TRUE(RecvFrame(*sock, kIoMs).status().IsUnavailable());
   server.Stop();
 }
 
@@ -273,6 +333,7 @@ TEST(SiteServerTest, StartFragmentRefusedForUnhostedSite) {
   EXPECT_TRUE(err->ToStatus().IsInvalidArgument());
   EXPECT_NE(err->message.find("not hosting"), std::string::npos);
   server.Stop();
+  EXPECT_EQ(server.fragments_completed(), 0);
 }
 
 TEST(SiteServerTest, StartFragmentRechecksShippingTrait) {
@@ -391,35 +452,9 @@ TEST(SiteServerTest, PermutedInputBatchAttrsRefusedTyped) {
   auto sock = DialHandshaken(server.port());
   ASSERT_TRUE(sock.ok()) << sock.status();
 
-  const std::vector<OutputCol> cols = {{1, "x", DataType::kInt64},
-                                       {2, "y", DataType::kInt64}};
-  auto producer = ScanPlan("t", 1);
-  producer->outputs = cols;
-  auto ship = std::make_shared<PlanNode>(PlanKind::kShip);
-  ship->ship_from = 1;
-  ship->ship_to = 0;
-  ship->location = 0;
-  ship->outputs = cols;
-  ship->children().push_back(producer);
-  auto project = std::make_shared<PlanNode>(PlanKind::kProject);
-  project->project_ids = {1};
-  project->outputs = {cols[0]};
-  project->location = 0;
-  project->children().push_back(ship);
-
-  wire::StartFragment start;
-  start.fragment_id = 1;
-  start.site = 0;
-  start.batch_size = 16;
-  start.root = project;
-  auto payload = start.Encode({{ship.get(), 0}});
+  auto payload = ConsumerFragment(1);
   ASSERT_TRUE(payload.ok()) << payload.status();
-  ASSERT_TRUE(SendFrame(*sock, wire::FrameType::kStartFragment, *payload,
-                        kIoMs)
-                  .ok());
-  auto ack = RecvFrame(*sock, kIoMs);
-  ASSERT_TRUE(ack.ok()) << ack.status();
-  ASSERT_EQ(ack->type, wire::FrameType::kStartAck);
+  ASSERT_TRUE(StartAcked(*sock, *payload).ok());
 
   wire::InputBatch input;
   input.channel = 0;
@@ -443,6 +478,133 @@ TEST(SiteServerTest, PermutedInputBatchAttrsRefusedTyped) {
   ASSERT_TRUE(err.ok());
   EXPECT_TRUE(err->ToStatus().IsInvalidArgument()) << err->ToStatus();
   EXPECT_EQ(server.fragments_completed(), 0);
+  server.Stop();
+}
+
+// A kStartFragment whose plan nests one level past the decoder's bound
+// is refused with a typed kError instead of crashing the server, which
+// then goes on serving new connections.
+TEST(SiteServerTest, TooDeepStartFragmentRefusedTyped) {
+  SiteServer server(Hosting({0}));
+  ASSERT_TRUE(server.Start().ok());
+  auto sock = DialHandshaken(server.port());
+  ASSERT_TRUE(sock.ok()) << sock.status();
+
+  // Filter (one level) over a conjunct of kMaxDecodeDepth levels.
+  ExprPtr conjunct = Expr::Literal(Value::Int64(1));
+  for (int i = 1; i < wire::kMaxDecodeDepth; ++i) {
+    conjunct = Expr::Unary(ExprOp::kNot, conjunct);
+  }
+  auto filter = std::make_shared<PlanNode>(PlanKind::kFilter);
+  filter->conjuncts = {conjunct};
+  filter->outputs = {{1, "x", DataType::kInt64}};
+  filter->location = 0;
+  filter->exec_trait = LocationSet(uint64_t{1});
+  filter->children().push_back(ScanPlan("t", 0));
+  wire::StartFragment start;
+  start.site = 0;
+  start.batch_size = 16;
+  start.root = filter;
+  auto payload = start.Encode({});
+  ASSERT_TRUE(payload.ok());
+  ASSERT_TRUE(SendFrame(*sock, wire::FrameType::kStartFragment, *payload,
+                        kIoMs)
+                  .ok());
+  auto frame = RecvFrame(*sock, kIoMs);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  ASSERT_EQ(frame->type, wire::FrameType::kError);
+  auto err = wire::ErrorMsg::Decode(frame->payload);
+  ASSERT_TRUE(err.ok());
+  EXPECT_TRUE(err->ToStatus().IsInvalidArgument()) << err->ToStatus();
+  EXPECT_NE(err->message.find("nests deeper than"), std::string::npos);
+
+  EXPECT_TRUE(DialHandshaken(server.port()).ok());
+  EXPECT_EQ(server.fragments_completed(), 0);
+  server.Stop();
+}
+
+// Stop() returns, having joined every thread, while one connection is
+// idle between frames and another has sent half a frame: shutting the
+// sockets down returns the reads blocked on them.
+TEST(SiteServerTest, StopReturnsWithIdleAndHalfFrameConnections) {
+  SiteServer server(Hosting({0}));
+  ASSERT_TRUE(server.Start().ok());
+  auto idle = DialHandshaken(server.port());
+  ASSERT_TRUE(idle.ok()) << idle.status();
+  auto half = DialRaw(server.port());
+  ASSERT_TRUE(half.ok()) << half.status();
+  const std::string frame =
+      wire::EncodeFrame(wire::FrameType::kHello, wire::Hello().Encode());
+  ASSERT_TRUE(half->SendAll(frame.data(), frame.size() / 2, kIoMs).ok());
+  // Connections are accepted in order: once a later one is served, the
+  // half-frame one has its own thread.
+  ASSERT_TRUE(DialHandshaken(server.port()).ok());
+
+  server.Stop();
+  EXPECT_TRUE(RecvFrame(*idle, kIoMs).status().IsUnavailable());
+  EXPECT_TRUE(RecvFrame(*half, kIoMs).status().IsUnavailable());
+  server.Stop();
+}
+
+// A coordinator that closes its connection while the fragment waits on
+// an input channel ends that fragment without kOutputEnd, and the server
+// goes on serving new connections.
+TEST(SiteServerTest, ClientCloseEndsFragmentWaitingOnInput) {
+  SiteServer server(Hosting({0}));
+  ASSERT_TRUE(server.Start().ok());
+  {
+    auto sock = DialHandshaken(server.port());
+    ASSERT_TRUE(sock.ok()) << sock.status();
+    auto payload = ConsumerFragment(1);
+    ASSERT_TRUE(payload.ok()) << payload.status();
+    ASSERT_TRUE(StartAcked(*sock, *payload).ok());
+  }  // closed with input channel 0 still open
+
+  auto again = DialHandshaken(server.port());
+  ASSERT_TRUE(again.ok()) << again.status();
+  server.Stop();
+  EXPECT_EQ(server.fragments_completed(), 0);
+}
+
+// A coordinator that drops its connection after one output batch stops
+// the fragment: its next send fails or it sees the cancel flag before
+// the next batch, so it never completes, and the server goes on serving.
+TEST(SiteServerTest, CoordinatorDropStopsProducingFragment) {
+  SiteServer server(Hosting({0}));
+  server.mutable_store()->Put(0, "t", WideRows());
+  ASSERT_TRUE(server.Start().ok());
+  {
+    auto sock = DialHandshaken(server.port());
+    ASSERT_TRUE(sock.ok()) << sock.status();
+    auto payload = WideScanFragment();
+    ASSERT_TRUE(payload.ok());
+    ASSERT_TRUE(StartAcked(*sock, *payload).ok());
+    auto first = RecvFrame(*sock, kIoMs);
+    ASSERT_TRUE(first.ok()) << first.status();
+    ASSERT_EQ(first->type, wire::FrameType::kOutputBatch);
+  }  // dropped with most of the output unsent
+
+  auto again = DialHandshaken(server.port());
+  ASSERT_TRUE(again.ok()) << again.status();
+  server.Stop();
+  EXPECT_EQ(server.fragments_completed(), 0);
+}
+
+// A fragment whose coordinator reads none of its output blocks in its
+// own send only: another connection's Hello is still answered, and
+// Stop() still returns.
+TEST(SiteServerTest, UnreadOutputDelaysNoOtherConnection) {
+  SiteServer server(Hosting({0}));
+  server.mutable_store()->Put(0, "t", WideRows());
+  ASSERT_TRUE(server.Start().ok());
+  auto unread = DialHandshaken(server.port());
+  ASSERT_TRUE(unread.ok()) << unread.status();
+  auto payload = WideScanFragment();
+  ASSERT_TRUE(payload.ok());
+  ASSERT_TRUE(StartAcked(*unread, *payload).ok());
+
+  auto other = DialHandshaken(server.port());
+  EXPECT_TRUE(other.ok()) << other.status();
   server.Stop();
 }
 

@@ -1,11 +1,33 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "types/date.h"
 
 namespace cgq {
 namespace {
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// `n` copies of `term` joined by `op`: a left-deep chain.
+std::string Chain(const std::string& term, const std::string& op, int n) {
+  return term + Repeat(" " + op + " " + term, n - 1);
+}
+
+template <typename T>
+void ExpectTooDeep(const Result<T>& r) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  EXPECT_NE(r.status().message().find("nests deeper than"),
+            std::string::npos)
+      << r.status();
+}
 
 TEST(LexerTest, BasicTokens) {
   auto r = Tokenize("SELECT a, b FROM t WHERE x >= 1.5");
@@ -145,6 +167,64 @@ TEST(ParserTest, OrderByLimit) {
   EXPECT_EQ(r->limit, 10);
 }
 
+// Nesting is bounded by kMaxExprDepth: at the bound an expression
+// parses, one level past it the parse fails with a typed
+// kInvalidArgument instead of overflowing the stack. The bound covers
+// the parser's recursion (NOT, parentheses, unary minus) and the tree
+// depth of the left-deep chains AND/OR/+/* build in a loop.
+TEST(ParserTest, NestingBoundedAtMaxExprDepth) {
+  const int bound = kMaxExprDepth;
+  auto where = [](const std::string& predicate) {
+    return ParseQuery("SELECT a FROM t WHERE " + predicate);
+  };
+  // k NOTs over a comparison nest k + 2 levels.
+  auto nots = [&](int k) { return where(Repeat("NOT ", k) + "a = 1"); };
+  auto at_bound = nots(bound - 2);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_EQ(at_bound->where->depth(), bound);
+  ExpectTooDeep(nots(bound - 1));
+  ExpectTooDeep(nots(10000));
+
+  // Parentheses add no tree level but one of recursion each; the WHERE
+  // expression itself is the first.
+  auto parens = [&](int k) {
+    return where(Repeat("(", k) + "a = 1" + Repeat(")", k));
+  };
+  EXPECT_TRUE(parens(bound - 1).ok());
+  ExpectTooDeep(parens(bound));
+  ExpectTooDeep(parens(5000));
+
+  // A chain of k comparisons nests k + 1 levels.
+  for (const char* op : {"OR", "AND"}) {
+    SCOPED_TRACE(op);
+    auto chain = [&](int k) { return where(Chain("a = 0", op, k)); };
+    auto r = chain(bound - 1);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->where->depth(), bound);
+    ExpectTooDeep(chain(bound));
+    ExpectTooDeep(chain(10000));
+  }
+
+  // A chain of k columns nests k levels.
+  for (const char* op : {"+", "*"}) {
+    SCOPED_TRACE(op);
+    auto chain = [&](int k) {
+      return ParseQuery("SELECT " + Chain("a", op, k) + " FROM t");
+    };
+    auto r = chain(bound);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->select[0].expr->depth(), bound);
+    ExpectTooDeep(chain(bound + 1));
+  }
+
+  // Unary minus on a column is (0 - a): k minuses nest k + 1 levels.
+  auto minuses = [&](int k) {
+    return ParseQuery("SELECT " + Repeat("- ", k) + "a FROM t");
+  };
+  EXPECT_TRUE(minuses(bound - 1).ok());
+  ExpectTooDeep(minuses(bound));
+}
+
 TEST(ParserTest, RejectsGarbage) {
   EXPECT_FALSE(ParseQuery("SELECT FROM t").ok());
   EXPECT_FALSE(ParseQuery("SELECT a").ok());
@@ -203,6 +283,18 @@ TEST(PolicyParserTest, Table3Example) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->attributes.size(), 5u);
   EXPECT_EQ(r->where->op(), ExprOp::kOr);
+}
+
+// Policy texts go through the same parser and the same bound.
+TEST(PolicyParserTest, NestingBoundedAtMaxExprDepth) {
+  auto policy = [](int nots) {
+    return ParsePolicyExpression("ship * from t to * where " +
+                                 Repeat("NOT ", nots) + "a = 1");
+  };
+  auto at_bound = policy(kMaxExprDepth - 2);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_EQ(at_bound->where->depth(), kMaxExprDepth);
+  ExpectTooDeep(policy(kMaxExprDepth - 1));
 }
 
 TEST(PolicyParserTest, RejectsBadSyntax) {

@@ -498,6 +498,92 @@ TEST(WireRoundTrip, ExpressionTree) {
   EXPECT_TRUE((*decoded)->Equals(*pred));
 }
 
+// `nots` NOTs over a literal, encoded tag by tag so that building the
+// payload needs neither a deep Expr nor the recursive encoder.
+std::string NotChainBytes(int nots) {
+  Writer w;
+  for (int i = 0; i < nots; ++i) {
+    w.PutU8(2);
+    w.PutU8(static_cast<uint8_t>(ExprOp::kNot));
+  }
+  w.PutExpr(*Expr::Literal(Value::Int64(1)));
+  return w.buffer();
+}
+
+ExprPtr NotChain(int nots) {
+  ExprPtr e = Expr::Literal(Value::Int64(1));
+  for (int i = 0; i < nots; ++i) e = Expr::Unary(ExprOp::kNot, e);
+  return e;
+}
+
+void ExpectTooDeep(const Status& status) {
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_NE(status.message().find("nests deeper than"), std::string::npos)
+      << status;
+}
+
+// ReadExpr's recursion is bounded by kMaxDecodeDepth: a tree of exactly
+// that many levels decodes, one level more is refused with a typed
+// kInvalidArgument, and so is 10,000 levels in a 20 KB payload, which
+// would otherwise overflow the stack.
+TEST(WireRoundTrip, ExpressionNestingBounded) {
+  const std::string at_bound = NotChainBytes(kMaxDecodeDepth - 1);
+  Reader r(at_bound);
+  auto decoded = r.ReadExpr();
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ((*decoded)->depth(), kMaxDecodeDepth);
+
+  for (int nots : {kMaxDecodeDepth, 10000}) {
+    const std::string bytes = NotChainBytes(nots);
+    Reader past(bytes);
+    auto refused = past.ReadExpr();
+    ASSERT_FALSE(refused.ok());
+    ExpectTooDeep(refused.status());
+  }
+}
+
+// ReadPlan shares the bound, counting plan operators and expression
+// levels along one path: a Filter (one level) over a scan whose
+// conjunct nests kMaxDecodeDepth - 1 levels decodes; one more level
+// does not, nor does a chain of kMaxDecodeDepth + 1 operators.
+TEST(WireRoundTrip, PlanNestingBounded) {
+  auto scan = std::make_shared<PlanNode>(PlanKind::kScan);
+  scan->table = "t";
+  scan->outputs = {{1, "a", DataType::kInt64}};
+  auto filter_over = [&](int conjunct_depth) {
+    auto filter = std::make_shared<PlanNode>(PlanKind::kFilter);
+    filter->outputs = scan->outputs;
+    filter->conjuncts = {NotChain(conjunct_depth - 1)};
+    filter->children().push_back(scan);
+    StartFragment start;
+    start.root = filter;
+    return start.Encode({});
+  };
+  auto payload = filter_over(kMaxDecodeDepth - 1);
+  ASSERT_TRUE(payload.ok());
+  auto decoded = StartFragment::Decode(*payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->root->conjuncts[0]->depth(), kMaxDecodeDepth - 1);
+
+  payload = filter_over(kMaxDecodeDepth);
+  ASSERT_TRUE(payload.ok());
+  ExpectTooDeep(StartFragment::Decode(*payload).status());
+
+  PlanNodePtr chain = scan;
+  for (int i = 0; i < kMaxDecodeDepth; ++i) {
+    auto node = std::make_shared<PlanNode>(PlanKind::kUnion);
+    node->outputs = scan->outputs;
+    node->children().push_back(chain);
+    chain = node;
+  }
+  StartFragment start;
+  start.root = chain;
+  payload = start.Encode({});
+  ASSERT_TRUE(payload.ok());
+  ExpectTooDeep(StartFragment::Decode(*payload).status());
+}
+
 TEST(WireRoundTrip, PlanFragmentWithShipLeaf) {
   // Scan(customer@l1) -> Filter -> SHIP(l1 -> l0) feeding
   // Join at l0 against Scan(orders@l0): serialize the *top* fragment,
