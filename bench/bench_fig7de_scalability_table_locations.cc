@@ -45,7 +45,8 @@ int main() {
       // the l1 headquarters (keeps e.g. Q10's acctbal output feasible when
       // customer is fragmented).
       for (size_t i = 1; i < k; ++i) {
-        std::string loc = "l" + std::to_string(i + 1);
+        const std::string n = std::to_string(i + 1);
+        const std::string loc = "l" + n;
         if (!policies.AddPolicyText(loc, "ship * from customer to l1").ok())
           return 1;
         if (!policies.AddPolicyText(loc, "ship * from orders to l1").ok())

@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
     std::string to_list;
     for (size_t i = 1; i <= n; ++i) {
       if (i > 1) to_list += ", ";
-      to_list += "l" + std::to_string(i);
+      to_list += "l";
+      to_list += std::to_string(i);
     }
     auto policies = std::make_unique<PolicyCatalog>(&*catalog);
     size_t installed = 0;

@@ -248,7 +248,8 @@ inline void SetPhaseTimings(Row& row, const OptStats& opt,
 class JsonRow {
  public:
   JsonRow& Set(const std::string& key, const std::string& value) {
-    return Raw(key, "\"" + Escaped(value) + "\"");
+    const std::string escaped = Escaped(value);
+    return Raw(key, "\"" + escaped + "\"");
   }
   JsonRow& Set(const std::string& key, const char* value) {
     return Set(key, std::string(value));
@@ -276,7 +277,8 @@ class JsonRow {
  private:
   JsonRow& Raw(const std::string& key, const std::string& value) {
     if (!body_.empty()) body_ += ", ";
-    body_ += "\"" + Escaped(key) + "\": " + value;
+    const std::string escaped = Escaped(key);
+    body_ += "\"" + escaped + "\": " + value;
     return *this;
   }
   static std::string Escaped(const std::string& s) {

@@ -65,11 +65,14 @@ void LoadData(Engine* engine) {
   std::vector<Row> customers, orders, supply;
   const char* segs[] = {"commercial", "retail"};
   for (int64_t c = 1; c <= 50; ++c) {
-    customers.push_back({Value::Int64(c),
-                         Value::String("cust-" + std::to_string(c)),
-                         Value::Double(rng.Uniform(0, 9999) / 10.0),
-                         Value::String(segs[rng.Uniform(0, 1)]),
-                         Value::String("r" + std::to_string(rng.Uniform(1, 5)))});
+    // Drawn in column order, as the row lists them.
+    const double balance = rng.Uniform(0, 9999) / 10.0;
+    const char* seg = segs[rng.Uniform(0, 1)];
+    const std::string id = std::to_string(c);
+    const std::string region = std::to_string(rng.Uniform(1, 5));
+    customers.push_back({Value::Int64(c), Value::String("cust-" + id),
+                         Value::Double(balance), Value::String(seg),
+                         Value::String("r" + region)});
   }
   for (int64_t o = 1; o <= 200; ++o) {
     orders.push_back({Value::Int64(rng.Uniform(1, 50)), Value::Int64(o),

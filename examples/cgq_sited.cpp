@@ -85,7 +85,8 @@ int main(int argc, char** argv) {
   std::string locs;
   for (cgq::LocationId l : server.locations()) {
     if (!locs.empty()) locs += ",";
-    locs += "l" + std::to_string(l);
+    locs += "l";
+    locs += std::to_string(l);
   }
   std::printf("cgq_sited listening on %s:%u locations=%s\n",
               options.host.c_str(), server.port(), locs.c_str());

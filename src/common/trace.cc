@@ -111,7 +111,8 @@ std::string EscapeJson(const std::string& s) {
 }
 
 std::string RenderString(const std::string& v) {
-  return "\"" + EscapeJson(v) + "\"";
+  const std::string escaped = EscapeJson(v);
+  return "\"" + escaped + "\"";
 }
 
 }  // namespace

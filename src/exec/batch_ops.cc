@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/trace.h"
 #include "exec/exec_internal.h"
 #include "exec/spill_join.h"
 #include "exec/vector/kernels.h"
@@ -292,12 +293,17 @@ class UnionOp : public BatchOp {
   size_t current_ = 0;
 };
 
-/// Join: the build (left) side is drained into columns. Hash joins then
-/// stream the probe side batch by batch through the ColumnJoinTable;
-/// joins without equi-keys drain the right side and pair each left row
-/// with every right row, one left row per Fill (left-major output). A
-/// hash join whose build side exceeds the memory budget takes the grace
-/// spill. Every path ends in the same JoinGather step.
+/// Join: the left side is drained into columns. Joins without equi-keys
+/// drain the right side and pair each left row with every right row, one
+/// left row per Fill (left-major output). A hash join whose left side
+/// exceeds the memory budget takes the grace spill. Any other hash join
+/// indexes its smaller input: it buffers right batches until the right
+/// side ends or its rows or bytes reach the left side's. A right side
+/// that ended smaller is indexed (ColumnJoinTable::FlippedMatches) and
+/// its pairs are gathered one buffered batch per Fill; otherwise the
+/// left side is indexed, and the buffered batches, then the rest of the
+/// right side, probe it one batch per Fill. Either way the pairs reach
+/// the same JoinGather step in the same order.
 class JoinOp : public ChunkedOp {
  public:
   JoinOp(const PlanNode* node, BatchOpPtr left, BatchOpPtr right,
@@ -325,7 +331,19 @@ class JoinOp : public ChunkedOp {
                                    inner_.sel));
       return next_left_ == build_.NumRows();
     }
-    CGQ_ASSIGN_OR_RETURN(OptBatch in, right_->Next());
+    if (flipped_) {
+      const size_t b = next_buffered_++;
+      CGQ_RETURN_NOT_OK(
+          AddMatches(buffered_[b], flipped_li_[b], flipped_ri_[b]));
+      buffered_[b] = ColumnBatch();
+      return next_buffered_ == buffered_.size();
+    }
+    OptBatch in;
+    if (next_buffered_ < buffered_.size()) {
+      in = std::move(buffered_[next_buffered_++]);
+    } else {
+      CGQ_ASSIGN_OR_RETURN(in, right_->Next());
+    }
     if (!in) {
       if (spill_ != nullptr) CGQ_RETURN_NOT_OK(FinishSpill());
       return true;
@@ -341,7 +359,7 @@ class JoinOp : public ChunkedOp {
   }
 
  private:
-  /// Materializes the build side and picks the join path; true when the
+  /// Materializes the left side and picks the join path; true when the
   /// join has no output.
   Result<bool> Init() {
     CGQ_ASSIGN_OR_RETURN(build_, DrainToColumns(left_.get(), cancel_));
@@ -371,8 +389,28 @@ class JoinOp : public ChunkedOp {
       return false;
     }
 
-    table_.Build(build_, spec_);
-    return false;
+    // Buffer the right side while it stays below the left side in rows
+    // and bytes.
+    size_t right_rows = 0;
+    double right_bytes = 0;
+    while (true) {
+      CGQ_RETURN_NOT_OK(CheckCancelled(cancel_));
+      CGQ_ASSIGN_OR_RETURN(OptBatch in, right_->Next());
+      if (!in) break;
+      if (in->NumRows() == 0) continue;
+      right_rows += in->NumRows();
+      right_bytes += in->ByteSize();
+      buffered_.push_back(std::move(*in));
+      if (right_rows >= build_.NumRows() || right_bytes >= build_bytes) {
+        table_.Build(build_, spec_);
+        return false;
+      }
+    }
+    flipped_ = true;
+    CGQ_COUNTER_ADD("exec.join_flips", 1);
+    CGQ_RETURN_NOT_OK(ColumnJoinTable::FlippedMatches(
+        build_, buffered_, spec_, cancel_, &flipped_li_, &flipped_ri_));
+    return buffered_.empty();
   }
 
   /// Adds the output of the (build row, `probe` row) pairs `li`/`ri`.
@@ -408,8 +446,15 @@ class JoinOp : public ChunkedOp {
   int64_t* spill_bytes_;
   JoinSpec spec_;
   JoinGather gather_;
-  ColumnBatch build_;
+  ColumnBatch build_;  ///< the drained left side
   ColumnJoinTable table_;
+  /// Hash joins: the right batches read to pick the indexed side, and
+  /// the next one to probe or gather. A flipped join's pairs, per batch.
+  std::vector<ColumnBatch> buffered_;
+  size_t next_buffered_ = 0;
+  bool flipped_ = false;
+  std::vector<SelVec> flipped_li_;
+  std::vector<SelVec> flipped_ri_;
   /// Nested loop: the drained right side, and the next left row to pair.
   ColumnBatch inner_;
   uint32_t next_left_ = 0;

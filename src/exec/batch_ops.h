@@ -49,7 +49,8 @@ struct BatchOpEnv {
   int64_t* spill_partitions = nullptr;
   int64_t* spill_bytes = nullptr;
   /// Per-query memory budget (ExecutorOptions::memory_budget_bytes):
-  /// hash joins whose build side exceeds it take the grace spill path.
+  /// hash joins whose left (build) side exceeds it take the grace spill
+  /// path.
   /// 0 = unlimited.
   uint64_t memory_budget_bytes = 0;
   /// Spill directory base (ExecutorOptions::spill_dir; empty = temp dir).

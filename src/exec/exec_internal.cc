@@ -1,5 +1,6 @@
 #include "exec/exec_internal.h"
 
+#include <algorithm>
 #include <bit>
 #include <functional>
 #include <string_view>
@@ -318,6 +319,85 @@ void KeyIndex::Lookup(const vec::ColumnBatch& batch,
     }
     (*ids)[k] = slots_[s].id;
   }
+}
+
+void ColumnJoinTable::Index(const vec::ColumnBatch* batches, size_t n,
+                            const std::vector<size_t>& keys) {
+  size_t rows = 0;
+  for (size_t b = 0; b < n; ++b) rows += batches[b].NumRows();
+  index_.Reserve(rows);
+  std::vector<uint32_t> ids, batch_ids;
+  ids.reserve(rows);
+  for (size_t b = 0; b < n; ++b) {
+    index_.Lookup(batches[b], keys, KeyIndex::Mode::kBuild, &batch_ids);
+    ids.insert(ids.end(), batch_ids.begin(), batch_ids.end());
+  }
+  heads_.assign(index_.size(), KeyIndex::kNone);
+  next_.resize(rows);
+  // Backwards, so that each chain runs in number order.
+  for (uint32_t i = static_cast<uint32_t>(rows); i-- > 0;) {
+    if (ids[i] == KeyIndex::kNone) continue;
+    next_[i] = heads_[ids[i]];
+    heads_[ids[i]] = i;
+  }
+}
+
+Status ColumnJoinTable::Match(const vec::ColumnBatch& probe,
+                              const std::vector<size_t>& keys,
+                              const std::atomic<bool>* cancel,
+                              vec::SelVec* built, vec::SelVec* probed) {
+  std::vector<uint32_t> ids;
+  index_.Lookup(probe, keys, KeyIndex::Mode::kProbe, &ids);
+  for (size_t k = 0; k < probe.NumRows(); ++k) {
+    if ((k & 0x3ff) == 0) CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
+    if (ids[k] == KeyIndex::kNone) continue;
+    for (uint32_t i = heads_[ids[k]]; i != KeyIndex::kNone; i = next_[i]) {
+      built->push_back(i);
+      probed->push_back(probe.sel[k]);
+    }
+  }
+  return Status::OK();
+}
+
+Status ColumnJoinTable::FlippedMatches(
+    const vec::ColumnBatch& left, const std::vector<vec::ColumnBatch>& right,
+    const JoinSpec& spec, const std::atomic<bool>* cancel,
+    std::vector<vec::SelVec>* li, std::vector<vec::SelVec>* ri) {
+  ColumnJoinTable table;
+  table.Index(right.data(), right.size(), spec.KeyColumns(/*left=*/false));
+  // Pairs (right row number, left row), left rows in input order.
+  vec::SelVec rights, lefts;
+  CGQ_RETURN_NOT_OK(table.Match(left, spec.KeyColumns(/*left=*/true), cancel,
+                                &rights, &lefts));
+  // Stable counting sort by right row number: per right row, its left
+  // rows stay in input order, the build order of the unflipped join.
+  const size_t num_right = table.next_.size();
+  std::vector<uint32_t> start(num_right + 1, 0);
+  for (uint32_t r : rights) ++start[r + 1];
+  for (size_t r = 0; r < num_right; ++r) start[r + 1] += start[r];
+  // Batch b's rows are numbered from first[b]; once sorted, its pairs
+  // take places [start[first[b]], start[first[b + 1]]).
+  std::vector<uint32_t> first(right.size() + 1, 0);
+  std::vector<uint32_t> batch_start(right.size());
+  std::vector<uint32_t> batch_of(num_right);
+  li->assign(right.size(), {});
+  ri->assign(right.size(), {});
+  for (size_t b = 0; b < right.size(); ++b) {
+    first[b + 1] = first[b] + static_cast<uint32_t>(right[b].NumRows());
+    std::fill(batch_of.begin() + first[b], batch_of.begin() + first[b + 1],
+              static_cast<uint32_t>(b));
+    batch_start[b] = start[first[b]];
+    (*li)[b].resize(start[first[b + 1]] - batch_start[b]);
+    (*ri)[b].resize((*li)[b].size());
+  }
+  for (size_t k = 0; k < rights.size(); ++k) {
+    const uint32_t r = rights[k];
+    const uint32_t b = batch_of[r];
+    const uint32_t place = start[r]++ - batch_start[b];
+    (*li)[b][place] = lefts[k];
+    (*ri)[b][place] = right[b].sel[r - first[b]];
+  }
+  return Status::OK();
 }
 
 JoinGather::JoinGather(const JoinSpec& spec) : residual_(spec.residual) {

@@ -28,8 +28,9 @@ namespace exec_internal {
 /// because the orders below are *defined*, not accidents of hash
 /// containers:
 ///
-///  - Hash join: probe rows in input order; per probe row, matching build
-///    rows in build (insertion) order.
+///  - Hash join: right (probe) rows in input order; per right row,
+///    matching left (build) rows in input order, whichever input the
+///    join indexes.
 ///  - Nested loop: left (build) rows in input order; per left row,
 ///    right rows in input order.
 ///  - Aggregation: groups emitted in first-seen order of their keys.
@@ -164,47 +165,51 @@ class KeyIndex {
 /// Equi-join match finder over columns, with the defined match order of
 /// JoinHashTable: probe rows in input order; per probe row, build rows in
 /// build (insertion) order. Rows with a NULL key do not participate. A
-/// KeyIndex numbers the build keys; each key chains its build rows.
+/// KeyIndex numbers the indexed keys; each key chains its indexed rows.
+/// The join indexes its smaller input: FlippedMatches indexes the right
+/// one and returns the pairs in this same order.
 class ColumnJoinTable {
  public:
-  /// `build` must be dense (its selection the identity).
+  /// Indexes the left input's rows; `build` must be dense (its selection
+  /// the identity).
   void Build(const vec::ColumnBatch& build, const JoinSpec& spec) {
-    std::vector<uint32_t> ids;
-    index_.Reserve(build.NumRows());
-    index_.Lookup(build, spec.KeyColumns(/*left=*/true),
-                  KeyIndex::Mode::kBuild, &ids);
-    heads_.assign(index_.size(), KeyIndex::kNone);
-    next_.resize(build.NumRows());
-    // Backwards, so that each chain runs in insertion order.
-    for (uint32_t i = static_cast<uint32_t>(build.NumRows()); i-- > 0;) {
-      if (ids[i] == KeyIndex::kNone) continue;
-      next_[i] = heads_[ids[i]];
-      heads_[ids[i]] = i;
-    }
+    Index(&build, 1, spec.KeyColumns(/*left=*/true));
   }
 
-  /// Appends every match of `probe`'s rows as (build row, probe column
-  /// row) pairs to `li` / `ri`.
+  /// Appends every match of the right input's batch `probe` as (build
+  /// row, probe column row) pairs to `li` / `ri`.
   Status Probe(const vec::ColumnBatch& probe, const JoinSpec& spec,
                const std::atomic<bool>* cancel, vec::SelVec* li,
                vec::SelVec* ri) {
-    std::vector<uint32_t> ids;
-    index_.Lookup(probe, spec.KeyColumns(/*left=*/false),
-                  KeyIndex::Mode::kProbe, &ids);
-    for (size_t k = 0; k < probe.NumRows(); ++k) {
-      if ((k & 0x3ff) == 0) CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
-      if (ids[k] == KeyIndex::kNone) continue;
-      for (uint32_t l = heads_[ids[k]]; l != KeyIndex::kNone; l = next_[l]) {
-        li->push_back(l);
-        ri->push_back(probe.sel[k]);
-      }
-    }
-    return Status::OK();
+    return Match(probe, spec.KeyColumns(/*left=*/false), cancel, li, ri);
   }
 
+  /// The matches of Build(left) then Probe of each `right` batch, found
+  /// the other way round: indexes the right rows, probes with the left
+  /// ones, and restores the order above with a stable counting sort by
+  /// right row. (*li)[b] / (*ri)[b] hold batch b's pairs, as Probe of
+  /// that batch would append them. `left` must be dense.
+  static Status FlippedMatches(const vec::ColumnBatch& left,
+                               const std::vector<vec::ColumnBatch>& right,
+                               const JoinSpec& spec,
+                               const std::atomic<bool>* cancel,
+                               std::vector<vec::SelVec>* li,
+                               std::vector<vec::SelVec>* ri);
+
  private:
+  /// Indexes the rows of batches[0..n) on their `keys` columns, numbered
+  /// across the batches in order.
+  void Index(const vec::ColumnBatch* batches, size_t n,
+             const std::vector<size_t>& keys);
+  /// Appends (indexed row, probe column row) pairs, probe rows in input
+  /// order, per probe row its indexed rows in number order.
+  Status Match(const vec::ColumnBatch& probe, const std::vector<size_t>& keys,
+               const std::atomic<bool>* cancel, vec::SelVec* built,
+               vec::SelVec* probed);
+
   KeyIndex index_;
-  /// Per key id, its first build row; per build row, its key's next one.
+  /// Per key id, its first indexed row; per indexed row, its key's next
+  /// one.
   std::vector<uint32_t> heads_;
   std::vector<uint32_t> next_;
 };

@@ -300,8 +300,9 @@ std::string FormatPhaseTimings(const OptimizationStats& opt,
 std::string FormatExecMetrics(const ExecMetrics& metrics,
                               const LocationCatalog* locations) {
   auto site_name = [&](LocationId l) {
-    return locations != nullptr ? locations->GetName(l)
-                                : "l" + std::to_string(l);
+    if (locations != nullptr) return locations->GetName(l);
+    const std::string id = std::to_string(l);
+    return "l" + id;
   };
   std::ostringstream os;
   os.setf(std::ios::fixed);

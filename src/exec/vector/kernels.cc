@@ -1,5 +1,7 @@
 #include "exec/vector/kernels.h"
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <string_view>
 
@@ -10,9 +12,6 @@ namespace cgq {
 namespace vec {
 
 namespace {
-
-/// Tri-state predicate outcome per selected row (SQL three-valued logic).
-enum Tri : uint8_t { kTriFalse = 0, kTriTrue = 1, kTriNull = 2 };
 
 /// One comparison/arithmetic operand classified for the typed fast paths.
 /// kGeneric covers kValue columns; family mixes between the sides route
@@ -105,19 +104,6 @@ Operand Classify(const VecVal& v) {
       break;
   }
   return op;
-}
-
-/// Fresh int64 boolean output column with `n` slots reserved.
-ColumnVector BoolCol(size_t n) {
-  ColumnVector out;
-  out.tag = ColumnTag::kInt64;
-  out.i64.reserve(n);
-  return out;
-}
-
-void PushBool(ColumnVector* out, bool b) {
-  out->i64.push_back(b ? 1 : 0);
-  out->nulls.AppendBit(false);
 }
 
 void PushNull(ColumnVector* out) {
@@ -246,67 +232,6 @@ bool CompareTyped(const Operand& a, const Operand& b, const SelVec& sel,
   return true;
 }
 
-Result<VecVal> CompareVec(ExprOp op, const VecVal& l, const VecVal& r,
-                          const SelVec& sel) {
-  // NULL compared to anything is NULL — checked before operand families,
-  // exactly like the scalar evaluator.
-  if ((l.is_const && l.cval.is_null()) ||
-      (r.is_const && r.cval.is_null())) {
-    return VecVal::Const(Value::Null());
-  }
-  if (l.is_const && r.is_const) {
-    CGQ_ASSIGN_OR_RETURN(Value v, EvalComparisonValues(op, l.cval, r.cval));
-    return VecVal::Const(std::move(v));
-  }
-  const size_t n = sel.size();
-  Operand a = Classify(l);
-  Operand b = Classify(r);
-  ColumnVector out = BoolCol(n);
-  const bool typed =
-      CompareTyped(a, b, sel, [&](size_t, bool null, int c) {
-        if (null) {
-          PushNull(&out);
-        } else {
-          PushBool(&out, ApplyCmp(op, c));
-        }
-      });
-  if (!typed) {
-    // kValue columns or family mixes: the scalar reference, elementwise.
-    for (size_t k = 0; k < n; ++k) {
-      CGQ_ASSIGN_OR_RETURN(
-          Value v, EvalComparisonValues(op, l.At(sel, k), r.At(sel, k)));
-      out.AppendValue(v);
-    }
-  }
-  return VecVal::Owned(std::move(out));
-}
-
-/// Narrows `sel` to the rows where `l op r` holds, in one pass that
-/// builds no boolean column: the rows CompareVec's result keeps. False,
-/// with `sel` untouched, when the operands need CompareVec (two
-/// constants, kValue columns, family mixes).
-bool CompareSel(ExprOp op, const VecVal& l, const VecVal& r, SelVec* sel) {
-  if (l.is_const && r.is_const) return false;
-  if ((l.is_const && l.cval.is_null()) || (r.is_const && r.cval.is_null())) {
-    sel->clear();
-    return true;
-  }
-  // Bit c + 1 of `keep` is set when outcome c satisfies `op`.
-  int keep = 0;
-  for (int c = -1; c <= 1; ++c) keep |= ApplyCmp(op, c) << (c + 1);
-  uint32_t* rows = sel->data();
-  size_t out = 0;
-  if (!CompareTyped(Classify(l), Classify(r), *sel,
-                    [&](size_t k, bool null, int c) {
-                      rows[out] = rows[k];
-                      out += !null && ((keep >> (c + 1)) & 1);
-                    })) {
-    return false;
-  }
-  sel->resize(out);
-  return true;
-}
-
 Result<VecVal> ArithmeticVec(ExprOp op, const VecVal& l, const VecVal& r,
                              const SelVec& sel) {
   if ((l.is_const && l.cval.is_null()) ||
@@ -382,115 +307,332 @@ Result<VecVal> ArithmeticVec(ExprOp op, const VecVal& l, const VecVal& r,
   return VecVal::Owned(std::move(out));
 }
 
-/// SQL truthiness of every selected row as a tri-state vector.
-std::vector<uint8_t> TriOf(const VecVal& v, const SelVec& sel) {
+/// Collects a split of `sel` (see Split) in one pass: row sel[k] goes to
+/// *t when it is TRUE and, when `f` is set, to *f when it is FALSE; NULL
+/// rows go to neither. The sets take their final size when the writer
+/// goes out of scope.
+class SplitWriter {
+ public:
+  SplitWriter(const SelVec& sel, SelVec* t, SelVec* f)
+      : rows_(sel.data()), t_(t), f_(f) {
+    t_->resize(sel.size());
+    t_rows_ = t_->data();
+    if (f_ != nullptr) {
+      f_->resize(sel.size());
+      f_rows_ = f_->data();
+    }
+  }
+  SplitWriter(const SplitWriter&) = delete;
+  SplitWriter& operator=(const SplitWriter&) = delete;
+  ~SplitWriter() {
+    t_->resize(nt_);
+    if (f_ != nullptr) f_->resize(nf_);
+  }
+
+  void Add(size_t k, bool null, bool truth) {
+    const uint32_t row = rows_[k];
+    t_rows_[nt_] = row;
+    nt_ += !null & truth;
+    if (f_rows_ != nullptr) {
+      f_rows_[nf_] = row;
+      nf_ += !null & !truth;
+    }
+  }
+  /// Adds a row by the SQL truth of its value.
+  void Add(size_t k, const Value& v) {
+    Add(k, v.is_null(), IsTruthyValue(v));
+  }
+
+ private:
+  const uint32_t* rows_;
+  SelVec* t_;
+  SelVec* f_;
+  uint32_t* t_rows_ = nullptr;
+  uint32_t* f_rows_ = nullptr;
+  size_t nt_ = 0;
+  size_t nf_ = 0;
+};
+
+/// Splits `sel` by the SQL truth of `v`'s rows (a predicate that is not
+/// a boolean operator: a column, a literal, arithmetic).
+void SplitTruth(const VecVal& v, const SelVec& sel, SelVec* t, SelVec* f) {
+  SplitWriter out(sel, t, f);
   const size_t n = sel.size();
-  std::vector<uint8_t> out(n);
   if (v.is_const) {
-    uint8_t t = v.cval.is_null()
-                    ? kTriNull
-                    : (IsTruthyValue(v.cval) ? kTriTrue : kTriFalse);
-    for (size_t k = 0; k < n; ++k) out[k] = t;
-    return out;
+    for (size_t k = 0; k < n; ++k) out.Add(k, v.cval);
+    return;
   }
   const ColumnVector& c = v.col();
   for (size_t k = 0; k < n; ++k) {
-    size_t i = v.IndexOf(sel, k);
+    const size_t i = v.IndexOf(sel, k);
     switch (c.tag) {
       case ColumnTag::kInt64:
-        out[k] = c.nulls.IsNull(i) ? kTriNull
-                                   : (c.i64[i] != 0 ? kTriTrue : kTriFalse);
+        out.Add(k, c.nulls.IsNull(i), c.i64[i] != 0);
         break;
       case ColumnTag::kDouble:
-        out[k] = c.nulls.IsNull(i) ? kTriNull
-                                   : (c.f64[i] != 0 ? kTriTrue : kTriFalse);
+        out.Add(k, c.nulls.IsNull(i), c.f64[i] != 0);
         break;
       case ColumnTag::kString:
-        out[k] = c.nulls.IsNull(i)
-                     ? kTriNull
-                     : (!c.str[i].empty() ? kTriTrue : kTriFalse);
+        out.Add(k, c.nulls.IsNull(i), !c.str[i].empty());
         break;
-      case ColumnTag::kValue: {
-        const Value& val = c.vals[i];
-        out[k] = val.is_null()
-                     ? kTriNull
-                     : (IsTruthyValue(val) ? kTriTrue : kTriFalse);
+      case ColumnTag::kValue:
+        out.Add(k, c.vals[i]);
         break;
-      }
     }
   }
+}
+
+Status SplitCompare(ExprOp op, const VecVal& l, const VecVal& r,
+                    const SelVec& sel, SelVec* t, SelVec* f) {
+  // NULL compared to anything is NULL — checked before operand families,
+  // exactly like the scalar evaluator.
+  if ((l.is_const && l.cval.is_null()) || (r.is_const && r.cval.is_null())) {
+    return Status::OK();
+  }
+  if (l.is_const && r.is_const) {
+    CGQ_ASSIGN_OR_RETURN(Value v, EvalComparisonValues(op, l.cval, r.cval));
+    SplitTruth(VecVal::Const(std::move(v)), sel, t, f);
+    return Status::OK();
+  }
+  // Bit c + 1 of `holds` is set when outcome c satisfies `op`.
+  int holds = 0;
+  for (int c = -1; c <= 1; ++c) holds |= ApplyCmp(op, c) << (c + 1);
+  SplitWriter out(sel, t, f);
+  if (CompareTyped(Classify(l), Classify(r), sel,
+                   [&](size_t k, bool null, int c) {
+                     out.Add(k, null, (holds >> (c + 1)) & 1);
+                   })) {
+    return Status::OK();
+  }
+  // kValue columns or family mixes: the scalar reference, elementwise.
+  for (size_t k = 0; k < sel.size(); ++k) {
+    CGQ_ASSIGN_OR_RETURN(
+        Value v, EvalComparisonValues(op, l.At(sel, k), r.At(sel, k)));
+    out.Add(k, v);
+  }
+  return Status::OK();
+}
+
+Status SplitLike(ExprOp op, const VecVal& l, const VecVal& r,
+                 const SelVec& sel, SelVec* t, SelVec* f) {
+  if ((l.is_const && l.cval.is_null()) || (r.is_const && r.cval.is_null())) {
+    return Status::OK();
+  }
+  const bool negate = op == ExprOp::kNotLike;
+  const Operand a = Classify(l);
+  const Operand b = Classify(r);
+  SplitWriter out(sel, t, f);
+  if (a.IsString() && b.IsString()) {
+    for (size_t k = 0; k < sel.size(); ++k) {
+      const bool null = a.NullAt(sel, k) || b.NullAt(sel, k);
+      out.Add(k, null,
+              !null && LikeMatch(a.StrAt(sel, k), b.StrAt(sel, k)) != negate);
+    }
+    return Status::OK();
+  }
+  for (size_t k = 0; k < sel.size(); ++k) {
+    const Value lv = l.At(sel, k);
+    const Value rv = r.At(sel, k);
+    if (lv.is_null() || rv.is_null()) continue;
+    if (!lv.is_string() || !rv.is_string()) {
+      return Status::InvalidArgument("LIKE requires string operands");
+    }
+    out.Add(k, false, LikeMatch(lv.str(), rv.str()) != negate);
+  }
+  return Status::OK();
+}
+
+/// IN with Value::Equals semantics on typed payloads: numeric families
+/// unify (int64 with int64 exactly, any other pair as double), strings
+/// match strings only, NULL candidates are skipped.
+Status SplitIn(const Expr& expr, const ColumnBatch& batch, const SelVec& sel,
+               SelVec* t, SelVec* f) {
+  CGQ_ASSIGN_OR_RETURN(VecVal needle,
+                       EvalExprVec(*expr.child(0), batch, sel));
+  const std::vector<Value>& list = expr.in_list();
+  SplitWriter out(sel, t, f);
+  const size_t n = sel.size();
+  if (needle.is_const || needle.col().tag == ColumnTag::kValue) {
+    for (size_t k = 0; k < n; ++k) {
+      const Value v = needle.At(sel, k);
+      out.Add(k, v.is_null(),
+              std::any_of(list.begin(), list.end(),
+                          [&](const Value& c) { return v.Equals(c); }));
+    }
+    return Status::OK();
+  }
+  std::vector<int64_t> ints;
+  std::vector<double> reals;
+  std::vector<std::string_view> strs;
+  for (const Value& c : list) {
+    if (c.is_int64()) ints.push_back(c.int64());
+    if (c.is_double()) reals.push_back(c.dbl());
+    if (c.is_string()) strs.push_back(c.str());
+  }
+  // Value::Compare's numeric equality: as double, where NaN equals all.
+  auto real_in = [&](double x) {
+    bool in = false;
+    for (double c : reals) in |= !(x < c) && !(x > c);
+    return in;
+  };
+  const ColumnVector& col = needle.col();
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = needle.IndexOf(sel, k);
+    bool in = false;
+    switch (col.tag) {
+      case ColumnTag::kInt64:
+        for (int64_t c : ints) in |= c == col.i64[i];
+        in = in || real_in(static_cast<double>(col.i64[i]));
+        break;
+      case ColumnTag::kDouble:
+        for (int64_t c : ints) {
+          const double x = col.f64[i], y = static_cast<double>(c);
+          in |= !(x < y) && !(x > y);
+        }
+        in = in || real_in(col.f64[i]);
+        break;
+      default:  // kString
+        for (std::string_view c : strs) in |= c == col.str[i];
+        break;
+    }
+    out.Add(k, col.nulls.IsNull(i), in);
+  }
+  return Status::OK();
+}
+
+/// `a` without the rows of `b`, both ascending.
+SelVec Minus(const SelVec& a, const SelVec& b) {
+  SelVec out;
+  out.reserve(a.size());
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(out));
   return out;
 }
 
-Result<VecVal> LikeVec(ExprOp op, const VecVal& l, const VecVal& r,
-                       const SelVec& sel) {
-  if ((l.is_const && l.cval.is_null()) ||
-      (r.is_const && r.cval.is_null())) {
-    return VecVal::Const(Value::Null());
-  }
-  const bool negate = op == ExprOp::kNotLike;
-  const size_t n = sel.size();
-  Operand a = Classify(l);
-  Operand b = Classify(r);
-  ColumnVector out = BoolCol(n);
-  if (a.IsString() && b.IsString()) {
-    for (size_t k = 0; k < n; ++k) {
-      if (a.NullAt(sel, k) || b.NullAt(sel, k)) {
-        PushNull(&out);
-        continue;
-      }
-      bool m = LikeMatch(a.StrAt(sel, k), b.StrAt(sel, k));
-      PushBool(&out, negate ? !m : m);
-    }
-  } else {
-    for (size_t k = 0; k < n; ++k) {
-      Value lv = l.At(sel, k);
-      Value rv = r.At(sel, k);
-      if (lv.is_null() || rv.is_null()) {
-        PushNull(&out);
-        continue;
-      }
-      if (!lv.is_string() || !rv.is_string()) {
-        return Status::InvalidArgument("LIKE requires string operands");
-      }
-      bool m = LikeMatch(lv.str(), rv.str());
-      PushBool(&out, negate ? !m : m);
-    }
-  }
-  return VecVal::Owned(std::move(out));
+SelVec Intersect(const SelVec& a, const SelVec& b) {
+  SelVec out;
+  out.reserve(std::min(a.size(), b.size()));
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+  return out;
 }
 
-Result<VecVal> InVec(const Expr& expr, const ColumnBatch& batch,
-                     const SelVec& sel) {
-  CGQ_ASSIGN_OR_RETURN(VecVal needle,
-                       EvalExprVec(*expr.child(0), batch, sel));
-  auto member = [&expr](const Value& v) {
-    for (const Value& candidate : expr.in_list()) {
-      if (!candidate.is_null() && v.Equals(candidate)) return true;
+/// The rows of two disjoint ascending selections, ascending.
+SelVec Union(const SelVec& a, const SelVec& b) {
+  if (a.empty()) return b;
+  if (b.empty()) return a;
+  SelVec out(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin());
+  return out;
+}
+
+/// The selection-splitting evaluator: the rows of `sel` (ascending, as a
+/// batch's selection is) where `expr` is TRUE go to *t and, when `f` is
+/// set, those where it is FALSE to *f, both ascending; the other rows
+/// are NULL. Every operand runs on exactly the rows where EvalExpr
+/// evaluates it: AND's right operand on the rows its left one did not
+/// make FALSE, OR's on the rows its left one did not make TRUE. So a
+/// split fails only when EvalExpr fails on one of the rows.
+Status Split(const Expr& expr, const ColumnBatch& batch, const SelVec& sel,
+             SelVec* t, SelVec* f) {
+  t->clear();
+  if (f != nullptr) f->clear();
+  if (sel.empty()) return Status::OK();
+  switch (expr.op()) {
+    case ExprOp::kAnd:
+    case ExprOp::kOr: {
+      // `decided` takes the rows the left operand decides (FALSE for
+      // AND, TRUE for OR); the right operand runs on the rest.
+      const bool is_and = expr.op() == ExprOp::kAnd;
+      SelVec decided, other;
+      SelVec* lt = is_and ? &other : &decided;
+      SelVec* lf = is_and ? &decided : &other;
+      CGQ_RETURN_NOT_OK(Split(*expr.child(0), batch, sel, lt,
+                              is_and || f != nullptr ? lf : nullptr));
+      SelVec rest_rows;
+      const SelVec* rest = &sel;
+      if (!decided.empty()) {
+        rest_rows = Minus(sel, decided);
+        rest = &rest_rows;
+      }
+      SelVec rt, rf;
+      CGQ_RETURN_NOT_OK(Split(*expr.child(1), batch, *rest, &rt,
+                              f != nullptr ? &rf : nullptr));
+      SelVec* rdecided = is_and ? &rf : &rt;
+      SelVec* rother = is_and ? &rt : &rf;
+      // Out: the rows either side decided, and the rows both sides left
+      // undecided but not NULL (TRUE for AND, FALSE for OR). When the
+      // left operand made no row NULL, `rest` is its undecided rows and
+      // the right side's undecided rows are the answer.
+      SelVec* out_decided = is_and ? f : t;
+      SelVec* out_other = is_and ? t : f;
+      if (out_decided != nullptr) *out_decided = Union(decided, *rdecided);
+      if (out_other != nullptr) {
+        *out_other = rest->size() == other.size()
+                         ? std::move(*rother)
+                         : Intersect(*rother, other);
+      }
+      return Status::OK();
     }
-    return false;
-  };
-  if (needle.is_const) {
-    if (needle.cval.is_null()) return VecVal::Const(Value::Null());
-    return VecVal::Const(Value::Int64(member(needle.cval) ? 1 : 0));
-  }
-  const size_t n = sel.size();
-  ColumnVector out = BoolCol(n);
-  for (size_t k = 0; k < n; ++k) {
-    Value v = needle.At(sel, k);
-    if (v.is_null()) {
-      PushNull(&out);
-      continue;
+    case ExprOp::kNot: {
+      SelVec ct, cf;
+      CGQ_RETURN_NOT_OK(Split(*expr.child(0), batch, sel, &ct, &cf));
+      *t = std::move(cf);
+      if (f != nullptr) *f = std::move(ct);
+      return Status::OK();
     }
-    PushBool(&out, member(v));
+    case ExprOp::kEq:
+    case ExprOp::kNe:
+    case ExprOp::kLt:
+    case ExprOp::kLe:
+    case ExprOp::kGt:
+    case ExprOp::kGe:
+    case ExprOp::kLike:
+    case ExprOp::kNotLike: {
+      CGQ_ASSIGN_OR_RETURN(VecVal l, EvalExprVec(*expr.child(0), batch, sel));
+      CGQ_ASSIGN_OR_RETURN(VecVal r, EvalExprVec(*expr.child(1), batch, sel));
+      return IsComparisonOp(expr.op())
+                 ? SplitCompare(expr.op(), l, r, sel, t, f)
+                 : SplitLike(expr.op(), l, r, sel, t, f);
+    }
+    case ExprOp::kIn:
+      return SplitIn(expr, batch, sel, t, f);
+    default: {
+      CGQ_ASSIGN_OR_RETURN(VecVal v, EvalExprVec(expr, batch, sel));
+      SplitTruth(v, sel, t, f);
+      return Status::OK();
+    }
   }
-  return VecVal::Owned(std::move(out));
+}
+
+/// The boolean column of a split of `sel`, parallel to it: 1 on the TRUE
+/// rows, 0 on the FALSE rows, NULL on the others.
+ColumnVector BoolColumn(const SelVec& sel, const SelVec& t,
+                        const SelVec& f) {
+  ColumnVector out;
+  out.tag = ColumnTag::kInt64;
+  out.i64.assign(sel.size(), 0);
+  out.nulls = NullBitmap(sel.size());
+  size_t pt = 0, pf = 0;
+  for (size_t k = 0; k < sel.size(); ++k) {
+    if (pt < t.size() && t[pt] == sel[k]) {
+      out.i64[k] = 1;
+      ++pt;
+    } else if (pf < f.size() && f[pf] == sel[k]) {
+      ++pf;
+    } else {
+      out.nulls.SetNull(k);
+    }
+  }
+  return out;
 }
 
 }  // namespace
 
 Result<VecVal> EvalExprVec(const Expr& expr, const ColumnBatch& batch,
                            const SelVec& sel) {
+  // No row, nothing to evaluate (EvalExpr would not run either).
+  if (sel.empty()) return VecVal::Owned(ColumnVector());
   switch (expr.op()) {
     case ExprOp::kLiteral:
       return VecVal::Const(expr.literal());
@@ -502,52 +644,6 @@ Result<VecVal> EvalExprVec(const Expr& expr, const ColumnBatch& batch,
       }
       return VecVal::Ref(batch.columns[pos].get());
     }
-    case ExprOp::kAnd:
-    case ExprOp::kOr: {
-      CGQ_ASSIGN_OR_RETURN(VecVal lv,
-                           EvalExprVec(*expr.child(0), batch, sel));
-      CGQ_ASSIGN_OR_RETURN(VecVal rv,
-                           EvalExprVec(*expr.child(1), batch, sel));
-      std::vector<uint8_t> lt = TriOf(lv, sel);
-      std::vector<uint8_t> rt = TriOf(rv, sel);
-      const bool is_and = expr.op() == ExprOp::kAnd;
-      ColumnVector out = BoolCol(sel.size());
-      for (size_t k = 0; k < sel.size(); ++k) {
-        // Kleene logic: a decided side dominates NULL on the other.
-        uint8_t decided = is_and ? kTriFalse : kTriTrue;
-        if (lt[k] == decided || rt[k] == decided) {
-          PushBool(&out, !is_and);
-        } else if (lt[k] == kTriNull || rt[k] == kTriNull) {
-          PushNull(&out);
-        } else {
-          PushBool(&out, is_and);
-        }
-      }
-      return VecVal::Owned(std::move(out));
-    }
-    case ExprOp::kNot: {
-      CGQ_ASSIGN_OR_RETURN(VecVal v, EvalExprVec(*expr.child(0), batch, sel));
-      std::vector<uint8_t> t = TriOf(v, sel);
-      ColumnVector out = BoolCol(sel.size());
-      for (size_t k = 0; k < sel.size(); ++k) {
-        if (t[k] == kTriNull) {
-          PushNull(&out);
-        } else {
-          PushBool(&out, t[k] == kTriFalse);
-        }
-      }
-      return VecVal::Owned(std::move(out));
-    }
-    case ExprOp::kEq:
-    case ExprOp::kNe:
-    case ExprOp::kLt:
-    case ExprOp::kLe:
-    case ExprOp::kGt:
-    case ExprOp::kGe: {
-      CGQ_ASSIGN_OR_RETURN(VecVal l, EvalExprVec(*expr.child(0), batch, sel));
-      CGQ_ASSIGN_OR_RETURN(VecVal r, EvalExprVec(*expr.child(1), batch, sel));
-      return CompareVec(expr.op(), l, r, sel);
-    }
     case ExprOp::kAdd:
     case ExprOp::kSub:
     case ExprOp::kMul:
@@ -556,53 +652,22 @@ Result<VecVal> EvalExprVec(const Expr& expr, const ColumnBatch& batch,
       CGQ_ASSIGN_OR_RETURN(VecVal r, EvalExprVec(*expr.child(1), batch, sel));
       return ArithmeticVec(expr.op(), l, r, sel);
     }
-    case ExprOp::kLike:
-    case ExprOp::kNotLike: {
-      CGQ_ASSIGN_OR_RETURN(VecVal l, EvalExprVec(*expr.child(0), batch, sel));
-      CGQ_ASSIGN_OR_RETURN(VecVal r, EvalExprVec(*expr.child(1), batch, sel));
-      return LikeVec(expr.op(), l, r, sel);
+    default: {
+      // AND, OR, NOT, comparisons, LIKE and IN: the split, as a column.
+      SelVec t, f;
+      CGQ_RETURN_NOT_OK(Split(expr, batch, sel, &t, &f));
+      return VecVal::Owned(BoolColumn(sel, t, f));
     }
-    case ExprOp::kIn:
-      return InVec(expr, batch, sel);
   }
-  return Status::Internal("unhandled expression op");
 }
 
 Status FilterSel(const std::vector<ExprPtr>& conjuncts,
                  const ColumnBatch& batch, SelVec* sel) {
   for (const ExprPtr& c : conjuncts) {
     if (sel->empty()) return Status::OK();
-    VecVal v;
-    if (IsComparisonOp(c->op())) {
-      CGQ_ASSIGN_OR_RETURN(VecVal l, EvalExprVec(*c->child(0), batch, *sel));
-      CGQ_ASSIGN_OR_RETURN(VecVal r, EvalExprVec(*c->child(1), batch, *sel));
-      if (CompareSel(c->op(), l, r, sel)) continue;
-      CGQ_ASSIGN_OR_RETURN(v, CompareVec(c->op(), l, r, *sel));
-    } else {
-      CGQ_ASSIGN_OR_RETURN(v, EvalExprVec(*c, batch, *sel));
-    }
-    if (v.is_const) {
-      if (!v.cval.is_null() && IsTruthyValue(v.cval)) continue;
-      sel->clear();
-      return Status::OK();
-    }
-    SelVec next;
-    next.reserve(sel->size());
-    const ColumnVector& col = v.col();
-    if (col.tag == ColumnTag::kInt64) {
-      for (size_t k = 0; k < sel->size(); ++k) {
-        size_t i = v.IndexOf(*sel, k);
-        if (!col.nulls.IsNull(i) && col.i64[i] != 0) {
-          next.push_back((*sel)[k]);
-        }
-      }
-    } else {
-      for (size_t k = 0; k < sel->size(); ++k) {
-        Value val = v.At(*sel, k);
-        if (!val.is_null() && IsTruthyValue(val)) next.push_back((*sel)[k]);
-      }
-    }
-    *sel = std::move(next);
+    SelVec keep;
+    CGQ_RETURN_NOT_OK(Split(*c, batch, *sel, &keep, nullptr));
+    *sel = std::move(keep);
   }
   return Status::OK();
 }

@@ -52,21 +52,26 @@ struct VecVal {
   }
 };
 
-/// Vectorized EvalExpr: evaluates `expr` for every row in `sel`.
+/// Vectorized EvalExpr: evaluates `expr` for every row in `sel` (a
+/// batch's selection, ascending).
 ///
 /// Produces the exact per-row values of the scalar evaluator (typed fast
 /// paths mirror Value::Compare / EvalArithmeticValues semantics; kValue
-/// columns degrade to the scalar reference elementwise). One deliberate
-/// deviation: on *ill-typed* expressions the error may surface from a
-/// different row/operand than in the row backend, because kernels do not
-/// short-circuit row-by-row — byte identity is contractual for successful
-/// evaluation only (see DESIGN.md §12).
+/// columns degrade to the scalar reference elementwise). AND, OR, NOT,
+/// comparisons, LIKE and IN are one selection-splitting evaluator that
+/// runs every operand on exactly the rows where EvalExpr evaluates it
+/// (AND's and OR's right operands only on the rows the left one left
+/// undecided), so evaluation fails exactly when EvalExpr fails on some
+/// selected row. Only *which* failing row's message surfaces first may
+/// differ: kernels run operand by operand, not row by row (see
+/// DESIGN.md §12).
 Result<VecVal> EvalExprVec(const Expr& expr, const ColumnBatch& batch,
                            const SelVec& sel);
 
-/// Narrows `*sel` to the rows passing every conjunct. Conjuncts run in
-/// order, each only over the survivors of the previous ones — the
-/// vectorized form of KeepRow's short-circuit.
+/// Narrows `*sel` to the rows passing every conjunct: each conjunct's
+/// split keeps its TRUE rows. Conjuncts run in order, each only over the
+/// survivors of the previous ones — the vectorized form of KeepRow's
+/// short-circuit.
 Status FilterSel(const std::vector<ExprPtr>& conjuncts,
                  const ColumnBatch& batch, SelVec* sel);
 

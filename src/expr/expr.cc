@@ -241,9 +241,11 @@ std::string Expr::ToString() const {
       return out + ")";
     }
     case ExprOp::kAnd:
-    case ExprOp::kOr:
-      return "(" + children_[0]->ToString() + " " + ExprOpToString(op_) +
-             " " + children_[1]->ToString() + ")";
+    case ExprOp::kOr: {
+      const std::string l = children_[0]->ToString();
+      const std::string r = children_[1]->ToString();
+      return "(" + l + " " + ExprOpToString(op_) + " " + r + ")";
+    }
     default: {
       // Parenthesize non-leaf operands so nesting stays readable.
       auto operand = [](const ExprPtr& e) {

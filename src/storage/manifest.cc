@@ -70,7 +70,8 @@ std::string WalFileName(uint64_t version) {
 }
 
 std::string BlockFileName(uint64_t id) {
-  return "b" + std::to_string(id) + ".blk";
+  const std::string n = std::to_string(id);
+  return "b" + n + ".blk";
 }
 
 }  // namespace storage

@@ -48,9 +48,9 @@ Result<Catalog> BuildCatalog(const TpchConfig& config) {
     return Status::InvalidArgument("TPC-H setup needs at least 5 locations");
   }
   for (size_t i = 1; i <= config.num_locations; ++i) {
+    const std::string n = std::to_string(i);
     CGQ_RETURN_NOT_OK(
-        catalog.mutable_locations().AddLocation("l" + std::to_string(i))
-            .status());
+        catalog.mutable_locations().AddLocation("l" + n).status());
   }
   const double sf = config.scale_factor;
 

@@ -157,7 +157,7 @@ TEST(ColumnBatchTest, GatherSelectionStraddlingChunkBoundaries) {
   RowLayout layout({1});
   std::vector<Row> rows;
   for (int i = 0; i < 2500; ++i) {
-    rows.push_back({i % 5 == 0 ? Value::Null() : Value::Int64(i)});
+    rows.emplace_back(1, i % 5 == 0 ? Value::Null() : Value::Int64(i));
   }
   auto cb = FromRows(layout, rows);
   ASSERT_TRUE(cb.ok());

@@ -176,7 +176,7 @@ TEST(DistributedExecutorTest, ReproducesRowBackendOnFullWorkload) {
 TEST(DistributedExecutorTest, PipelinedMatchesSequential) {
   SharedCluster& shared = Shared();
   for (int qnum : tpch::QueryNumbers()) {
-    SCOPED_TRACE("Q" + std::to_string(qnum));
+    SCOPED_TRACE(testing::Message() << "Q" << qnum);
     auto q = OptimizeTpch(shared, qnum, "CR");
     ASSERT_TRUE(q.ok()) << q.status();
 

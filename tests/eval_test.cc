@@ -305,7 +305,8 @@ TEST(FilterSelTest, DirectComparisonsKeepTheBooleanColumnRows) {
     const DataType t = id == 3 ? DataType::kString
                        : id == 2 || id == 5 || id == 6 ? DataType::kDouble
                                                        : DataType::kInt64;
-    return Expr::BoundColumn(id, "t", "c" + std::to_string(id), "t", t);
+    const std::string n = std::to_string(id);
+    return Expr::BoundColumn(id, "t", "c" + n, "t", t);
   };
   auto lit = [](Value v) { return Expr::Literal(std::move(v)); };
   // Numeric operands: columns, constants of both types, NaN, -0.0, NULL
@@ -373,6 +374,199 @@ TEST(FilterSelTest, IncomparableFamiliesFail) {
   vec::SelVec sel = batch.sel;
   Status s = vec::FilterSel({cmp}, batch, &sel);
   EXPECT_TRUE(s.IsInvalidArgument()) << s;
+}
+
+// Random predicate trees over typed, NULL-bearing and kValue columns,
+// against the scalar evaluator row by row. The trees nest AND, OR, NOT,
+// comparisons, IN, LIKE and arithmetic (booleans inside arithmetic too),
+// with operands that overflow int64 (x * 2^62) or compare incomparable
+// families on some rows. The row evaluator short-circuits AND and OR, so
+// such an operand fails only where it is reached; the kernels must agree
+// on whether evaluation fails, on every row's value, and on the rows
+// FilterSel keeps.
+class RandomTrees {
+ public:
+  explicit RandomTrees(uint64_t seed) : rng_(seed) {}
+
+  ExprPtr Bool(int depth) {
+    switch (Pick(depth > 0 ? 10 : 7) + (depth > 0 ? 0 : 3)) {
+      case 0:
+        return Expr::Binary(ExprOp::kAnd, Bool(depth - 1), Bool(depth - 1));
+      case 1:
+        return Expr::Binary(ExprOp::kOr, Bool(depth - 1), Bool(depth - 1));
+      case 2:
+        return Expr::Unary(ExprOp::kNot, Bool(depth - 1));
+      case 3:
+      case 4:
+        return Expr::Binary(CompareOp(), Numeric(depth - 1),
+                            Numeric(depth - 1));
+      case 5:
+        return Expr::Binary(CompareOp(), String(), String());
+      case 6:  // family mixes fail on some rows
+        return Expr::Binary(CompareOp(), Any(depth - 1), Any(depth - 1));
+      case 7: {
+        static const Value kPool[] = {
+            Value::Null(),        Value::Int64(0),     Value::Int64(1),
+            Value::Int64(-2),     Value::Double(1.5),  Value::Double(-0.0),
+            Value::Double(kNaN),  Value::String("a"),  Value::String(""),
+            Value::Int64(kTwo62)};
+        std::vector<Value> list;
+        for (int n = 1 + Pick(4); n > 0; --n) list.push_back(kPool[Pick(10)]);
+        return Expr::InList(Any(depth - 1), std::move(list));
+      }
+      case 8: {
+        static const char* kPatterns[] = {"a%", "%b", "_", ""};
+        ExprPtr pattern = Lit(Value::String(kPatterns[Pick(4)]));
+        if (Pick(4) == 0) pattern = Pick(2) ? Col(3) : Lit(Value::Null());
+        ExprPtr value = Pick(6) == 0 ? Any(depth - 1) : String();
+        return Expr::Binary(Pick(2) ? ExprOp::kLike : ExprOp::kNotLike,
+                            std::move(value), std::move(pattern));
+      }
+      default:  // truthiness of a value
+        return Pick(3) == 0 ? Col(3) : Numeric(depth - 1);
+    }
+  }
+
+  ExprPtr Numeric(int depth) {
+    if (depth > 0 && Pick(3) == 0) {
+      if (Pick(4) == 0) return Bool(depth - 1);
+      static const ExprOp kOps[] = {ExprOp::kAdd, ExprOp::kSub, ExprOp::kMul,
+                                    ExprOp::kDiv};
+      return Expr::Binary(kOps[Pick(4)], Numeric(depth - 1),
+                          Numeric(depth - 1));
+    }
+    static const AttrId kCols[] = {1, 2, 4, 5, 7};
+    static const Value kLits[] = {Value::Int64(0),      Value::Int64(1),
+                                  Value::Int64(-2),     Value::Int64(kTwo62),
+                                  Value::Double(1.5),   Value::Double(-0.0),
+                                  Value::Double(kNaN),  Value::Null()};
+    return Pick(2) ? Col(kCols[Pick(5)]) : Lit(kLits[Pick(8)]);
+  }
+
+  ExprPtr String() {
+    static const char* kLits[] = {"a", "", "ab"};
+    if (Pick(5) == 0) return Lit(Value::Null());
+    return Pick(2) ? Col(3) : Lit(Value::String(kLits[Pick(3)]));
+  }
+
+  /// Any family: numeric, string, or the int/string column.
+  ExprPtr Any(int depth) {
+    switch (Pick(3)) {
+      case 0:
+        return Numeric(depth);
+      case 1:
+        return String();
+      default:
+        return Col(6);
+    }
+  }
+
+  static constexpr int64_t kTwo62 = int64_t{1} << 62;
+  static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+ private:
+  int Pick(int n) { return static_cast<int>(rng_() % uint64_t(n)); }
+  ExprOp CompareOp() {
+    static const ExprOp kOps[] = {ExprOp::kEq, ExprOp::kNe, ExprOp::kLt,
+                                  ExprOp::kLe, ExprOp::kGt, ExprOp::kGe};
+    return kOps[Pick(6)];
+  }
+  static ExprPtr Lit(Value v) { return Expr::Literal(std::move(v)); }
+  static ExprPtr Col(AttrId id) {
+    const DataType t = id == 3 ? DataType::kString
+                       : id == 2 || id == 5 ? DataType::kDouble
+                                            : DataType::kInt64;
+    const std::string n = std::to_string(id);
+    return Expr::BoundColumn(id, "t", "c" + n, "t", t);
+  }
+
+  std::mt19937_64 rng_;
+};
+
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_double() && b.is_double() && std::isnan(a.dbl())) {
+    return std::isnan(b.dbl());
+  }
+  return a.StructurallyEquals(b);
+}
+
+TEST(FilterSelTest, RandomTreesMatchTheRowEvaluator) {
+  std::mt19937_64 rng(28);
+  const size_t n = 64;
+  std::vector<Row> rows(n);
+  for (Row& row : rows) {
+    auto null = [&] { return rng() % 6 == 0; };
+    static const double kDoubles[] = {-3.0, -0.0, 0.0, 1.5, 2.0,
+                                      RandomTrees::kNaN};
+    static const char* kStrings[] = {"", "a", "ab", "b", "ba"};
+    const int64_t i = static_cast<int64_t>(rng() % 7) - 3;
+    row = {
+        null() ? Value::Null() : Value::Int64(i),                      // 1
+        null() ? Value::Null() : Value::Double(kDoubles[rng() % 6]),   // 2
+        null() ? Value::Null() : Value::String(kStrings[rng() % 5]),   // 3
+        Value::Int64(static_cast<int64_t>(rng() % 8) - 2),             // 4
+        null()          ? Value::Null()                                // 5
+        : rng() % 2 == 0 ? Value::Int64(i)
+                         : Value::Double(kDoubles[rng() % 6]),
+        null()          ? Value::Null()                                // 6
+        : rng() % 3 == 0 ? Value::String(kStrings[rng() % 5])
+                         : Value::Int64(i),
+        Value::Null(),                                                 // 7
+    };
+  }
+  const RowLayout layout({1, 2, 3, 4, 5, 6, 7});
+  const vec::ColumnBatch batch = vec::FromRows(layout, rows).ValueOrDie();
+  ASSERT_EQ(batch.columns[1]->tag, vec::ColumnTag::kDouble);
+  ASSERT_EQ(batch.columns[4]->tag, vec::ColumnTag::kValue);
+  ASSERT_EQ(batch.columns[5]->tag, vec::ColumnTag::kValue);
+  const std::vector<vec::SelVec> sels = {
+      vec::RangeSel(0, n), vec::RangeSel(9, 40), vec::SelVec{},
+      [&] {
+        vec::SelVec s;
+        for (uint32_t i = 0; i < n; i += 1 + rng() % 4) s.push_back(i);
+        return s;
+      }()};
+
+  RandomTrees trees(0x5eed);
+  int succeeded = 0, failed = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const ExprPtr tree = trees.Bool(1 + trial % 4);
+    for (const vec::SelVec& sel : sels) {
+      SCOPED_TRACE(tree->ToString() + " over " + std::to_string(sel.size()) +
+                   " rows");
+      bool scalar_fails = false;
+      std::vector<Value> values;
+      vec::SelVec kept;
+      for (uint32_t i : sel) {
+        auto v = EvalExpr(*tree, rows[i], layout);
+        if (!v.ok()) {
+          scalar_fails = true;
+          break;
+        }
+        if (IsTruthyValue(*v)) kept.push_back(i);
+        values.push_back(*std::move(v));
+      }
+      auto got = vec::EvalExprVec(*tree, batch, sel);
+      vec::SelVec filtered = sel;
+      const Status filter = vec::FilterSel({tree}, batch, &filtered);
+      ASSERT_EQ(got.ok(), !scalar_fails) << got.status();
+      ASSERT_EQ(filter.ok(), !scalar_fails) << filter;
+      if (scalar_fails) {
+        ++failed;
+        continue;
+      }
+      ++succeeded;
+      EXPECT_EQ(filtered, kept);
+      for (size_t k = 0; k < sel.size(); ++k) {
+        ASSERT_TRUE(SameValue(got->At(sel, k), values[k]))
+            << "row " << sel[k] << ": " << got->At(sel, k).ToString()
+            << " vs " << values[k].ToString();
+      }
+    }
+  }
+  // Both outcomes are common, so both directions are exercised.
+  EXPECT_GT(succeeded, 4000);
+  EXPECT_GT(failed, 1000);
 }
 
 TEST(AggAccumulatorTest, IntegralSumIsExact) {

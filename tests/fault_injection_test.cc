@@ -134,8 +134,8 @@ TEST_F(FaultInjectionTest, PerEdgeDropsRecoverOnEveryTpchQuery) {
     const std::vector<std::string> expected = ExactRows(*clean);
 
     for (auto [from, to] : CrossSiteEdges(clean->metrics)) {
-      SCOPED_TRACE("Q" + std::to_string(qnum) + " edge l" +
-                   std::to_string(from) + "->l" + std::to_string(to));
+      SCOPED_TRACE(testing::Message()
+                   << "Q" << qnum << " edge l" << from << "->l" << to);
       LinkFault fault;
       fault.drop_probability = 0.3;
       shared.net->SetLinkFault(from, to, fault);
@@ -326,11 +326,10 @@ TEST_F(FaultInjectionTest, SeededSoakIsDeterministic) {
       for (uint64_t seed = 1; seed <= 4; ++seed) {
         for (int batch : {1, 7, 1024}) {
           for (int threads : {1, 4}) {
-            SCOPED_TRACE("Q" + std::to_string(qnum) + " drop=" +
-                         std::to_string(p.drop) + " seed=" +
-                         std::to_string(seed) + " batch=" +
-                         std::to_string(batch) + " threads=" +
-                         std::to_string(threads));
+            SCOPED_TRACE(testing::Message()
+                         << "Q" << qnum << " drop=" << std::to_string(p.drop)
+                         << " seed=" << seed << " batch=" << batch
+                         << " threads=" << threads);
             RetryPolicy retry;
             retry.max_retries = p.max_retries;
             retry.fault_seed = seed;

@@ -213,8 +213,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ExecMode::kRow,
                                          ExecMode::kFragment)),
     [](const ::testing::TestParamInfo<GoldenTrace::ParamType>& info) {
-      return "Q" + std::to_string(std::get<0>(info.param)) + "_" +
-             ExecModeToString(std::get<1>(info.param));
+      const std::string q = std::to_string(std::get<0>(info.param));
+      return "Q" + q + "_" + ExecModeToString(std::get<1>(info.param));
     });
 
 #endif  // CGQ_TRACING

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <functional>
@@ -218,6 +219,56 @@ TEST(KeyIndexTest, JoinMatchesEqualJoinHashTable) {
     }
     EXPECT_EQ(li, want_li);
     EXPECT_EQ(ri, want_ri);
+  }
+}
+
+// The join built on its right input: FlippedMatches must return, per
+// right batch, exactly the pairs of Build(left) then Probe(batch), in the
+// same order. Keys repeat on both sides (a small value pool), carry
+// NULLs, span one to three columns and mix tags across batches; the
+// right batches select sparse subsets of their rows.
+TEST(KeyIndexTest, FlippedMatchesEqualBuildThenProbe) {
+  Rng rng(0xf11b);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Shape shape = RandomShape(&rng);
+    shape.keys.resize(std::min<size_t>(shape.keys.size(),
+                                       static_cast<size_t>(rng.Uniform(1, 3))));
+    const size_t width = shape.families.size();
+    JoinSpec spec;
+    for (size_t c : shape.keys) spec.key_positions.emplace_back(c, c);
+    const std::vector<Row> left_rows =
+        RandomRows(shape, static_cast<size_t>(rng.Uniform(0, 80)), &rng);
+    const vec::ColumnBatch left =
+        MakeBatch(left_rows, width, RandomTags(shape, &rng),
+                  vec::RangeSel(0, left_rows.size()));
+    std::vector<vec::ColumnBatch> right;
+    for (int64_t b = rng.Uniform(0, 4); b > 0; --b) {
+      const std::vector<Row> rows =
+          RandomRows(shape, static_cast<size_t>(rng.Uniform(0, 30)), &rng);
+      vec::SelVec sel;
+      for (uint32_t i = 0; i < rows.size(); ++i) {
+        if (rng.Bernoulli(0.4)) sel.push_back(i);
+      }
+      right.push_back(
+          MakeBatch(rows, width, RandomTags(shape, &rng), std::move(sel)));
+    }
+
+    ColumnJoinTable table;
+    table.Build(left, spec);
+    std::vector<vec::SelVec> li, ri;
+    ASSERT_TRUE(ColumnJoinTable::FlippedMatches(left, right, spec, nullptr,
+                                                &li, &ri)
+                    .ok());
+    ASSERT_EQ(li.size(), right.size());
+    ASSERT_EQ(ri.size(), right.size());
+    for (size_t b = 0; b < right.size(); ++b) {
+      vec::SelVec want_li, want_ri;
+      ASSERT_TRUE(table.Probe(right[b], spec, nullptr, &want_li, &want_ri)
+                      .ok());
+      EXPECT_EQ(li[b], want_li) << "batch " << b;
+      EXPECT_EQ(ri[b], want_ri) << "batch " << b;
+    }
   }
 }
 

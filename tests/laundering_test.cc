@@ -110,8 +110,8 @@ class RecoveryComplianceTest : public LaunderingTest {
     Failpoints::DisarmAll();
     std::vector<Row> rows;
     for (int64_t i = 0; i < 10; ++i) {
-      rows.push_back({Value::Int64(i),
-                      Value::String("c" + std::to_string(i))});
+      const std::string n = std::to_string(i);
+      rows.push_back({Value::Int64(i), Value::String("c" + n)});
     }
     engine_->store().Put(0, "cust", std::move(rows));
   }

@@ -59,7 +59,8 @@ TEST(RegressionTest, TenRelationChainStaysBounded) {
   std::string from, where;
   for (int i = 0; i < 10; ++i) {
     TableDef t;
-    t.name = "t" + std::to_string(i);
+    const std::string n = std::to_string(i);
+    t.name = "t" + n;
     t.schema = Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}});
     t.fragments = {TableFragment{static_cast<LocationId>(i % 2), 1.0}};
     t.stats.row_count = 100 + 50 * i;
@@ -67,8 +68,8 @@ TEST(RegressionTest, TenRelationChainStaysBounded) {
     if (i > 0) {
       from += ", ";
       if (i > 1) where += " AND ";
-      where += "t" + std::to_string(i - 1) + ".k = t" +
-               std::to_string(i) + ".k";
+      const std::string prev = std::to_string(i - 1);
+      where += "t" + prev + ".k = t" + n + ".k";
     }
     from += t.name;
   }

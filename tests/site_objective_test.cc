@@ -11,7 +11,8 @@ namespace {
 
 PlanNodePtr Scan(LocationId loc, double rows, double width) {
   auto s = std::make_shared<PlanNode>(PlanKind::kScan);
-  s->table = "t" + std::to_string(loc);
+  const std::string n = std::to_string(loc);
+  s->table = "t" + n;
   s->scan_location = loc;
   s->exec_trait = LocationSet::Single(loc);
   s->est_rows = rows;

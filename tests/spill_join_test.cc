@@ -221,10 +221,9 @@ TEST_F(SpillJoinTest, DuplicateAndNullKeysMatchReference) {
   std::vector<Row> build, probe;
   for (int64_t i = 0; i < 200; ++i) {
     // Keys cycle 0..9 -> 20 duplicates per key on each side.
-    build.push_back({Value::Int64(i % 10), Value::String("b" +
-                                                         std::to_string(i))});
-    probe.push_back({Value::Int64(i % 10), Value::String("p" +
-                                                         std::to_string(i))});
+    const std::string n = std::to_string(i);
+    build.push_back({Value::Int64(i % 10), Value::String("b" + n)});
+    probe.push_back({Value::Int64(i % 10), Value::String("p" + n)});
   }
   // NULL keys never match and never crash the partitioner.
   build.push_back({Value::Null(), Value::String("bnull")});
@@ -283,13 +282,14 @@ TEST_F(SpillJoinTest, StringKeysAndResidualMatchReference) {
   std::vector<Row> build, probe;
   for (int64_t i = 0; i < 150; ++i) {
     // Keys k0..k6; every 10th build value is NULL (fails the residual).
-    build.push_back({Value::String("k" + std::to_string(i % 7)),
+    const std::string key = std::to_string(i % 7);
+    build.push_back({Value::String("k" + key),
                      i % 10 == 3 ? Value::Null() : Value::Int64(i % 13)});
   }
   for (int64_t i = 0; i < 120; ++i) {
     // Keys k0..k8: k7 and k8 match no build row.
-    probe.push_back({Value::String("k" + std::to_string(i % 9)),
-                     Value::Int64(i % 11)});
+    const std::string key = std::to_string(i % 9);
+    probe.push_back({Value::String("k" + key), Value::Int64(i % 11)});
   }
   build.push_back({Value::Null(), Value::Int64(0)});
   probe.push_back({Value::Null(), Value::Int64(12)});

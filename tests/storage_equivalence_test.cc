@@ -391,8 +391,8 @@ TEST(StorageEquivalenceTest, DisableDiskStorageRoundTrips) {
 std::vector<Row> MixedRows(int64_t n) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < n; ++i) {
-    Value name =
-        i % 3 == 0 ? Value::Null() : Value::String("s" + std::to_string(i));
+    const std::string n = std::to_string(i);
+    Value name = i % 3 == 0 ? Value::Null() : Value::String("s" + n);
     rows.push_back({Value::Int64(i), std::move(name),
                     Value::Double(0.5 * static_cast<double>(i))});
   }

@@ -48,8 +48,8 @@ class StorageRecoveryTest : public ::testing::Test {
   }
 
   static Row MakeRow(int64_t i) {
-    return {Value::Int64(i), Value::String("r" + std::to_string(i)),
-            Value::Double(i * 0.5)};
+    const std::string n = std::to_string(i);
+    return {Value::Int64(i), Value::String("r" + n), Value::Double(i * 0.5)};
   }
   static std::vector<Row> MakeRows(int64_t n, int64_t base = 0) {
     std::vector<Row> rows;

@@ -20,7 +20,8 @@ namespace cgq {
 namespace {
 
 Row MakeRow(int64_t i) {
-  return {Value::Int64(i), Value::String("v" + std::to_string(i))};
+  const std::string n = std::to_string(i);
+  return {Value::Int64(i), Value::String("v" + n)};
 }
 
 // Mutator iterations between resets of the fragments it appends to.
