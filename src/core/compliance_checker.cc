@@ -12,12 +12,14 @@ struct SubtreeInfo {
 };
 
 SubtreeInfo Walk(const PlanNode& node, const PolicyEvaluator& evaluator,
-                 const LocationCatalog& locations,
-                 ComplianceReport* report) {
+                 const LocationCatalog& locations, int depth,
+                 ComplianceReport* report,
+                 std::vector<ComplianceStep>* steps) {
   std::vector<SubtreeInfo> child_info;
   std::vector<const QuerySummary*> child_summaries;
   for (const PlanNodePtr& c : node.children()) {
-    child_info.push_back(Walk(*c, evaluator, locations, report));
+    child_info.push_back(
+        Walk(*c, evaluator, locations, depth + 1, report, steps));
   }
   for (const SubtreeInfo& ci : child_info) {
     child_summaries.push_back(&ci.summary);
@@ -30,12 +32,25 @@ SubtreeInfo Walk(const PlanNode& node, const PolicyEvaluator& evaluator,
     // A SHIP is legal iff its target is in the child's shipping trait; it
     // confers no new rights (relaying does not launder data).
     info.ship_trait = child_info[0].ship_trait;
-    if (!info.ship_trait.Contains(node.ship_to)) {
+    const bool legal = info.ship_trait.Contains(node.ship_to);
+    if (!legal) {
       report->compliant = false;
       report->violations.push_back(
           "SHIP to " + locations.GetName(node.ship_to) +
           " violates the dataflow policies of its input (legal targets: " +
           locations.SetToString(info.ship_trait) + ")");
+    }
+    if (steps != nullptr) {
+      ComplianceStep& step = steps->emplace_back();
+      step.node = &node;
+      step.depth = depth;
+      step.allowed = info.ship_trait;
+      step.violation = !legal;
+      const QuerySummary& input = child_info[0].summary;
+      if (legal && input.IsSingleDatabaseBlock()) {
+        step.grant_db = input.source_locations.ToVector().front();
+        (void)evaluator.Evaluate(input, *step.grant_db, &step.grants);
+      }
     }
     return info;
   }
@@ -55,6 +70,13 @@ SubtreeInfo Walk(const PlanNode& node, const PolicyEvaluator& evaluator,
     report->violations.push_back(
         node.Describe() + " executed at " + locations.GetName(node.location) +
         " but may only run at " + locations.SetToString(exec));
+    if (steps != nullptr) {
+      ComplianceStep& step = steps->emplace_back();
+      step.node = &node;
+      step.depth = depth;
+      step.allowed = exec;
+      step.violation = true;
+    }
   }
 
   // Shipping trait: AR3 + AR4.
@@ -71,9 +93,10 @@ SubtreeInfo Walk(const PlanNode& node, const PolicyEvaluator& evaluator,
 
 ComplianceReport CheckCompliance(const PlanNode& located_root,
                                  const PolicyEvaluator& evaluator,
-                                 const LocationCatalog& locations) {
+                                 const LocationCatalog& locations,
+                                 std::vector<ComplianceStep>* steps) {
   ComplianceReport report;
-  Walk(located_root, evaluator, locations, &report);
+  Walk(located_root, evaluator, locations, /*depth=*/0, &report, steps);
   return report;
 }
 

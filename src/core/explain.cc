@@ -1,99 +1,60 @@
 #include "core/explain.h"
 
 #include <sstream>
+#include <vector>
 
-#include "plan/summary.h"
+#include "core/compliance_checker.h"
 
 namespace cgq {
 
 namespace {
 
-struct WalkInfo {
-  LocationSet ship_trait;
-  QuerySummary summary;
-};
-
-WalkInfo Walk(const PlanNode& node, const PolicyEvaluator& evaluator,
-              const LocationCatalog& locations, int depth,
-              std::ostringstream* os) {
-  std::vector<WalkInfo> child_info;
-  for (const PlanNodePtr& c : node.children()) {
-    child_info.push_back(Walk(*c, evaluator, locations, depth + 1, os));
-  }
-  std::vector<const QuerySummary*> child_summaries;
-  for (const WalkInfo& ci : child_info) child_summaries.push_back(&ci.summary);
-
-  WalkInfo info;
-  info.summary = SummarizeOp(node, child_summaries);
-
+/// One line (a SHIP with legal grants: one line per grant more) of the
+/// report for a step of the Definition-1 walk.
+void FormatStep(const ComplianceStep& step, const LocationCatalog& locations,
+                std::ostringstream* os) {
+  const PlanNode& node = *step.node;
   auto indent = [&](int d) {
     for (int i = 0; i < d; ++i) *os << "  ";
   };
-
-  if (node.kind() == PlanKind::kShip) {
-    info.ship_trait = child_info[0].ship_trait;
-    indent(depth);
-    *os << "SHIP " << locations.GetName(node.ship_from) << " -> "
-        << locations.GetName(node.ship_to) << ": ";
-    if (!info.ship_trait.Contains(node.ship_to)) {
-      *os << "VIOLATION (legal targets "
-          << locations.SetToString(info.ship_trait) << ")\n";
-      return info;
-    }
-    const QuerySummary& s = child_info[0].summary;
-    if (s.IsSingleDatabaseBlock()) {
-      LocationId db = s.source_locations.ToVector().front();
-      std::vector<AttrGrant> grants;
-      (void)evaluator.Evaluate(s, db, &grants);
-      *os << "legal; single-database subquery of "
-          << locations.GetName(db) << ", granted attribute-wise:\n";
-      for (const AttrGrant& g : grants) {
-        indent(depth + 1);
-        *os << g.base.ToString();
-        if (g.fn) *os << " [" << AggFnToString(*g.fn) << "]";
-        *os << " -> " << locations.SetToString(g.granted);
-        if (g.granted.Contains(node.ship_to) && !g.granted_by.empty()) {
-          *os << "  via \""
-              << g.granted_by.front()->ToString(locations) << "\"";
-          if (g.granted_by.size() > 1) {
-            *os << " (+" << g.granted_by.size() - 1 << " more)";
-          }
-        } else if (!g.granted.Contains(node.ship_to)) {
-          *os << "  (home/trait-derived)";
-        }
-        *os << "\n";
-      }
-    } else {
-      *os << "legal; composite intermediate (multi-database or "
-             "post-aggregation) — every input may ship to "
-          << locations.GetName(node.ship_to)
-          << " (AR2), so the result inherits the site (AR3)\n";
-    }
-    return info;
-  }
-
-  // Non-ship operators: recompute the execution trait.
-  LocationSet exec;
-  if (node.kind() == PlanKind::kScan) {
-    exec = LocationSet::Single(node.scan_location);
-  } else {
-    exec = locations.All();
-    for (const WalkInfo& ci : child_info) {
-      exec = exec.Intersect(ci.ship_trait);
-    }
-  }
-  if (!exec.Contains(node.location)) {
-    indent(depth);
+  indent(step.depth);
+  if (node.kind() != PlanKind::kShip) {
     *os << node.Describe() << ": VIOLATION — runs at "
         << locations.GetName(node.location) << ", allowed "
-        << locations.SetToString(exec) << "\n";
+        << locations.SetToString(step.allowed) << "\n";
+    return;
   }
-  info.ship_trait = exec;
-  if (info.summary.IsSingleDatabaseBlock()) {
-    LocationId db = info.summary.source_locations.ToVector().front();
-    info.ship_trait = info.ship_trait.Union(evaluator.Evaluate(info.summary, db));
+  *os << "SHIP " << locations.GetName(node.ship_from) << " -> "
+      << locations.GetName(node.ship_to) << ": ";
+  if (step.violation) {
+    *os << "VIOLATION (legal targets " << locations.SetToString(step.allowed)
+        << ")\n";
+    return;
   }
-  return info;
+  if (!step.grant_db) {
+    *os << "legal; composite intermediate (multi-database or "
+           "post-aggregation) — every input may ship to "
+        << locations.GetName(node.ship_to)
+        << " (AR2), so the result inherits the site (AR3)\n";
+    return;
+  }
+  *os << "legal; single-database subquery of "
+      << locations.GetName(*step.grant_db) << ", granted attribute-wise:\n";
+  for (const AttrGrant& g : step.grants) {
+    indent(step.depth + 1);
+    *os << g.base.ToString();
+    if (g.fn) *os << " [" << AggFnToString(*g.fn) << "]";
+    *os << " -> " << locations.SetToString(g.granted);
+    if (g.granted.Contains(node.ship_to) && !g.granted_by.empty()) {
+      *os << "  via \"" << g.granted_by.front()->ToString(locations) << "\"";
+      if (g.granted_by.size() > 1) {
+        *os << " (+" << g.granted_by.size() - 1 << " more)";
+      }
+    } else if (!g.granted.Contains(node.ship_to)) {
+      *os << "  (home/trait-derived)";
+    }
+    *os << "\n";
+  }
 }
 
 }  // namespace
@@ -104,7 +65,11 @@ std::string ExplainCompliance(const PlanNode& located_root,
   std::ostringstream os;
   os << "Compliance provenance (result at "
      << locations.GetName(located_root.location) << "):\n";
-  Walk(located_root, evaluator, locations, 0, &os);
+  std::vector<ComplianceStep> steps;
+  (void)CheckCompliance(located_root, evaluator, locations, &steps);
+  for (const ComplianceStep& step : steps) {
+    FormatStep(step, locations, &os);
+  }
   std::string out = os.str();
   if (out.find("SHIP") == std::string::npos) {
     out += "  plan is fully local: no cross-border transfers\n";

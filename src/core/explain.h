@@ -13,8 +13,9 @@ namespace cgq {
 /// expressions that grant each disclosed attribute of a single-database
 /// subquery (AR4), or the derivation through the inputs' shipping traits
 /// for cross-database intermediates (AR2/AR3). Violations are flagged
-/// inline, so the report doubles as a human-readable audit of the
-/// Definition-1 check.
+/// inline. The report only formats what CheckCompliance's one
+/// Definition-1 walk derives (ComplianceStep), so it prints VIOLATION
+/// exactly when that check reports one.
 std::string ExplainCompliance(const PlanNode& located_root,
                               const PolicyEvaluator& evaluator,
                               const LocationCatalog& locations);

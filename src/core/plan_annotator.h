@@ -72,9 +72,6 @@ class PlanAnnotator {
   /// Maximum winners kept per group (Pareto frontier cap).
   static constexpr size_t kMaxWinnersPerGroup = 24;
 
-  /// Rule-application counts accumulated by BestPlan()/Winners().
-  const RuleCounts& rule_counts() const { return rules_; }
-
  private:
   double OpCost(const MExpr& expr) const;
   LocationSet Ar4Trait(int group, LocationSet sources);

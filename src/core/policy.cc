@@ -197,14 +197,6 @@ std::string PolicyExpression::ToString(
   return out;
 }
 
-Result<PolicyIndexMode> ParsePolicyIndexMode(const std::string& name) {
-  std::string n = ToLower(name);
-  if (n == "flat") return PolicyIndexMode::kFlat;
-  if (n == "hier" || n == "hierarchical") return PolicyIndexMode::kHierarchical;
-  return Status::InvalidArgument("unknown policy index mode '" + name +
-                                 "' (expected flat|hier)");
-}
-
 bool PolicySubsumes(const PolicyExpression& super,
                     const PolicyExpression& sub) {
   if (super.table != sub.table) return false;

@@ -89,9 +89,6 @@ enum class PolicyIndexMode {
   kHierarchical,
 };
 
-/// Parses "flat" / "hier" / "hierarchical" (the `--policy-index` knob).
-Result<PolicyIndexMode> ParsePolicyIndexMode(const std::string& name);
-
 /// True when every shipment the basic expression `sub` permits, the basic
 /// expression `super` permits too: same table, `sub`'s targets and ship
 /// attributes contained in `super`'s, and P_sub ⟹ P_super under the full

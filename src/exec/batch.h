@@ -36,6 +36,29 @@ struct RowBatch {
   }
 };
 
+/// What one fragment attempt counts, on either end of the wire: its
+/// operators add to it, a site server returns it in kOutputEnd, and the
+/// coordinator folds it into FragmentMetrics and ExecMetrics. Adding a
+/// counter means adding a field here (and its wire encoding).
+struct FragmentCounters {
+  int64_t rows_out = 0;
+  int64_t rows_scanned = 0;
+  /// Checksummed data blocks streamed by disk-mode scans.
+  int64_t blocks_read = 0;
+  /// Grace-hash-join spill volume under the memory budget.
+  int64_t spill_partitions = 0;
+  int64_t spill_bytes = 0;
+
+  FragmentCounters& operator+=(const FragmentCounters& o) {
+    rows_out += o.rows_out;
+    rows_scanned += o.rows_scanned;
+    blocks_read += o.blocks_read;
+    spill_partitions += o.spill_partitions;
+    spill_bytes += o.spill_bytes;
+    return *this;
+  }
+};
+
 }  // namespace cgq
 
 #endif  // CGQ_EXEC_BATCH_H_

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/trace.h"
 #include "exec/exec_internal.h"
+#include "exec/executor.h"
 #include "exec/spill_join.h"
 #include "exec/vector/kernels.h"
 
@@ -20,8 +22,7 @@ using vec::SelVec;
 using vec::VecVal;
 
 Status DrainBatchOp(BatchOp* op, const std::atomic<bool>* cancel,
-                    int64_t* rows_out,
-                    const std::function<Status(ColumnBatch)>& sink) {
+                    int64_t* rows_out, const BatchSink& sink) {
   while (true) {
     CGQ_RETURN_NOT_OK(CheckCancelled(cancel));
     CGQ_ASSIGN_OR_RETURN(OptBatch batch, op->Next());
@@ -159,12 +160,11 @@ Result<ColumnBatch> DrainToColumns(BatchOp* op,
 class ScanOp : public ChunkedOp {
  public:
   ScanOp(const PlanNode* node, RowLayout layout, TableStore::Cursor cursor,
-         size_t batch_size, int64_t* rows_scanned,
-         int64_t* storage_blocks_read)
-      : ChunkedOp(std::move(layout), batch_size, rows_scanned),
+         size_t batch_size, FragmentCounters* counters)
+      : ChunkedOp(std::move(layout), batch_size, &counters->rows_scanned),
         node_(node),
         cursor_(std::move(cursor)),
-        storage_blocks_read_(storage_blocks_read) {}
+        counters_(counters) {}
 
  protected:
   Result<bool> Fill() override {
@@ -173,10 +173,8 @@ class ScanOp : public ChunkedOp {
     // A masked cursor refuses a chunk of another width this way.
     if (next.status().IsInvalidArgument()) return WidthMismatch(node_->table);
     CGQ_ASSIGN_OR_RETURN(bool more, std::move(next));
-    if (storage_blocks_read_ != nullptr) {
-      *storage_blocks_read_ += cursor_.blocks_read() - blocks_folded_;
-      blocks_folded_ = cursor_.blocks_read();
-    }
+    counters_->blocks_read += cursor_.blocks_read() - blocks_folded_;
+    blocks_folded_ = cursor_.blocks_read();
     if (!more) return true;
     if (block.NumColumns() != layout_.size()) {
       return WidthMismatch(node_->table);
@@ -189,7 +187,7 @@ class ScanOp : public ChunkedOp {
  private:
   const PlanNode* node_;
   TableStore::Cursor cursor_;
-  int64_t* storage_blocks_read_;
+  FragmentCounters* counters_;
   int64_t blocks_folded_ = 0;
 };
 
@@ -315,8 +313,7 @@ class JoinOp : public ChunkedOp {
         cancel_(env.cancel),
         memory_budget_bytes_(env.memory_budget_bytes),
         spill_dir_(env.spill_dir),
-        spill_partitions_(env.spill_partitions),
-        spill_bytes_(env.spill_bytes) {}
+        counters_(env.counters) {}
 
  protected:
   Result<bool> Fill() override {
@@ -428,10 +425,8 @@ class JoinOp : public ChunkedOp {
       out_.Add(std::move(batch));
       return Status::OK();
     }));
-    if (spill_partitions_ != nullptr) {
-      *spill_partitions_ += spill_->partitions();
-    }
-    if (spill_bytes_ != nullptr) *spill_bytes_ += spill_->spill_bytes();
+    counters_->spill_partitions += spill_->partitions();
+    counters_->spill_bytes += spill_->spill_bytes();
     spill_.reset();
     return Status::OK();
   }
@@ -442,8 +437,7 @@ class JoinOp : public ChunkedOp {
   const std::atomic<bool>* cancel_;
   uint64_t memory_budget_bytes_;
   std::string spill_dir_;
-  int64_t* spill_partitions_;
-  int64_t* spill_bytes_;
+  FragmentCounters* counters_;
   JoinSpec spec_;
   JoinGather gather_;
   ColumnBatch build_;  ///< the drained left side
@@ -573,6 +567,34 @@ class AggregateOp : public ChunkedOp {
   const std::atomic<bool>* cancel_;
 };
 
+/// Source of a SHIP leaf, on either end of the wire: pulls its edge's
+/// batches through BatchOpEnv::ship_recv. Its layout is the leaf's own
+/// (LayoutOf(ship)); operators above it resolve columns by that static
+/// layout, so a batch whose attrs differ from it (even a same-width
+/// permutation) is refused.
+class ShipSourceOp : public BatchOp {
+ public:
+  ShipSourceOp(const PlanNode* ship, ShipRecv recv)
+      : ship_(ship), recv_(std::move(recv)), layout_(LayoutOf(*ship)) {}
+
+  Result<OptBatch> Next() override {
+    CGQ_ASSIGN_OR_RETURN(OptBatch batch, recv_(*ship_));
+    if (batch && batch->layout.attrs() != layout_.attrs()) {
+      return Status::InvalidArgument(
+          "input batch of SHIP l" + std::to_string(ship_->ship_from) +
+          "->l" + std::to_string(ship_->ship_to) +
+          " does not carry its SHIP leaf's layout");
+    }
+    return batch;
+  }
+  const RowLayout& layout() const override { return layout_; }
+
+ private:
+  const PlanNode* ship_;
+  ShipRecv recv_;
+  RowLayout layout_;
+};
+
 /// The scan of `node`. `reads`, when set, holds every attr the
 /// Filter*->Project chain directly above the scan reads; the scan then
 /// yields only those of its columns, in stored order.
@@ -596,8 +618,7 @@ Result<BatchOpPtr> BuildScan(const PlanNode& node, const BatchOpEnv& env,
                        env.store->Scan(node.scan_location, node.table,
                                        keep ? &*keep : nullptr));
   return BatchOpPtr(new ScanOp(&node, std::move(layout), std::move(cursor),
-                               batch_size, env.rows_scanned,
-                               env.storage_blocks_read));
+                               batch_size, env.counters));
 }
 
 /// BuildBatchOp, with `reads` as in BuildScan: a Project starts the set
@@ -608,11 +629,11 @@ Result<BatchOpPtr> Build(const PlanNode& node, const BatchOpEnv& env,
   const size_t batch_size = std::max<size_t>(1, env.batch_size);
   switch (node.kind()) {
     case PlanKind::kShip: {
-      if (!env.ship_source) {
+      if (!env.ship_recv) {
         return Status::Internal("fragment subtree contains a SHIP but no "
-                                "ship source factory was supplied");
+                                "ship source was supplied");
       }
-      return env.ship_source(node);
+      return BatchOpPtr(new ShipSourceOp(&node, env.ship_recv));
     }
     case PlanKind::kScan:
       return BuildScan(node, env, batch_size, reads);
@@ -664,6 +685,21 @@ Result<BatchOpPtr> Build(const PlanNode& node, const BatchOpEnv& env,
 
 Result<BatchOpPtr> BuildBatchOp(const PlanNode& node, const BatchOpEnv& env) {
   return Build(node, env, nullptr);
+}
+
+Status RunFragmentTree(const PlanNode& root, const TableStore* store,
+                       const ExecutorOptions& options, ShipRecv recv,
+                       FragmentCounters* counters, const BatchSink& sink) {
+  BatchOpEnv env;
+  env.store = store;
+  env.batch_size = static_cast<size_t>(std::max(1, options.batch_size));
+  env.cancel = options.cancel.get();
+  env.counters = counters;
+  env.memory_budget_bytes = options.memory_budget_bytes;
+  env.spill_dir = options.spill_dir;
+  env.ship_recv = std::move(recv);
+  CGQ_ASSIGN_OR_RETURN(BatchOpPtr op, BuildBatchOp(root, env));
+  return DrainBatchOp(op.get(), env.cancel, &counters->rows_out, sink);
 }
 
 }  // namespace exec_internal

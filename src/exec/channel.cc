@@ -17,6 +17,13 @@ uint64_t MixSeed(uint64_t seed, LocationId from, LocationId to) {
   return (seed + 0x9E3779B97F4A7C15ULL) * 0xBF58476D1CE4E5B9ULL ^ edge;
 }
 
+/// Exponential backoff between reattempts: reattempt k waits
+/// min(kBackoffMaxMs, kBackoffBaseMs * 2^(k-1)), scaled by a jitter
+/// factor in [0.5, 1) drawn from the deterministic fault stream. The wait
+/// is simulated (accounted, not slept), like the network cost model.
+constexpr double kBackoffBaseMs = 1.0;
+constexpr double kBackoffMaxMs = 64.0;
+
 std::chrono::duration<double, std::milli> Millis(double ms) {
   return std::chrono::duration<double, std::milli>(ms);
 }
@@ -86,12 +93,9 @@ void ShipChannel::ChargeAttemptLocked(int64_t rows, double bytes,
 }
 
 void ShipChannel::AccountBackoffLocked(int attempt) {
-  if (retry_.backoff_base_ms <= 0) return;
-  double delay = retry_.backoff_base_ms;
-  for (int i = 1; i < attempt && delay < retry_.backoff_max_ms; ++i) {
-    delay *= 2;
-  }
-  delay = std::min(delay, retry_.backoff_max_ms);
+  double delay = kBackoffBaseMs;
+  for (int i = 1; i < attempt && delay < kBackoffMaxMs; ++i) delay *= 2;
+  delay = std::min(delay, kBackoffMaxMs);
   // Jitter in [0.5, 1) from the deterministic stream, decorrelating
   // concurrent retries without losing reproducibility.
   delay *= 0.5 + 0.5 * rng_.NextDouble();

@@ -27,12 +27,6 @@ struct RetryPolicy {
   double send_timeout_ms = -1;
   /// Wall-clock bound on one receive wait; < 0 blocks forever.
   double recv_timeout_ms = -1;
-  /// Exponential backoff between reattempts: attempt k waits
-  /// min(backoff_max_ms, backoff_base_ms * 2^k), scaled by a jitter factor
-  /// in [0.5, 1) drawn from the deterministic fault stream. The wait is
-  /// simulated (accounted, not slept), like the network cost model.
-  double backoff_base_ms = 1.0;
-  double backoff_max_ms = 64.0;
   /// Seed of the per-channel deterministic stream used for drop sampling
   /// and backoff jitter. Same seed + same fault model = same schedule of
   /// drops and retries.

@@ -55,8 +55,6 @@ Result<net::Frame> RecvFrameFp(const net::Socket& socket,
 /// in-process channel (or into the final result).
 Status RunRemoteFragment(const PlanFragment& fragment, RunState* st) {
   const ExecutorOptions& options = *st->options;
-  FragmentMetrics& fm = st->fragments[fragment.id];
-  exec_internal::StorageCounters& sc = st->storage[fragment.id];
   const int send_timeout =
       net::EffectiveTimeoutMs(options.retry.send_timeout_ms);
   const int recv_timeout =
@@ -178,17 +176,13 @@ Status RunRemoteFragment(const PlanFragment& fragment, RunState* st) {
                 "output batch of fragment #" + std::to_string(fragment.id) +
                 " does not carry the fragment root's layout");
           }
-          fm.rows_out += static_cast<int64_t>(msg.batch.NumRows());
           CGQ_RETURN_NOT_OK(st->Emit(fragment, std::move(msg.batch)));
           break;
         }
         case wire::FrameType::kOutputEnd: {
           CGQ_ASSIGN_OR_RETURN(wire::OutputEnd msg,
                                wire::OutputEnd::Decode(frame.payload));
-          fm.rows_scanned += msg.rows_scanned;
-          sc.blocks_read += msg.blocks_read;
-          sc.spill_partitions += msg.spill_partitions;
-          sc.spill_bytes += msg.spill_bytes;
+          st->counters[fragment.id] += msg;
           return Status::OK();
         }
         case wire::FrameType::kError: {

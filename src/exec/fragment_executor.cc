@@ -1,6 +1,5 @@
 #include "exec/fragment_executor.h"
 
-#include <algorithm>
 #include <chrono>
 #include <iterator>
 #include <string>
@@ -22,64 +21,28 @@ namespace {
 /// (backpressure) under the pipelined schedule.
 constexpr size_t kChannelCapacity = 4;
 
-/// Source of a SHIP leaf: the in-process channel of its edge.
-class ChannelSourceOp : public BatchOp {
- public:
-  ChannelSourceOp(const PlanNode* ship, ShipChannel* channel,
-                  const std::atomic<bool>* failed)
-      : channel_(channel),
-        failed_(failed),
-        layout_(LayoutOf(*ship->child(0))) {}
-
-  Result<OptBatch> Next() override {
-    vec::ColumnBatch batch;
-    CGQ_ASSIGN_OR_RETURN(bool got, channel_->Recv(&batch));
-    if (!got) {
-      if (failed_->load(std::memory_order_acquire)) {
-        Status abort = channel_->abort_status();
-        return abort.ok() ? Status::Internal("fragment execution aborted")
-                          : abort;
-      }
-      return OptBatch();
-    }
-    return OptBatch(std::move(batch));
-  }
-
-  const RowLayout& layout() const override { return layout_; }
-
- private:
-  ShipChannel* channel_;
-  const std::atomic<bool>* failed_;
-  RowLayout layout_;
-};
-
-/// In-process fragment attempt: builds the operator tree against `store`,
-/// with SHIP leaves reading their channels, and drains it.
+/// In-process fragment attempt: runs the fragment's operator tree
+/// against `store`, with SHIP leaves reading their channels.
 Status RunLocalFragment(const PlanFragment& fragment,
                         const TableStore* store, RunState* st) {
-  const ExecutorOptions& options = *st->options;
-  FragmentMetrics& fm = st->fragments[fragment.id];
-  StorageCounters& sc = st->storage[fragment.id];
-  BatchOpEnv env;
-  env.store = store;
-  env.batch_size = static_cast<size_t>(std::max(1, options.batch_size));
-  env.cancel = options.cancel.get();
-  env.rows_scanned = &fm.rows_scanned;
-  env.storage_blocks_read = &sc.blocks_read;
-  env.spill_partitions = &sc.spill_partitions;
-  env.spill_bytes = &sc.spill_bytes;
-  env.memory_budget_bytes = options.memory_budget_bytes;
-  env.spill_dir = options.spill_dir;
-  env.ship_source = [st](const PlanNode& ship) -> Result<BatchOpPtr> {
-    int channel = st->fp->channel_of_ship.at(&ship);
-    return BatchOpPtr(new ChannelSourceOp(
-        &ship, st->channels[channel].get(), &st->failed));
+  auto recv = [st](const PlanNode& ship) -> Result<OptBatch> {
+    ShipChannel* channel =
+        st->channels[st->fp->channel_of_ship.at(&ship)].get();
+    vec::ColumnBatch batch;
+    CGQ_ASSIGN_OR_RETURN(bool got, channel->Recv(&batch));
+    if (got) return OptBatch(std::move(batch));
+    if (st->failed.load(std::memory_order_acquire)) {
+      Status abort = channel->abort_status();
+      return abort.ok() ? Status::Internal("fragment execution aborted")
+                        : abort;
+    }
+    return OptBatch();
   };
-  CGQ_ASSIGN_OR_RETURN(BatchOpPtr op, BuildBatchOp(*fragment.root, env));
-  return DrainBatchOp(op.get(), env.cancel, &fm.rows_out,
-                      [&](vec::ColumnBatch batch) {
-                        return st->Emit(fragment, std::move(batch));
-                      });
+  return RunFragmentTree(*fragment.root, store, *st->options,
+                         std::move(recv), &st->counters[fragment.id],
+                         [&](vec::ColumnBatch batch) {
+                           return st->Emit(fragment, std::move(batch));
+                         });
 }
 
 }  // namespace
@@ -129,7 +92,7 @@ Result<QueryResult> RunFragments(const PlanNode& plan,
   st.options = &options;
   st.fp = &fp;
   st.fragments.resize(n);
-  st.storage.resize(n);
+  st.counters.resize(n);
   // Channels are created below on this thread, before any worker starts,
   // so their "ship" spans attach to the current span in deterministic
   // (plan post-order) creation order. Workers re-install the context
@@ -196,6 +159,8 @@ Result<QueryResult> RunFragments(const PlanNode& plan,
     fm.wall_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - start)
                      .count();
+    fm.rows_out = st.counters[i].rows_out;
+    fm.rows_scanned = st.counters[i].rows_scanned;
     // Only deterministic values (no wall time) so traces stay
     // byte-stable per seed.
     fragment_span.AddArg("rows_out", fm.rows_out);
@@ -226,15 +191,15 @@ Result<QueryResult> RunFragments(const PlanNode& plan,
 
   ExecMetrics& m = result.metrics;
   for (const auto& channel : st.channels) m.AddShipEdge(channel->stats());
-  for (const FragmentMetrics& fm : st.fragments) {
-    m.rows_scanned += fm.rows_scanned;
-    m.fragment_restarts += fm.restarts;
+  FragmentCounters total;
+  for (size_t i = 0; i < n; ++i) {
+    total += st.counters[i];
+    m.fragment_restarts += st.fragments[i].restarts;
   }
-  for (const StorageCounters& sc : st.storage) {
-    m.storage_blocks_read += sc.blocks_read;
-    m.spill_partitions += sc.spill_partitions;
-    m.spill_bytes += sc.spill_bytes;
-  }
+  m.rows_scanned = total.rows_scanned;
+  m.storage_blocks_read = total.blocks_read;
+  m.spill_partitions = total.spill_partitions;
+  m.spill_bytes = total.spill_bytes;
   m.fragments = std::move(st.fragments);
   return result;
 }

@@ -31,15 +31,6 @@ Result<QueryResult> ExecuteFragmentedPlan(const PlanNode& plan,
 
 namespace exec_internal {
 
-/// Storage accounting of one fragment (disk scans + spill joins); folded
-/// into ExecMetrics after all fragments finish. Like rows_scanned, the
-/// counts accumulate across restart attempts.
-struct StorageCounters {
-  int64_t blocks_read = 0;
-  int64_t spill_partitions = 0;
-  int64_t spill_bytes = 0;
-};
-
 /// Shared state of one fragmented execution, owned by RunFragments and
 /// handed to every fragment attempt.
 struct RunState {
@@ -47,9 +38,11 @@ struct RunState {
   const FragmentedPlan* fp = nullptr;
   /// One channel per SHIP edge, indexed by channel id.
   std::vector<std::unique_ptr<ShipChannel>> channels;
-  /// Per-fragment accounting, indexed by fragment id.
+  /// Per-fragment accounting, indexed by fragment id. Attempts add to
+  /// `counters` (across restarts); RunFragments copies rows_out and
+  /// rows_scanned into `fragments` and folds the rest into ExecMetrics.
   std::vector<FragmentMetrics> fragments;
-  std::vector<StorageCounters> storage;
+  std::vector<FragmentCounters> counters;
   /// Rows of the top fragment (the query result).
   std::vector<Row> result_rows;
   std::atomic<bool> failed{false};
@@ -72,9 +65,8 @@ struct RunState {
 
 /// One attempt of one fragment — the only backend-specific step of a
 /// fragmented run. It produces the fragment's output through
-/// `RunState::Emit` and adds to the fragment's metrics and storage
-/// counters. A kUnavailable return marks a transient failure the
-/// scheduler may restart.
+/// `RunState::Emit` and adds to the fragment's counters. A kUnavailable
+/// return marks a transient failure the scheduler may restart.
 using FragmentAttemptFn =
     std::function<Status(const PlanFragment& fragment, RunState* st)>;
 
@@ -91,8 +83,8 @@ using FragmentAttemptFn =
 ///    kUnavailable failure, at most `options.retry.max_retries` times;
 ///    its output channel replays (or the partial result is dropped).
 ///  - Errors: the first failure aborts every channel and is returned.
-///  - Accounting: channel stats, fragment metrics and storage counters
-///    are folded into the result's ExecMetrics.
+///  - Accounting: channel stats, restarts and fragment counters are
+///    folded into the result's ExecMetrics.
 Result<QueryResult> RunFragments(const PlanNode& plan,
                                  const NetworkModel* net,
                                  const ExecutorOptions& options,

@@ -3,20 +3,6 @@
 namespace cgq {
 namespace vec {
 
-const char* ColumnTagToString(ColumnTag tag) {
-  switch (tag) {
-    case ColumnTag::kInt64:
-      return "int64";
-    case ColumnTag::kDouble:
-      return "double";
-    case ColumnTag::kString:
-      return "string";
-    case ColumnTag::kValue:
-      return "value";
-  }
-  return "?";
-}
-
 void NullBitmap::AppendSelected(const NullBitmap& src, const uint32_t* sel,
                                 size_t n) {
   if (n == 0) return;

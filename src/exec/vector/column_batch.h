@@ -82,8 +82,6 @@ class NullBitmap {
 /// to the scalar reference semantics elementwise).
 enum class ColumnTag { kInt64, kDouble, kString, kValue };
 
-const char* ColumnTagToString(ColumnTag tag);
-
 /// One column of a ColumnBatch: a contiguous typed vector plus a null
 /// bitmap. NULL slots of typed columns hold a zero / empty payload; the
 /// bitmap is authoritative. An all-null column (no non-null value to

@@ -76,8 +76,6 @@ class NetworkModel {
     return it == faults_.end() ? nullptr : &it->second;
   }
 
-  bool has_link_faults() const { return !faults_.empty(); }
-
   /// Lossy-WAN profile: every cross-site link drops each attempt with
   /// probability `drop_probability` and stalls `extra_latency_ms` extra.
   /// The bench harness's `--fault-profile=lossy`.

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "exec/batch_ops.h"
-#include "exec/exec_internal.h"
+#include "exec/executor.h"
 #include "exec/fragmenter.h"
 #include "net/wire_protocol.h"
 
@@ -17,12 +18,6 @@ namespace net {
 
 namespace {
 
-using exec_internal::BatchOp;
-using exec_internal::BatchOpEnv;
-using exec_internal::BatchOpPtr;
-using exec_internal::BuildBatchOp;
-using exec_internal::DrainBatchOp;
-using exec_internal::LayoutOf;
 using exec_internal::OptBatch;
 
 /// Unbounded buffer of one input channel's batches. Unbounded is a
@@ -71,45 +66,17 @@ class InputQueue {
   Status abort_;
 };
 
-/// Source operator over an InputQueue: the server-side stand-in for a
-/// SHIP leaf. Its layout is the producing subtree's output layout, which
-/// travels on the wire as the SHIP leaf's own output columns. Operators
-/// above it resolve columns by that static layout, so a batch whose
-/// attrs differ from it (even a same-width permutation) is refused.
-class QueueSourceOp : public BatchOp {
- public:
-  QueueSourceOp(const PlanNode* ship, InputQueue* queue)
-      : queue_(queue),
-        channel_(ship->fragment_ordinal),
-        layout_(LayoutOf(*ship)) {}
-
-  Result<OptBatch> Next() override {
-    CGQ_ASSIGN_OR_RETURN(OptBatch batch, queue_->Pop());
-    if (batch && batch->layout.attrs() != layout_.attrs()) {
-      return Status::InvalidArgument(
-          "input batch on channel " + std::to_string(channel_) +
-          " does not carry its SHIP leaf's layout");
-    }
-    return batch;
-  }
-  const RowLayout& layout() const override { return layout_; }
-
- private:
-  InputQueue* queue_;
-  int channel_;
-  RowLayout layout_;
-};
-
 /// One in-flight fragment (at most one per connection: the coordinator
 /// dials a fresh connection per attempt).
 struct FragmentSession {
   wire::StartFragment start;
   std::unordered_map<int, std::unique_ptr<InputQueue>> inputs;
-  std::atomic<bool> cancel{false};
+  std::shared_ptr<std::atomic<bool>> cancel =
+      std::make_shared<std::atomic<bool>>(false);
   std::thread worker;
 
   void AbortInputs(const Status& status) {
-    cancel.store(true, std::memory_order_release);
+    cancel->store(true, std::memory_order_release);
     for (auto& [channel, queue] : inputs) queue->Abort(status);
   }
 };
@@ -344,34 +311,28 @@ Status SiteServer::StartFragment(Connection* conn,
 
   FragmentSession* fs = conn->session.get();
   fs->worker = std::thread([this, conn, fs] {
-    wire::OutputEnd end;
-    BatchOpEnv env;
-    env.store = &store_;
-    env.batch_size = std::max<size_t>(1, fs->start.batch_size);
-    env.cancel = &fs->cancel;
-    env.rows_scanned = &end.rows_scanned;
-    env.storage_blocks_read = &end.blocks_read;
-    env.spill_partitions = &end.spill_partitions;
-    env.spill_bytes = &end.spill_bytes;
-    env.memory_budget_bytes = fs->start.memory_budget_bytes;
-    env.ship_source = [fs](const PlanNode& ship) -> Result<BatchOpPtr> {
+    ExecutorOptions options;
+    options.batch_size = static_cast<int>(
+        std::min<uint32_t>(fs->start.batch_size, INT32_MAX));
+    options.memory_budget_bytes = fs->start.memory_budget_bytes;
+    options.cancel = fs->cancel;
+    // A decoded SHIP leaf carries its channel id in fragment_ordinal.
+    auto recv = [fs](const PlanNode& ship) -> Result<OptBatch> {
       auto it = fs->inputs.find(ship.fragment_ordinal);
       if (it == fs->inputs.end()) {
         return Status::Internal("no input queue for channel " +
                                 std::to_string(ship.fragment_ordinal));
       }
-      return BatchOpPtr(new QueueSourceOp(&ship, it->second.get()));
+      return it->second->Pop();
     };
-    Status s = [&]() -> Status {
-      CGQ_ASSIGN_OR_RETURN(BatchOpPtr op,
-                           BuildBatchOp(*fs->start.root, env));
-      return DrainBatchOp(
-          op.get(), env.cancel, &end.rows_out, [&](vec::ColumnBatch batch) {
-            wire::OutputBatch out;
-            out.batch = std::move(batch);
-            return conn->Send(wire::FrameType::kOutputBatch, out.Encode());
-          });
-    }();
+    wire::OutputEnd end;
+    Status s = exec_internal::RunFragmentTree(
+        *fs->start.root, &store_, options, std::move(recv), &end,
+        [&](vec::ColumnBatch batch) {
+          wire::OutputBatch out;
+          out.batch = std::move(batch);
+          return conn->Send(wire::FrameType::kOutputBatch, out.Encode());
+        });
     if (s.ok()) {
       // Counted before kOutputEnd leaves: a client that read it sees it.
       fragments_completed_.fetch_add(1, std::memory_order_relaxed);

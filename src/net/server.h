@@ -38,10 +38,14 @@ namespace net {
 ///   OutputBatch* + OutputEnd | Error     the fragment's result stream
 ///   Cancel                               cooperative cancellation
 ///
-/// A fragment runs on its own worker thread against the *same* operator
-/// core (exec_internal::BuildBatchOp) the in-process backends use, which
-/// is what makes loopback results byte-identical to ExecMode::kFragment,
-/// while the connection thread goes on reading its input frames. Input
+/// A fragment runs on its own worker thread through the *same* runner
+/// as an in-process attempt (exec_internal::RunFragmentTree: one
+/// operator core, one SHIP-leaf source that checks every batch against
+/// the leaf's layout, one FragmentCounters record, returned as
+/// kOutputEnd), which is what makes loopback results byte-identical to
+/// ExecMode::kFragment, while the connection thread goes on reading its
+/// input frames. The worker's only own glue is where SHIP leaves read
+/// (the connection's input queues) and where output goes (frames). Input
 /// channels buffer without bound: one socket multiplexes all of a
 /// fragment's channels, and the coordinator's sequential schedule may
 /// relay a whole intermediate before the consumer drains it. The worker

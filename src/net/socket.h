@@ -47,12 +47,6 @@ class Socket {
   /// an accept, recv or send blocked on it returns, and another thread
   /// may call this while one is blocked. Close() still releases it.
   void Shutdown() const;
-  /// Releases ownership of the descriptor without closing it.
-  int Release() {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
 
   /// Binds and listens on `host:port`. Port 0 asks the kernel for an
   /// ephemeral port — the only mode the test/CI harness uses — which

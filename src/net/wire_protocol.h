@@ -8,6 +8,7 @@
 
 #include "catalog/location.h"
 #include "common/result.h"
+#include "exec/batch.h"
 #include "exec/vector/column_batch.h"
 #include "plan/plan_node.h"
 
@@ -299,17 +300,10 @@ struct OutputBatch {
   static Result<OutputBatch> Decode(const std::string& payload);
 };
 
-/// End of a fragment's output stream, carrying the accounting the
-/// coordinator folds into FragmentMetrics.
-struct OutputEnd {
-  int64_t rows_out = 0;
-  int64_t rows_scanned = 0;
-  /// The fragment's storage accounting on the server (disk-mode blocks
-  /// read, grace-join spill partitions and bytes).
-  int64_t blocks_read = 0;
-  int64_t spill_partitions = 0;
-  int64_t spill_bytes = 0;
-
+/// End of a fragment's output stream: the fragment's counters on the
+/// server, which the coordinator adds to its own record of the fragment.
+/// Encoded as five little-endian i64s in field order.
+struct OutputEnd : FragmentCounters {
   std::string Encode() const;
   static Result<OutputEnd> Decode(const std::string& payload);
 };

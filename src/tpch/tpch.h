@@ -46,10 +46,6 @@ Status GenerateData(const Catalog& catalog, const TpchConfig& config,
 /// (see DESIGN.md).
 Result<std::string> Query(int number);
 
-/// Join count of each workload query (paper: Q2=13 via Calcite
-/// decorrelation; here 8 from the hand-flattened form).
-int JoinCountOf(int number);
-
 /// The paper's six workload query numbers, in ascending order.
 std::vector<int> QueryNumbers();
 

@@ -196,33 +196,6 @@ Result<std::string> Query(int number) {
   }
 }
 
-int JoinCountOf(int number) {
-  switch (number) {
-    case 1:
-    case 6:
-      return 0;
-    case 4:
-    case 12:
-    case 14:
-    case 19:
-      return 1;
-    case 2:
-      return 8;
-    case 3:
-      return 2;
-    case 5:
-      return 5;
-    case 8:
-      return 7;
-    case 9:
-      return 5;
-    case 10:
-      return 3;
-    default:
-      return 0;
-  }
-}
-
 std::vector<int> QueryNumbers() { return {2, 3, 5, 8, 9, 10}; }
 
 std::vector<int> ExtendedQueryNumbers() { return {1, 4, 6, 12, 14, 19}; }

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/compliance_checker.h"
 #include "core/engine.h"
 #include "core/explain.h"
 #include "exec/analyze.h"
+#include "tpch/tpch.h"
 
 namespace cgq {
 namespace {
@@ -143,12 +148,58 @@ TEST_F(ExplainTest, ViolationIsFlaggedInProvenance) {
       "SELECT c.secret, o.total FROM cust c, ord o WHERE c.id = o.cust_id",
       opts);
   ASSERT_TRUE(r.ok());
-  if (!r->compliant) {
-    PolicyEvaluator evaluator(&engine_->catalog(), &engine_->policies());
-    std::string report = ExplainCompliance(*r->plan, evaluator,
-                                           engine_->catalog().locations());
-    EXPECT_NE(report.find("VIOLATION"), std::string::npos) << report;
+  ASSERT_FALSE(r->compliant);
+  PolicyEvaluator evaluator(&engine_->catalog(), &engine_->policies());
+  std::string report = ExplainCompliance(*r->plan, evaluator,
+                                         engine_->catalog().locations());
+  EXPECT_NE(report.find("VIOLATION"), std::string::npos) << report;
+}
+
+// The report formats the one Definition-1 walk CheckCompliance runs: over
+// the 12 TPC-H queries under the T, C and CR policy sets, for the
+// compliant optimizer and the compliant = false baseline alike, it prints
+// VIOLATION exactly when CheckCompliance reports a violation.
+TEST(ExplainWorkloadTest, ViolationIffCheckComplianceFails) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  Catalog catalog = *tpch::BuildCatalog(config);
+  NetworkModel net = NetworkModel::DefaultGeo(5);
+  std::vector<int> queries = tpch::QueryNumbers();
+  for (int q : tpch::ExtendedQueryNumbers()) queries.push_back(q);
+  ASSERT_EQ(queries.size(), 12u);
+  int plans = 0;
+  int violating = 0;
+  for (const char* set : {"T", "C", "CR"}) {
+    PolicyCatalog policies(&catalog);
+    ASSERT_TRUE(tpch::InstallPolicySet(set, &policies).ok());
+    PolicyEvaluator evaluator(&catalog, &policies);
+    for (bool compliant : {true, false}) {
+      OptimizerOptions options;
+      options.compliant = compliant;
+      QueryOptimizer optimizer(&catalog, &policies, &net, options);
+      for (int q : queries) {
+        auto r = optimizer.Optimize(*tpch::Query(q));
+        ASSERT_TRUE(r.ok()) << set << "/Q" << q << ": " << r.status();
+        ComplianceReport check =
+            CheckCompliance(*r->plan, evaluator, catalog.locations());
+        std::string report =
+            ExplainCompliance(*r->plan, evaluator, catalog.locations());
+        EXPECT_EQ(report.find("VIOLATION") != std::string::npos,
+                  !check.compliant)
+            << set << "/Q" << q << " compliant=" << compliant << "\n"
+            << report;
+        EXPECT_EQ(check.compliant, r->compliant) << set << "/Q" << q;
+        if (compliant) {
+          EXPECT_TRUE(check.compliant) << set << "/Q" << q;
+        }
+        ++plans;
+        violating += check.compliant ? 0 : 1;
+      }
+    }
   }
+  EXPECT_EQ(plans, 72);
+  // The baseline violates somewhere, so both directions of the iff run.
+  EXPECT_GT(violating, 0);
 }
 
 }  // namespace

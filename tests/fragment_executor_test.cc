@@ -257,5 +257,47 @@ TEST(FragmentExecutorTest, EnginePlumbingAndOrderBy) {
   EXPECT_FALSE(frag->metrics.fragments.empty());
 }
 
+// A SHIP leaf reads its edge through one source operator on both ends of
+// the wire, which refuses a batch whose attrs differ from the leaf's own
+// layout. Here a hand-built SHIP claims the permuted outputs (y, x) over
+// a scan yielding (x, y): the projection above it would resolve attr 1
+// to the wrong column, so the in-process run fails with a typed
+// kInvalidArgument under both schedules instead of returning rows.
+TEST(FragmentExecutorTest, ShipBatchOfOtherLayoutRefusedInProcess) {
+  const OutputCol x{1, "x", DataType::kInt64};
+  const OutputCol y{2, "y", DataType::kInt64};
+  auto scan = std::make_shared<PlanNode>(PlanKind::kScan);
+  scan->table = "t";
+  scan->scan_location = 1;
+  scan->location = 1;
+  scan->outputs = {x, y};
+  auto ship = std::make_shared<PlanNode>(PlanKind::kShip);
+  ship->ship_from = 1;
+  ship->ship_to = 0;
+  ship->location = 0;
+  ship->outputs = {y, x};
+  ship->children().push_back(scan);
+  auto project = std::make_shared<PlanNode>(PlanKind::kProject);
+  project->project_ids = {1};
+  project->project_names = {"x"};
+  project->outputs = {x};
+  project->location = 0;
+  project->children().push_back(ship);
+
+  TableStore store;
+  ASSERT_TRUE(
+      store.Put(1, "t", {{Value::Int64(10), Value::Int64(20)}}).ok());
+  NetworkModel net = NetworkModel::DefaultGeo(2);
+  for (int threads : {1, 0}) {
+    ExecutorOptions options;
+    options.mode = ExecMode::kFragment;
+    options.threads = threads;
+    auto r = Executor(&store, &net, options).ExecutePlan(*project);
+    ASSERT_FALSE(r.ok()) << "threads=" << threads;
+    EXPECT_TRUE(r.status().IsInvalidArgument())
+        << "threads=" << threads << ": " << r.status();
+  }
+}
+
 }  // namespace
 }  // namespace cgq

@@ -322,15 +322,13 @@ TEST(StorageEquivalenceTest, NarrowestDiskScansKeepEveryRow) {
   const PlanNode& scan = *project->child(0);
   struct Drained {
     std::vector<size_t> batch_rows;
-    int64_t rows_scanned = 0;
-    int64_t blocks_read = 0;
+    FragmentCounters counters;
   };
   auto drain = [&](const TableStore* store) -> Result<Drained> {
     Drained out;
     exec_internal::BatchOpEnv env;
     env.store = store;
-    env.rows_scanned = &out.rows_scanned;
-    env.storage_blocks_read = &out.blocks_read;
+    env.counters = &out.counters;
     CGQ_ASSIGN_OR_RETURN(exec_internal::BatchOpPtr op,
                          exec_internal::BuildBatchOp(*project, env));
     int64_t rows = 0;
@@ -349,11 +347,11 @@ TEST(StorageEquivalenceTest, NarrowestDiskScansKeepEveryRow) {
   auto disk = drain(shared.disk.get());
   ASSERT_TRUE(disk.ok()) << disk.status();
   EXPECT_EQ(disk->batch_rows, memory->batch_rows);
-  EXPECT_EQ(disk->rows_scanned, memory->rows_scanned);
-  EXPECT_EQ(static_cast<size_t>(disk->rows_scanned),
+  EXPECT_EQ(disk->counters.rows_scanned, memory->counters.rows_scanned);
+  EXPECT_EQ(static_cast<size_t>(disk->counters.rows_scanned),
             *shared.disk->FragmentRows(scan.scan_location, scan.table));
-  EXPECT_EQ(memory->blocks_read, 0);
-  EXPECT_GT(disk->blocks_read, 1);
+  EXPECT_EQ(memory->counters.blocks_read, 0);
+  EXPECT_GT(disk->counters.blocks_read, 1);
 }
 
 // Round trip back to memory mode: DisableDiskStorage materializes every
@@ -469,8 +467,8 @@ TEST(MemoryCursorTest, MaskOfAnotherWidthIsRefused) {
   ASSERT_TRUE(broken.Put(scan.scan_location, scan.table, short_rows).ok());
   exec_internal::BatchOpEnv env;
   env.store = &broken;
-  int64_t rows_scanned = 0;
-  env.rows_scanned = &rows_scanned;
+  FragmentCounters counters;
+  env.counters = &counters;
   auto op = exec_internal::BuildBatchOp(project, env);
   ASSERT_TRUE(op.ok()) << op.status();
   int64_t rows_out = 0;

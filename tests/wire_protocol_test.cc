@@ -51,6 +51,52 @@ TEST(WireFrame, GoldenHelloFrame) {
   EXPECT_EQ(Checksum64(payload, 2), 0x358e8a4becdcdc19ull);
 }
 
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xf];
+  }
+  return hex;
+}
+
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// The kOutputEnd payload: a fragment's five counters as little-endian
+// i64s, in the order rows_out, rows_scanned, blocks_read,
+// spill_partitions, spill_bytes.
+TEST(WireFrame, GoldenOutputEndPayload) {
+  const std::string expected =
+      "0807060504030201"   // rows_out 0x0102030405060708
+      "e803000000000000"   // rows_scanned 1000
+      "1100000000000000"   // blocks_read 17
+      "0800000000000000"   // spill_partitions 8
+      "0000000002000000";  // spill_bytes 2^33
+  OutputEnd end;
+  end.rows_out = 0x0102030405060708;
+  end.rows_scanned = 1000;
+  end.blocks_read = 17;
+  end.spill_partitions = 8;
+  end.spill_bytes = int64_t{1} << 33;
+  EXPECT_EQ(ToHex(end.Encode()), expected);
+
+  auto decoded = OutputEnd::Decode(FromHex(expected));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->rows_out, 0x0102030405060708);
+  EXPECT_EQ(decoded->rows_scanned, 1000);
+  EXPECT_EQ(decoded->blocks_read, 17);
+  EXPECT_EQ(decoded->spill_partitions, 8);
+  EXPECT_EQ(decoded->spill_bytes, int64_t{1} << 33);
+}
+
 /// A 2-column batch over 4 rows narrowed to rows {0, 2, 3}: an int64
 /// column with a NULL and a string column with a NULL.
 vec::ColumnBatch FilteredBatch() {
